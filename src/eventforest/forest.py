@@ -177,22 +177,58 @@ def distance_variation(test, segments) -> float:
     return total
 
 
+# Candidates are scored this many at a time, so one node's split search holds
+# O(rows x block) values however many candidates it draws.
+_CANDIDATE_BLOCK = 1024
+
+
+def _draw_pool(n_dims: int, n_candidates: int, rng):
+    """Draw a node's candidate channels r and q, then threshold quantiles u."""
+    r = rng.integers(0, n_dims, n_candidates)
+    q = rng.integers(0, n_dims, n_candidates)
+    u = rng.random(n_candidates)
+    return r, q, u
+
+
+def _candidate_blocks(x, r, q, u):
+    """Yield ``(start, diffs, tau)`` for consecutive blocks of a candidate pool.
+
+    ``diffs`` is the block's (B, n) matrix of x_r - x_q and ``tau`` its
+    thresholds, each uniform over that candidate's observed range. ``diffs``
+    is overwritten by the next block.
+    """
+    # transposed, each candidate's differences are two contiguous row reads
+    xt = np.ascontiguousarray(x.T)
+    # reused across blocks: a fresh array this large faults in every page
+    size = min(len(r), _CANDIDATE_BLOCK)
+    minuend = np.empty((size, len(x)))
+    subtrahend = np.empty_like(minuend)
+    for start in range(0, len(r), _CANDIDATE_BLOCK):
+        stop = min(start + _CANDIDATE_BLOCK, len(r))
+        diffs = minuend[: stop - start]
+        other = subtrahend[: stop - start]
+        # indices are in range, and "clip" lets take write straight into out
+        np.take(xt, r[start:stop], axis=0, out=diffs, mode="clip")
+        np.take(xt, q[start:stop], axis=0, out=other, mode="clip")
+        diffs -= other
+        lo = diffs.min(axis=1)
+        hi = diffs.max(axis=1)
+        yield start, diffs, lo + u[start:stop] * (hi - lo)
+
+
 def draw_candidates(segments, n_candidates: int, rng):
     """Draw the candidate test pool for one node.
 
     Channels r and q are uniform over the feature dimensions; each threshold
     is uniform over the observed range of x_r - x_q within the node, so every
-    candidate has a chance to separate something.
+    candidate has a chance to separate something. This replays exactly the
+    pool that ``select_best_test`` scores for the same RNG state.
     """
     segs = SegmentSet.from_segments(segments)
-    n_dims = segs.x.shape[1]
-    r = rng.integers(0, n_dims, n_candidates)
-    q = rng.integers(0, n_dims, n_candidates)
-    u = rng.random(n_candidates)
-    diffs = segs.x[:, r] - segs.x[:, q]
-    lo = diffs.min(axis=0)
-    hi = diffs.max(axis=0)
-    tau = lo + u * (hi - lo)
+    r, q, u = _draw_pool(segs.x.shape[1], n_candidates, rng)
+    tau = np.empty(n_candidates)
+    for start, _, block_tau in _candidate_blocks(segs.x, r, q, u):
+        tau[start:start + len(block_tau)] = block_tau
     return r, q, tau
 
 
@@ -210,60 +246,77 @@ def select_best_test(segments, n_candidates: int, objective: str, rng):
 
     Classification maximizes information gain; regression minimizes the total
     distance variation. Candidates producing an empty child are invalid, as
-    are regression candidates leaving a child without positives. Ties keep
-    the earliest-drawn candidate.
+    are regression candidates leaving a child without positives.
+
+    The pool is scored in blocks of ``_CANDIDATE_BLOCK`` candidates, so memory
+    grows with rows x block and not with ``n_candidates``. Ties keep the
+    earliest-drawn candidate: within a block through argmax, across
+    blocks because a later block replaces the running best only when it is
+    strictly better. The result does not depend on the block size: child and
+    positive counts are integers, and distance vectors are integer frame
+    offsets, so every sum is exact in float64 in any order, and the scores
+    are the same elementwise formulas as for the whole pool at once.
     """
     segs = SegmentSet.from_segments(segments)
-    r, q, tau = draw_candidates(segs, n_candidates, rng)
-    mask = segs.x[:, r] - segs.x[:, q] > tau
-    maskf = mask.astype(np.float64)
-    n = float(len(segs))
-    n_right = maskf.sum(axis=0)
-    n_left = n - n_right
-    valid = (n_right > 0) & (n_left > 0)
-    positive = (segs.labels == 1).astype(np.float64)
-    n_pos = positive.sum()
-    n_pos_right = positive @ maskf
-    n_pos_left = n_pos - n_pos_right
-
-    if objective == OBJECTIVE_CLASSIFICATION:
-        h = _entropy_from_counts(n_pos, n - n_pos)
-        h_right = _entropy_from_counts(n_pos_right, n_right - n_pos_right)
-        h_left = _entropy_from_counts(n_pos_left, n_left - n_pos_left)
-        gain = h - (n_right / np.where(n > 0, n, 1.0)) * h_right
-        gain = gain - (n_left / np.where(n > 0, n, 1.0)) * h_left
-        scores = np.where(valid, gain, -np.inf)
-        best = int(np.argmax(scores))
-        if not valid[best]:
-            return None
-        # information gain is non-negative by concavity of the entropy
-        assert scores[best] >= -1e-12
-    elif objective == OBJECTIVE_REGRESSION:
-        valid &= (n_pos_right > 0) & (n_pos_left > 0)
-        pos_rows = segs.labels == 1
-        d = segs.dists[pos_rows]
-        pos_mask = maskf[pos_rows]
-        s1_right = d.T @ pos_mask
-        s2_right = (d**2).sum(axis=1) @ pos_mask
-        s1_total = d.sum(axis=0)
-        s2_total = float((d**2).sum())
-        safe_right = np.where(n_pos_right > 0, n_pos_right, 1.0)
-        safe_left = np.where(n_pos_left > 0, n_pos_left, 1.0)
-        v_right = s2_right - (s1_right**2).sum(axis=0) / safe_right
-        s1_left = s1_total[:, np.newaxis] - s1_right
-        v_left = (s2_total - s2_right) - (s1_left**2).sum(axis=0) / safe_left
-        scores = np.where(valid, v_right + v_left, np.inf)
-        best = int(np.argmin(scores))
-        if not valid[best]:
-            return None
-    else:
+    if objective not in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
         raise ValueError(f"unknown objective {objective!r}")
+    # positives first, so a block's positive columns are a contiguous view
+    positive = segs.labels == 1
+    order = np.argsort(~positive, kind="stable")
+    n = float(len(segs))
+    n_pos_rows = int(np.count_nonzero(positive))
+    n_pos = float(n_pos_rows)
+    h = _entropy_from_counts(n_pos, n - n_pos)
+    d = segs.dists[positive]
+    # one product gives each block's right-side s1 (onset, offset) and s2
+    pos_stats = np.column_stack([d, (d**2).sum(axis=1)])
+    s1_total = d.sum(axis=0)
+    s2_total = float((d**2).sum())
+
+    r, q, u = _draw_pool(segs.x.shape[1], n_candidates, rng)
+    best = None
+    best_score = -np.inf
+    for start, diffs, tau in _candidate_blocks(segs.x[order], r, q, u):
+        mask = diffs > tau[:, np.newaxis]
+        pos_mask = mask[:, :n_pos_rows]
+        n_right = np.count_nonzero(mask, axis=1).astype(np.float64)
+        n_left = n - n_right
+        valid = (n_right > 0) & (n_left > 0)
+        n_pos_right = np.count_nonzero(pos_mask, axis=1).astype(np.float64)
+        n_pos_left = n_pos - n_pos_right
+        if objective == OBJECTIVE_CLASSIFICATION:
+            h_right = _entropy_from_counts(n_pos_right, n_right - n_pos_right)
+            h_left = _entropy_from_counts(n_pos_left, n_left - n_pos_left)
+            gain = h - (n_right / n) * h_right
+            gain = gain - (n_left / n) * h_left
+            scores = np.where(valid, gain, -np.inf)
+        else:
+            valid &= (n_pos_right > 0) & (n_pos_left > 0)
+            sums = pos_mask @ pos_stats
+            s1_right = sums[:, :2]
+            s2_right = sums[:, 2]
+            safe_right = np.where(n_pos_right > 0, n_pos_right, 1.0)
+            safe_left = np.where(n_pos_left > 0, n_pos_left, 1.0)
+            v_right = s2_right - (s1_right**2).sum(axis=1) / safe_right
+            s1_left = s1_total - s1_right
+            v_left = (s2_total - s2_right) - (s1_left**2).sum(axis=1) / safe_left
+            # negated (exactly), so both objectives keep the largest score
+            scores = np.where(valid, -(v_right + v_left), -np.inf)
+        i = int(np.argmax(scores))
+        if scores[i] > best_score:
+            best, best_tau, best_score = start + i, float(tau[i]), scores[i]
+
+    if best is None:
+        return None
+    # information gain is non-negative by concavity of the entropy
+    assert objective == OBJECTIVE_REGRESSION or best_score >= -1e-12
+    r_best, q_best = int(r[best]), int(q[best])
     return SplitChoice(
-        r=int(r[best]),
-        q=int(q[best]),
-        tau=float(tau[best]),
+        r=r_best,
+        q=q_best,
+        tau=best_tau,
         objective=objective,
-        mask=mask[:, best],
+        mask=segs.x[:, r_best] - segs.x[:, q_best] > best_tau,
     )
 
 
@@ -301,22 +354,35 @@ class SplitNode:
     right: object = None
 
 
-def make_leaf(segments, variance_floor: float = 1e-6) -> LeafModel:
-    """Estimate a leaf model from the segments that reached it."""
-    segs = SegmentSet.from_segments(segments)
-    n = len(segs)
-    if n == 0:
-        raise ValueError("cannot build a leaf from an empty set")
-    n_pos = segs.n_positive
-    p_pos = n_pos / n
-    leaf = LeafModel(p_pos=p_pos, p_neg=1.0 - p_pos, n_train=n)
+def _fit_leaf(leaf: LeafModel, labels, dists, variance_floor: float) -> LeafModel:
+    """Set a leaf's posterior, row count and floored onset/offset Gaussians.
+
+    ``labels`` and ``dists`` are the rows that reached the leaf; the Gaussians
+    are cleared when none of them is positive.
+    """
+    n = len(labels)
+    positive = labels == 1
+    n_pos = int(np.count_nonzero(positive))
+    leaf.p_pos = n_pos / n
+    leaf.p_neg = 1.0 - leaf.p_pos
+    leaf.n_train = n
+    leaf.onset = leaf.offset = None
     if n_pos > 0:
-        d = segs.dists[segs.labels == 1]
+        d = dists[positive]
         mean = d.mean(axis=0)
         var = np.maximum(d.var(axis=0), variance_floor)
         leaf.onset = (float(mean[0]), float(var[0]))
         leaf.offset = (float(mean[1]), float(var[1]))
     return leaf
+
+
+def make_leaf(segments, variance_floor: float = 1e-6) -> LeafModel:
+    """Estimate a leaf model from the segments that reached it."""
+    segs = SegmentSet.from_segments(segments)
+    if len(segs) == 0:
+        raise ValueError("cannot build a leaf from an empty set")
+    leaf = LeafModel(p_pos=0.0, p_neg=1.0, n_train=0)
+    return _fit_leaf(leaf, segs.labels, segs.dists, variance_floor)
 
 
 def train_tree(segments, config: ForestConfig, rng, depth: int = 1):
@@ -449,21 +515,12 @@ def calibrate(forest: Forest, segments) -> None:
             if indices is None or len(indices) == 0:
                 leaf.n_train = 0
                 continue
-            labels = segs.labels[indices]
-            n = len(indices)
-            n_pos = int(np.count_nonzero(labels == 1))
-            leaf.p_pos = n_pos / n
-            leaf.p_neg = 1.0 - leaf.p_pos
-            leaf.n_train = n
-            if n_pos > 0:
-                d = segs.dists[indices][labels == 1]
-                mean = d.mean(axis=0)
-                var = np.maximum(d.var(axis=0), forest.config.variance_floor)
-                leaf.onset = (float(mean[0]), float(var[0]))
-                leaf.offset = (float(mean[1]), float(var[1]))
-            else:
-                leaf.onset = None
-                leaf.offset = None
+            _fit_leaf(
+                leaf,
+                segs.labels[indices],
+                segs.dists[indices],
+                forest.config.variance_floor,
+            )
 
 
 def _flatten(node, out: list) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     oracle_best_split,
     random_segments,
 )
+from eventforest import forest as forest_module
 from eventforest.dataset import Segment
 from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
@@ -21,6 +23,7 @@ from eventforest.forest import (
     Forest,
     ForestConfig,
     LeafModel,
+    SegmentSet,
     SplitNode,
     calibrate,
     distance_variation,
@@ -258,21 +261,33 @@ def test_select_best_regression_needs_positives_on_both_sides():
     )
 
 
+BLOCK = forest_module._CANDIDATE_BLOCK
+
+
+def assert_matches_oracle(segments, n_candidates, objective, seed):
+    """select_best_test returns the oracle's (r, q, tau) and its partition."""
+    choice = select_best_test(
+        segments, n_candidates, objective, np.random.default_rng(seed)
+    )
+    expected = oracle_best_split(segments, n_candidates, objective, seed)
+    if expected is None:
+        assert choice is None
+        return None
+    _, r, q, tau = expected
+    assert choice is not None
+    assert (choice.r, choice.q, choice.tau) == (r, q, tau)
+    went_right = [split_test(s.x, r, q, tau) == 1 for s in segments]
+    assert choice.mask.tolist() == went_right
+    return expected
+
+
 def test_select_best_test_agrees_with_scalar_oracle():
     rng = np.random.default_rng(53)
     for trial in range(10):
         segments = random_segments(rng, int(rng.integers(6, 40)), dim=FEATURE_DIM)
         seed = int(rng.integers(0, 2**31))
         for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
-            choice = select_best_test(
-                segments, 128, objective, np.random.default_rng(seed)
-            )
-            expected = oracle_best_split(segments, 128, objective, seed)
-            if expected is None:
-                assert choice is None
-            else:
-                assert choice is not None
-                assert (choice.r, choice.q, choice.tau) == expected[1:]
+            assert_matches_oracle(segments, 128, objective, seed)
 
 
 def test_select_best_test_partition_is_exact():
@@ -285,6 +300,78 @@ def test_select_best_test_partition_is_exact():
     assert 0 < n_right < len(segments)
     for s, went_right in zip(segments, choice.mask):
         assert (s.x[choice.r] - s.x[choice.q] > choice.tau) == went_right
+
+
+@pytest.mark.parametrize(
+    "n_candidates", [BLOCK // 3, BLOCK, BLOCK + 1, 5 * BLOCK // 2]
+)
+@pytest.mark.parametrize(
+    "objective", [OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION]
+)
+def test_select_best_test_block_boundaries_match_oracle(n_candidates, objective):
+    rng = np.random.default_rng(n_candidates)
+    segments = random_segments(rng, 24, dim=FEATURE_DIM, class_shift=0.5)
+    assert assert_matches_oracle(segments, n_candidates, objective, 17)
+
+
+def two_cluster_set():
+    """Rows at [+1, 0] and [-1, 0]: every test with r != q is the same split.
+
+    Positives at [+1, 0] share one distance vector and positives at [-1, 0]
+    another, so all valid candidates tie under both objectives.
+    """
+    segments = []
+    for _ in range(4):
+        segments.append(seg([1.0, 0.0], 1, [0.0, 3.0], len(segments)))
+        segments.append(seg([-1.0, 0.0], 1, [5.0, 1.0], len(segments)))
+        segments.append(seg([-1.0, 0.0], 0, None, len(segments)))
+    return segments
+
+
+@pytest.mark.parametrize(
+    "objective", [OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION]
+)
+def test_select_best_test_tie_across_blocks_keeps_earliest(objective):
+    segments = two_cluster_set()
+    n_candidates = 5 * BLOCK // 2
+    index, r, q, tau = assert_matches_oracle(segments, n_candidates, objective, 3)
+    assert index < BLOCK
+    score = info_gain if objective == OBJECTIVE_CLASSIFICATION else distance_variation
+    r_all, q_all, tau_all = draw_candidates(
+        segments, n_candidates, np.random.default_rng(3)
+    )
+    tied_later = [
+        i for i in range(BLOCK, n_candidates)
+        if r_all[i] != q_all[i]
+        and score((r_all[i], q_all[i], tau_all[i]), segments)
+        == score((r, q, tau), segments)
+    ]
+    assert tied_later  # equal-scoring candidates sit in later blocks
+
+
+def test_select_best_test_memory_is_bounded_in_candidates():
+    n, n_candidates = 2000, 20000
+    rng = np.random.default_rng(83)
+    labels = (np.arange(n) % 3 == 0).astype(np.int8)
+    dists = np.where(
+        labels[:, np.newaxis] == 1,
+        rng.integers(0, 40, size=(n, 2)).astype(float),
+        np.nan,
+    )
+    sset = SegmentSet(rng.normal(size=(n, FEATURE_DIM)), labels, dists)
+    # a quarter of one n x K float64 matrix; the whole-pool search holds ~3
+    bound = n * n_candidates * 8 // 4
+    for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
+        tracemalloc.start()
+        try:
+            choice = select_best_test(
+                sset, n_candidates, objective, np.random.default_rng(5)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert choice is not None
+        assert peak < bound, f"{objective}: peak {peak} B >= {bound} B"
 
 
 # ---------------------------------------------------------------- leaf model
