@@ -28,6 +28,8 @@ from .detect import (
 )
 from .evaluate import (
     TuneFold,
+    TuneResult,
+    enabled_forests,
     load_thresholds,
     per_class_event_metrics,
     per_class_segment_metrics,
@@ -357,7 +359,8 @@ def cmd_tune(args) -> int:
     save_thresholds(result, args.out)
     for label, t in sorted(result.per_class.items()):
         rate = "n/a" if t.error_rate is None else f"{t.error_rate:.3f}"
-        print(f"{label}: alpha={t.alpha:g} beta={t.beta:g} segment-ER={rate}")
+        chosen = "disabled" if t.disabled else f"alpha={t.alpha:g} beta={t.beta:g}"
+        print(f"{label}: {chosen} segment-ER={rate}")
     return 0
 
 
@@ -368,7 +371,10 @@ def cmd_detect(args) -> int:
         return 0
     forests = _load_forests(args.models)
     feature_config = forests[0].feature_config
-    tuned = load_thresholds(args.thresholds).per_class if args.thresholds else {}
+    thresholds = (
+        load_thresholds(args.thresholds) if args.thresholds else TuneResult({})
+    )
+    tuned = thresholds.per_class
     configs = {}
     for forest in forests:
         alpha = merged["alpha"]
@@ -400,7 +406,11 @@ def cmd_detect(args) -> int:
                 config.smooth_window,
             )
             write_scores_csv(track, score_dir / f"scores_{forest.class_label}.csv")
-    detections = detect_on_features(features, forests, configs)
+    # A class the thresholds file disables is never reported, whatever its
+    # scores on this stream and whatever --alpha/--beta say.
+    detections = detect_on_features(
+        features, enabled_forests(forests, thresholds), configs
+    )
     if args.out:
         write_detections(detections, args.out)
     else:

@@ -9,12 +9,19 @@ from math import ceil
 
 import numpy as np
 
-from .detect import DetectConfig, extract_events, filter_duration, render_tracks, smooth
-from .detect import collect_votes
+from .detect import (
+    DetectConfig,
+    collect_votes,
+    extract_events,
+    filter_duration,
+    render_track_grid,
+    smooth,
+    track_maxima,
+)
 from .features import FeatureMatrix
 
-# Threshold above any normalized score: selecting it means the class is
-# never reported, which is the right call when every grid point does worse.
+# The beta that tune records for a class it switches off. A class tuned to
+# it is disabled: detection drops it, however high its scores run later.
 IGNORANCE_BETA = 1.01
 
 
@@ -222,9 +229,16 @@ class TuneFold:
 
 @dataclass
 class ClassThresholds:
+    """Tuned gate and peak threshold of one class."""
+
     alpha: float
     beta: float
     error_rate: float | None
+
+    @property
+    def disabled(self) -> bool:
+        """Whether tune switched the class off; it is then never reported."""
+        return self.beta == IGNORANCE_BETA
 
 
 @dataclass
@@ -251,12 +265,17 @@ def tune_thresholds(
 ) -> TuneResult:
     """Exhaustive per-class grid search minimizing pooled segment error rate.
 
-    For each class the onset and offset tracks of every fold are rendered per
-    alpha from cached leaf votes, then every beta is applied. The pooled
-    segment error rate over all folds scores each pair; ties prefer the
-    larger beta, then the larger alpha. With ``allow_ignorance`` the pair
-    (0, IGNORANCE_BETA) competes too, so a class whose best grid point is
-    still worse than silence is switched off.
+    For each class the onset and offset tracks of every fold are rendered
+    for all alphas in one blocked pass over the cached leaf votes, then
+    every beta is applied. The pooled segment error rate over all folds
+    scores each pair; ties prefer the larger beta, then the larger alpha.
+    With ``allow_ignorance`` the pair (0, IGNORANCE_BETA) competes too, so a
+    class whose best grid point is still worse than silence is disabled.
+
+    The search is exact: the grid renderer adds every vote in the same
+    order as rendering one alpha at a time, and the peaks above a beta are
+    exactly the track's local maxima that reach it, so the maxima are found
+    once per (alpha, fold) and each beta only filters and pairs them.
     """
     folds = list(folds)
     if not folds:
@@ -271,28 +290,34 @@ def tune_thresholds(
     per_class = {}
     for forest in forests:
         label = forest.class_label
-        votes = [collect_votes(fold.features, forest) for fold in folds]
+        per_fold = [
+            render_track_grid(
+                collect_votes(fold.features, forest),
+                alphas,
+                forest.z_plus,
+                forest.z_minus,
+            )
+            for fold in folds
+        ]
         best = None  # (score, alpha, beta, error_rate)
-        for alpha in alphas:
+        for a, alpha in enumerate(alphas):
             tracks = [
-                smooth(
-                    render_tracks(v, alpha, forest.z_plus, forest.z_minus),
-                    detect_config.smooth_window,
-                )
-                for v in votes
+                smooth(grid[a], detect_config.smooth_window) for grid in per_fold
             ]
+            maxima = [track_maxima(track) for track in tracks]
             candidate_betas = list(betas)
             if allow_ignorance and alpha == alphas[0]:
                 candidate_betas.append(IGNORANCE_BETA)
             for beta in candidate_betas:
                 pooled = SegmentScore()
-                for track, fold in zip(tracks, folds):
+                for track, peaks, fold in zip(tracks, maxima, folds):
                     events = extract_events(
                         track,
                         beta,
                         fold.features.config.hop_len,
                         fold.features.config.window_len,
                         label,
+                        maxima=peaks,
                     )
                     if forest.max_train_event_duration is not None:
                         events = filter_duration(
@@ -357,3 +382,18 @@ def load_thresholds(path) -> TuneResult:
         for label, entry in payload.items()
     }
     return TuneResult(per_class=per_class)
+
+
+def enabled_forests(forests, thresholds: TuneResult) -> list:
+    """The forests whose class ``thresholds`` does not disable.
+
+    A disabled class's thresholds still fire wherever its scores reach the
+    ignorance beta, so drop such classes before ``detect_on_features`` or
+    ``detect_stream``. Classes the thresholds do not name are kept.
+    """
+    return [
+        forest
+        for forest in forests
+        if forest.class_label not in thresholds.per_class
+        or not thresholds.per_class[forest.class_label].disabled
+    ]

@@ -9,7 +9,6 @@ from math import gcd
 import numpy as np
 from scipy.fft import dct
 from scipy.io import wavfile
-from scipy.signal import get_window, resample_poly
 
 # Additive floor applied before the log; also the post-subtraction energy floor.
 LOG_FLOOR = 1e-10
@@ -160,6 +159,8 @@ def resample(waveform: Waveform, target_rate: int) -> Waveform:
         raise ValueError(f"target rate must be positive, got {target_rate}")
     if target_rate == waveform.sample_rate:
         return waveform
+    from scipy.signal import resample_poly
+
     g = gcd(target_rate, waveform.sample_rate)
     out = resample_poly(waveform.samples, target_rate // g, waveform.sample_rate // g)
     return Waveform(out, target_rate)
@@ -236,6 +237,8 @@ def gammatone_cepstra(waveform: Waveform, config: FeatureConfig) -> FeatureMatri
     if n_segments == 0:
         rows = np.zeros((0, config.n_channels))
         return FeatureMatrix(rows, np.zeros(0), config)
+
+    from scipy.signal import get_window
 
     offsets = np.arange(n_segments) * hop
     frames = waveform.samples[offsets[:, np.newaxis] + np.arange(win)]

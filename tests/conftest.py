@@ -1,12 +1,13 @@
 """Shared builders and fixtures for the test suite."""
 
+from math import ceil, floor, sqrt
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from eventforest.dataset import EventAnnotation, Segment
-from eventforest.detect import collect_votes, render_tracks
+from eventforest.detect import ScoreTrack, collect_votes, render_tracks
 from eventforest.features import FeatureConfig, FeatureMatrix
 from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
@@ -15,6 +16,7 @@ from eventforest.forest import (
     SegmentSet,
     distance_variation,
     draw_candidates,
+    gaussian_pdf,
     split_test,
     train_forest,
 )
@@ -107,6 +109,55 @@ def oracle_best_split(segments, n_candidates, objective, seed):
             best = (i, r, q, tau)
             best_score = score
     return best
+
+
+def add_gaussian(track, weight, mean, var):
+    """Add one weighted Gaussian to the track, truncated at six standard deviations."""
+    spread = 6.0 * sqrt(var)
+    lo = max(0, ceil(mean - spread))
+    hi = min(len(track) - 1, floor(mean + spread))
+    if lo > hi:
+        return
+    positions = np.arange(lo, hi + 1)
+    track[lo : hi + 1] += weight * gaussian_pdf(positions, mean, var)
+
+
+def oracle_render_tracks(votes, alpha, z_plus=1.0, z_minus=1.0):
+    """Reference renderer: one ``add_gaussian`` per vote and track, in vote order."""
+    f_plus = np.zeros(votes.n_segments)
+    f_minus = np.zeros(votes.n_segments)
+    for i in range(len(votes.p_pos)):
+        p = votes.p_pos[i]
+        if p < alpha:
+            continue
+        m = votes.segment[i]
+        add_gaussian(f_plus, p, m - votes.mean_on[i], votes.var_on[i])
+        add_gaussian(f_minus, p, m + votes.mean_off[i], votes.var_off[i])
+    scale = votes.n_trees
+    f_plus /= scale * z_plus
+    f_minus /= scale * z_minus
+    return ScoreTrack(f_plus, f_minus)
+
+
+def oracle_peak_indices(values, threshold):
+    """Reference plateau scan: local maxima at or above the threshold.
+
+    A plateau counts once at its leftmost index; stream edges only need the
+    inner side to fall away.
+    """
+    n = len(values)
+    peaks = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[j + 1] == values[i]:
+            j += 1
+        rises = i == 0 or values[i - 1] < values[i]
+        falls = j == n - 1 or values[j + 1] < values[i]
+        if rises and falls and values[i] >= threshold:
+            peaks.append(i)
+        i = j + 1
+    return peaks
 
 
 def blob_stream(rng, n_events=6, event_len=12, gap=20, dim=FEATURE_DIM,

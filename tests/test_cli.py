@@ -3,9 +3,14 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eventforest
 from eventforest.cli import main
 from eventforest.dataset import parse_annotations
 from eventforest.evaluate import (
@@ -328,6 +333,33 @@ class TestDetect:
         assert override_out.read_text() == ""
         assert tuned_out.read_text() != ""
 
+    def test_disabled_class_stays_silent_above_ignorance_beta(
+        self, corpus, models, tmp_path
+    ):
+        # Shrinking z scales every score up, so the smoothed tracks of this
+        # class pass 1.01 on the test stream.
+        payload = json.loads(models[0].read_text())
+        payload["z_plus"] = payload["z_plus"] / 1000.0
+        payload["z_minus"] = payload["z_minus"] / 1000.0
+        loud = tmp_path / "loud.json"
+        loud.write_text(json.dumps(payload))
+        label = payload["class_label"]
+        base = ["detect", str(corpus / "test.wav"), "--model", str(loud)]
+        fired = tmp_path / "fired.txt"
+        assert main(base + ["--beta", "1.01", "--out", str(fired)]) == 0
+        assert fired.read_text() != ""
+
+        disabled = tmp_path / "disabled.json"
+        disabled.write_text(json.dumps(
+            {label: {"alpha": 0.0, "beta": 1.01, "error_rate": 1.0}}
+        ))
+        for extra in ([], ["--beta", "0.0", "--smooth-window", "1"]):
+            out = tmp_path / "silent.txt"
+            code = main(base + ["--thresholds", str(disabled), "--out",
+                                str(out)] + extra)
+            assert code == 0
+            assert out.read_text() == ""
+
     def test_mismatched_models_rejected(self, models, corpus, tmp_path,
                                         capsys):
         payload = json.loads(models[0].read_text())
@@ -406,3 +438,17 @@ class TestEvaluate:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = str(Path(eventforest.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, eventforest.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

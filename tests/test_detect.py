@@ -1,12 +1,21 @@
 """Tree descent, Gaussian voting, score tracks, and event extraction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import blob_stream, feature_config
+from conftest import (
+    blob_stream,
+    feature_config,
+    oracle_peak_indices,
+    oracle_render_tracks,
+)
 from eventforest.detect import (
+    _VOTE_BLOCK,
     Detection,
     DetectConfig,
     ScoreTrack,
@@ -17,13 +26,18 @@ from eventforest.detect import (
     detect_stream,
     extract_events,
     filter_duration,
+    StreamVotes,
+    _peak_indices,
+    render_track_grid,
     render_tracks,
     smooth,
+    track_maxima,
     vote_forest,
     vote_tree,
     write_detections,
     write_scores_csv,
 )
+from eventforest.evaluate import default_alpha_grid
 from eventforest.features import FeatureConfig, FeatureMatrix, Waveform
 from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
@@ -239,6 +253,122 @@ def test_rendering_is_deterministic(blob_model):
     assert np.array_equal(a.f_minus, b.f_minus)
 
 
+# ------------------------------------------- blocked rendering vs the oracle
+
+
+def random_votes(rng, n_votes, n_segments, n_trees=5):
+    """Votes with gate-aligned and free confidences and wide, edge-crossing kernels."""
+    grid = np.array(default_alpha_grid())
+    p_pos = np.where(
+        rng.random(n_votes) < 0.5,
+        rng.choice(grid, size=n_votes),
+        rng.random(n_votes),
+    )
+    return StreamVotes(
+        p_pos=p_pos,
+        segment=rng.integers(0, max(n_segments, 1), size=n_votes),
+        mean_on=rng.normal(2.0, 8.0, size=n_votes),
+        var_on=np.exp(rng.uniform(-3.0, 4.6, size=n_votes)),
+        mean_off=rng.normal(2.0, 8.0, size=n_votes),
+        var_off=np.exp(rng.uniform(-3.0, 4.6, size=n_votes)),
+        n_segments=n_segments,
+        n_trees=n_trees,
+    )
+
+
+def assert_tracks_identical(track, expected):
+    assert np.array_equal(track.f_plus, expected.f_plus)
+    assert np.array_equal(track.f_minus, expected.f_minus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_segments=st.integers(1, 90),
+    n_votes=st.integers(0, 150),
+    z=st.sampled_from([1.0, 0.37, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_render_grid_is_bit_identical_to_scalar_loop(n_segments, n_votes, z, seed):
+    votes = random_votes(np.random.default_rng(seed), n_votes, n_segments)
+    alphas = default_alpha_grid()
+    grid = render_track_grid(votes, alphas, z, 1.0 / z)
+    assert len(grid) == len(alphas)
+    for alpha, track in zip(alphas, grid):
+        expected = oracle_render_tracks(votes, alpha, z, 1.0 / z)
+        assert_tracks_identical(track, expected)
+        assert_tracks_identical(render_tracks(votes, alpha, z, 1.0 / z), expected)
+
+
+@pytest.mark.parametrize(
+    "n_votes",
+    [_VOTE_BLOCK - 1, _VOTE_BLOCK, _VOTE_BLOCK + 1, 2 * _VOTE_BLOCK + 300],
+)
+def test_render_is_bit_identical_across_block_boundaries(n_votes):
+    # Few segments, many votes: every segment sums terms from several
+    # blocks, so adding a block's partial sums at once would show.
+    votes = random_votes(np.random.default_rng(n_votes), n_votes, 40)
+    alphas = [0.0, 0.35, 0.9]
+    for alpha, track in zip(alphas, render_track_grid(votes, alphas)):
+        assert_tracks_identical(track, oracle_render_tracks(votes, alpha))
+
+
+def test_render_truncates_at_both_stream_ends():
+    n = 12
+    votes = StreamVotes(
+        p_pos=np.array([0.9, 0.6, 1.0, 0.8]),
+        segment=np.array([0, n - 1, 5, 3]),
+        # Kernels centred before the start, past the end, wider than the
+        # stream, and entirely outside it.
+        mean_on=np.array([2.5, -3.0, 0.0, 40.0]),
+        var_on=np.array([4.0, 1.0, 400.0, 1.0]),
+        mean_off=np.array([-1.5, 2.2, 0.0, 40.0]),
+        var_off=np.array([1.0, 9.0, 400.0, 1.0]),
+        n_segments=n,
+        n_trees=2,
+    )
+    for alpha in (0.0, 0.7, 0.95):
+        track = render_tracks(votes, alpha)
+        assert_tracks_identical(track, oracle_render_tracks(votes, alpha))
+    assert np.count_nonzero(render_tracks(votes, 0.0).f_plus) == n
+
+
+def test_render_without_votes_is_zero():
+    votes = random_votes(np.random.default_rng(0), 0, 25)
+    for track in render_track_grid(votes, default_alpha_grid()):
+        assert np.array_equal(track.f_plus, np.zeros(25))
+        assert np.array_equal(track.f_minus, np.zeros(25))
+    empty = render_tracks(random_votes(np.random.default_rng(0), 0, 0), 0.0)
+    assert empty.n_segments == 0
+
+
+def test_render_memory_stays_within_a_few_blocks():
+    n_votes, n_segments = 200_000, 50_000
+    rng = np.random.default_rng(3)
+    ones = np.ones(n_votes)
+    votes = StreamVotes(
+        p_pos=0.9 * ones,
+        segment=rng.integers(0, n_segments, size=n_votes),
+        mean_on=3.0 * ones,
+        var_on=ones,
+        mean_off=2.0 * ones,
+        var_off=ones,
+        n_segments=n_segments,
+        n_trees=10,
+    )
+    # Unit variance: 13 positions per kernel within six standard deviations.
+    block_bytes = _VOTE_BLOCK * 13 * 8
+    track_bytes = n_segments * 8
+    tracemalloc.start()
+    try:
+        render_tracks(votes, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One float buffer over all 2.6 million (position, value) pairs would
+    # alone take 20.8 MB.
+    assert peak < 4 * track_bytes + 24 * block_bytes
+
+
 # ---------------------------------------------------------------- smoothing
 
 
@@ -302,6 +432,48 @@ def spiky_track(n, plus_peaks, minus_peaks):
     for idx, value in minus_peaks:
         f_minus[idx] = value
     return ScoreTrack(f_plus, f_minus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), max_size=40),
+    threshold=st.sampled_from([-1.0, 0.0, 0.3, 0.5, 1.0, 1.01]),
+)
+def test_peak_indices_match_plateau_scan(values, threshold):
+    values = np.array(values, dtype=np.float64)
+    peaks = _peak_indices(values, threshold)
+    assert peaks == oracle_peak_indices(values, threshold)
+    assert all(type(i) is int for i in peaks)
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([], []),
+        ([0.4], [0]),
+        ([0.7, 0.7, 0.7], [0]),
+        ([0.2, 0.8, 0.8, 0.3, 0.8, 0.8], [1, 4]),
+        ([0.8, 0.8, 0.2, 0.9, 0.9, 0.95], [0, 5]),
+        ([0.5, 0.9, 0.9, 0.95, 0.1], [3]),
+        ([0.3, 0.3, 0.6, 0.6, 0.6, 0.4, 0.6], [2, 6]),
+    ],
+)
+def test_peak_indices_on_plateaus_ties_and_short_tracks(values, expected):
+    values = np.array(values, dtype=np.float64)
+    assert _peak_indices(values, 0.0) == expected
+    assert oracle_peak_indices(values, 0.0) == expected
+
+
+def test_extract_with_precomputed_maxima_matches_fresh_scan():
+    rng = np.random.default_rng(4)
+    values = np.round(rng.random((2, 120)) * 4) / 4
+    track = ScoreTrack(values[0], values[1])
+    maxima = track_maxima(track)
+    for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
+        fresh = extract_events(track, beta, hop_len=0.5, label="x")
+        reused = extract_events(track, beta, hop_len=0.5, label="x",
+                                maxima=maxima)
+        assert [vars(e) for e in reused] == [vars(e) for e in fresh]
 
 
 def test_extract_single_pair():

@@ -1,17 +1,20 @@
 """Tests for cell-based and event-based scoring and threshold tuning."""
 
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import oracle_render_tracks
 from eventforest.dataset import EventAnnotation
 from eventforest.detect import (
     DetectConfig,
     collect_votes,
+    detect_on_features,
     extract_events,
     filter_duration,
-    render_tracks,
     smooth,
 )
 from eventforest.evaluate import (
@@ -23,6 +26,7 @@ from eventforest.evaluate import (
     TuneResult,
     default_alpha_grid,
     default_beta_grid,
+    enabled_forests,
     event_metrics,
     load_thresholds,
     per_class_event_metrics,
@@ -326,25 +330,32 @@ class TestGrids:
 
 def oracle_tune(folds, forest, alphas, betas, detect_config, resolution,
                 allow_ignorance):
-    """Independent exhaustive search mirroring the published tie-breaks."""
+    """Independent exhaustive search mirroring the published tie-breaks.
+
+    Tracks come from the scalar reference renderer, one alpha at a time, and
+    every beta rescans the peaks anew.
+    """
     label = forest.class_label
     best = None
     for alpha in alphas:
         candidate_betas = list(betas)
         if allow_ignorance and alpha == alphas[0]:
             candidate_betas.append(IGNORANCE_BETA)
+        tracks = [
+            smooth(
+                oracle_render_tracks(
+                    collect_votes(fold.features, forest),
+                    alpha,
+                    forest.z_plus,
+                    forest.z_minus,
+                ),
+                detect_config.smooth_window,
+            )
+            for fold in folds
+        ]
         for beta in candidate_betas:
             pooled = SegmentScore()
-            for fold in folds:
-                track = smooth(
-                    render_tracks(
-                        collect_votes(fold.features, forest),
-                        alpha,
-                        forest.z_plus,
-                        forest.z_minus,
-                    ),
-                    detect_config.smooth_window,
-                )
+            for track, fold in zip(tracks, folds):
                 events = extract_events(
                     track,
                     beta,
@@ -402,6 +413,35 @@ class TestTuneThresholds:
         assert chosen.beta == beta
         assert chosen.error_rate == rate
 
+    @pytest.mark.parametrize("allow_ignorance", [False, True])
+    def test_full_grid_matches_independent_search(self, blob_model,
+                                                  allow_ignorance):
+        # The second fold claims no events, so firing costs insertions there
+        # and the best pair lies inside the grid, not at its edge. Cells of
+        # 0.1 s make the score depend on where each peak sits.
+        folds = [
+            TuneFold(
+                features=blob_model.dev_features,
+                reference=blob_model.dev_reference,
+                duration=blob_model.dev_features.duration,
+            ),
+            TuneFold(
+                features=blob_model.test_features,
+                reference=[],
+                duration=blob_model.test_features.duration,
+            ),
+        ]
+        config = DetectConfig(smooth_window=11, duration_factor=3.0)
+        chosen = tune_thresholds(
+            folds, [blob_model.forest], config, resolution=0.1,
+            allow_ignorance=allow_ignorance,
+        ).per_class["blob"]
+        expected = oracle_tune(
+            folds, blob_model.forest, default_alpha_grid(), default_beta_grid(),
+            config, 0.1, allow_ignorance,
+        )
+        assert (chosen.alpha, chosen.beta, chosen.error_rate) == expected
+
     def test_found_thresholds_detect_events(self, blob_model):
         folds = [
             TuneFold(
@@ -439,10 +479,12 @@ class TestTuneThresholds:
             folds, [blob_model.forest], config, allow_ignorance=True
         )
         assert with_ignorance.per_class["blob"].beta == IGNORANCE_BETA
+        assert with_ignorance.per_class["blob"].disabled
         without = tune_thresholds(
             folds, [blob_model.forest], config, allow_ignorance=False
         )
         assert without.per_class["blob"].beta == default_beta_grid()[-1]
+        assert not without.per_class["blob"].disabled
 
     def test_ignorance_is_not_chosen_when_detections_help(self, blob_model):
         folds = [
@@ -491,3 +533,27 @@ class TestThresholdFiles:
         text = path.read_text()
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
+
+    def test_ignorance_beta_reads_as_disabled(self, tmp_path):
+        path = tmp_path / "thresholds.json"
+        path.write_text(json.dumps({
+            "cat": {"alpha": 0.0, "beta": 1.01, "error_rate": None},
+            "dog": {"alpha": 0.5, "beta": 1.0, "error_rate": 0.4},
+        }))
+        loaded = load_thresholds(path).per_class
+        assert loaded["cat"].disabled
+        assert not loaded["dog"].disabled
+
+    def test_enabled_forests_drops_disabled_loud_class(self, blob_model):
+        # Shrinking z scales every score up, so the class fires even at the
+        # ignorance beta; only dropping the forest keeps it silent.
+        loud = copy.copy(blob_model.forest)
+        loud.z_plus /= 1000.0
+        loud.z_minus /= 1000.0
+        config = DetectConfig(alpha=0.0, beta=IGNORANCE_BETA)
+        assert detect_on_features(blob_model.test_features, [loud], config)
+        off = TuneResult({"blob": ClassThresholds(0.0, IGNORANCE_BETA, 1.0)})
+        on = TuneResult({"blob": ClassThresholds(0.0, 0.5, 0.2)})
+        assert enabled_forests([loud], off) == []
+        assert enabled_forests([loud], on) == [loud]
+        assert enabled_forests([loud], TuneResult({})) == [loud]
