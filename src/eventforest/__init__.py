@@ -24,13 +24,10 @@ from .detect import (
     Detection,
     ScoreTrack,
     accumulate,
-    descend,
     detect_stream,
     extract_events,
     filter_duration,
     smooth,
-    vote_forest,
-    vote_tree,
     write_detections,
 )
 from .evaluate import (
@@ -56,18 +53,15 @@ from .features import (
 from .forest import (
     Forest,
     ForestConfig,
-    LeafModel,
-    SplitNode,
+    Tree,
     calibrate,
-    distance_variation,
     draw_candidates,
     entropy,
-    info_gain,
     load_forest,
     make_leaf,
+    route,
     save_forest,
     select_best_test,
-    split_test,
     train_forest,
     train_tree,
 )

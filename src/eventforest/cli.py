@@ -39,12 +39,18 @@ from .evaluate import (
 from .features import (
     FeatureConfig,
     dump_features_csv,
-    gammatone_cepstra,
+    featurize,
     load_audio,
     resample,
     save_audio,
 )
-from .forest import ForestConfig, load_forest, save_forest, train_forest
+from .forest import (
+    ForestConfig,
+    load_forest,
+    save_forest,
+    shared_feature_config,
+    train_forest,
+)
 
 TRAIN_DEFAULTS = {
     "seed": 0,
@@ -95,11 +101,14 @@ def _print_config(merged: dict) -> None:
 def _load_manifest(path):
     with open(path) as handle:
         payload = json.load(handle)
-    if "entries" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise ValueError(f"{path}: manifest has no entries")
     base = Path(path).parent
     entries = []
-    for entry in payload["entries"]:
+    for i, entry in enumerate(payload["entries"]):
+        for key in ("audio", "annotations"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ValueError(f"{path}: manifest entry {i} has no {key!r}")
         entries.append(
             {
                 "audio": base / entry["audio"],
@@ -239,8 +248,7 @@ def cmd_train(args) -> int:
     dev_features = []
     background_rows = []
     for entry in dev_entries:
-        wave = resample(load_audio(entry["audio"]), feature_config.sample_rate)
-        features = gammatone_cepstra(wave, feature_config)
+        features = featurize(load_audio(entry["audio"]), feature_config)
         dev_features.append(features)
         background_rows.append(
             _event_free_rows(features, parse_annotations(entry["annotations"]))
@@ -308,28 +316,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_forests(paths):
-    forests = [load_forest(p) for p in paths]
-    if not forests:
-        raise ValueError("no model files given")
-    reference = forests[0].fingerprint()
-    for forest in forests[1:]:
-        if forest.fingerprint() != reference:
-            raise ValueError(
-                f"model {forest.class_label!r} was trained in a different "
-                f"feature space than {forests[0].class_label!r}"
-            )
-    return forests
-
-
 def cmd_tune(args) -> int:
     merged = _resolve(args, DETECT_DEFAULTS)
     if args.print_config:
         _print_config(merged)
         return 0
     manifest = _load_manifest(args.manifest)
-    forests = _load_forests(args.models)
-    feature_config = forests[0].feature_config
+    forests = [load_forest(p) for p in args.models]
+    feature_config = shared_feature_config(forests)
     dev_entries = [
         e for e in manifest["entries"] if e["fold"] not in ("train", "test")
     ]
@@ -337,8 +331,7 @@ def cmd_tune(args) -> int:
         raise ValueError("manifest has no development entries to tune on")
     folds = []
     for entry in dev_entries:
-        wave = resample(load_audio(entry["audio"]), feature_config.sample_rate)
-        features = gammatone_cepstra(wave, feature_config)
+        features = featurize(load_audio(entry["audio"]), feature_config)
         folds.append(
             TuneFold(
                 features=features,
@@ -369,8 +362,8 @@ def cmd_detect(args) -> int:
     if args.print_config:
         _print_config(merged)
         return 0
-    forests = _load_forests(args.models)
-    feature_config = forests[0].feature_config
+    forests = [load_forest(p) for p in args.models]
+    feature_config = shared_feature_config(forests)
     thresholds = (
         load_thresholds(args.thresholds) if args.thresholds else TuneResult({})
     )
@@ -392,8 +385,7 @@ def cmd_detect(args) -> int:
             smooth_window=merged["smooth_window"],
             duration_factor=merged["duration_factor"],
         )
-    wave = resample(load_audio(args.audio), feature_config.sample_rate)
-    features = gammatone_cepstra(wave, feature_config)
+    features = featurize(load_audio(args.audio), feature_config)
     if args.dump_features:
         dump_features_csv(features, args.dump_features)
     if args.dump_scores:

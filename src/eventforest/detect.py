@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMatrix, Waveform, gammatone_cepstra, resample
-from .forest import Forest, LeafModel, gaussian_pdf
+from .features import FeatureMatrix, Waveform, featurize
+from .forest import Forest, gaussian_pdf, route, shared_feature_config
 
 
 @dataclass(frozen=True)
@@ -65,47 +65,6 @@ class Detection:
     confidence: float
 
 
-def descend(tree, x) -> LeafModel:
-    """Route a feature vector to its leaf; test outcome 1 goes right."""
-    node = tree
-    x = np.asarray(x, dtype=np.float64)
-    try:
-        while not isinstance(node, LeafModel):
-            node = node.right if x[node.r] - x[node.q] > node.tau else node.left
-    except IndexError:
-        raise ValueError(
-            f"feature vector of length {len(x)} does not match the tree"
-        ) from None
-    return node
-
-
-def vote_tree(leaf: LeafModel, m: int, alpha: float, n: int) -> tuple:
-    """Onset and offset vote of one leaf for segment m at target position n.
-
-    Leaves below the confidence gate, or without distance Gaussians, vote
-    zero on both curves.
-    """
-    if leaf.onset is None or leaf.p_pos < alpha:
-        return (0.0, 0.0)
-    mean_on, var_on = leaf.onset
-    mean_off, var_off = leaf.offset
-    p_plus = leaf.p_pos * gaussian_pdf(n, m - mean_on, var_on)
-    p_minus = leaf.p_pos * gaussian_pdf(n, m + mean_off, var_off)
-    return (float(p_plus), float(p_minus))
-
-
-def vote_forest(forest: Forest, x, m: int, alpha: float, n: int) -> tuple:
-    """Average the per-tree votes for one segment at one target position."""
-    total_plus = 0.0
-    total_minus = 0.0
-    for tree in forest.trees:
-        p_plus, p_minus = vote_tree(descend(tree, x), m, alpha, n)
-        total_plus += p_plus
-        total_minus += p_minus
-    n_trees = forest.n_trees
-    return (total_plus / n_trees, total_minus / n_trees)
-
-
 @dataclass(eq=False)
 class StreamVotes:
     """Leaf assignments of a whole stream, cached for repeated rendering.
@@ -126,26 +85,22 @@ class StreamVotes:
 
 def collect_votes(features: FeatureMatrix, forest: Forest) -> StreamVotes:
     """Route every segment through every tree and keep the Gaussian leaves."""
-    p_pos, segment = [], []
-    mean_on, var_on, mean_off, var_off = [], [], [], []
-    for m, x in enumerate(features.rows):
-        for tree in forest.trees:
-            leaf = descend(tree, x)
-            if leaf.onset is None:
-                continue
-            p_pos.append(leaf.p_pos)
-            segment.append(m)
-            mean_on.append(leaf.onset[0])
-            var_on.append(leaf.onset[1])
-            mean_off.append(leaf.offset[0])
-            var_off.append(leaf.offset[1])
+    # one (segments, trees) matrix of node indices into the trees' joined arrays
+    first = np.cumsum([0] + [len(tree) for tree in forest.trees])[:-1]
+    nodes = np.column_stack([route(tree, features.rows) for tree in forest.trees])
+    nodes = (nodes + first).ravel()  # segment-major, then tree order
+    onset = np.concatenate([tree.onset for tree in forest.trees])[nodes]
+    offset = np.concatenate([tree.offset for tree in forest.trees])[nodes]
+    p_pos = np.concatenate([tree.p_pos for tree in forest.trees])[nodes]
+    keep = ~np.isnan(onset[:, 0])
+    segment = np.repeat(np.arange(features.n_segments, dtype=np.int64), forest.n_trees)
     return StreamVotes(
-        p_pos=np.array(p_pos),
-        segment=np.array(segment, dtype=np.int64),
-        mean_on=np.array(mean_on),
-        var_on=np.array(var_on),
-        mean_off=np.array(mean_off),
-        var_off=np.array(var_off),
+        p_pos=p_pos[keep],
+        segment=segment[keep],
+        mean_on=onset[keep, 0],
+        var_on=onset[keep, 1],
+        mean_off=offset[keep, 0],
+        var_off=offset[keep, 1],
         n_segments=features.n_segments,
         n_trees=forest.n_trees,
     )
@@ -397,18 +352,7 @@ def detect_stream(waveform: Waveform, forests, configs) -> list:
     forests = list(forests)
     if not forests:
         return []
-    reference = forests[0].fingerprint()
-    if reference is None:
-        raise ValueError("model carries no feature fingerprint")
-    for forest in forests[1:]:
-        if forest.fingerprint() != reference:
-            raise ValueError(
-                f"feature fingerprint of class {forest.class_label!r} does not "
-                f"match class {forests[0].class_label!r}"
-            )
-    feature_config = forests[0].feature_config
-    wave = resample(waveform, feature_config.sample_rate)
-    features = gammatone_cepstra(wave, feature_config)
+    features = featurize(waveform, shared_feature_config(forests))
     return detect_on_features(features, forests, configs)
 
 

@@ -373,14 +373,19 @@ def save_thresholds(result: TuneResult, path) -> None:
 def load_thresholds(path) -> TuneResult:
     with open(path) as handle:
         payload = json.load(handle)
-    per_class = {
-        label: ClassThresholds(
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: thresholds are not a JSON object")
+    per_class = {}
+    for label, entry in payload.items():
+        for key in ("alpha", "beta"):
+            value = entry.get(key) if isinstance(entry, dict) else None
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{path}: class {label!r} has no numeric {key!r}")
+        per_class[label] = ClassThresholds(
             alpha=entry["alpha"],
             beta=entry["beta"],
             error_rate=entry.get("error_rate"),
         )
-        for label, entry in payload.items()
-    }
     return TuneResult(per_class=per_class)
 
 

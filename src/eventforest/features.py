@@ -217,6 +217,22 @@ def subtract_noise_floor(energies: np.ndarray) -> np.ndarray:
     return np.maximum(energies - floor, LOG_FLOOR)
 
 
+def periodic_hann(n: int) -> np.ndarray:
+    """Periodic Hann window, equal bit for bit to ``get_window("hann", n)``.
+
+    scipy sums 0.5 * cos(0 * t) = 0.5 and 0.5 * cos(t) into zeros over
+    ``n + 1`` points and drops the last; both steps are exact as written here.
+    """
+    if n <= 1:
+        return np.ones(n)
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+
+
+def featurize(waveform: Waveform, config: FeatureConfig) -> FeatureMatrix:
+    """Features of a stream after resampling it to the configured rate."""
+    return gammatone_cepstra(resample(waveform, config.sample_rate), config)
+
+
 def gammatone_cepstra(waveform: Waveform, config: FeatureConfig) -> FeatureMatrix:
     """Extract gammatone-cepstral coefficients from overlapping windows.
 
@@ -238,11 +254,9 @@ def gammatone_cepstra(waveform: Waveform, config: FeatureConfig) -> FeatureMatri
         rows = np.zeros((0, config.n_channels))
         return FeatureMatrix(rows, np.zeros(0), config)
 
-    from scipy.signal import get_window
-
     offsets = np.arange(n_segments) * hop
     frames = waveform.samples[offsets[:, np.newaxis] + np.arange(win)]
-    frames = frames * get_window("hann", win, fftbins=True)
+    frames = frames * periodic_hann(win)
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
     energies = power @ gammatone_weights(config, win).T
     if config.noise_subtraction:

@@ -19,6 +19,7 @@ from .features import FeatureConfig
 
 OBJECTIVE_CLASSIFICATION = "classification"
 OBJECTIVE_REGRESSION = "regression"
+_OBJECTIVES = (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION)
 FORMAT_VERSION = 1
 
 
@@ -98,18 +99,6 @@ class SegmentSet:
         return SegmentSet(self.x[indices], self.labels[indices], self.dists[indices])
 
 
-def split_test(x, r: int, q: int, tau: float) -> int:
-    """Binary test on a feature vector: 1 when x[r] - x[q] exceeds tau.
-
-    >>> split_test([3.0, 1.0], 0, 1, 1.5)
-    1
-    >>> split_test([3.0, 1.0], 0, 1, 2.0)
-    0
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return int(x[r] - x[q] > tau)
-
-
 def entropy(labels) -> float:
     """Base-2 entropy of a binary label multiset.
 
@@ -134,47 +123,6 @@ def _entropy_from_counts(n_pos, n_neg):
         p = np.where(count > 0, count, 1.0) / np.where(n > 0, n, 1.0)
         h = h - np.where(count > 0, p * np.log2(p), 0.0)
     return h if h.shape else float(h)
-
-
-def info_gain(test, segments) -> float:
-    """Information gain of a candidate test over a segment set."""
-    segs = SegmentSet.from_segments(segments)
-    r, q, tau = test
-    mask = segs.x[:, r] - segs.x[:, q] > tau
-    n = len(segs)
-    if n == 0:
-        raise ValueError("information gain of an empty set is undefined")
-    n_pos = float(segs.n_positive)
-    n_right = float(np.count_nonzero(mask))
-    n_pos_right = float(np.count_nonzero(mask & (segs.labels == 1)))
-    gain = _entropy_from_counts(n_pos, n - n_pos)
-    gain = gain - (n_right / n) * _entropy_from_counts(
-        n_pos_right, n_right - n_pos_right
-    )
-    gain = gain - ((n - n_right) / n) * _entropy_from_counts(
-        n_pos - n_pos_right, (n - n_right) - (n_pos - n_pos_right)
-    )
-    return float(gain)
-
-
-def distance_variation(test, segments) -> float:
-    """Summed squared deviation of positives' distance vectors across a split.
-
-    Only positives contribute; each side's deviations are taken from that
-    side's own mean distance vector.
-    """
-    segs = SegmentSet.from_segments(segments)
-    r, q, tau = test
-    mask = segs.x[:, r] - segs.x[:, q] > tau
-    positive = segs.labels == 1
-    total = 0.0
-    for side in (mask & positive, ~mask & positive):
-        d = segs.dists[side]
-        if len(d) == 0:
-            continue
-        mean = np.array([math.fsum(d[:, 0]) / len(d), math.fsum(d[:, 1]) / len(d)])
-        total += math.fsum(((d - mean) ** 2).ravel())
-    return total
 
 
 # Candidates are scored this many at a time, so one node's split search holds
@@ -258,7 +206,7 @@ def select_best_test(segments, n_candidates: int, objective: str, rng):
     are the same elementwise formulas as for the whole pool at once.
     """
     segs = SegmentSet.from_segments(segments)
-    if objective not in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
+    if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     # positives first, so a block's positive columns are a contiguous view
     positive = segs.labels == 1
@@ -329,81 +277,217 @@ def gaussian_pdf(x, mean: float, variance: float):
 
 
 @dataclass(eq=False)
-class LeafModel:
-    """Leaf posterior and temporal distance Gaussians.
+class Tree:
+    """One decision tree as arrays over its nodes in pre-order.
 
-    The Gaussians exist exactly when the leaf saw at least one positive;
-    ``onset`` and ``offset`` are (mean, variance) of the distances to the
-    first and last segment of the enclosing event.
+    Split ``i`` sends a feature vector ``x`` to ``right[i]`` when
+    ``x[r[i]] - x[q[i]] > tau[i]`` and to its left child ``i + 1`` otherwise;
+    a leaf has ``right[i] == -1``. A leaf holds its posterior, the number of
+    training rows that reached it, and the (mean, variance) Gaussians of the
+    distances to the first and last segment of the enclosing event, NaN when
+    no positive reached it. Fields of the other node kind are 0, NaN or "".
     """
 
-    p_pos: float
-    p_neg: float
-    n_train: int
-    onset: tuple | None = None
-    offset: tuple | None = None
+    right: np.ndarray
+    r: np.ndarray
+    q: np.ndarray
+    tau: np.ndarray
+    objective: np.ndarray
+    p_pos: np.ndarray
+    p_neg: np.ndarray
+    n_train: np.ndarray
+    onset: np.ndarray
+    offset: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.right)
+
+    @classmethod
+    def from_nodes(cls, nodes, n_features: int | None = None) -> "Tree":
+        """Build a tree from the model file's pre-order node records.
+
+        A split record has ``r``, ``q``, ``tau`` and ``objective``; a leaf
+        record ``p_pos``, ``p_neg``, ``n_train`` and ``onset``/``offset``,
+        both a [mean, variance] pair or both null. Each record is checked,
+        with channels below ``n_features`` when it is given.
+        """
+        if not isinstance(nodes, list):
+            raise ValueError("tree is not a list of nodes")
+        n = len(nodes)
+        tree = cls(
+            right=np.full(n, -1, dtype=np.int64),
+            objective=np.full(n, "", dtype="<U14"),
+            **{key: np.zeros(n, dtype=np.int64) for key in ("r", "q", "n_train")},
+            **{key: np.full(n, np.nan) for key in ("tau", "p_pos", "p_neg")},
+            **{key: np.full((n, 2), np.nan) for key in ("onset", "offset")},
+        )
+        waiting = []  # splits whose right subtree starts after the open one
+        for i, node in enumerate(nodes):
+            if i > 0 and tree.objective[i - 1] == "":  # a subtree just closed
+                if not waiting:
+                    raise ValueError(f"trailing nodes from node {i}")
+                tree.right[waiting.pop()] = i
+            try:
+                if not isinstance(node, dict):
+                    raise ValueError("not an object")
+                kind = _get(node, "kind")
+                if kind == "split":
+                    tree.r[i] = _integer(_get(node, "r"), "r", n_features)
+                    tree.q[i] = _integer(_get(node, "q"), "q", n_features)
+                    tree.tau[i] = _finite_float(_get(node, "tau"), "tau")
+                    objective = _get(node, "objective")
+                    if objective not in _OBJECTIVES:
+                        raise ValueError(f"unknown objective {objective!r}")
+                    tree.objective[i] = objective
+                    waiting.append(i)
+                elif kind == "leaf":
+                    tree.set_leaf(i, node)
+                else:
+                    raise ValueError(f"unknown node kind {kind!r}")
+            except ValueError as exc:
+                raise ValueError(f"node {i}: {exc}") from None
+        if waiting or n == 0:
+            raise ValueError("tree is truncated")
+        return tree
+
+    def set_leaf(self, i: int, node: dict) -> None:
+        """Write leaf record ``node`` to node ``i``, checking its values."""
+        for key in ("p_pos", "p_neg"):
+            p = _finite_float(_get(node, key), key)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{key} {p} outside [0, 1]")
+            getattr(self, key)[i] = p
+        self.n_train[i] = _integer(_get(node, "n_train"), "n_train")
+        onset, offset = _get(node, "onset"), _get(node, "offset")
+        if (onset is None) != (offset is None):
+            raise ValueError("onset and offset must both be given or both null")
+        for key, pair in (("onset", onset), ("offset", offset)):
+            if pair is None:
+                getattr(self, key)[i] = np.nan
+                continue
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"{key} is not a [mean, variance] pair")
+            mean = _finite_float(pair[0], f"{key} mean")
+            var = _finite_float(pair[1], f"{key} variance")
+            if var <= 0.0:
+                raise ValueError(f"{key} variance {var} is not positive")
+            getattr(self, key)[i] = (mean, var)
+
+    def to_nodes(self) -> list:
+        """The pre-order node records that ``from_nodes`` reads."""
+        nodes = []
+        for i in range(len(self)):
+            if self.right[i] >= 0:
+                nodes.append({"kind": "split", "r": int(self.r[i]),
+                              "q": int(self.q[i]), "tau": _finite_float(self.tau[i]),
+                              "objective": str(self.objective[i])})
+            else:
+                nodes.append({"kind": "leaf", "p_pos": _finite_float(self.p_pos[i]),
+                              "p_neg": _finite_float(self.p_neg[i]),
+                              "n_train": int(self.n_train[i]),
+                              "onset": _pair(self.onset[i]),
+                              "offset": _pair(self.offset[i])})
+        return nodes
 
 
-@dataclass(eq=False)
-class SplitNode:
-    r: int
-    q: int
-    tau: float
-    objective: str
-    left: object = None
-    right: object = None
+def _pair(gaussian) -> list | None:
+    return None if np.isnan(gaussian[0]) else [float(v) for v in gaussian]
 
 
-def _fit_leaf(leaf: LeafModel, labels, dists, variance_floor: float) -> LeafModel:
-    """Set a leaf's posterior, row count and floored onset/offset Gaussians.
+def _get(node: dict, key: str):
+    try:
+        return node[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r}") from None
 
-    ``labels`` and ``dists`` are the rows that reached the leaf; the Gaussians
-    are cleared when none of them is positive.
+
+def _integer(value, what: str, upper: int | None = None) -> int:
+    """``value`` as an int in ``[0, upper)``, or in ``[0, inf)`` without ``upper``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} is not an integer: {value!r}")
+    if value < 0 or (upper is not None and value >= upper):
+        raise ValueError(f"{what} {value} outside [0, {upper or 'inf'})")
+    return int(value)
+
+
+def _finite_float(value, what: str = "value") -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
+        raise ValueError(f"{what} is not a number: {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"model contains non-finite {what} {value}")
+    return value
+
+
+def route(tree: Tree, x) -> np.ndarray:
+    """Leaf index of every row of the (n, d) matrix ``x``.
+
+    All rows move down together, one level per step, so a tree of depth D
+    takes at most D - 1 vectorized steps. Ties ``x[r] - x[q] == tau`` go left.
     """
-    n = len(labels)
-    positive = labels == 1
+    x = np.asarray(x, dtype=np.float64)
+    splits = tree.right >= 0
+    if splits.any() and max(tree.r[splits].max(), tree.q[splits].max()) >= x.shape[1]:
+        raise ValueError(
+            f"feature vector of length {x.shape[1]} does not match the tree"
+        )
+    node = np.zeros(len(x), dtype=np.int64)
+    active = np.flatnonzero(splits[node])
+    while len(active):
+        at = node[active]
+        right = x[active, tree.r[at]] - x[active, tree.q[at]] > tree.tau[at]
+        at = np.where(right, tree.right[at], at + 1)
+        node[active] = at
+        active = active[splits[at]]
+    return node
+
+
+def make_leaf(segments, variance_floor: float = 1e-6) -> dict:
+    """Leaf record estimated from the segments that reached the leaf.
+
+    The onset and offset Gaussians are floored, and null without positives.
+    """
+    segs = SegmentSet.from_segments(segments)
+    n = len(segs)
+    if n == 0:
+        raise ValueError("cannot build a leaf from an empty set")
+    positive = segs.labels == 1
     n_pos = int(np.count_nonzero(positive))
-    leaf.p_pos = n_pos / n
-    leaf.p_neg = 1.0 - leaf.p_pos
-    leaf.n_train = n
-    leaf.onset = leaf.offset = None
+    p_pos = n_pos / n
+    leaf = {"kind": "leaf", "p_pos": p_pos, "p_neg": 1.0 - p_pos, "n_train": n,
+            "onset": None, "offset": None}
     if n_pos > 0:
-        d = dists[positive]
+        d = segs.dists[positive]
         mean = d.mean(axis=0)
         var = np.maximum(d.var(axis=0), variance_floor)
-        leaf.onset = (float(mean[0]), float(var[0]))
-        leaf.offset = (float(mean[1]), float(var[1]))
+        leaf["onset"] = [float(mean[0]), float(var[0])]
+        leaf["offset"] = [float(mean[1]), float(var[1])]
     return leaf
 
 
-def make_leaf(segments, variance_floor: float = 1e-6) -> LeafModel:
-    """Estimate a leaf model from the segments that reached it."""
-    segs = SegmentSet.from_segments(segments)
-    if len(segs) == 0:
-        raise ValueError("cannot build a leaf from an empty set")
-    leaf = LeafModel(p_pos=0.0, p_neg=1.0, n_train=0)
-    return _fit_leaf(leaf, segs.labels, segs.dists, variance_floor)
-
-
-def train_tree(segments, config: ForestConfig, rng, depth: int = 1):
-    """Grow one tree recursively; the root is at depth 1."""
-    segs = SegmentSet.from_segments(segments)
-    if depth >= config.max_depth or len(segs) <= config.min_segments:
-        return make_leaf(segs, config.variance_floor)
-    objective = (
-        OBJECTIVE_CLASSIFICATION
-        if depth <= config.steer_depth
-        else OBJECTIVE_REGRESSION
-    )
-    if objective == OBJECTIVE_REGRESSION and segs.n_positive < 2:
-        return make_leaf(segs, config.variance_floor)
-    choice = select_best_test(segs, config.n_candidate_tests, objective, rng)
+def _grow(segs: SegmentSet, config: ForestConfig, rng, depth: int, nodes: list):
+    """Append the pre-order records of the subtree grown on ``segs``."""
+    choice = None
+    if depth < config.max_depth and len(segs) > config.min_segments:
+        classify = depth <= config.steer_depth
+        objective = OBJECTIVE_CLASSIFICATION if classify else OBJECTIVE_REGRESSION
+        if classify or segs.n_positive >= 2:
+            choice = select_best_test(segs, config.n_candidate_tests, objective, rng)
     if choice is None:
-        return make_leaf(segs, config.variance_floor)
-    node = SplitNode(r=choice.r, q=choice.q, tau=choice.tau, objective=objective)
-    node.left = train_tree(segs.take(~choice.mask), config, rng, depth + 1)
-    node.right = train_tree(segs.take(choice.mask), config, rng, depth + 1)
-    return node
+        nodes.append(make_leaf(segs, config.variance_floor))
+        return
+    nodes.append({"kind": "split", "r": choice.r, "q": choice.q,
+                  "tau": choice.tau, "objective": objective})
+    _grow(segs.take(~choice.mask), config, rng, depth + 1, nodes)
+    _grow(segs.take(choice.mask), config, rng, depth + 1, nodes)
+
+
+def train_tree(segments, config: ForestConfig, rng) -> Tree:
+    """Grow one tree, writing its nodes in pre-order, left subtree first."""
+    segs = SegmentSet.from_segments(segments)
+    nodes: list = []
+    _grow(segs, config, rng, 1, nodes)
+    return Tree.from_nodes(nodes, segs.x.shape[1])
 
 
 @dataclass(eq=False)
@@ -422,10 +506,23 @@ class Forest:
     def n_trees(self) -> int:
         return len(self.trees)
 
-    def fingerprint(self) -> dict | None:
-        if self.feature_config is None:
-            return None
-        return self.feature_config.fingerprint()
+
+def shared_feature_config(forests) -> FeatureConfig:
+    """The feature configuration that all of ``forests`` were trained with.
+
+    Raises ValueError when a forest carries no fingerprint or was trained in
+    another feature space than the first one.
+    """
+    first = forests[0].feature_config
+    for forest in forests:
+        if forest.feature_config is None:
+            raise ValueError(f"model {forest.class_label!r} has no feature fingerprint")
+        if forest.feature_config.fingerprint() != first.fingerprint():
+            raise ValueError(
+                f"model {forest.class_label!r} was trained in a different "
+                f"feature space than {forests[0].class_label!r}"
+            )
+    return first
 
 
 def _grow_one(segs: SegmentSet, config: ForestConfig, tree_index: int):
@@ -480,111 +577,28 @@ def train_forest(
     return forest
 
 
-def _iter_leaves(node):
-    if isinstance(node, LeafModel):
-        yield node
-    else:
-        yield from _iter_leaves(node.left)
-        yield from _iter_leaves(node.right)
-
-
-def _route_indices(node, x, indices, reached):
-    if isinstance(node, LeafModel):
-        reached[id(node)] = indices
-        return
-    right = x[indices, node.r] - x[indices, node.q] > node.tau
-    _route_indices(node.left, x, indices[~right], reached)
-    _route_indices(node.right, x, indices[right], reached)
-
-
 def calibrate(forest: Forest, segments) -> None:
     """Re-estimate all leaf models by routing the full training set.
 
     Every reached leaf gets its posterior and Gaussians recomputed from the
-    arriving segments, and records how many arrived. Leaves nothing reaches
-    keep their grown statistics but record zero, so the arrival counts of a
-    tree's leaves always sum to the calibration set size.
+    arriving segments, taken in ascending row order, and records how many
+    arrived. Leaves nothing reaches keep their grown statistics but record
+    zero, so the arrival counts of a tree's leaves always sum to the
+    calibration set size.
     """
     segs = SegmentSet.from_segments(segments)
-    all_indices = np.arange(len(segs))
     for tree in forest.trees:
-        reached: dict = {}
-        _route_indices(tree, segs.x, all_indices, reached)
-        for leaf in _iter_leaves(tree):
-            indices = reached.get(id(leaf))
-            if indices is None or len(indices) == 0:
-                leaf.n_train = 0
-                continue
-            _fit_leaf(
-                leaf,
-                segs.labels[indices],
-                segs.dists[indices],
-                forest.config.variance_floor,
-            )
-
-
-def _flatten(node, out: list) -> None:
-    if isinstance(node, LeafModel):
-        out.append(
-            {
-                "kind": "leaf",
-                "p_pos": _finite_float(node.p_pos),
-                "p_neg": _finite_float(node.p_neg),
-                "n_train": int(node.n_train),
-                "onset": list(node.onset) if node.onset is not None else None,
-                "offset": list(node.offset) if node.offset is not None else None,
-            }
-        )
-    else:
-        out.append(
-            {
-                "kind": "split",
-                "r": int(node.r),
-                "q": int(node.q),
-                "tau": _finite_float(node.tau),
-                "objective": node.objective,
-            }
-        )
-        _flatten(node.left, out)
-        _flatten(node.right, out)
-
-
-def _finite_float(value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"model contains non-finite value {value}")
-    return value
-
-
-def _unflatten(nodes: list, cursor: list):
-    entry = nodes[cursor[0]]
-    cursor[0] += 1
-    if entry["kind"] == "leaf":
-        onset = tuple(entry["onset"]) if entry["onset"] is not None else None
-        offset = tuple(entry["offset"]) if entry["offset"] is not None else None
-        return LeafModel(
-            p_pos=entry["p_pos"],
-            p_neg=entry["p_neg"],
-            n_train=entry["n_train"],
-            onset=onset,
-            offset=offset,
-        )
-    if entry["kind"] != "split":
-        raise ValueError(f"unknown node kind {entry['kind']!r}")
-    node = SplitNode(
-        r=entry["r"], q=entry["q"], tau=entry["tau"], objective=entry["objective"]
-    )
-    node.left = _unflatten(nodes, cursor)
-    node.right = _unflatten(nodes, cursor)
-    return node
+        leaf_of = route(tree, segs.x)
+        counts = np.bincount(leaf_of, minlength=len(tree))
+        # rows grouped by leaf, ascending within each group
+        rows = np.split(np.argsort(leaf_of, kind="stable"), np.cumsum(counts)[:-1])
+        tree.n_train[tree.right < 0] = 0
+        for leaf in np.flatnonzero(counts):
+            leaf_model = make_leaf(segs.take(rows[leaf]), forest.config.variance_floor)
+            tree.set_leaf(leaf, leaf_model)
 
 
 def forest_to_dict(forest: Forest) -> dict:
-    trees = []
-    for tree in forest.trees:
-        flat: list = []
-        _flatten(tree, flat)
-        trees.append(flat)
     return {
         "format_version": FORMAT_VERSION,
         "class_label": forest.class_label,
@@ -599,32 +613,58 @@ def forest_to_dict(forest: Forest) -> dict:
             if forest.max_train_event_duration is not None
             else None
         ),
-        "trees": trees,
+        "trees": [tree.to_nodes() for tree in forest.trees],
     }
 
 
+def _positive(value, what: str) -> float:
+    value = _finite_float(value, what)
+    if value <= 0.0:
+        raise ValueError(f"model {what} {value} is not positive")
+    return value
+
+
 def forest_from_dict(payload: dict) -> Forest:
+    """Rebuild a forest from ``forest_to_dict`` output.
+
+    Every field is checked, so a malformed model raises ValueError here and
+    not later during detection.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("model is not a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    feature_config = None
-    if payload.get("feature_fingerprint"):
-        feature_config = FeatureConfig(**payload["feature_fingerprint"])
-    config = ForestConfig(**payload["config"])
+    try:
+        feature_config = None
+        if _get(payload, "feature_fingerprint"):
+            feature_config = FeatureConfig(**payload["feature_fingerprint"])
+        config = ForestConfig(**_get(payload, "config"))
+    except TypeError as exc:
+        raise ValueError(f"model configuration: {exc}") from None
+    class_label = _get(payload, "class_label")
+    if not isinstance(class_label, str):
+        raise ValueError("model class_label is not a string")
+    duration = _get(payload, "max_train_event_duration")
+    if duration is not None:
+        duration = _positive(duration, "max_train_event_duration")
+    if not isinstance(_get(payload, "trees"), list) or not payload["trees"]:
+        raise ValueError("model has no trees")
+    n_features = feature_config.n_channels if feature_config else None
     trees = []
-    for flat in payload["trees"]:
-        cursor = [0]
-        trees.append(_unflatten(flat, cursor))
-        if cursor[0] != len(flat):
-            raise ValueError("model tree has trailing nodes")
+    for t, nodes in enumerate(payload["trees"]):
+        try:
+            trees.append(Tree.from_nodes(nodes, n_features))
+        except ValueError as exc:
+            raise ValueError(f"model tree {t}, {exc}") from None
     return Forest(
-        class_label=payload["class_label"],
+        class_label=class_label,
         trees=trees,
         config=config,
         feature_config=feature_config,
-        z_plus=payload["z_plus"],
-        z_minus=payload["z_minus"],
-        max_train_event_duration=payload["max_train_event_duration"],
+        z_plus=_positive(_get(payload, "z_plus"), "z_plus"),
+        z_minus=_positive(_get(payload, "z_minus"), "z_minus"),
+        max_train_event_duration=duration,
     )
 
 

@@ -1,5 +1,6 @@
 """Shared builders and fixtures for the test suite."""
 
+import math
 from math import ceil, floor, sqrt
 from types import SimpleNamespace
 
@@ -7,17 +8,17 @@ import numpy as np
 import pytest
 
 from eventforest.dataset import EventAnnotation, Segment
-from eventforest.detect import ScoreTrack, collect_votes, render_tracks
+from eventforest.detect import ScoreTrack, StreamVotes, collect_votes, render_tracks
 from eventforest.features import FeatureConfig, FeatureMatrix
 from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
     OBJECTIVE_REGRESSION,
     ForestConfig,
     SegmentSet,
-    distance_variation,
+    Tree,
+    _entropy_from_counts,
     draw_candidates,
     gaussian_pdf,
-    split_test,
     train_forest,
 )
 
@@ -47,6 +48,187 @@ def random_segments(rng, n, dim=FEATURE_DIM, d_span=12, class_shift=0.0):
         d = rng.integers(0, d_span, size=2).astype(float) if c == 1 else None
         segments.append(Segment(x=x, c=int(c), d=d, m=i))
     return segments
+
+
+def split_test(x, r: int, q: int, tau: float) -> int:
+    """Binary test on a feature vector: 1 when x[r] - x[q] exceeds tau.
+
+    >>> split_test([3.0, 1.0], 0, 1, 1.5)
+    1
+    >>> split_test([3.0, 1.0], 0, 1, 2.0)
+    0
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return int(x[r] - x[q] > tau)
+
+
+def info_gain(test, segments) -> float:
+    """Information gain of a candidate test over a segment set."""
+    segs = SegmentSet.from_segments(segments)
+    r, q, tau = test
+    mask = segs.x[:, r] - segs.x[:, q] > tau
+    n = len(segs)
+    if n == 0:
+        raise ValueError("information gain of an empty set is undefined")
+    n_pos = float(segs.n_positive)
+    n_right = float(np.count_nonzero(mask))
+    n_pos_right = float(np.count_nonzero(mask & (segs.labels == 1)))
+    gain = _entropy_from_counts(n_pos, n - n_pos)
+    gain = gain - (n_right / n) * _entropy_from_counts(
+        n_pos_right, n_right - n_pos_right
+    )
+    gain = gain - ((n - n_right) / n) * _entropy_from_counts(
+        n_pos - n_pos_right, (n - n_right) - (n_pos - n_pos_right)
+    )
+    return float(gain)
+
+
+def distance_variation(test, segments) -> float:
+    """Summed squared deviation of positives' distance vectors across a split.
+
+    Only positives contribute; each side's deviations are taken from that
+    side's own mean distance vector.
+    """
+    segs = SegmentSet.from_segments(segments)
+    r, q, tau = test
+    mask = segs.x[:, r] - segs.x[:, q] > tau
+    positive = segs.labels == 1
+    total = 0.0
+    for side in (mask & positive, ~mask & positive):
+        d = segs.dists[side]
+        if len(d) == 0:
+            continue
+        mean = np.array([math.fsum(d[:, 0]) / len(d), math.fsum(d[:, 1]) / len(d)])
+        total += math.fsum(((d - mean) ** 2).ravel())
+    return total
+
+
+def leaf_node(p_pos=1.0, onset=(3.0, 1.0), offset=(2.0, 1.0), n_train=4):
+    """Leaf record for ``Tree.from_nodes``; ``onset=None`` means no Gaussians."""
+    return {
+        "kind": "leaf",
+        "p_pos": p_pos,
+        "p_neg": 1.0 - p_pos,
+        "n_train": n_train,
+        "onset": None if onset is None else list(onset),
+        "offset": None if offset is None else list(offset),
+    }
+
+
+def split_node(r, q, tau, objective=OBJECTIVE_CLASSIFICATION):
+    """Split record for ``Tree.from_nodes``."""
+    return {"kind": "split", "r": r, "q": q, "tau": tau, "objective": objective}
+
+
+def node_depths(tree):
+    """Depth of every node, the root at 1; parents precede children in pre-order."""
+    depths = np.zeros(len(tree), dtype=np.int64)
+    depths[0] = 1
+    for i in range(len(tree)):
+        if tree.right[i] >= 0:
+            depths[i + 1] = depths[tree.right[i]] = depths[i] + 1
+    return depths
+
+
+def descend(tree, x) -> int:
+    """Reference routing: the leaf index of one feature vector, node by node.
+
+    Test outcome 1 goes to the right child, 0 to the left one at ``i + 1``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    node = 0
+    try:
+        while tree.right[node] >= 0:
+            if split_test(x, tree.r[node], tree.q[node], tree.tau[node]):
+                node = int(tree.right[node])
+            else:
+                node += 1
+    except IndexError:
+        raise ValueError(
+            f"feature vector of length {len(x)} does not match the tree"
+        ) from None
+    return node
+
+
+def vote_tree(tree, leaf: int, m: int, alpha: float, n: int) -> tuple:
+    """Onset and offset vote of leaf ``leaf`` for segment m at target position n.
+
+    Leaves below the confidence gate, or without distance Gaussians, vote
+    zero on both curves.
+    """
+    p_pos = tree.p_pos[leaf]
+    if np.isnan(tree.onset[leaf, 0]) or p_pos < alpha:
+        return (0.0, 0.0)
+    mean_on, var_on = tree.onset[leaf]
+    mean_off, var_off = tree.offset[leaf]
+    p_plus = p_pos * gaussian_pdf(n, m - mean_on, var_on)
+    p_minus = p_pos * gaussian_pdf(n, m + mean_off, var_off)
+    return (float(p_plus), float(p_minus))
+
+
+def vote_forest(forest, x, m: int, alpha: float, n: int) -> tuple:
+    """Average the per-tree votes for one segment at one target position."""
+    total_plus = 0.0
+    total_minus = 0.0
+    for tree in forest.trees:
+        p_plus, p_minus = vote_tree(tree, descend(tree, x), m, alpha, n)
+        total_plus += p_plus
+        total_minus += p_minus
+    n_trees = forest.n_trees
+    return (total_plus / n_trees, total_minus / n_trees)
+
+
+def oracle_collect_votes(features, forest):
+    """Reference vote collection: one ``descend`` per segment and tree."""
+    p_pos, segment = [], []
+    mean_on, var_on, mean_off, var_off = [], [], [], []
+    for m, x in enumerate(features.rows):
+        for tree in forest.trees:
+            leaf = descend(tree, x)
+            if np.isnan(tree.onset[leaf, 0]):
+                continue
+            p_pos.append(tree.p_pos[leaf])
+            segment.append(m)
+            mean_on.append(tree.onset[leaf, 0])
+            var_on.append(tree.onset[leaf, 1])
+            mean_off.append(tree.offset[leaf, 0])
+            var_off.append(tree.offset[leaf, 1])
+    return StreamVotes(
+        p_pos=np.array(p_pos, dtype=np.float64),
+        segment=np.array(segment, dtype=np.int64),
+        mean_on=np.array(mean_on, dtype=np.float64),
+        var_on=np.array(var_on, dtype=np.float64),
+        mean_off=np.array(mean_off, dtype=np.float64),
+        var_off=np.array(var_off, dtype=np.float64),
+        n_segments=features.n_segments,
+        n_trees=forest.n_trees,
+    )
+
+
+def random_tree(rng, n_features, max_depth):
+    """Random tree with integer thresholds; about a third of leaves lack Gaussians."""
+    nodes = []
+
+    def grow(depth):
+        if depth >= max_depth or rng.random() < 0.3:
+            gaussian = rng.random() < 0.7
+            nodes.append(
+                leaf_node(
+                    p_pos=float(rng.random()),
+                    onset=(float(rng.integers(0, 9)), float(rng.uniform(0.5, 4)))
+                    if gaussian else None,
+                    offset=(float(rng.integers(0, 9)), float(rng.uniform(0.5, 4)))
+                    if gaussian else None,
+                )
+            )
+            return
+        r, q = (int(v) for v in rng.integers(0, n_features, 2))
+        nodes.append(split_node(r, q, float(rng.integers(-3, 4))))
+        grow(depth + 1)
+        grow(depth + 1)
+
+    grow(1)
+    return Tree.from_nodes(nodes, n_features)
 
 
 def scalar_entropy(n_pos, n_neg):

@@ -14,9 +14,12 @@ from scipy.integrate import quad
 from conftest import (
     FEATURE_DIM,
     blob_stream,
+    distance_variation,
     feature_config,
+    info_gain,
     oracle_best_split,
     random_segments,
+    split_test,
 )
 from eventforest.cli import main
 from eventforest.dataset import Segment, parse_annotations
@@ -40,18 +43,14 @@ from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
     OBJECTIVE_REGRESSION,
     ForestConfig,
-    LeafModel,
     SegmentSet,
-    distance_variation,
     draw_candidates,
     entropy,
     gaussian_pdf,
-    info_gain,
     load_forest,
     make_leaf,
     save_forest,
     select_best_test,
-    split_test,
     train_forest,
 )
 
@@ -63,14 +62,6 @@ def _verdict(name: str, failures: list, detail: str = "") -> None:
         line += f" -- {detail}"
     print(line)
     assert not failures, f"{name}: " + "; ".join(failures[:5])
-
-
-def _leaves(node):
-    if isinstance(node, LeafModel):
-        yield node
-        return
-    yield from _leaves(node.left)
-    yield from _leaves(node.right)
 
 
 def test_split_search_equals_brute_force():
@@ -195,7 +186,7 @@ def test_leaf_gaussians_integrate_to_one():
                 Segment(x=rng.normal(size=4), c=0, d=None, m=n_pos + j)
             )
         leaf = make_leaf(segments)
-        for mean, variance in (leaf.onset, leaf.offset):
+        for mean, variance in (leaf["onset"], leaf["offset"]):
             sigma = math.sqrt(variance)
             mass, _ = quad(
                 lambda t: gaussian_pdf(t, mean, variance),
@@ -219,15 +210,13 @@ def test_calibration_conserves_counts(blob_model):
     failures = []
     total = len(blob_model.train_segments)
     for t, tree in enumerate(blob_model.forest.trees):
-        leaves = list(_leaves(tree))
-        arrived = sum(leaf.n_train for leaf in leaves)
+        leaves = np.flatnonzero(tree.right < 0)
+        arrived = sum(tree.n_train[leaves])
         if arrived != total:
             failures.append(f"tree {t}: {arrived} arrivals, expected {total}")
-        for leaf in leaves:
-            if leaf.p_pos + leaf.p_neg != 1.0:
-                failures.append(
-                    f"tree {t}: p_pos {leaf.p_pos} + p_neg {leaf.p_neg} != 1"
-                )
+        for p_pos, p_neg in zip(tree.p_pos[leaves], tree.p_neg[leaves]):
+            if p_pos + p_neg != 1.0:
+                failures.append(f"tree {t}: p_pos {p_pos} + p_neg {p_neg} != 1")
     _verdict(
         "calibrated arrival counts sum to the full set and posteriors to 1",
         failures,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import eventforest
+from eventforest import features as features_module
 from eventforest.cli import main
 from eventforest.dataset import parse_annotations
 from eventforest.evaluate import (
@@ -438,6 +439,111 @@ class TestEvaluate:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs
+# ---------------------------------------------------------------------------
+
+
+def first_node(payload, kind, gaussian=False):
+    return next(
+        node for node in payload["trees"][0]
+        if node["kind"] == kind and (not gaussian or node["onset"] is not None)
+    )
+
+
+# name -> (corruption of a valid model payload, fragment of the error line)
+MALFORMED_MODELS = {
+    "missing_z_plus": (lambda p: p.pop("z_plus"), "missing key 'z_plus'"),
+    "missing_split_r": (lambda p: first_node(p, "split").pop("r"), "missing key 'r'"),
+    "unknown_kind": (
+        lambda p: first_node(p, "split").update(kind="stump"),
+        "tree 0, node 0: unknown node kind 'stump'",
+    ),
+    "truncated_tree": (lambda p: p["trees"][0].pop(), "tree 0, tree is truncated"),
+    "trailing_node": (
+        lambda p: p["trees"][0].append(dict(p["trees"][0][-1])),
+        "tree 0, trailing nodes from node",
+    ),
+    "r_out_of_range": (lambda p: first_node(p, "split").update(r=999), "r 999 outside"),
+    "q_negative": (lambda p: first_node(p, "split").update(q=-1), "q -1 outside"),
+    "p_pos_above_one": (
+        lambda p: first_node(p, "leaf").update(p_pos=1.5), "p_pos 1.5 outside"
+    ),
+    "zero_variance": (
+        lambda p: first_node(p, "leaf", gaussian=True)["onset"].__setitem__(1, 0.0),
+        "onset variance 0.0 is not positive",
+    ),
+    "infinite_variance": (
+        lambda p: first_node(p, "leaf", gaussian=True)["offset"].__setitem__(
+            1, float("inf")
+        ),
+        "non-finite offset variance",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_rejected_at_load(case, corpus, models, tmp_path,
+                                          capsys, monkeypatch):
+    corrupt, fragment = MALFORMED_MODELS[case]
+    payload = json.loads(models[0].read_text())
+    corrupt(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+
+    def no_features(*args, **kwargs):
+        raise AssertionError("features extracted before the model was checked")
+
+    monkeypatch.setattr(features_module, "gammatone_cepstra", no_features)
+    code = main(["detect", str(corpus / "test.wav"), "--model", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize("entry", [{"beta": 0.1}, {"alpha": "0.5", "beta": 0.1}, 5])
+def test_thresholds_entry_without_alpha_rejected(entry, corpus, models, tmp_path,
+                                                 capsys):
+    label = json.loads(models[0].read_text())["class_label"]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({label: entry}))
+    code = main(["detect", str(corpus / "test.wav"), "--model", str(models[0]),
+                 "--thresholds", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "partial.json" in err and "'alpha'" in err
+
+
+def drop_dev_key(key):
+    def corrupt(manifest):
+        del next(e for e in manifest["entries"] if e["fold"] == "dev")[key]
+
+    return corrupt
+
+
+# name -> (corruption of a valid manifest, fragment of the error line)
+MALFORMED_MANIFESTS = {
+    "no_audio": (drop_dev_key("audio"), "has no 'audio'"),
+    "no_annotations": (drop_dev_key("annotations"), "has no 'annotations'"),
+    "entries_not_a_list": (lambda m: m.update(entries=5), "has no entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_rejected(case, corpus, models, tmp_path, capsys):
+    corrupt, fragment = MALFORMED_MANIFESTS[case]
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    corrupt(manifest)
+    path = corpus / f"manifest_{case}.json"
+    path.write_text(json.dumps(manifest))
+    code = main(["tune", str(path)] + [str(p) for p in models]
+                + ["--out", str(tmp_path / "t.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and path.name in err and fragment in err
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

@@ -1,4 +1,4 @@
-"""Tree descent, Gaussian voting, score tracks, and event extraction."""
+"""Tree routing, Gaussian voting, score tracks, and event extraction."""
 
 import math
 import tracemalloc
@@ -10,9 +10,16 @@ from hypothesis import strategies as st
 
 from conftest import (
     blob_stream,
+    descend,
     feature_config,
+    leaf_node,
+    oracle_collect_votes,
     oracle_peak_indices,
     oracle_render_tracks,
+    random_tree,
+    split_node,
+    vote_forest,
+    vote_tree,
 )
 from eventforest.detect import (
     _VOTE_BLOCK,
@@ -21,7 +28,6 @@ from eventforest.detect import (
     ScoreTrack,
     accumulate,
     collect_votes,
-    descend,
     detect_on_features,
     detect_stream,
     extract_events,
@@ -32,28 +38,25 @@ from eventforest.detect import (
     render_tracks,
     smooth,
     track_maxima,
-    vote_forest,
-    vote_tree,
     write_detections,
     write_scores_csv,
 )
 from eventforest.evaluate import default_alpha_grid
 from eventforest.features import FeatureConfig, FeatureMatrix, Waveform
 from eventforest.forest import (
-    OBJECTIVE_CLASSIFICATION,
     Forest,
     ForestConfig,
-    LeafModel,
-    SplitNode,
+    Tree,
     gaussian_pdf,
+    route,
 )
 
 PEAK_VARIANCE = 1.0 / (2.0 * math.pi)  # unit peak density
 
 
 def leaf(p_pos=1.0, onset=(3.0, 1.0), offset=(2.0, 1.0), n_train=4):
-    return LeafModel(p_pos=p_pos, p_neg=1.0 - p_pos, n_train=n_train,
-                     onset=onset, offset=offset)
+    """A tree that is one leaf, node 0."""
+    return Tree.from_nodes([leaf_node(p_pos, onset, offset, n_train)])
 
 
 def single_leaf_forest(the_leaf, n_trees=1, label="x", fc=None):
@@ -71,37 +74,63 @@ def flat_features(n_segments, dim=8):
     return FeatureMatrix(rows, np.arange(n_segments) * config.hop_len, config)
 
 
-# ---------------------------------------------------------------- descent
+# ---------------------------------------------------------------- routing
 
 
 def test_descend_single_leaf():
     only = leaf()
     for x in (np.zeros(3), np.ones(64)):
-        assert descend(only, x) is only
+        assert descend(only, x) == 0
+        assert route(only, x[np.newaxis]).tolist() == [0]
 
 
 def test_descend_follows_split():
-    left = leaf(p_pos=0.2)
-    right = leaf(p_pos=0.9)
-    tree = SplitNode(r=0, q=1, tau=0.0, objective=OBJECTIVE_CLASSIFICATION,
-                     left=left, right=right)
-    assert descend(tree, np.array([1.0, 0.0])) is right
-    assert descend(tree, np.array([0.0, 1.0])) is left
-    assert descend(tree, np.array([1.0, 1.0])) is left  # boundary goes left
+    tree = Tree.from_nodes(
+        [split_node(0, 1, 0.0), leaf_node(p_pos=0.2), leaf_node(p_pos=0.9)]
+    )
+    left, right = 1, 2
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert descend(tree, rows[0]) == right
+    assert descend(tree, rows[1]) == left
+    assert descend(tree, rows[2]) == left  # boundary goes left
+    assert route(tree, rows).tolist() == [right, left, left]
 
 
 def test_descend_deterministic():
-    tree = SplitNode(r=0, q=1, tau=0.5, objective=OBJECTIVE_CLASSIFICATION,
-                     left=leaf(p_pos=0.1), right=leaf(p_pos=0.8))
+    tree = Tree.from_nodes(
+        [split_node(0, 1, 0.5), leaf_node(p_pos=0.1), leaf_node(p_pos=0.8)]
+    )
     x = np.array([2.0, 0.0])
-    assert descend(tree, x) is descend(tree, x)
+    assert descend(tree, x) == descend(tree, x)
+    assert np.array_equal(route(tree, x[np.newaxis]), route(tree, x[np.newaxis]))
 
 
 def test_descend_rejects_short_vector():
-    tree = SplitNode(r=5, q=1, tau=0.0, objective=OBJECTIVE_CLASSIFICATION,
-                     left=leaf(), right=leaf())
+    tree = Tree.from_nodes([split_node(5, 1, 0.0), leaf_node(), leaf_node()])
     with pytest.raises(ValueError, match="does not match the tree"):
         descend(tree, np.zeros(2))
+    with pytest.raises(ValueError, match="does not match the tree"):
+        route(tree, np.zeros((3, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(0, 60),
+    max_depth=st.integers(1, 7),
+)
+def test_route_matches_descend_oracle(seed, n_rows, max_depth):
+    # integer features and thresholds make x[r] - x[q] == tau common
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, 4, max_depth)
+    x = rng.integers(-3, 4, size=(n_rows, 4)).astype(float)
+    ties = []
+    for i in np.flatnonzero((tree.right >= 0) & (tree.r != tree.q)):
+        tie = np.zeros(4)
+        tie[tree.r[i]] = tree.tau[i]  # x[r] - x[q] == tau at split i
+        ties.append(tie)
+    x = np.vstack([x] + ties)
+    assert route(tree, x).tolist() == [descend(tree, row) for row in x]
 
 
 # ---------------------------------------------------------------- voting
@@ -110,28 +139,28 @@ def test_descend_rejects_short_vector():
 def test_vote_peak_is_one_for_unit_peak_gaussian():
     the_leaf = leaf(p_pos=1.0, onset=(3.0, PEAK_VARIANCE),
                     offset=(2.0, PEAK_VARIANCE))
-    p_on, p_off = vote_tree(the_leaf, m=10, alpha=0.0, n=7)  # n = m - mean
+    p_on, p_off = vote_tree(the_leaf, 0, m=10, alpha=0.0, n=7)  # n = m - mean
     assert p_on == pytest.approx(1.0, rel=1e-12)
-    p_on, p_off = vote_tree(the_leaf, m=10, alpha=0.0, n=12)  # n = m + mean
+    p_on, p_off = vote_tree(the_leaf, 0, m=10, alpha=0.0, n=12)  # n = m + mean
     assert p_off == pytest.approx(1.0, rel=1e-12)
 
 
 def test_vote_respects_alpha_gate():
     the_leaf = leaf(p_pos=0.3)
-    assert vote_tree(the_leaf, m=0, alpha=0.5, n=0) == (0.0, 0.0)
-    p_on, p_off = vote_tree(the_leaf, m=0, alpha=0.3, n=0)
+    assert vote_tree(the_leaf, 0, m=0, alpha=0.5, n=0) == (0.0, 0.0)
+    p_on, p_off = vote_tree(the_leaf, 0, m=0, alpha=0.3, n=0)
     assert p_on > 0.0  # gate is inclusive
 
 
 def test_vote_without_gaussians_is_zero():
     the_leaf = leaf(p_pos=1.0, onset=None, offset=None)
-    assert vote_tree(the_leaf, m=5, alpha=0.0, n=5) == (0.0, 0.0)
+    assert vote_tree(the_leaf, 0, m=5, alpha=0.0, n=5) == (0.0, 0.0)
 
 
 def test_vote_values_match_density():
     the_leaf = leaf(p_pos=0.8, onset=(4.0, 2.0), offset=(6.0, 3.0))
     m, n = 20, 17
-    p_on, p_off = vote_tree(the_leaf, m=m, alpha=0.0, n=n)
+    p_on, p_off = vote_tree(the_leaf, 0, m=m, alpha=0.0, n=n)
     assert p_on == pytest.approx(0.8 * gaussian_pdf(n, m - 4.0, 2.0), rel=1e-12)
     assert p_off == pytest.approx(0.8 * gaussian_pdf(n, m + 6.0, 3.0), rel=1e-12)
 
@@ -141,10 +170,10 @@ def test_forest_vote_averages_trees():
     same = single_leaf_forest(a, n_trees=3)
     x = np.zeros(4)
     p_on, _ = vote_forest(same, x, m=5, alpha=0.0, n=5)
-    single = vote_tree(a, m=5, alpha=0.0, n=5)[0]
+    single = vote_tree(a, 0, m=5, alpha=0.0, n=5)[0]
     assert p_on == pytest.approx(single, rel=1e-12)
 
-    gated = LeafModel(p_pos=0.0, p_neg=1.0, n_train=1)
+    gated = leaf(p_pos=0.0, onset=None, offset=None, n_train=1)
     mixed = Forest(
         class_label="x",
         trees=[a] + [gated] * 9,
@@ -165,7 +194,7 @@ def test_forest_vote_matches_manual_mean(blob_model):
         expected_on = 0.0
         expected_off = 0.0
         for tree in forest.trees:
-            p_on, p_off = vote_tree(descend(tree, x), m, 0.2, n)
+            p_on, p_off = vote_tree(tree, descend(tree, x), m, 0.2, n)
             expected_on += p_on
             expected_off += p_off
         got_on, got_off = vote_forest(forest, x, m, 0.2, n)
@@ -205,18 +234,19 @@ def test_accumulate_matches_per_segment_sum(blob_model):
         x = features.rows[m]
         for tree in forest.trees:
             node = descend(tree, x)
-            if node.onset is None or node.p_pos < alpha:
+            p_pos = tree.p_pos[node]
+            if np.isnan(tree.onset[node, 0]) or p_pos < alpha:
                 continue
             for target, (mean_d, var), sign in (
-                (expected_plus, node.onset, -1.0),
-                (expected_minus, node.offset, 1.0),
+                (expected_plus, tree.onset[node], -1.0),
+                (expected_minus, tree.offset[node], 1.0),
             ):
                 mean = m + sign * mean_d
                 sigma = math.sqrt(var)
                 lo = max(0, math.ceil(mean - 6 * sigma))
                 hi = min(n - 1, math.floor(mean + 6 * sigma))
                 for idx in range(lo, hi + 1):
-                    target[idx] += node.p_pos * gaussian_pdf(idx, mean, var)
+                    target[idx] += p_pos * gaussian_pdf(idx, mean, var)
     expected_plus /= forest.n_trees * forest.z_plus
     expected_minus /= forest.n_trees * forest.z_minus
     track = accumulate(features, forest, alpha=alpha)
@@ -233,6 +263,43 @@ def test_accumulate_divides_by_normalization():
                         z_minus=4.0)
     assert np.allclose(halved.f_plus, base.f_plus / 2.0, rtol=1e-12)
     assert np.allclose(halved.f_minus, base.f_minus / 4.0, rtol=1e-12)
+
+
+def assert_votes_equal(got, expected):
+    for field in ("p_pos", "segment", "mean_on", "var_on", "mean_off", "var_off"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
+    assert (got.n_segments, got.n_trees) == (expected.n_segments, expected.n_trees)
+
+
+def test_collect_votes_matches_oracle(blob_model):
+    for features in (blob_model.dev_features, blob_model.test_features):
+        assert_votes_equal(
+            collect_votes(features, blob_model.forest),
+            oracle_collect_votes(features, blob_model.forest),
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_segments=st.integers(0, 50),
+       n_trees=st.integers(1, 4))
+def test_collect_votes_matches_oracle_on_random_trees(seed, n_segments, n_trees):
+    rng = np.random.default_rng(seed)
+    forest = Forest(
+        class_label="x",
+        trees=[random_tree(rng, 4, 6) for _ in range(n_trees)],
+        config=ForestConfig(n_trees=n_trees),
+    )
+    config = feature_config(4)
+    features = FeatureMatrix(
+        rng.integers(-3, 4, size=(n_segments, 4)).astype(float),
+        np.arange(n_segments) * config.hop_len,
+        config,
+    )
+    assert_votes_equal(
+        collect_votes(features, forest), oracle_collect_votes(features, forest)
+    )
 
 
 def test_raising_alpha_never_raises_scores(blob_model):

@@ -1,5 +1,10 @@
 """Audio loading, resampling, filterbank, and cepstral feature tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +21,7 @@ from eventforest.features import (
     hz_to_cam,
     cam_to_hz,
     load_audio,
+    periodic_hann,
     resample,
     save_audio,
     subtract_noise_floor,
@@ -284,3 +290,36 @@ def test_feature_csv_round_trips_exactly(tmp_path):
         [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
     )
     assert np.array_equal(parsed, feats.rows)
+
+
+# ---------------------------------------------------------------- window
+
+
+def test_periodic_hann_equals_scipy_bit_for_bit():
+    from scipy.signal import get_window
+
+    for n in list(range(1, 130)) + [400, 1023, 1024, 1599, 1600, 1601, 2999]:
+        assert np.array_equal(periodic_hann(n), get_window("hann", n, fftbins=True)), n
+
+
+def test_featurizing_leaves_scipy_signal_unloaded():
+    import eventforest
+
+    src = str(Path(eventforest.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, numpy as np\n"
+        "from eventforest.features import FeatureConfig, Waveform, "
+        "gammatone_cepstra, resample\n"
+        "wave = Waveform(np.random.default_rng(0).normal(size=16000) * 0.1, 16000)\n"
+        "features = gammatone_cepstra(resample(wave, 16000), FeatureConfig())\n"
+        "print(features.n_segments, 'scipy.signal' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.split() == ["91", "False"]

@@ -11,9 +11,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     FEATURE_DIM,
+    distance_variation,
     feature_config,
+    info_gain,
+    leaf_node,
+    node_depths,
     oracle_best_split,
     random_segments,
+    split_node,
+    split_test,
 )
 from eventforest import forest as forest_module
 from eventforest.dataset import Segment
@@ -22,22 +28,18 @@ from eventforest.forest import (
     OBJECTIVE_REGRESSION,
     Forest,
     ForestConfig,
-    LeafModel,
     SegmentSet,
-    SplitNode,
+    Tree,
     calibrate,
-    distance_variation,
     draw_candidates,
     entropy,
     forest_from_dict,
     forest_to_dict,
     gaussian_pdf,
-    info_gain,
     load_forest,
     make_leaf,
     save_forest,
     select_best_test,
-    split_test,
     train_forest,
     train_tree,
 )
@@ -386,28 +388,28 @@ def test_make_leaf_posterior_counts():
         seg([0.0], 0, None, 4),
     ]
     leaf = make_leaf(segments)
-    assert leaf.p_pos == 0.4
-    assert leaf.p_neg == 0.6
-    assert leaf.p_pos + leaf.p_neg == 1.0
-    assert leaf.n_train == 5
-    assert leaf.onset == (3.0, 1.0)  # population variance of {2, 4}
-    assert leaf.offset == (2.0, 1.0)
+    assert leaf["p_pos"] == 0.4
+    assert leaf["p_neg"] == 0.6
+    assert leaf["p_pos"] + leaf["p_neg"] == 1.0
+    assert leaf["n_train"] == 5
+    assert leaf["onset"] == [3.0, 1.0]  # population variance of {2, 4}
+    assert leaf["offset"] == [2.0, 1.0]
 
 
 def test_make_leaf_single_positive_hits_variance_floor():
     segments = [seg([0.0], 1, [5.0, 2.0], 0), seg([0.0], 0, None, 1)]
     leaf = make_leaf(segments, variance_floor=1e-6)
-    assert leaf.onset == (5.0, 1e-6)
-    assert leaf.offset == (2.0, 1e-6)
+    assert leaf["onset"] == [5.0, 1e-6]
+    assert leaf["offset"] == [2.0, 1e-6]
     wide = make_leaf(segments, variance_floor=0.25)
-    assert wide.onset[1] == 0.25
+    assert wide["onset"][1] == 0.25
 
 
 def test_make_leaf_without_positives_has_no_gaussians():
     segments = [seg([0.0], 0, None, i) for i in range(3)]
     leaf = make_leaf(segments)
-    assert leaf.p_pos == 0.0 and leaf.p_neg == 1.0
-    assert leaf.onset is None and leaf.offset is None
+    assert leaf["p_pos"] == 0.0 and leaf["p_neg"] == 1.0
+    assert leaf["onset"] is None and leaf["offset"] is None
 
 
 def test_make_leaf_empty_is_an_error():
@@ -418,21 +420,13 @@ def test_make_leaf_empty_is_an_error():
 # ---------------------------------------------------------------- tree growth
 
 
-def tree_nodes(node, depth=1):
-    """Yield (node, depth) over the whole tree."""
-    yield node, depth
-    if isinstance(node, SplitNode):
-        yield from tree_nodes(node.left, depth + 1)
-        yield from tree_nodes(node.right, depth + 1)
-
-
 def test_small_set_collapses_to_single_leaf():
     rng = np.random.default_rng(71)
     segments = random_segments(rng, 10, dim=4)
     config = ForestConfig(min_segments=20)
     tree = train_tree(segments, config, np.random.default_rng(0))
-    assert isinstance(tree, LeafModel)
-    assert tree.n_train == 10
+    assert len(tree) == 1 and tree.right[0] == -1
+    assert tree.n_train[0] == 10
 
 
 def test_steering_depth_controls_objectives():
@@ -442,20 +436,20 @@ def test_steering_depth_controls_objectives():
         max_depth=4, steer_depth=4, min_segments=10, n_candidate_tests=200
     )
     tree = train_tree(segments, all_classification, np.random.default_rng(1))
-    splits = [n for n, _ in tree_nodes(tree) if isinstance(n, SplitNode)]
-    assert splits
-    assert all(s.objective == OBJECTIVE_CLASSIFICATION for s in splits)
+    splits = tree.right >= 0
+    assert splits.any()
+    assert all(tree.objective[splits] == OBJECTIVE_CLASSIFICATION)
 
     steered = ForestConfig(
         max_depth=5, steer_depth=2, min_segments=10, n_candidate_tests=200
     )
     tree = train_tree(segments, steered, np.random.default_rng(1))
-    for node, depth in tree_nodes(tree):
-        if isinstance(node, SplitNode):
+    for node, depth in enumerate(node_depths(tree)):
+        if tree.right[node] >= 0:
             expected = (
                 OBJECTIVE_CLASSIFICATION if depth <= 2 else OBJECTIVE_REGRESSION
             )
-            assert node.objective == expected
+            assert tree.objective[node] == expected
 
 
 def test_tree_depth_never_exceeds_limit():
@@ -465,12 +459,8 @@ def test_tree_depth_never_exceeds_limit():
         max_depth=4, steer_depth=3, min_segments=2, n_candidate_tests=100
     )
     tree = train_tree(segments, config, np.random.default_rng(2))
-    depths = [depth for node, depth in tree_nodes(tree)]
-    assert max(depths) <= 4
-    leaf_sizes = [
-        n.n_train for n, _ in tree_nodes(tree) if isinstance(n, LeafModel)
-    ]
-    assert sum(leaf_sizes) == len(segments)
+    assert max(node_depths(tree)) <= 4
+    assert sum(tree.n_train[tree.right < 0]) == len(segments)
 
 
 # ---------------------------------------------------------------- forest
@@ -507,12 +497,12 @@ def test_single_full_sample_tree_matches_direct_growth():
     indices = np.sort(rng.choice(len(sset), size=len(sset), replace=False))
     manual = train_tree(sset.take(indices), config, rng)
 
-    def node_key(node):
-        if isinstance(node, LeafModel):
-            return ("leaf", node.p_pos, node.p_neg, node.n_train, node.onset,
-                    node.offset)
-        return ("split", node.r, node.q, node.tau, node.objective,
-                node_key(node.left), node_key(node.right))
+    def node_key(tree):
+        return tuple(
+            getattr(tree, field).tobytes()
+            for field in ("right", "r", "q", "tau", "objective", "p_pos",
+                          "p_neg", "n_train", "onset", "offset")
+        )
 
     assert node_key(forest.trees[0]) == node_key(manual)
 
@@ -593,33 +583,31 @@ def test_calibration_is_a_fixed_point_on_full_sample():
 def test_calibration_counts_and_posteriors(blob_model):
     total = len(blob_model.train_segments)
     for tree in blob_model.forest.trees:
-        leaves = [
-            n for n, _ in tree_nodes(tree) if isinstance(n, LeafModel)
-        ]
-        assert sum(leaf.n_train for leaf in leaves) == total
+        leaves = np.flatnonzero(tree.right < 0)
+        assert sum(tree.n_train[leaves]) == total
         for leaf in leaves:
-            assert leaf.p_pos + leaf.p_neg == 1.0
-            for gaussian in (leaf.onset, leaf.offset):
-                if gaussian is not None:
+            assert tree.p_pos[leaf] + tree.p_neg[leaf] == 1.0
+            for gaussian in (tree.onset[leaf], tree.offset[leaf]):
+                if not np.isnan(gaussian[0]):
                     assert gaussian[1] >= 1e-6
 
 
 def test_calibration_unreached_and_negative_leaves():
-    left = LeafModel(p_pos=0.5, p_neg=0.5, n_train=2, onset=(1.0, 1.0),
-                     offset=(1.0, 1.0))
-    right = LeafModel(p_pos=0.5, p_neg=0.5, n_train=2, onset=(2.0, 1.0),
-                      offset=(2.0, 1.0))
-    tree = SplitNode(r=0, q=1, tau=0.0, objective=OBJECTIVE_CLASSIFICATION,
-                     left=left, right=right)
+    tree = Tree.from_nodes([
+        split_node(0, 1, 0.0),
+        leaf_node(p_pos=0.5, onset=(1.0, 1.0), offset=(1.0, 1.0), n_train=2),
+        leaf_node(p_pos=0.5, onset=(2.0, 1.0), offset=(2.0, 1.0), n_train=2),
+    ])
+    left, right = 1, 2
     forest = Forest(class_label="x", trees=[tree], config=small_config())
     # all segments route right (x0 - x1 > 0) and none of them is positive
     segments = [seg([2.0, 0.0], 0, None, i) for i in range(4)]
     calibrate(forest, segments)
-    assert right.n_train == 4
-    assert right.p_pos == 0.0 and right.p_neg == 1.0
-    assert right.onset is None and right.offset is None
-    assert left.n_train == 0  # unreached: keeps its model otherwise
-    assert left.p_pos == 0.5 and left.onset == (1.0, 1.0)
+    assert tree.n_train[right] == 4
+    assert tree.p_pos[right] == 0.0 and tree.p_neg[right] == 1.0
+    assert np.isnan(tree.onset[right]).all() and np.isnan(tree.offset[right]).all()
+    assert tree.n_train[left] == 0  # unreached: keeps its model otherwise
+    assert tree.p_pos[left] == 0.5 and tree.onset[left].tolist() == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------- gaussians
