@@ -46,6 +46,7 @@ from .features import (
 )
 from .forest import (
     ForestConfig,
+    expected_type,
     load_forest,
     save_forest,
     shared_feature_config,
@@ -74,6 +75,24 @@ DETECT_DEFAULTS = {
 }
 
 
+def _config_value_error(key: str, value, default) -> str | None:
+    """What a config file value for ``key`` must be, when ``value`` is not that.
+
+    A value takes its default's type (see ``expected_type``); the keys that
+    default to None take a string or null, and ``snr_levels`` also a list of
+    numbers.
+    """
+    if default is not None:
+        return expected_type(value, default)
+    if value is None or isinstance(value, str):
+        return None
+    if key != "snr_levels":
+        return "a string or null"
+    if isinstance(value, list) and not any(expected_type(v, 0.0) for v in value):
+        return None
+    return "a list of numbers, a string or null"
+
+
 def _resolve(args, defaults: dict) -> dict:
     """Merge builtin defaults, the optional config file, and explicit flags."""
     merged = dict(defaults)
@@ -81,11 +100,17 @@ def _resolve(args, defaults: dict) -> dict:
     if config_path:
         with open(config_path) as handle:
             payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{config_path}: config is not a JSON object")
         unknown = sorted(set(payload) - set(defaults))
         if unknown:
             raise ValueError(
                 f"unknown keys in {config_path}: {', '.join(unknown)}"
             )
+        for key, value in payload.items():
+            expected = _config_value_error(key, value, defaults[key])
+            if expected:
+                raise ValueError(f"{config_path}: key {key!r} must be {expected}")
         merged.update(payload)
     for key in defaults:
         value = getattr(args, key, None)
@@ -103,12 +128,30 @@ def _load_manifest(path):
         payload = json.load(handle)
     if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise ValueError(f"{path}: manifest has no entries")
+
+    def must_be(what, kind):
+        return ValueError(f"{path}: manifest {what} must be {kind}")
+
+    if expected_type(payload.get("sample_rate", 16000), 16000):
+        raise must_be("sample_rate", "an integer")
+    classes = payload.get("classes")
+    if classes is not None and not (
+        isinstance(classes, list) and all(isinstance(c, str) for c in classes)
+    ):
+        raise must_be("classes", "a list of strings or null")
+    for key in ("background_rms", "snr_db"):
+        if payload.get(key) is not None and expected_type(payload[key], 0.0):
+            raise must_be(key, "a finite number or null")
     base = Path(path).parent
     entries = []
     for i, entry in enumerate(payload["entries"]):
         for key in ("audio", "annotations"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"{path}: manifest entry {i} has no {key!r}")
+            if not isinstance(entry[key], str):
+                raise must_be(f"entry {i} {key!r}", "a string")
+        if not isinstance(entry.get("fold", "train"), str):
+            raise must_be(f"entry {i} 'fold'", "a string")
         entries.append(
             {
                 "audio": base / entry["audio"],
@@ -117,8 +160,8 @@ def _load_manifest(path):
             }
         )
     return {
-        "sample_rate": int(payload.get("sample_rate", 16000)),
-        "classes": payload.get("classes"),
+        "sample_rate": payload.get("sample_rate", 16000),
+        "classes": classes,
         "background_rms": payload.get("background_rms"),
         "snr_db": payload.get("snr_db"),
         "entries": entries,

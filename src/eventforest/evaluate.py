@@ -19,6 +19,7 @@ from .detect import (
     track_maxima,
 )
 from .features import FeatureMatrix
+from .forest import expected_type
 
 # The beta that tune records for a class it switches off. A class tuned to
 # it is disabled: detection drops it, however high its scores run later.
@@ -381,10 +382,15 @@ def load_thresholds(path) -> TuneResult:
             value = entry.get(key) if isinstance(entry, dict) else None
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{path}: class {label!r} has no numeric {key!r}")
+        error_rate = entry.get("error_rate")
+        if error_rate is not None and expected_type(error_rate, 0.0):
+            raise ValueError(
+                f"{path}: class {label!r} error_rate must be a finite number or null"
+            )
         per_class[label] = ClassThresholds(
             alpha=entry["alpha"],
             beta=entry["beta"],
-            error_rate=entry.get("error_rate"),
+            error_rate=error_rate,
         )
     return TuneResult(per_class=per_class)
 

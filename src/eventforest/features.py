@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import asdict, dataclass
 from math import gcd
 
@@ -19,6 +20,10 @@ _EAR_Q = 9.26449
 _MIN_BW = 24.7
 _BW_FACTOR = 1.019
 _GT_ORDER = 4
+
+# Analysis windows transformed at once by gammatone_cepstra; a block's frames
+# and spectra take about 13 MB at 1,600-sample windows.
+_WINDOW_BLOCK = 512
 
 
 @dataclass(eq=False)
@@ -124,23 +129,31 @@ def load_audio(path) -> Waveform:
     Integer encodings are scaled to [-1, 1]; multi-channel input is averaged
     down to mono.
     """
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise ValueError(f"unsupported/corrupt container: {path}: {exc}") from exc
+    # The reader's warnings are held back until it succeeds, so a corrupt file
+    # is reported by one error alone.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rate, data = wavfile.read(path)
+        except FileNotFoundError:
+            raise
+        except Exception as exc:
+            raise ValueError(f"unsupported/corrupt container: {path}: {exc}") from exc
+    for warning in caught:
+        warnings.warn(warning.message, stacklevel=2)
+    if data.dtype not in (np.uint8, np.int16, np.int32, np.float32, np.float64):
+        raise ValueError(f"unsupported sample encoding {data.dtype} in {path}")
+    # Scaled in place: one float64 copy of the stream, the same values as
+    # scaling into a new array.
+    samples = data.astype(np.float64, copy=False)
     if data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
+        samples -= 128.0
+        samples /= 128.0
     elif data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
+        samples /= 32768.0
     elif data.dtype == np.int32:
         # scipy places 24-bit PCM in the high bytes of int32
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"unsupported sample encoding {data.dtype} in {path}")
+        samples /= 2147483648.0
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     return Waveform(samples, int(rate))
@@ -240,6 +253,12 @@ def gammatone_cepstra(waveform: Waveform, config: FeatureConfig) -> FeatureMatri
     seconds (trailing partial window dropped), each window is Hann-weighted,
     its power spectrum is pooled by the gammatone filterbank, and a DCT-II of
     the log energies yields one cepstral row per segment.
+
+    Windows are strided views of the stream, transformed in blocks of
+    ``_WINDOW_BLOCK``, so memory is the output plus one block of frames
+    however long the stream is. The rows equal those of one transform over
+    all windows, bit for bit, and the filterbank energies of the whole stream
+    are kept, so noise subtraction still takes its global percentile.
     """
     if waveform.sample_rate != config.sample_rate:
         raise ValueError(
@@ -254,15 +273,25 @@ def gammatone_cepstra(waveform: Waveform, config: FeatureConfig) -> FeatureMatri
         rows = np.zeros((0, config.n_channels))
         return FeatureMatrix(rows, np.zeros(0), config)
 
-    offsets = np.arange(n_segments) * hop
-    frames = waveform.samples[offsets[:, np.newaxis] + np.arange(win)]
-    frames = frames * periodic_hann(win)
-    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
-    energies = power @ gammatone_weights(config, win).T
+    windows = np.lib.stride_tricks.sliding_window_view(waveform.samples, win)[::hop]
+    hann = periodic_hann(win)
+    weights_t = gammatone_weights(config, win).T
+    energies = np.empty((n_segments, config.n_channels))
+    for start in range(0, n_segments, _WINDOW_BLOCK):
+        # A short last block is moved back to overlap the one before it, so
+        # every product has the same shape: BLAS takes other kernels, which
+        # round differently, for small products.
+        start = max(min(start, n_segments - _WINDOW_BLOCK), 0)
+        stop = min(start + _WINDOW_BLOCK, n_segments)
+        power = np.abs(np.fft.rfft(windows[start:stop] * hann, axis=1))
+        np.square(power, out=power)
+        np.matmul(power, weights_t, out=energies[start:stop])
     if config.noise_subtraction:
         energies = subtract_noise_floor(energies)
-    rows = dct(np.log(energies + LOG_FLOOR), type=2, norm="ortho", axis=1)
-    times = offsets / config.sample_rate
+    energies += LOG_FLOOR
+    np.log(energies, out=energies)
+    rows = dct(energies, type=2, norm="ortho", axis=1, overwrite_x=True)
+    times = np.arange(n_segments) * hop / config.sample_rate
     return FeatureMatrix(rows, times, config)
 
 

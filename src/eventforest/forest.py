@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -402,18 +402,22 @@ def _get(node: dict, key: str):
 
 
 def _integer(value, what: str, upper: int | None = None) -> int:
-    """``value`` as an int in ``[0, upper)``, or in ``[0, inf)`` without ``upper``."""
+    """``value`` as an int in ``[0, upper)``, or in ``[0, 2**63)`` without ``upper``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} is not an integer: {value!r}")
-    if value < 0 or (upper is not None and value >= upper):
-        raise ValueError(f"{what} {value} outside [0, {upper or 'inf'})")
+    upper = 2**63 if upper is None else upper
+    if not 0 <= value < upper:
+        raise ValueError(f"{what} {value} outside [0, {upper})")
     return int(value)
 
 
 def _finite_float(value, what: str = "value") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
         raise ValueError(f"{what} is not a number: {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"model contains non-finite {what} {value}")
     return value
@@ -598,6 +602,37 @@ def calibrate(forest: Forest, segments) -> None:
             tree.set_leaf(leaf, leaf_model)
 
 
+def expected_type(value, default) -> str | None:
+    """What a JSON ``value`` standing for ``default`` must be, or None if it is.
+
+    A value takes the type of the default: true or false, an integer, or a
+    finite number, which may be written as an integer. Booleans are not
+    numbers here.
+    """
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "true or false"
+    kind = "an integer" if isinstance(default, int) else "a finite number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return kind
+    if isinstance(value, int) or (kind != "an integer" and math.isfinite(value)):
+        return None
+    return kind
+
+
+def _config_from_dict(cls, values, what: str):
+    """``cls(**values)`` once every value has its field default's type."""
+    if not isinstance(values, dict):
+        raise ValueError(f"model {what} is not an object")
+    defaults = {field.name: field.default for field in fields(cls)}
+    for key, value in values.items():
+        if key not in defaults:
+            raise ValueError(f"model {what} has unknown key {key!r}")
+        expected = expected_type(value, defaults[key])
+        if expected:
+            raise ValueError(f"model {what} {key!r} must be {expected}")
+    return cls(**values)
+
+
 def forest_to_dict(forest: Forest) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -633,15 +668,14 @@ def forest_from_dict(payload: dict) -> Forest:
     if not isinstance(payload, dict):
         raise ValueError("model is not a JSON object")
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if expected_type(version, FORMAT_VERSION) or version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    try:
-        feature_config = None
-        if _get(payload, "feature_fingerprint"):
-            feature_config = FeatureConfig(**payload["feature_fingerprint"])
-        config = ForestConfig(**_get(payload, "config"))
-    except TypeError as exc:
-        raise ValueError(f"model configuration: {exc}") from None
+    feature_config = None
+    if _get(payload, "feature_fingerprint"):
+        feature_config = _config_from_dict(
+            FeatureConfig, payload["feature_fingerprint"], "feature_fingerprint"
+        )
+    config = _config_from_dict(ForestConfig, _get(payload, "config"), "config")
     class_label = _get(payload, "class_label")
     if not isinstance(class_label, str):
         raise ValueError("model class_label is not a string")

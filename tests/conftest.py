@@ -6,10 +6,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 
 from eventforest.dataset import EventAnnotation, Segment
 from eventforest.detect import ScoreTrack, StreamVotes, collect_votes, render_tracks
-from eventforest.features import FeatureConfig, FeatureMatrix
+from eventforest.features import (
+    LOG_FLOOR,
+    FeatureConfig,
+    FeatureMatrix,
+    gammatone_weights,
+    periodic_hann,
+    subtract_noise_floor,
+)
 from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
     OBJECTIVE_REGRESSION,
@@ -340,6 +348,29 @@ def oracle_peak_indices(values, threshold):
             peaks.append(i)
         i = j + 1
     return peaks
+
+
+def oracle_gammatone_cepstra(waveform, config):
+    """Reference extractor: every window of the stream transformed at once.
+
+    Gathers the whole n_segments x window frame matrix with an index matrix,
+    so its memory grows with the stream; the package extracts in blocks.
+    """
+    win = int(round(config.window_len * config.sample_rate))
+    hop = int(round(config.hop_len * config.sample_rate))
+    n = len(waveform.samples)
+    n_segments = 0 if n < win else (n - win) // hop + 1
+    if n_segments == 0:
+        return FeatureMatrix(np.zeros((0, config.n_channels)), np.zeros(0), config)
+    offsets = np.arange(n_segments) * hop
+    frames = waveform.samples[offsets[:, np.newaxis] + np.arange(win)]
+    frames = frames * periodic_hann(win)
+    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    energies = power @ gammatone_weights(config, win).T
+    if config.noise_subtraction:
+        energies = subtract_noise_floor(energies)
+    rows = dct(np.log(energies + LOG_FLOOR), type=2, norm="ortho", axis=1)
+    return FeatureMatrix(rows, offsets / config.sample_rate, config)
 
 
 def blob_stream(rng, n_events=6, event_len=12, gap=20, dim=FEATURE_DIM,

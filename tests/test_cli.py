@@ -1,14 +1,19 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import contextlib
 import csv
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eventforest
 from eventforest import features as features_module
@@ -193,6 +198,46 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "unknown keys" in err and "bogus" in err
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("trees", "3", "an integer"),
+        ("trees", 3.0, "an integer"),
+        ("threads", True, "an integer"),
+        ("subsample", "0.5", "a finite number"),
+        ("noise_subtraction", "yes", "true or false"),
+        ("snr_levels", [0, "6"], "a list of numbers, a string or null"),
+        ("event_class", ["tone300"], "a string or null"),
+    ])
+    def test_config_value_types_checked(self, key, value, expected, tmp_path,
+                                        capsys):
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps({key: value}))
+        code = main(["train", "ignored.json", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {config}: key {key!r} must be {expected}\n"
+
+    def test_config_accepts_each_default_type(self, tmp_path, capsys):
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps({
+            "subsample": 1, "noise_subtraction": True, "snr_levels": [-6, 0.5],
+            "event_class": "tone300", "seed": 7,
+        }))
+        code = main(
+            ["train", "ignored.json", "--config", str(config), "--print-config"]
+        )
+        assert code == 0
+        merged = json.loads(capsys.readouterr().out)
+        assert merged["subsample"] == 1 and merged["snr_levels"] == [-6, 0.5]
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[1, 2]")
+        code = main(["train", "ignored.json", "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: config is not a JSON object\n"
+        )
+
     def test_missing_manifest_errors(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "absent.json")])
         assert code == 1
@@ -288,6 +333,19 @@ class TestDetect:
         )
         assert code == 0
         assert out.read_text() == capsys.readouterr().out
+
+    def test_config_value_types_checked(self, corpus, models, tmp_path, capsys):
+        config = tmp_path / "detect.json"
+        config.write_text(json.dumps({"smooth_window": "11"}))
+        code = main(
+            ["detect", str(corpus / "test.wav")]
+            + model_args(models)
+            + ["--config", str(config)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: key 'smooth_window' must be an integer\n"
+        )
 
     def test_beta_above_scores_empty(self, corpus, models, tmp_path):
         out = tmp_path / "none.txt"
@@ -475,6 +533,19 @@ MALFORMED_MODELS = {
         lambda p: first_node(p, "leaf", gaussian=True)["onset"].__setitem__(1, 0.0),
         "onset variance 0.0 is not positive",
     ),
+    "version_true": (lambda p: p.update(format_version=True),
+                     "unsupported model format version True"),
+    "config_bool": (lambda p: p["config"].update(n_trees=True),
+                    "model config 'n_trees' must be an integer"),
+    "fingerprint_string": (
+        lambda p: p["feature_fingerprint"].update(window_len="0.1"),
+        "model feature_fingerprint 'window_len' must be a finite number",
+    ),
+    "n_train_overflow": (
+        lambda p: first_node(p, "leaf").update(n_train=2**63),
+        "n_train 9223372036854775808 outside [0, 9223372036854775808)",
+    ),
+    "z_plus_overflow": (lambda p: p.update(z_plus=10**400), "non-finite z_plus inf"),
     "infinite_variance": (
         lambda p: first_node(p, "leaf", gaussian=True)["offset"].__setitem__(
             1, float("inf")
@@ -517,9 +588,28 @@ def test_thresholds_entry_without_alpha_rejected(entry, corpus, models, tmp_path
     assert err.startswith("error:") and "partial.json" in err and "'alpha'" in err
 
 
+def test_thresholds_error_rate_type_checked(corpus, models, tmp_path, capsys):
+    label = json.loads(models[0].read_text())["class_label"]
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({label: {"alpha": 0.5, "beta": 0.1, "error_rate": "?"}}))
+    code = main(["detect", str(corpus / "test.wav"), "--model", str(models[0]),
+                 "--thresholds", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: class {label!r} error_rate must be a finite number or null\n"
+    )
+
+
 def drop_dev_key(key):
     def corrupt(manifest):
         del next(e for e in manifest["entries"] if e["fold"] == "dev")[key]
+
+    return corrupt
+
+
+def set_dev_key(key, value):
+    def corrupt(manifest):
+        next(e for e in manifest["entries"] if e["fold"] == "dev")[key] = value
 
     return corrupt
 
@@ -529,6 +619,14 @@ MALFORMED_MANIFESTS = {
     "no_audio": (drop_dev_key("audio"), "has no 'audio'"),
     "no_annotations": (drop_dev_key("annotations"), "has no 'annotations'"),
     "entries_not_a_list": (lambda m: m.update(entries=5), "has no entries"),
+    "audio_not_a_string": (set_dev_key("audio", [0]), "'audio' must be a string"),
+    "fold_not_a_string": (set_dev_key("fold", 1.5), "'fold' must be a string"),
+    "classes_not_strings": (
+        lambda m: m.update(classes=[0]), "classes must be a list of strings or null"
+    ),
+    "sample_rate_not_an_integer": (
+        lambda m: m.update(sample_rate=16000.0), "sample_rate must be an integer"
+    ),
 }
 
 
@@ -544,6 +642,149 @@ def test_malformed_manifest_rejected(case, corpus, models, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and path.name in err and fragment in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed inputs
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(max_examples=25, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def run_main(argv):
+    """Exit code and stderr of ``main``, led by any warnings it issued, which
+    the command line prints to stderr; an exception escapes as a failure."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    shown = [warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+             for w in caught]
+    return code, "".join(shown) + err.getvalue()
+
+
+def assert_one_error_line(argv):
+    code, err = run_main(argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@st.composite
+def json_path(draw, value):
+    """A position in a parsed JSON document, found by walking down from the
+    root and stopping at each level with probability 1/3."""
+    path = ()
+    while isinstance(value, (dict, list)) and value and draw(st.integers(0, 2)):
+        key = draw(st.sampled_from(
+            sorted(value) if isinstance(value, dict) else range(len(value))
+        ))
+        path += (key,)
+        value = value[key]
+    return path
+
+
+def json_kind(value):
+    return "number" if isinstance(value, (int, float)) and not isinstance(
+        value, bool) else type(value).__name__
+
+
+# Stand-ins of another JSON kind; none may be accepted where a value of the
+# original kind was written.
+SWAPS = ("?", 1.5, True, [0], {"?": 0})
+
+
+@st.composite
+def corrupted_json(draw, text):
+    """``text`` truncated, with one structural character replaced, or with one
+    value swapped for one of another kind; never a valid input."""
+    how = draw(st.sampled_from(["truncate", "flip", "swap"]))
+    if how == "truncate":
+        return text[: draw(st.integers(0, text.rindex("}") - 1))]
+    if how == "flip":
+        structural, in_string = [], False
+        for i, ch in enumerate(text):
+            if ch == '"':
+                in_string = not in_string
+            if ch == '"' or (not in_string and ch in "{}[]:,"):
+                structural.append(i)
+        i = draw(st.sampled_from(structural))
+        return text[:i] + draw(st.sampled_from(" #x\x00")) + text[i + 1:]
+    payload = json.loads(text)
+    path = draw(json_path(payload))
+    old = payload
+    for key in path:
+        old = old[key]
+    new = draw(st.sampled_from([v for v in SWAPS if json_kind(v) != json_kind(old)]))
+    if not path:
+        return json.dumps(new)
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return json.dumps(payload)
+
+
+def write_fuzzed(directory, name, text):
+    path = Path(directory) / name
+    path.write_text(text)
+    return path
+
+
+@pytest.fixture(scope="session")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_model_gives_one_error_line(data, corpus, models, fuzz_dir):
+    text = data.draw(corrupted_json(models[0].read_text()))
+    bad = write_fuzzed(fuzz_dir, "model.json", text)
+    assert_one_error_line(["detect", str(corpus / "test.wav"), "--model", str(bad)])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_thresholds_give_one_error_line(data, corpus, models, thresholds,
+                                               fuzz_dir):
+    text = data.draw(corrupted_json(thresholds.read_text()))
+    bad = write_fuzzed(fuzz_dir, "thresholds.json", text)
+    assert_one_error_line(["detect", str(corpus / "test.wav"), "--model",
+                           str(models[0]), "--thresholds", str(bad)])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_manifest_gives_one_error_line(data, corpus):
+    text = data.draw(corrupted_json((corpus / "manifest.json").read_text()))
+    # beside the corpus, so that intact entries name existing files
+    bad = write_fuzzed(corpus, "manifest_fuzzed.json", text)
+    assert_one_error_line(["train", str(bad), "--out-dir", str(corpus / "unused")])
+
+
+# Header bytes a WAV reader must check: the RIFF and WAVE tags, the format
+# chunk but the low byte of the bits per sample, and the data chunk's tag. The
+# RIFF size, that byte (16 bits may become 24) and the data size may change
+# without making the file unreadable, and a short data chunk is read as a
+# shorter stream.
+WAV_CHECKED_BYTES = [*range(0, 4), *range(8, 34), *range(35, 40)]
+
+
+@FUZZ
+@given(how=st.sampled_from(["truncate", "flip"]), at=st.integers(0, 43),
+       mask=st.integers(1, 255))
+def test_fuzzed_wav_gives_one_error_line(how, at, mask, corpus, models, fuzz_dir):
+    wav = (corpus / "test.wav").read_bytes()
+    if how == "truncate":
+        wav = wav[:at]
+    else:
+        at = WAV_CHECKED_BYTES[at % len(WAV_CHECKED_BYTES)]
+        wav = wav[:at] + bytes([wav[at] ^ mask]) + wav[at + 1:]
+    bad = Path(fuzz_dir) / "stream.wav"
+    bad.write_bytes(wav)
+    assert_one_error_line(["detect", str(bad), "--model", str(models[0])])
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

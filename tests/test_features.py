@@ -1,7 +1,10 @@
 """Audio loading, resampling, filterbank, and cepstral feature tests."""
 
 import os
+import struct
 import subprocess
+import tracemalloc
+import warnings
 import sys
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_gammatone_cepstra
 from eventforest.features import (
     FeatureConfig,
     Waveform,
@@ -68,11 +72,36 @@ def test_load_uint8_scaling(tmp_path):
     assert wave.samples[2] == pytest.approx(-1.0)
 
 
+def test_load_int32_scaling(tmp_path):
+    # 24-bit PCM, which scipy reads into the high bytes of int32
+    samples = [1 << 22, -(1 << 23), 1, 0]
+    data = b"".join(v.to_bytes(3, "little", signed=True) for v in samples)
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 8000 * 3, 3, 24)
+    body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    path = tmp_path / "pcm24.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    wave = load_audio(path)
+    assert wave.sample_rate == 8000
+    assert wave.samples.tolist() == [0.5, -1.0, 2.0 ** -23, 0.0]
+
+
 def test_load_truncated_header(tmp_path):
     path = tmp_path / "broken.wav"
     path.write_bytes(b"RIFF\x00\x00")
     with pytest.raises(ValueError, match="unsupported/corrupt container"):
         load_audio(path)
+
+
+def test_load_corrupt_file_raises_without_warnings(tmp_path):
+    path = tmp_path / "nofmt.wav"
+    save_audio(path, sine(440.0, 0.01, 16000))
+    path.write_bytes(path.read_bytes().replace(b"fmt ", b"fmx ", 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="No fmt chunk"):
+            load_audio(path)
+    assert caught == []
 
 
 def test_load_missing_file(tmp_path):
@@ -323,3 +352,46 @@ def test_featurizing_leaves_scipy_signal_unloaded():
         check=True,
     )
     assert result.stdout.split() == ["91", "False"]
+
+
+# ---------------------------------------------------------------- blocks
+
+
+@pytest.mark.parametrize("noise_subtraction", [False, True])
+@pytest.mark.parametrize("hop_len", [0.01, 0.1])
+@pytest.mark.parametrize("n_segments", [0, 1, 511, 512, 513, 1025])
+def test_blocked_cepstra_equal_oracle_bit_for_bit(n_segments, hop_len,
+                                                  noise_subtraction):
+    config = FeatureConfig(hop_len=hop_len, noise_subtraction=noise_subtraction)
+    win = int(round(config.window_len * config.sample_rate))
+    hop = int(round(config.hop_len * config.sample_rate))
+    # a trailing partial window too short to make one more segment
+    n = win - 1 if n_segments == 0 else win + (n_segments - 1) * hop + hop // 2
+    wave = Waveform(np.random.default_rng(n_segments).normal(size=n) * 0.1, 16000)
+    feats = gammatone_cepstra(wave, config)
+    expected = oracle_gammatone_cepstra(wave, config)
+    assert feats.rows.shape == (n_segments, config.n_channels)
+    assert feats.rows.tobytes() == expected.rows.tobytes()
+    assert feats.segment_times.tobytes() == expected.segment_times.tobytes()
+
+
+def traced_peak(seconds):
+    """Peak traced bytes of one extraction, and the bytes of its rows."""
+    wave = Waveform(
+        np.random.default_rng(0).normal(size=seconds * 16000) * 0.1, 16000
+    )
+    tracemalloc.start()
+    try:
+        rows = gammatone_cepstra(wave, FeatureConfig()).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, rows.nbytes
+
+
+def test_cepstra_memory_is_output_plus_a_block():
+    peak_120, rows_120 = traced_peak(120)
+    # one unblocked 120 s frame matrix alone would be 154 MB
+    assert peak_120 < 64 * 2**20
+    peak_30, rows_30 = traced_peak(30)
+    assert peak_120 - 4 * rows_120 <= peak_30 - 4 * rows_30
