@@ -5,6 +5,15 @@ their position inside an event; leaf votes accumulate into onset and offset
 score curves whose paired peaks become detections.
 """
 
+import os
+
+# One BLAS thread, set before any submodule loads numpy: a threaded matrix
+# product sums in another order, so feature rows (and everything downstream)
+# would depend on the core count. An explicit setting is left alone.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .dataset import (
     EventAnnotation,
     MixtureSpec,

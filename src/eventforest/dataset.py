@@ -153,14 +153,19 @@ def label_segments(
     return segments  # type: ignore[return-value]
 
 
-def scale_to_snr(event: Waveform, background: Waveform, snr_db: float) -> Waveform:
-    """Scale an event so its power sits ``snr_db`` decibels above the background."""
+def scale_to_snr(event: Waveform, background_rms: float, snr_db: float) -> Waveform:
+    """Scale an event so its power sits ``snr_db`` decibels above a background.
+
+    The background is given by its RMS level, so a caller placing many events
+    on one bed measures the bed once.
+    """
     event_rms = event.rms()
-    background_rms = background.rms()
     if event_rms == 0.0:
         raise ValueError("cannot set SNR of a silent event")
-    if background_rms == 0.0:
-        raise ValueError("cannot set SNR against a silent background")
+    if not background_rms > 0.0:
+        raise ValueError(
+            f"cannot set SNR against a background of level {background_rms}"
+        )
     factor = 10.0 ** (snr_db / 20.0) * background_rms / event_rms
     return Waveform(event.samples * factor, event.sample_rate)
 
@@ -272,17 +277,10 @@ def build_training_segments(
     rng = np.random.default_rng(
         [mixture.rng_seed, zlib.crc32(target_class.encode())]
     )
-    if background_rms is not None and background_rms > 0:
-        # one-sample waveform whose RMS is the background level; only the
-        # level matters to scale_to_snr
-        reference = Waveform(np.array([background_rms]), feature_config.sample_rate)
-    else:
-        reference = None
-
     def _scaled(wave, snr_db):
-        if reference is None:
+        if background_rms is None or background_rms <= 0:
             return wave
-        return scale_to_snr(wave, reference, snr_db)
+        return scale_to_snr(wave, background_rms, snr_db)
 
     def _collect(wave, annotations):
         feats = gammatone_cepstra(wave, clean_config)
@@ -449,10 +447,11 @@ def _compose_scene(
     total_len = max(scene_len, cursor + 0.5)
     n_samples = int(round(total_len * sample_rate))
     canvas = pink_noise(rng, n_samples, sample_rate) * background_rms
-    background = Waveform(canvas.copy(), sample_rate)
+    # the bed is measured once, before any event is added to it
+    bed_rms = Waveform(canvas, sample_rate).rms()
     annotations = []
     for onset, wave, label in placements:
-        scaled = scale_to_snr(wave, background, snr_db)
+        scaled = scale_to_snr(wave, bed_rms, snr_db)
         start = int(round(onset * sample_rate))
         stop = start + len(scaled.samples)
         canvas[start:stop] += scaled.samples

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import csv
+import functools
+import os
+import struct
 import warnings
+import wave
 from dataclasses import asdict, dataclass
 from math import gcd
 
 import numpy as np
-from scipy.fft import dct
-from scipy.io import wavfile
 
 # Additive floor applied before the log; also the post-subtraction energy floor.
 LOG_FLOOR = 1e-10
@@ -127,8 +129,10 @@ def load_audio(path) -> Waveform:
     """Decode a PCM or float WAV file to a mono Waveform.
 
     Integer encodings are scaled to [-1, 1]; multi-channel input is averaged
-    down to mono.
+    down to mono. A file whose data chunk runs past its end is rejected.
     """
+    from scipy.io import wavfile
+
     # The reader's warnings are held back until it succeeds, so a corrupt file
     # is reported by one error alone.
     with warnings.catch_warnings(record=True) as caught:
@@ -139,6 +143,7 @@ def load_audio(path) -> Waveform:
             raise
         except Exception as exc:
             raise ValueError(f"unsupported/corrupt container: {path}: {exc}") from exc
+    _check_data_chunk(path)
     for warning in caught:
         warnings.warn(warning.message, stacklevel=2)
     if data.dtype not in (np.uint8, np.int16, np.int32, np.float32, np.float64):
@@ -159,10 +164,53 @@ def load_audio(path) -> Waveform:
     return Waveform(samples, int(rate))
 
 
+def _check_data_chunk(path) -> None:
+    """Raise ValueError when a WAV's data chunk declares more bytes than the file holds.
+
+    The WAV reader only warns about such a file and returns the samples it
+    found, so a cut recording would load as a shorter stream. Only called on
+    files the reader accepted, so the RIFF header is known to be sound.
+    """
+    file_size = os.path.getsize(path)
+    with open(path, "rb") as handle:
+        riff_id = handle.read(4)
+        order = ">" if riff_id == b"RIFX" else "<"
+        handle.seek(12)
+        data_size64 = None
+        while True:
+            header = handle.read(8)
+            if len(header) < 8:
+                return
+            chunk_id, size = struct.unpack(order + "4sI", header)
+            if chunk_id == b"ds64":
+                # RF64 keeps the real data size here, after the 8-byte RIFF size
+                data_size64 = struct.unpack("<8xQ", handle.read(16))[0]
+                size -= 16
+            elif chunk_id == b"data":
+                if data_size64 is not None:
+                    size = data_size64
+                available = file_size - handle.tell()
+                if size > available:
+                    raise ValueError(
+                        f"truncated WAV: {path}: data chunk declares {size} bytes, "
+                        f"file holds {available}"
+                    )
+                return
+            handle.seek(size + (size & 1), os.SEEK_CUR)
+
+
 def save_audio(path, waveform: Waveform) -> None:
-    """Write a Waveform as 16-bit PCM, clipping to full scale."""
+    """Write a Waveform as 16-bit mono PCM, clipping to full scale.
+
+    The bytes equal those of ``scipy.io.wavfile.write`` for the same samples.
+    """
     clipped = np.clip(waveform.samples, -1.0, 32767.0 / 32768.0)
-    wavfile.write(path, waveform.sample_rate, (clipped * 32768.0).astype(np.int16))
+    pcm = (clipped * 32768.0).astype(np.int16)
+    with open(path, "wb") as handle, wave.open(handle, "wb") as writer:
+        writer.setnchannels(1)
+        writer.setsampwidth(2)
+        writer.setframerate(waveform.sample_rate)
+        writer.writeframes(pcm)  # native order; the module writes little-endian
 
 
 def resample(waveform: Waveform, target_rate: int) -> Waveform:
@@ -200,19 +248,23 @@ def erb_space(f_min: float, f_max: float, n_channels: int) -> np.ndarray:
     return cam_to_hz(cams)
 
 
+@functools.lru_cache(maxsize=16)
 def gammatone_weights(config: FeatureConfig, n_fft: int) -> np.ndarray:
     """Spectral weights of a gammatone filterbank on the rFFT bins.
 
     Row k holds the squared magnitude response of a fourth-order gammatone
     centered at the k-th ERB-spaced frequency, normalized to unit sum so each
-    channel integrates the power spectrum with equal total weight.
+    channel integrates the power spectrum with equal total weight. Computed
+    once per (config, n_fft) and returned read-only, since it is shared.
     """
     freqs = np.fft.rfftfreq(n_fft, 1.0 / config.sample_rate)
     centers = erb_space(config.f_min, config.f_max, config.n_channels)
     bw = _BW_FACTOR * erb_bandwidth(centers)
     rel = (freqs[np.newaxis, :] - centers[:, np.newaxis]) / bw[:, np.newaxis]
     weights = np.power(1.0 + rel * rel, -float(_GT_ORDER))
-    return weights / weights.sum(axis=1, keepdims=True)
+    weights = weights / weights.sum(axis=1, keepdims=True)
+    weights.flags.writeable = False
+    return weights
 
 
 def subtract_noise_floor(energies: np.ndarray) -> np.ndarray:
@@ -265,6 +317,8 @@ def gammatone_cepstra(waveform: Waveform, config: FeatureConfig) -> FeatureMatri
             f"waveform rate {waveform.sample_rate} does not match "
             f"configured rate {config.sample_rate}; resample first"
         )
+    from scipy.fft import dct
+
     win = int(round(config.window_len * config.sample_rate))
     hop = int(round(config.hop_len * config.sample_rate))
     n = len(waveform.samples)

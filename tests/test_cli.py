@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import filecmp
+import hashlib
 import io
 import json
 import os
@@ -45,6 +46,33 @@ TRAIN_ARGS = [
     "--threads", "2",
     "--seed", "5",
 ]
+
+
+# sha256 of every file `synth` writes with SYNTH_ARGS. Speeding up scene
+# composition or the WAV writer must leave every byte as it is.
+SYNTH_DIGESTS = {
+    "dev.txt": "b548bf6efc72ca71a600dce69b57264fde1ed0e503e7b1956cc642fa49050290",
+    "dev.wav": "2bfeafe4111827503693dbdc8cbb6ad26f5e3d7bcd2bd230af1451150227a143",
+    "manifest.json": "0f4d74a2a091d351c56119d5b12690f756b9647a4b002249f030bd31be17a1d2",
+    "test.txt": "5c1932facb0403aee57eccbc7919a97d0fc613f1ccb858d0bbc9f676d72c6061",
+    "test.wav": "c21b0e4973479f818ae6dc4acdaf2b1db6b3eea5bccb0cee62f21af4a93a7692",
+    "train/tone300_i00.txt": "bb6e5c646e0604cbbc092161db03a22659d410fb0b85c680ced431b07406f7be",
+    "train/tone300_i00.wav": "fe334ad54a508d806eed4fc42a159ad7153301518bf13ae028358fafd001d265",
+    "train/tone300_i01.txt": "3f8e10566d8298d8d08829588c2d60c6a6fb48ba2f628b42ae6f98531945bcd1",
+    "train/tone300_i01.wav": "58571b10144ede03f4b82f7c1d93c490f44e3d2fb091ee23949cd7f3e726c2c8",
+    "train/tone300_i02.txt": "a492ad7ba2bfe0d876436cbe67d0c203de09624cbf2b5687510a72696ecdaf9d",
+    "train/tone300_i02.wav": "fd631ecb2ef0b24122840c02152b4751de91839763fa5c47aea173542a410b75",
+    "train/tone300_i03.txt": "d96bdd1960622231a453f9444d6116b35497e49faad1cc30ec277bdd7bb8ff88",
+    "train/tone300_i03.wav": "a942ec5b6e3b912d2d42a902c5f42a4db7518bde2b7ed1e322ba35389e825fa5",
+    "train/tone600_i00.txt": "6cc59bbd54e30213925e46910a11d44358a2b3afaadc529c24cc9e8d9cfb0287",
+    "train/tone600_i00.wav": "bc3c3b511c1bf74d54d3abcece3df2277a1f1e55853a9a22208e17bd5707282c",
+    "train/tone600_i01.txt": "7f433d268bd5f7e4e2e5a74c519944cc046d62c8eadfc14e6da53294b3895d95",
+    "train/tone600_i01.wav": "874b895a3ef0ea0ced0999e480cd9426363e8933d7be1fa96dd7d18912c50990",
+    "train/tone600_i02.txt": "096fe5be8421e247db80ce602179fda8342b1007d5cacd25cbbc3a862f33c394",
+    "train/tone600_i02.wav": "a0df6ddfe2b59fe10f0281b2bca203a672f5a4b817cbe9332c4eb9e6ad9f8e6c",
+    "train/tone600_i03.txt": "4640d8cfe1797430afbc8fa9094577842da7faefd5eb043087ce4cd7a2c20cf4",
+    "train/tone600_i03.wav": "d7ff5e979963272a9beeea640bab35dfe3f52a44a540a96a68463973033e85c0",
+}
 
 
 @pytest.fixture(scope="session")
@@ -110,6 +138,17 @@ class TestSynth:
         assert main(["synth", str(other)] + SYNTH_ARGS) == 0
         for name in ("manifest.json", "dev.wav", "test.wav", "dev.txt"):
             assert filecmp.cmp(corpus / name, other / name, shallow=False)
+
+    def test_corpus_bytes_pinned(self, corpus):
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        names = ["manifest.json"] + [
+            e[key] for e in manifest["entries"] for key in ("audio", "annotations")
+        ]
+        digests = {
+            name: hashlib.sha256((corpus / name).read_bytes()).hexdigest()
+            for name in names
+        }
+        assert digests == SYNTH_DIGESTS
 
     def test_different_seed_differs(self, corpus, tmp_path):
         other = tmp_path / "other"
@@ -767,18 +806,22 @@ def test_fuzzed_manifest_gives_one_error_line(data, corpus):
 # Header bytes a WAV reader must check: the RIFF and WAVE tags, the format
 # chunk but the low byte of the bits per sample, and the data chunk's tag. The
 # RIFF size, that byte (16 bits may become 24) and the data size may change
-# without making the file unreadable, and a short data chunk is read as a
-# shorter stream.
+# without making the file unreadable: a smaller data size leaves trailing
+# bytes, which the reader skips.
 WAV_CHECKED_BYTES = [*range(0, 4), *range(8, 34), *range(35, 40)]
 
 
 @FUZZ
-@given(how=st.sampled_from(["truncate", "flip"]), at=st.integers(0, 43),
+@given(how=st.sampled_from(["truncate", "truncate_data", "flip"]),
+       at=st.integers(0, 43), cut=st.floats(0.0, 1.0, exclude_max=True),
        mask=st.integers(1, 255))
-def test_fuzzed_wav_gives_one_error_line(how, at, mask, corpus, models, fuzz_dir):
+def test_fuzzed_wav_gives_one_error_line(how, at, cut, mask, corpus, models,
+                                         fuzz_dir):
     wav = (corpus / "test.wav").read_bytes()
     if how == "truncate":
         wav = wav[:at]
+    elif how == "truncate_data":
+        wav = wav[: 44 + int(cut * (len(wav) - 44))]
     else:
         at = WAV_CHECKED_BYTES[at % len(WAV_CHECKED_BYTES)]
         wav = wav[:at] + bytes([wav[at] ^ mask]) + wav[at + 1:]
@@ -787,15 +830,62 @@ def test_fuzzed_wav_gives_one_error_line(how, at, mask, corpus, models, fuzz_dir
     assert_one_error_line(["detect", str(bad), "--model", str(models[0])])
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def _package_env(**overrides):
+    """The environment with this package first on the path; a None value unsets."""
     src = str(Path(eventforest.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    code = "import sys, eventforest.cli; print('scipy.signal' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
+    for key, value in overrides.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
+    # `synth` and `evaluate` load no scipy module at all, and neither does the
+    # import; scipy.signal is therefore unloaded too.
+    code = (
+        "import contextlib, io, sys\n"
+        "import eventforest.cli as cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "out = sys.argv[1]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['synth', out, *sys.argv[2:]]) == 0\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['evaluate', out + '/test.txt', out + '/dev.txt']) == 0\n"
+        "print(loaded())\n"
     )
-    assert result.stdout.strip() == "False"
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "corpus"), *SYNTH_ARGS],
+        env=_package_env(), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.splitlines() == ["[]", "[]", "[]"]
+
+
+def test_features_do_not_depend_on_unset_blas_threads():
+    # eventforest is imported before numpy, so its one-thread default applies
+    code = (
+        "import hashlib\n"
+        "from eventforest.features import FeatureConfig, Waveform, featurize\n"
+        "import numpy as np\n"
+        "samples = np.random.default_rng(0).normal(size=6 * 16000) * 0.1\n"
+        "rows = featurize(Waveform(samples, 16000), FeatureConfig()).rows\n"
+        "print(hashlib.sha256(rows.tobytes()).hexdigest())\n"
+    )
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=_package_env(**dict.fromkeys(names, value)),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for value in (None, "1")
+    ]
+    assert digests[0] == digests[1]

@@ -176,7 +176,7 @@ def test_scale_to_snr_zero_db_is_identity():
     rng = np.random.default_rng(0)
     event = Waveform(rng.normal(size=1000) * 0.25, 16000)
     background = Waveform(rng.normal(size=1000) * 0.25, 16000)
-    scaled = scale_to_snr(event, background, 0.0)
+    scaled = scale_to_snr(event, background.rms(), 0.0)
     ratio = scaled.rms() / background.rms()
     assert 20 * np.log10(ratio) == pytest.approx(0.0, abs=1e-6)
 
@@ -185,7 +185,7 @@ def test_scale_to_snr_six_db_factor():
     samples = np.full(100, 0.1)
     event = Waveform(samples, 16000)
     background = Waveform(samples.copy(), 16000)
-    scaled = scale_to_snr(event, background, 6.0)
+    scaled = scale_to_snr(event, background.rms(), 6.0)
     factor = scaled.samples[0] / samples[0]
     assert factor == pytest.approx(10 ** (6 / 20), rel=1e-9)
     achieved = 20 * np.log10(scaled.rms() / background.rms())
@@ -196,9 +196,30 @@ def test_scale_to_snr_rejects_silence():
     silent = Waveform(np.zeros(100), 16000)
     loud = Waveform(np.full(100, 0.1), 16000)
     with pytest.raises(ValueError):
-        scale_to_snr(silent, loud, 0.0)
+        scale_to_snr(silent, loud.rms(), 0.0)
     with pytest.raises(ValueError):
-        scale_to_snr(loud, silent, 0.0)
+        scale_to_snr(loud, silent.rms(), 0.0)
+
+
+def test_synth_reads_each_sample_once_for_levels(monkeypatch):
+    # The bed is measured once per scene and each event once, so synthesis is
+    # linear in scene length rather than events x samples.
+    read = []
+    rms = Waveform.rms
+
+    def counting_rms(self):
+        read.append(len(self.samples))
+        return rms(self)
+
+    monkeypatch.setattr(Waveform, "rms", counting_rms)
+    bench = synth_benchmark(n_classes=2, instances_per_class=2, scene_len=8.0,
+                            events_per_scene=9, seed=4)
+    rate = bench.sample_rate
+    events = bench.dev_events + bench.test_events
+    beds = len(bench.dev_scene.samples) + len(bench.test_scene.samples)
+    placed = sum(round((e.offset - e.onset) * rate) for e in events)
+    assert len(events) == 18
+    assert sum(read) <= beds + placed
 
 
 # ---------------------------------------------------------------- mixing

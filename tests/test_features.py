@@ -104,6 +104,54 @@ def test_load_corrupt_file_raises_without_warnings(tmp_path):
     assert caught == []
 
 
+def test_load_rejects_every_cut_inside_the_data_chunk(tmp_path):
+    path = tmp_path / "full.wav"
+    save_audio(path, sine(440.0, 0.05, 16000))
+    full = path.read_bytes()
+    assert len(load_audio(path).samples) == 800
+    cut = tmp_path / "cut.wav"
+    for size in range(44, len(full)):
+        cut.write_bytes(full[:size])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="truncated WAV"):
+                load_audio(cut)
+        assert caught == [], size
+
+
+def test_load_rf64_checks_the_ds64_data_size(tmp_path):
+    # RF64 puts 0xFFFFFFFF in the data chunk and the real size in ds64
+    data = struct.pack("<3h", 16384, -16384, 0)
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+    riff_size = 4 + 8 + 28 + 8 + len(fmt) + 8 + len(data)
+    ds64 = struct.pack("<QQQI", riff_size, len(data), 3, 0)
+    body = (b"WAVEds64" + struct.pack("<I", len(ds64)) + ds64
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 0xFFFFFFFF) + data)
+    full = b"RF64" + struct.pack("<I", 0xFFFFFFFF) + body
+    path = tmp_path / "rf64.wav"
+    path.write_bytes(full)
+    assert load_audio(path).samples.tolist() == [0.5, -0.5, 0.0]
+    path.write_bytes(full[:-1])
+    with pytest.raises(ValueError, match="declares 6 bytes, file holds 5"):
+        load_audio(path)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 16, 16001])
+def test_save_audio_bytes_equal_scipy_writer(n, tmp_path):
+    import scipy.io.wavfile as wavfile
+
+    samples = np.random.default_rng(n).uniform(-1.5, 1.5, n)
+    if n:
+        samples[0] = 1.0  # clipped to 32767
+        samples[-1] = -1.0
+    ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+    save_audio(ours, Waveform(samples, 22050))
+    clipped = np.clip(samples, -1.0, 32767.0 / 32768.0)
+    wavfile.write(theirs, 22050, (clipped * 32768.0).astype(np.int16))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_audio(tmp_path / "absent.wav")
@@ -221,6 +269,15 @@ def test_filterbank_rows_normalized():
     assert weights.shape == (64, 1600 // 2 + 1)
     assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(weights >= 0.0)
+
+
+def test_filterbank_computed_once_and_read_only():
+    weights = gammatone_weights(FeatureConfig(), 1600)
+    assert gammatone_weights(FeatureConfig(), 1600) is weights
+    assert gammatone_weights(FeatureConfig(noise_subtraction=True), 1600) is not weights
+    assert np.array_equal(weights, gammatone_weights.__wrapped__(FeatureConfig(), 1600))
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0, 0] = 1.0
 
 
 def test_center_frequencies_span_range():
