@@ -17,7 +17,6 @@ del _name
 from .dataset import (
     EventAnnotation,
     MixtureSpec,
-    Segment,
     SynthBenchmark,
     build_training_segments,
     inject_background_segments,
@@ -62,10 +61,10 @@ from .features import (
 from .forest import (
     Forest,
     ForestConfig,
+    SegmentSet,
     Tree,
     calibrate,
     draw_candidates,
-    entropy,
     load_forest,
     make_leaf,
     route,

@@ -187,15 +187,11 @@ def _load_instances(entries, sample_rate):
 
 def _event_free_rows(features, annotations):
     """Feature rows whose segment centers fall outside every annotated event."""
-    from .features import FeatureMatrix
-
     centers = features.segment_centers()
     keep = np.ones(features.n_segments, dtype=bool)
     for a in annotations:
         keep[(centers >= a.onset) & (centers < a.offset)] = False
-    return FeatureMatrix(
-        features.rows[keep], features.segment_times[keep], features.config
-    )
+    return features.rows[keep]
 
 
 def _fit_normalization(forest, dev_features) -> None:
@@ -296,16 +292,8 @@ def cmd_train(args) -> int:
         background_rows.append(
             _event_free_rows(features, parse_annotations(entry["annotations"]))
         )
-    background = None
-    if background_rows:
-        from .features import FeatureMatrix
-
-        background = FeatureMatrix(
-            np.concatenate([b.rows for b in background_rows]),
-            np.concatenate([b.segment_times for b in background_rows]),
-            feature_config,
-        )
-    elif not dev_entries:
+    background = np.concatenate(background_rows) if background_rows else None
+    if not dev_entries:
         print("warning: no dev entries; scores stay unnormalized", file=sys.stderr)
 
     if merged["snr_levels"] is not None:
@@ -351,9 +339,8 @@ def cmd_train(args) -> int:
         _fit_normalization(forest, dev_features)
         path = out / f"model_{label}.json"
         save_forest(forest, path)
-        n_pos = sum(1 for s in segments if s.c == 1)
         print(
-            f"{label}: {len(segments)} segments ({n_pos} positive), "
+            f"{label}: {len(segments)} segments ({segments.n_positive} positive), "
             f"{forest.n_trees} trees -> {path}"
         )
     return 0

@@ -14,6 +14,7 @@ from .features import (
     Waveform,
     gammatone_cepstra,
 )
+from .forest import SegmentSet
 
 
 @dataclass(frozen=True)
@@ -37,31 +38,6 @@ class EventAnnotation:
     @property
     def duration(self) -> float:
         return self.offset - self.onset
-
-
-@dataclass(eq=False)
-class Segment:
-    """One analysis segment prepared for forest training.
-
-    ``d`` holds the distances (in segments) to the first and last segment of
-    the enclosing event, and is present exactly when ``c`` is 1.
-    """
-
-    x: np.ndarray
-    c: int
-    d: np.ndarray | None
-    m: int
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        if self.c not in (0, 1):
-            raise ValueError(f"class label must be 0 or 1, got {self.c}")
-        if (self.d is None) == (self.c == 1):
-            raise ValueError("distance vector must be present exactly for positives")
-        if self.d is not None:
-            self.d = np.asarray(self.d, dtype=np.float64)
-            if self.d.shape != (2,) or np.any(self.d < 0):
-                raise ValueError(f"distance vector must be two non-negative values")
 
 
 @dataclass(frozen=True)
@@ -119,18 +95,18 @@ def label_segments(
     features: FeatureMatrix,
     annotations,
     target_class: str,
-) -> list[Segment]:
-    """Turn a feature matrix into labeled segments for one target class.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label every row of a feature matrix for one target class.
 
     A segment belongs to an event when its center time falls inside the
-    event's half-open span [onset, offset). Positive segments carry distances
-    to the first and last member segment of their event; when same-class
-    events overlap, the earlier event claims the shared segments.
+    event's half-open span [onset, offset). Returns int8 labels and (n, 2)
+    distances to the first and last member segment of each positive's event,
+    NaN on negatives; when same-class events overlap, the earlier event
+    claims the shared segments.
     """
     centers = features.segment_centers()
-    n = features.n_segments
-    claimed = np.full(n, False)
-    segments: list[Segment | None] = [None] * n
+    labels = np.zeros(features.n_segments, dtype=np.int8)
+    dists = np.full((features.n_segments, 2), np.nan)
     targets = sorted(
         (a for a in annotations if a.label == target_class),
         key=lambda e: (e.onset, e.offset),
@@ -138,19 +114,11 @@ def label_segments(
     for event in targets:
         first = int(np.searchsorted(centers, event.onset, side="left"))
         last = int(np.searchsorted(centers, event.offset, side="left")) - 1
-        if first > last:
-            continue  # event too short to capture a segment center
-        for m in range(first, last + 1):
-            if claimed[m]:
-                continue
-            claimed[m] = True
-            segments[m] = Segment(
-                x=features.rows[m], c=1, d=np.array([m - first, last - m]), m=m
-            )
-    for m in range(n):
-        if segments[m] is None:
-            segments[m] = Segment(x=features.rows[m], c=0, d=None, m=m)
-    return segments  # type: ignore[return-value]
+        m = np.arange(first, last + 1)  # empty when no center falls inside
+        m = m[labels[m] == 0]
+        labels[m] = 1
+        dists[m] = np.column_stack([m - first, last - m])
+    return labels, dists
 
 
 def scale_to_snr(event: Waveform, background_rms: float, snr_db: float) -> Waveform:
@@ -225,28 +193,26 @@ def mix_overlap(
 
 
 def inject_background_segments(
-    train: list[Segment],
-    background: FeatureMatrix,
+    train: SegmentSet,
+    background_rows: np.ndarray,
     rng_seed: int = 0,
-) -> list[Segment]:
-    """Append one background negative per positive training segment.
+) -> SegmentSet:
+    """Append one background row per positive training segment as a negative.
 
-    Rows are drawn from the background feature matrix without replacement
-    when it is large enough, with replacement otherwise.
+    Rows are drawn from ``background_rows`` without replacement when there
+    are enough of them, with replacement otherwise.
     """
-    if background.n_segments == 0:
+    n_rows = len(background_rows)
+    if n_rows == 0:
         raise ValueError("background stream contains no segments")
-    n_pos = sum(1 for s in train if s.c == 1)
+    n_pos = train.n_positive
     if n_pos == 0:
-        return list(train)
+        return train
     rng = np.random.default_rng(rng_seed)
-    indices = rng.choice(
-        background.n_segments, size=n_pos, replace=background.n_segments < n_pos
-    )
-    extra = [
-        Segment(x=background.rows[i], c=0, d=None, m=int(i)) for i in indices
-    ]
-    return list(train) + extra
+    indices = rng.choice(n_rows, size=n_pos, replace=n_rows < n_pos)
+    extra = SegmentSet(background_rows[indices], np.zeros(n_pos),
+                       np.full((n_pos, 2), np.nan))
+    return SegmentSet.concatenate([train, extra])
 
 
 def build_training_segments(
@@ -254,9 +220,9 @@ def build_training_segments(
     instances: dict,
     feature_config: FeatureConfig,
     mixture: MixtureSpec,
-    background: FeatureMatrix | None = None,
+    background: np.ndarray | None = None,
     background_rms: float | None = None,
-) -> list[Segment]:
+) -> SegmentSet:
     """Assemble the per-class training set from isolated event instances.
 
     ``instances`` maps each class label to a list of (waveform, annotations)
@@ -267,8 +233,9 @@ def build_training_segments(
     of the deployment background is known, events are scaled to the SNR level
     against it before mixing. All mixtures are of clean recordings, so noise
     subtraction stays off regardless of the configured stream preprocessing.
-    When a background feature matrix is given, one of its rows is injected as
-    an extra negative per positive segment.
+    When background feature rows are given, one of them is injected as an
+    extra negative per positive segment. The sets of all mixtures are joined
+    in the order they were made.
     """
     if target_class not in instances:
         raise ValueError(f"no instances for target class {target_class}")
@@ -284,17 +251,17 @@ def build_training_segments(
 
     def _collect(wave, annotations):
         feats = gammatone_cepstra(wave, clean_config)
-        return label_segments(feats, annotations, target_class)
+        return SegmentSet(feats.rows, *label_segments(feats, annotations, target_class))
 
     def _long_enough(candidates, n_lead):
         required = ceil(mixture.min_overlap_fraction * n_lead)
         return [c for c in candidates if len(c[0].samples) >= required]
 
-    segments: list[Segment] = []
+    segments: list[SegmentSet] = []
     for snr_db in mixture.snr_levels:
         for wave, annotations in instances[target_class]:
             scaled = _scaled(wave, snr_db)
-            segments.extend(_collect(scaled, annotations))
+            segments.append(_collect(scaled, annotations))
             negatives = []
             for cls in other_classes:
                 # only instances long enough to reach the overlap target
@@ -306,10 +273,10 @@ def build_training_segments(
             if negatives:
                 mixed, mixed_ann = mix_overlap((scaled, target_class),
                                                negatives, mixture, rng)
-                segments.extend(_collect(mixed, mixed_ann))
+                segments.append(_collect(mixed, mixed_ann))
         for cls in other_classes:
             for wave, annotations in instances[cls]:
-                segments.extend(_collect(_scaled(wave, snr_db), annotations))
+                segments.append(_collect(_scaled(wave, snr_db), annotations))
         if len(other_classes) >= 2:
             for _ in range(len(instances[target_class])):
                 first_cls, second_cls = rng.choice(
@@ -331,13 +298,12 @@ def build_training_segments(
                     mixture,
                     rng,
                 )
-                segments.extend(_collect(mixed, mixed_ann))
+                segments.append(_collect(mixed, mixed_ann))
 
+    train = SegmentSet.concatenate(segments)
     if background is not None:
-        segments = inject_background_segments(
-            segments, background, rng_seed=mixture.rng_seed
-        )
-    return segments
+        train = inject_background_segments(train, background, mixture.rng_seed)
+    return train
 
 
 @dataclass
@@ -357,12 +323,16 @@ class SynthBenchmark:
 
 def pink_noise(rng, n_samples: int, sample_rate: int) -> np.ndarray:
     """Noise with 1/f power rolloff, flat below 20 Hz, unit RMS."""
-    white = rng.standard_normal(n_samples)
-    spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
-    spectrum /= np.sqrt(np.maximum(freqs, 20.0))
+    # one full-length temporary at a time: the white noise goes straight into
+    # the transform and the gain is built in the frequency array
+    spectrum = np.fft.rfft(rng.standard_normal(n_samples))
+    gain = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
+    spectrum /= np.sqrt(np.maximum(gain, 20.0, out=gain), out=gain)
+    del gain
     noise = np.fft.irfft(spectrum, n_samples)
-    return noise / np.sqrt(np.mean(noise**2))
+    del spectrum
+    noise /= np.sqrt(np.mean(noise**2))
+    return noise
 
 
 def _tone_instance(
@@ -446,7 +416,8 @@ def _compose_scene(
 
     total_len = max(scene_len, cursor + 0.5)
     n_samples = int(round(total_len * sample_rate))
-    canvas = pink_noise(rng, n_samples, sample_rate) * background_rms
+    canvas = pink_noise(rng, n_samples, sample_rate)
+    canvas *= background_rms
     # the bed is measured once, before any event is added to it
     bed_rms = Waveform(canvas, sample_rate).rms()
     annotations = []

@@ -24,7 +24,7 @@ class DetectConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
             raise ValueError(

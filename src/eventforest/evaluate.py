@@ -378,10 +378,13 @@ def load_thresholds(path) -> TuneResult:
         raise ValueError(f"{path}: thresholds are not a JSON object")
     per_class = {}
     for label, entry in payload.items():
-        for key in ("alpha", "beta"):
+        for key, high in (("alpha", 1.0), ("beta", math.inf)):
             value = entry.get(key) if isinstance(entry, dict) else None
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{path}: class {label!r} has no numeric {key!r}")
+            if expected_type(value, 0.0) or not 0.0 <= value <= high:
+                raise ValueError(
+                    f"{path}: class {label!r} {key!r} must be a finite number "
+                    f"in [0, {high:g}]"
+                )
         error_rate = entry.get("error_rate")
         if error_rate is not None and expected_type(error_rate, 0.0):
             raise ValueError(

@@ -8,8 +8,11 @@ inside an event their segments tend to sit.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -57,62 +60,59 @@ class ForestConfig:
             raise ValueError("variance floor must be positive")
 
 
-class SegmentSet:
-    """Array view of a segment collection: features, labels, distance vectors.
+SegmentRow = namedtuple("SegmentRow", "x c d")
 
-    Distance rows of negatives are NaN so positive-only statistics can mask
-    them out without consulting the labels twice.
+
+class SegmentSet:
+    """A training set as arrays: feature rows, class labels, distance vectors.
+
+    Row ``i`` has features ``x[i]``, label ``labels[i]`` in {0, 1} and the
+    distances ``dists[i]`` (in segments) to the first and last segment of its
+    event. Distances are finite and non-negative on positives and NaN on
+    negatives, so positive-only statistics can mask them out.
     """
 
     def __init__(self, x, labels, dists):
         self.x = np.asarray(x, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int8)
+        labels = np.asarray(labels)
         self.dists = np.asarray(dists, dtype=np.float64)
-        if self.x.ndim != 2 or len(self.labels) != len(self.x):
+        if self.x.ndim != 2 or labels.shape != (len(self.x),):
             raise ValueError("inconsistent segment arrays")
         if self.dists.shape != (len(self.x), 2):
             raise ValueError("distance array must be (n, 2)")
+        if not np.isin(labels, (0, 1)).all():
+            raise ValueError("class labels must be 0 or 1")
+        self.labels = labels.astype(np.int8)
+        positive = self.labels == 1
+        d = self.dists[positive]
+        if not (np.isfinite(d).all() and (d >= 0.0).all()):
+            raise ValueError("positive distances must be finite and non-negative")
+        if not np.isnan(self.dists[~positive]).all():
+            raise ValueError("distances must be present exactly for positives")
 
     @classmethod
-    def from_segments(cls, segments) -> "SegmentSet":
-        if isinstance(segments, cls):
-            return segments
-        segments = list(segments)
-        if not segments:
-            return cls(np.zeros((0, 1)), np.zeros(0), np.zeros((0, 2)))
-        x = np.stack([s.x for s in segments])
-        labels = np.array([s.c for s in segments])
-        dists = np.full((len(segments), 2), np.nan)
-        for i, s in enumerate(segments):
-            if s.c == 1:
-                dists[i] = s.d
-        return cls(x, labels, dists)
+    def concatenate(cls, sets) -> "SegmentSet":
+        """The rows of ``sets`` one after another, in order."""
+        return cls(*(np.concatenate([getattr(s, key) for s in sets])
+                     for key in ("x", "labels", "dists")))
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    def __iter__(self):
+        """``(x, c, d)`` rows, with ``d`` NaN on negatives."""
+        return map(SegmentRow, self.x, self.labels.tolist(), self.dists)
 
     @property
     def n_positive(self) -> int:
         return int(np.count_nonzero(self.labels == 1))
 
     def take(self, indices) -> "SegmentSet":
-        return SegmentSet(self.x[indices], self.labels[indices], self.dists[indices])
-
-
-def entropy(labels) -> float:
-    """Base-2 entropy of a binary label multiset.
-
-    >>> entropy([0, 1])
-    1.0
-    >>> entropy([1, 1, 1])
-    0.0
-    """
-    labels = np.asarray(labels)
-    n = labels.size
-    if n == 0:
-        raise ValueError("entropy of an empty set is undefined")
-    n_pos = int(np.count_nonzero(labels == 1))
-    return _entropy_from_counts(float(n_pos), float(n - n_pos))
+        """The rows at ``indices``, not checked again: they were checked here."""
+        subset = object.__new__(SegmentSet)
+        subset.x, subset.labels = self.x[indices], self.labels[indices]
+        subset.dists = self.dists[indices]
+        return subset
 
 
 def _entropy_from_counts(n_pos, n_neg):
@@ -164,7 +164,7 @@ def _candidate_blocks(x, r, q, u):
         yield start, diffs, lo + u[start:stop] * (hi - lo)
 
 
-def draw_candidates(segments, n_candidates: int, rng):
+def draw_candidates(segments: SegmentSet, n_candidates: int, rng):
     """Draw the candidate test pool for one node.
 
     Channels r and q are uniform over the feature dimensions; each threshold
@@ -172,10 +172,9 @@ def draw_candidates(segments, n_candidates: int, rng):
     candidate has a chance to separate something. This replays exactly the
     pool that ``select_best_test`` scores for the same RNG state.
     """
-    segs = SegmentSet.from_segments(segments)
-    r, q, u = _draw_pool(segs.x.shape[1], n_candidates, rng)
+    r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
     tau = np.empty(n_candidates)
-    for start, _, block_tau in _candidate_blocks(segs.x, r, q, u):
+    for start, _, block_tau in _candidate_blocks(segments.x, r, q, u):
         tau[start:start + len(block_tau)] = block_tau
     return r, q, tau
 
@@ -189,7 +188,7 @@ class SplitChoice:
     mask: np.ndarray
 
 
-def select_best_test(segments, n_candidates: int, objective: str, rng):
+def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rng):
     """Pick the best candidate test for a node, or None when no candidate is valid.
 
     Classification maximizes information gain; regression minimizes the total
@@ -205,26 +204,25 @@ def select_best_test(segments, n_candidates: int, objective: str, rng):
     offsets, so every sum is exact in float64 in any order, and the scores
     are the same elementwise formulas as for the whole pool at once.
     """
-    segs = SegmentSet.from_segments(segments)
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     # positives first, so a block's positive columns are a contiguous view
-    positive = segs.labels == 1
+    positive = segments.labels == 1
     order = np.argsort(~positive, kind="stable")
-    n = float(len(segs))
+    n = float(len(segments))
     n_pos_rows = int(np.count_nonzero(positive))
     n_pos = float(n_pos_rows)
     h = _entropy_from_counts(n_pos, n - n_pos)
-    d = segs.dists[positive]
+    d = segments.dists[positive]
     # one product gives each block's right-side s1 (onset, offset) and s2
     pos_stats = np.column_stack([d, (d**2).sum(axis=1)])
     s1_total = d.sum(axis=0)
     s2_total = float((d**2).sum())
 
-    r, q, u = _draw_pool(segs.x.shape[1], n_candidates, rng)
+    r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
     best = None
     best_score = -np.inf
-    for start, diffs, tau in _candidate_blocks(segs.x[order], r, q, u):
+    for start, diffs, tau in _candidate_blocks(segments.x[order], r, q, u):
         mask = diffs > tau[:, np.newaxis]
         pos_mask = mask[:, :n_pos_rows]
         n_right = np.count_nonzero(mask, axis=1).astype(np.float64)
@@ -264,7 +262,7 @@ def select_best_test(segments, n_candidates: int, objective: str, rng):
         q=q_best,
         tau=best_tau,
         objective=objective,
-        mask=segs.x[:, r_best] - segs.x[:, q_best] > best_tau,
+        mask=segments.x[:, r_best] - segments.x[:, q_best] > best_tau,
     )
 
 
@@ -446,22 +444,21 @@ def route(tree: Tree, x) -> np.ndarray:
     return node
 
 
-def make_leaf(segments, variance_floor: float = 1e-6) -> dict:
+def make_leaf(segments: SegmentSet, variance_floor: float = 1e-6) -> dict:
     """Leaf record estimated from the segments that reached the leaf.
 
     The onset and offset Gaussians are floored, and null without positives.
     """
-    segs = SegmentSet.from_segments(segments)
-    n = len(segs)
+    n = len(segments)
     if n == 0:
         raise ValueError("cannot build a leaf from an empty set")
-    positive = segs.labels == 1
+    positive = segments.labels == 1
     n_pos = int(np.count_nonzero(positive))
     p_pos = n_pos / n
     leaf = {"kind": "leaf", "p_pos": p_pos, "p_neg": 1.0 - p_pos, "n_train": n,
             "onset": None, "offset": None}
     if n_pos > 0:
-        d = segs.dists[positive]
+        d = segments.dists[positive]
         mean = d.mean(axis=0)
         var = np.maximum(d.var(axis=0), variance_floor)
         leaf["onset"] = [float(mean[0]), float(var[0])]
@@ -486,12 +483,11 @@ def _grow(segs: SegmentSet, config: ForestConfig, rng, depth: int, nodes: list):
     _grow(segs.take(choice.mask), config, rng, depth + 1, nodes)
 
 
-def train_tree(segments, config: ForestConfig, rng) -> Tree:
+def train_tree(segments: SegmentSet, config: ForestConfig, rng) -> Tree:
     """Grow one tree, writing its nodes in pre-order, left subtree first."""
-    segs = SegmentSet.from_segments(segments)
     nodes: list = []
-    _grow(segs, config, rng, 1, nodes)
-    return Tree.from_nodes(nodes, segs.x.shape[1])
+    _grow(segments, config, rng, 1, nodes)
+    return Tree.from_nodes(nodes, segments.x.shape[1])
 
 
 @dataclass(eq=False)
@@ -537,7 +533,7 @@ def _grow_one(segs: SegmentSet, config: ForestConfig, tree_index: int):
 
 
 def train_forest(
-    segments,
+    segments: SegmentSet,
     config: ForestConfig,
     class_label: str = "",
     feature_config: FeatureConfig | None = None,
@@ -549,26 +545,24 @@ def train_forest(
     its own seed stream, so results do not depend on worker count. After
     growing, every leaf is re-estimated from the full training set.
     """
-    segs = SegmentSet.from_segments(segments)
-    if segs.n_positive == 0:
+    if segments.n_positive == 0:
         raise ValueError(
             f"cannot train class {class_label!r}: no positive segments"
         )
-    if segs.n_positive == len(segs):
+    if segments.n_positive == len(segments):
         raise ValueError(
             f"cannot train class {class_label!r}: no negative segments"
         )
+    grow = functools.partial(_grow_one, segments, config)
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            trees = list(
-                pool.map(lambda i: _grow_one(segs, config, i), range(config.n_trees))
-            )
+            trees = list(pool.map(grow, range(config.n_trees)))
     else:
-        trees = [_grow_one(segs, config, i) for i in range(config.n_trees)]
+        trees = [grow(i) for i in range(config.n_trees)]
 
     duration = None
-    if feature_config is not None and segs.n_positive:
-        lengths = segs.dists[segs.labels == 1].sum(axis=1) + 1.0
+    if feature_config is not None and segments.n_positive:
+        lengths = segments.dists[segments.labels == 1].sum(axis=1) + 1.0
         duration = float(lengths.max()) * feature_config.hop_len
     forest = Forest(
         class_label=class_label,
@@ -577,11 +571,11 @@ def train_forest(
         feature_config=feature_config,
         max_train_event_duration=duration,
     )
-    calibrate(forest, segs)
+    calibrate(forest, segments)
     return forest
 
 
-def calibrate(forest: Forest, segments) -> None:
+def calibrate(forest: Forest, segments: SegmentSet) -> None:
     """Re-estimate all leaf models by routing the full training set.
 
     Every reached leaf gets its posterior and Gaussians recomputed from the
@@ -590,16 +584,15 @@ def calibrate(forest: Forest, segments) -> None:
     zero, so the arrival counts of a tree's leaves always sum to the
     calibration set size.
     """
-    segs = SegmentSet.from_segments(segments)
+    floor = forest.config.variance_floor
     for tree in forest.trees:
-        leaf_of = route(tree, segs.x)
+        leaf_of = route(tree, segments.x)
         counts = np.bincount(leaf_of, minlength=len(tree))
         # rows grouped by leaf, ascending within each group
         rows = np.split(np.argsort(leaf_of, kind="stable"), np.cumsum(counts)[:-1])
         tree.n_train[tree.right < 0] = 0
         for leaf in np.flatnonzero(counts):
-            leaf_model = make_leaf(segs.take(rows[leaf]), forest.config.variance_floor)
-            tree.set_leaf(leaf, leaf_model)
+            tree.set_leaf(leaf, make_leaf(segments.take(rows[leaf]), floor))
 
 
 def expected_type(value, default) -> str | None:
@@ -614,9 +607,10 @@ def expected_type(value, default) -> str | None:
     kind = "an integer" if isinstance(default, int) else "a finite number"
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return kind
-    if isinstance(value, int) or (kind != "an integer" and math.isfinite(value)):
-        return None
-    return kind
+    if kind == "an integer":
+        return None if isinstance(value, int) else kind
+    # NaN and infinities fail this, and so do integers beyond the float range
+    return None if abs(value) <= sys.float_info.max else kind
 
 
 def _config_from_dict(cls, values, what: str):

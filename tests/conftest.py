@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.fft import dct
 
-from eventforest.dataset import EventAnnotation, Segment
+from eventforest.dataset import EventAnnotation
 from eventforest.detect import ScoreTrack, StreamVotes, collect_votes, render_tracks
 from eventforest.features import (
     LOG_FLOOR,
@@ -37,6 +37,60 @@ def feature_config(n_channels: int = FEATURE_DIM) -> FeatureConfig:
     return FeatureConfig(n_channels=n_channels)
 
 
+def segment_set(rows) -> SegmentSet:
+    """A training set from ``(x, c, d)`` rows, where ``d`` is None on negatives."""
+    rows = list(rows)
+    nan = (np.nan, np.nan)
+    return SegmentSet(
+        np.array([x for x, _, _ in rows], dtype=np.float64),
+        np.array([c for _, c, _ in rows], dtype=np.int8),
+        np.array([nan if d is None else d for _, _, d in rows],
+                 dtype=np.float64).reshape(len(rows), 2),
+    )
+
+
+def entropy(labels) -> float:
+    """Base-2 entropy of a binary label multiset.
+
+    >>> entropy([0, 1])
+    1.0
+    >>> entropy([1, 1, 1])
+    0.0
+    """
+    labels = np.asarray(labels)
+    n = labels.size
+    if n == 0:
+        raise ValueError("entropy of an empty set is undefined")
+    n_pos = int(np.count_nonzero(labels == 1))
+    return _entropy_from_counts(float(n_pos), float(n - n_pos))
+
+
+def oracle_label_segments(features, annotations, target_class):
+    """Reference labelling: one row at a time, events in (onset, offset) order.
+
+    Returns int8 labels and (n, 2) distances, NaN on negatives; a row an
+    earlier event claimed keeps that event's distances.
+    """
+    centers = features.segment_centers()
+    n = features.n_segments
+    labels = np.zeros(n, dtype=np.int8)
+    dists = np.full((n, 2), np.nan)
+    targets = sorted(
+        (a for a in annotations if a.label == target_class),
+        key=lambda e: (e.onset, e.offset),
+    )
+    for event in targets:
+        inside = [m for m in range(n) if event.onset <= centers[m] < event.offset]
+        if not inside:
+            continue
+        first, last = inside[0], inside[-1]
+        for m in inside:
+            if labels[m] == 0:
+                labels[m] = 1
+                dists[m] = (m - first, last - m)
+    return labels, dists
+
+
 def random_segments(rng, n, dim=FEATURE_DIM, d_span=12, class_shift=0.0):
     """Random labeled segments with integer distance vectors on positives.
 
@@ -48,14 +102,14 @@ def random_segments(rng, n, dim=FEATURE_DIM, d_span=12, class_shift=0.0):
     labels[0] = 1
     if n > 1:
         labels[1] = 0
-    segments = []
-    for i, c in enumerate(labels):
+    rows = []
+    for c in labels:
         x = rng.normal(size=dim)
         if class_shift and c == 1:
             x[:2] += class_shift
         d = rng.integers(0, d_span, size=2).astype(float) if c == 1 else None
-        segments.append(Segment(x=x, c=int(c), d=d, m=i))
-    return segments
+        rows.append((x, int(c), d))
+    return segment_set(rows)
 
 
 def split_test(x, r: int, q: int, tau: float) -> int:
@@ -72,15 +126,14 @@ def split_test(x, r: int, q: int, tau: float) -> int:
 
 def info_gain(test, segments) -> float:
     """Information gain of a candidate test over a segment set."""
-    segs = SegmentSet.from_segments(segments)
     r, q, tau = test
-    mask = segs.x[:, r] - segs.x[:, q] > tau
-    n = len(segs)
+    mask = segments.x[:, r] - segments.x[:, q] > tau
+    n = len(segments)
     if n == 0:
         raise ValueError("information gain of an empty set is undefined")
-    n_pos = float(segs.n_positive)
+    n_pos = float(segments.n_positive)
     n_right = float(np.count_nonzero(mask))
-    n_pos_right = float(np.count_nonzero(mask & (segs.labels == 1)))
+    n_pos_right = float(np.count_nonzero(mask & (segments.labels == 1)))
     gain = _entropy_from_counts(n_pos, n - n_pos)
     gain = gain - (n_right / n) * _entropy_from_counts(
         n_pos_right, n_right - n_pos_right
@@ -97,13 +150,12 @@ def distance_variation(test, segments) -> float:
     Only positives contribute; each side's deviations are taken from that
     side's own mean distance vector.
     """
-    segs = SegmentSet.from_segments(segments)
     r, q, tau = test
-    mask = segs.x[:, r] - segs.x[:, q] > tau
-    positive = segs.labels == 1
+    mask = segments.x[:, r] - segments.x[:, q] > tau
+    positive = segments.labels == 1
     total = 0.0
     for side in (mask & positive, ~mask & positive):
-        d = segs.dists[side]
+        d = segments.dists[side]
         if len(d) == 0:
             continue
         mean = np.array([math.fsum(d[:, 0]) / len(d), math.fsum(d[:, 1]) / len(d)])
@@ -257,9 +309,8 @@ def oracle_best_split(segments, n_candidates, objective, seed):
     candidate yields two non-empty children (and, for the regression
     objective, at least one positive on each side).
     """
-    sset = SegmentSet.from_segments(segments)
     r_arr, q_arr, tau_arr = draw_candidates(
-        sset, n_candidates, np.random.default_rng(seed)
+        segments, n_candidates, np.random.default_rng(seed)
     )
     n = len(segments)
     best = None
@@ -384,7 +435,7 @@ def blob_stream(rng, n_events=6, event_len=12, gap=20, dim=FEATURE_DIM,
     """
     config = feature_config(dim)
     rows = []
-    segments = []
+    labels, dists = [], []
     annotations = []
     base = np.zeros(dim)
     base[:2] = shift
@@ -392,21 +443,17 @@ def blob_stream(rng, n_events=6, event_len=12, gap=20, dim=FEATURE_DIM,
 
     def emit_background(count):
         for _ in range(count):
-            m = len(rows)
-            x = rng.normal(size=dim) * noise
-            rows.append(x)
-            segments.append(Segment(x=x, c=0, d=None, m=m))
+            rows.append(rng.normal(size=dim) * noise)
+            labels.append(0)
+            dists.append((np.nan, np.nan))
 
     emit_background(gap)
     for _ in range(n_events):
         first = len(rows)
         for j in range(event_len):
-            m = len(rows)
-            x = base + rng.normal(size=dim) * noise
-            rows.append(x)
-            segments.append(
-                Segment(x=x, c=1, d=np.array([j, event_len - 1 - j], float), m=m)
-            )
+            rows.append(base + rng.normal(size=dim) * noise)
+            labels.append(1)
+            dists.append((j, event_len - 1 - j))
         last = len(rows) - 1
         hop = config.hop_len
         center = config.window_len / 2.0
@@ -421,7 +468,7 @@ def blob_stream(rng, n_events=6, event_len=12, gap=20, dim=FEATURE_DIM,
 
     times = np.arange(len(rows)) * config.hop_len
     features = FeatureMatrix(np.array(rows), times, config)
-    return features, annotations, segments
+    return features, annotations, SegmentSet(features.rows, labels, dists)
 
 
 @pytest.fixture(scope="session")

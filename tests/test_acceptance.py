@@ -15,14 +15,16 @@ from conftest import (
     FEATURE_DIM,
     blob_stream,
     distance_variation,
+    entropy,
     feature_config,
     info_gain,
     oracle_best_split,
     random_segments,
+    segment_set,
     split_test,
 )
 from eventforest.cli import main
-from eventforest.dataset import Segment, parse_annotations
+from eventforest.dataset import parse_annotations
 from eventforest.detect import (
     DetectConfig,
     collect_votes,
@@ -43,9 +45,7 @@ from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
     OBJECTIVE_REGRESSION,
     ForestConfig,
-    SegmentSet,
     draw_candidates,
-    entropy,
     gaussian_pdf,
     load_forest,
     make_leaf,
@@ -78,7 +78,7 @@ def test_split_search_equals_brute_force():
         for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
             expected = oracle_best_split(segments, 128, objective, seed)
             choice = select_best_test(
-                SegmentSet.from_segments(segments),
+                segments,
                 128,
                 objective,
                 np.random.default_rng(seed),
@@ -120,9 +120,7 @@ def test_objective_properties_hold_on_random_pairs():
         segments = random_segments(
             rng, n, dim=FEATURE_DIM, class_shift=float(rng.uniform(0.0, 1.5))
         )
-        r_arr, q_arr, tau_arr = draw_candidates(
-            SegmentSet.from_segments(segments), 40, rng
-        )
+        r_arr, q_arr, tau_arr = draw_candidates(segments, 40, rng)
         for r, q, tau in zip(r_arr, q_arr, tau_arr):
             test = (int(r), int(q), float(tau))
             pairs += 1
@@ -175,17 +173,13 @@ def test_leaf_gaussians_integrate_to_one():
         n_pos = int(rng.integers(1, 30))
         repeat_one = rng.random() < 0.3
         base = rng.integers(0, 15, size=2).astype(float)
-        segments = []
+        rows = []
         for j in range(n_pos):
             d = base if repeat_one else rng.integers(0, 15, size=2).astype(float)
-            segments.append(
-                Segment(x=rng.normal(size=4), c=1, d=d.copy(), m=j)
-            )
+            rows.append((rng.normal(size=4), 1, d.copy()))
         for j in range(int(rng.integers(0, 10))):
-            segments.append(
-                Segment(x=rng.normal(size=4), c=0, d=None, m=n_pos + j)
-            )
-        leaf = make_leaf(segments)
+            rows.append((rng.normal(size=4), 0, None))
+        leaf = make_leaf(segment_set(rows))
         for mean, variance in (leaf["onset"], leaf["offset"]):
             sigma = math.sqrt(variance)
             mass, _ = quad(

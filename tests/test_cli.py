@@ -4,6 +4,7 @@ import contextlib
 import csv
 import filecmp
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -637,6 +638,60 @@ def test_thresholds_error_rate_type_checked(corpus, models, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {path}: class {label!r} error_rate must be a finite number or null\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"alpha": NaN, "beta": 0.1}', '{"alpha": 0.5, "beta": NaN}',
+     '{"alpha": 0.5, "beta": Infinity}', '{"alpha": 7, "beta": 0.1}',
+     '{"alpha": 0.5, "beta": -1}', '{"alpha": 0.5, "beta": 1%s}' % ("0" * 400)],
+)
+def test_thresholds_out_of_range_rejected(text, corpus, models, tmp_path, capsys):
+    # a NaN or infinite beta never fires, yet the class is not reported disabled
+    label = json.loads(models[0].read_text())["class_label"]
+    path = tmp_path / "ranged.json"
+    path.write_text(f"{{{json.dumps(label)}: {text}}}")
+    code = main(["detect", str(corpus / "test.wav"), "--model", str(models[0]),
+                 "--thresholds", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "ranged.json" in err and repr(label) in err
+
+
+def test_detect_rejects_nan_beta(corpus, models, capsys):
+    code = main(["detect", str(corpus / "test.wav"), "--model", str(models[0]),
+                 "--beta", "nan"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "beta" in err
+
+
+def test_tracer_counts_the_training_set(corpus, tmp_path, capsys):
+    # perfbench's tracer wraps build_training_segments and select_best_test by
+    # name and counts rows and positives by iterating the training set.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main(["train", str(corpus / "manifest.json"), "--out-dir",
+                     str(tmp_path), "--event-class", "tone300"] + TRAIN_ARGS)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    printed = capsys.readouterr().out
+    totals = tracer.totals()
+    counts = totals["dataset.build_training_segments"]
+    assert counts["calls"] == 1
+    assert printed.startswith(
+        f"tone300: {counts['segments']} segments ({counts['positives']} positive)"
+    )
+    assert 0 < counts["positives"] < counts["segments"]
+    assert totals["forest.select_best_test"]["cells"] > 0
 
 
 def drop_dev_key(key):

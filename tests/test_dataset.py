@@ -1,13 +1,17 @@
 """Annotation parsing, segment labeling, mixing, and benchmark generation."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import feature_config
+from conftest import feature_config, oracle_label_segments, segment_set
 from eventforest.dataset import (
     EventAnnotation,
     MixtureSpec,
-    Segment,
     build_training_segments,
     inject_background_segments,
     label_segments,
@@ -19,6 +23,7 @@ from eventforest.dataset import (
     write_annotations,
 )
 from eventforest.features import FeatureConfig, FeatureMatrix, Waveform, gammatone_cepstra
+from eventforest.forest import SegmentSet
 
 
 # ---------------------------------------------------------------- annotations
@@ -78,13 +83,35 @@ def test_annotation_validation():
 
 
 def test_segment_requires_distances_only_for_positives():
-    x = np.zeros(4)
-    with pytest.raises(ValueError):
-        Segment(x=x, c=1, d=None, m=0)
-    with pytest.raises(ValueError):
-        Segment(x=x, c=0, d=np.array([1.0, 2.0]), m=0)
-    with pytest.raises(ValueError):
-        Segment(x=x, c=1, d=np.array([-1.0, 2.0]), m=0)
+    x = np.zeros((1, 4))
+    with pytest.raises(ValueError, match="finite"):
+        SegmentSet(x, [1], [[np.nan, np.nan]])
+    with pytest.raises(ValueError, match="exactly for positives"):
+        SegmentSet(x, [0], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="non-negative"):
+        SegmentSet(x, [1], [[-1.0, 2.0]])
+
+
+def test_segment_set_rejects_labels_outside_zero_one():
+    for label in (2, -1, 257):
+        with pytest.raises(ValueError, match="0 or 1"):
+            SegmentSet(np.zeros((1, 4)), [label], [[np.nan, np.nan]])
+    with pytest.raises(ValueError, match="finite"):
+        SegmentSet(np.zeros((1, 4)), [1], [[np.inf, 0.0]])
+
+
+def test_segment_set_rows_and_concatenation():
+    a = segment_set([([1.0, 2.0], 1, [0.0, 3.0]), ([3.0, 4.0], 0, None)])
+    b = segment_set([([5.0, 6.0], 1, [2.0, 1.0])])
+    joined = SegmentSet.concatenate([a, b])
+    assert (len(joined), joined.n_positive) == (3, 2)
+    assert joined.labels.dtype == np.int8
+    rows = list(joined)
+    assert [row.c for row in rows] == [1, 0, 1]
+    assert [row.x.tolist() for row in rows] == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    assert rows[0].d.tolist() == [0.0, 3.0] and np.isnan(rows[1].d).all()
+    x, c, d = rows[2]
+    assert (x.tolist(), c, d.tolist()) == ([5.0, 6.0], 1, [2.0, 1.0])
 
 
 def test_mixture_spec_validation():
@@ -118,27 +145,24 @@ def span_annotation(first, last, label, config):
 def test_label_segments_index_arithmetic():
     feats = grid_features(30)
     event = span_annotation(10, 20, "dog", feats.config)
-    segments = label_segments(feats, [event], "dog")
-    by_index = {s.m: s for s in segments}
-    assert by_index[14].c == 1
-    assert np.array_equal(by_index[14].d, [4.0, 6.0])
-    assert by_index[10].c == 1
-    assert np.array_equal(by_index[10].d, [0.0, 10.0])
-    assert by_index[20].c == 1
-    assert np.array_equal(by_index[20].d, [10.0, 0.0])
-    assert by_index[9].c == 0 and by_index[9].d is None
-    assert by_index[21].c == 0 and by_index[21].d is None
-    for s in segments:
-        if s.c == 1:
-            assert s.d[0] + s.d[1] + 1 == 11
+    labels, dists = label_segments(feats, [event], "dog")
+    assert labels.dtype == np.int8 and dists.shape == (30, 2)
+    assert labels[14] == 1
+    assert np.array_equal(dists[14], [4.0, 6.0])
+    assert labels[10] == 1
+    assert np.array_equal(dists[10], [0.0, 10.0])
+    assert labels[20] == 1
+    assert np.array_equal(dists[20], [10.0, 0.0])
+    assert labels[9] == 0 and np.isnan(dists[9]).all()
+    assert labels[21] == 0 and np.isnan(dists[21]).all()
+    assert np.all(dists[labels == 1].sum(axis=1) + 1 == 11)
 
 
 def test_label_segments_ignores_other_classes():
     feats = grid_features(30)
     target = span_annotation(5, 9, "dog", feats.config)
     other = span_annotation(8, 16, "cat", feats.config)
-    segments = label_segments(feats, [target, other], "dog")
-    labels = {s.m: s.c for s in segments}
+    labels, _ = label_segments(feats, [target, other], "dog")
     assert all(labels[m] == 1 for m in range(5, 10))
     assert all(labels[m] == 0 for m in range(10, 17))
 
@@ -147,11 +171,10 @@ def test_label_segments_first_event_claims_overlap():
     feats = grid_features(30)
     first = span_annotation(5, 12, "dog", feats.config)
     second = span_annotation(10, 18, "dog", feats.config)
-    segments = label_segments(feats, [first, second], "dog")
-    by_index = {s.m: s for s in segments}
-    assert np.array_equal(by_index[11].d, [6.0, 1.0])
-    assert np.array_equal(by_index[13].d, [3.0, 5.0])
-    assert all(by_index[m].c == 1 for m in range(5, 19))
+    labels, dists = label_segments(feats, [first, second], "dog")
+    assert np.array_equal(dists[11], [6.0, 1.0])
+    assert np.array_equal(dists[13], [3.0, 5.0])
+    assert all(labels[m] == 1 for m in range(5, 19))
 
 
 def test_every_positive_distance_is_consistent():
@@ -160,13 +183,36 @@ def test_every_positive_distance_is_consistent():
         span_annotation(4, 9, "dog", feats.config),
         span_annotation(20, 33, "dog", feats.config),
     ]
-    segments = label_segments(feats, events, "dog")
-    lengths = {6, 14}
-    seen = set()
-    for s in segments:
-        if s.c == 1:
-            seen.add(int(s.d[0] + s.d[1] + 1))
-    assert seen == lengths
+    labels, dists = label_segments(feats, events, "dog")
+    seen = {int(d[0] + d[1] + 1) for d in dists[labels == 1]}
+    assert seen == {6, 14}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_segments=st.integers(0, 40),
+    spans=st.lists(
+        st.tuples(st.integers(-3, 42), st.integers(0, 12), st.sampled_from("dc"),
+                  st.sampled_from([0.0, 0.3, 0.5, 0.7])),
+        max_size=6,
+    ),
+)
+def test_label_segments_matches_row_by_row_oracle(n_segments, spans):
+    # Same-class events overlap, some are shorter than one hop (no center
+    # inside), and some run past either edge of the stream.
+    feats = grid_features(n_segments)
+    hop = feats.config.hop_len
+    center = feats.config.window_len / 2.0
+    events = []
+    for start, length, label, shift in spans:
+        onset = max(0.0, center + (start + shift) * hop)
+        events.append(EventAnnotation(onset, onset + (length + shift) * hop + 1e-4,
+                                      label))
+    labels, dists = label_segments(feats, events, "d")
+    expected_labels, expected_dists = oracle_label_segments(feats, events, "d")
+    assert labels.dtype == expected_labels.dtype
+    assert np.array_equal(labels, expected_labels)
+    assert np.array_equal(dists, expected_dists, equal_nan=True)
 
 
 # ---------------------------------------------------------------- SNR scaling
@@ -269,12 +315,11 @@ def test_mix_annotations_relabel_exactly():
     )
     config = feature_config()
     feats = gammatone_cepstra(mixed, config)
-    segments = label_segments(feats, events, "a")
+    labels, _ = label_segments(feats, events, "a")
     pos = next(e for e in events if e.label == "a")
     centers = feats.segment_centers()
     inside = (centers >= pos.onset) & (centers < pos.offset)
-    got = np.array([s.c for s in segments], bool)
-    assert np.array_equal(got, inside)
+    assert np.array_equal(labels.astype(bool), inside)
 
 
 def test_mix_infeasible_overlap_is_an_error():
@@ -300,49 +345,45 @@ def test_mix_rejects_rate_mismatch():
 
 
 def labeled_toy_segments(n_pos, n_neg, dim=4):
-    segments = []
-    for i in range(n_pos):
-        segments.append(
-            Segment(np.zeros(dim), 1, np.array([float(i), 0.0]), i)
-        )
-    for i in range(n_neg):
-        segments.append(Segment(np.zeros(dim), 0, None, n_pos + i))
-    return segments
+    rows = [(np.zeros(dim), 1, [float(i), 0.0]) for i in range(n_pos)]
+    rows += [(np.zeros(dim), 0, None)] * n_neg
+    return segment_set(rows)
 
 
 def test_inject_matches_positive_count():
     segments = labeled_toy_segments(100, 5)
-    background = grid_features(17)
+    background = grid_features(17).rows
     out = inject_background_segments(segments, background, rng_seed=0)
-    added = out[len(segments):]
+    added = out.take(np.arange(len(segments), len(out)))
     assert len(added) == 100
-    assert all(s.c == 0 and s.d is None for s in added)
+    assert not added.labels.any() and np.isnan(added.dists).all()
 
 
 def test_inject_no_positives_is_identity():
     segments = labeled_toy_segments(0, 5)
-    out = inject_background_segments(segments, grid_features(9), rng_seed=0)
-    assert out == segments
+    out = inject_background_segments(segments, grid_features(9).rows, rng_seed=0)
+    assert len(out) == len(segments)
+    assert np.array_equal(out.x, segments.x)
+    assert np.array_equal(out.labels, segments.labels)
+    assert np.array_equal(out.dists, segments.dists, equal_nan=True)
 
 
 def test_inject_requires_background():
     with pytest.raises(ValueError):
         inject_background_segments(
-            labeled_toy_segments(2, 2), grid_features(0), rng_seed=0
+            labeled_toy_segments(2, 2), grid_features(0).rows, rng_seed=0
         )
 
 
 def test_inject_deterministic_per_seed():
     segments = labeled_toy_segments(10, 3)
-    rng = np.random.default_rng(8)
-    background = FeatureMatrix(
-        rng.normal(size=(6, 4)), np.arange(6) * 0.01, feature_config(4)
-    )
+    background = np.random.default_rng(8).normal(size=(6, 4))
     a = inject_background_segments(segments, background, rng_seed=5)
     b = inject_background_segments(segments, background, rng_seed=5)
-    assert all(
-        np.array_equal(x.x, y.x) for x, y in zip(a[len(segments):], b[len(segments):])
-    )
+    assert len(a) == len(segments) + 10
+    assert np.array_equal(a.x, b.x)
+    # drawn with replacement from six rows, each one of them
+    assert all((background == row).all(axis=1).any() for row in a.x[len(segments):])
 
 
 # ---------------------------------------------------------------- pink noise
@@ -358,6 +399,18 @@ def test_pink_noise_is_unit_rms_and_low_tilted():
     low = spectrum[(freqs > 20) & (freqs < 500)].mean()
     high = spectrum[freqs > 4000].mean()
     assert low > 4 * high
+
+
+def test_pink_noise_holds_few_full_length_temporaries():
+    n = 960_000
+    pink_noise(np.random.default_rng(0), 1000, 16000)  # load the FFT module
+    tracemalloc.start()
+    try:
+        pink_noise(np.random.default_rng(0), n, 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 24, f"{peak / n:.1f} bytes per sample"
 
 
 # ---------------------------------------------------------------- benchmark
@@ -438,15 +491,13 @@ def test_build_training_segments_small_run():
     mixture = MixtureSpec(snr_levels=(0.0,), rng_seed=0)
     target = bench.class_names[0]
     segments = build_training_segments(target, instances, config, mixture)
-    labels = np.array([s.c for s in segments])
+    labels = segments.labels
     assert labels.sum() > 0
     assert (labels == 0).sum() > 0
-    for s in segments:
-        if s.c == 1:
-            assert s.d[0] >= 0 and s.d[1] >= 0
+    assert (segments.dists[labels == 1] >= 0).all()
 
     # with a background pool, exactly one extra negative per positive
-    background = gammatone_cepstra(bench.dev_scene, config)
+    background = gammatone_cepstra(bench.dev_scene, config).rows
     with_bg = build_training_segments(
         target, instances, config, mixture,
         background=background, background_rms=bench.background_rms,
@@ -467,4 +518,35 @@ def test_build_training_segments_deterministic():
     a = build_training_segments(target, instances, config, mixture)
     b = build_training_segments(target, instances, config, mixture)
     assert len(a) == len(b)
-    assert all(np.array_equal(x.x, y.x) and x.c == y.c for x, y in zip(a, b))
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.labels, b.labels)
+
+
+# sha256 of x, labels and dists of the training set below, recorded when each
+# segment was still a Python object; the array path must keep every byte.
+TRAINING_SET_DIGESTS = (
+    "37e2080809e343061aa1badfece67983bfaa8d49ed1e0743fa435733ad326621",
+    "5fd0309f303d0bbf2d7e7216070fc44531663f77d96c28c38c078e9ab378513a",
+    "c8fe71d1db1965410761ef11a23e6187634d2900f0ffbfe3bad5e20555a759d4",
+)
+
+
+def test_build_training_segments_bytes_are_pinned():
+    bench = synth_benchmark(n_classes=3, instances_per_class=2, scene_len=4.0,
+                            events_per_scene=6, seed=6)
+    config = feature_config(16)
+    instances = {
+        label: [(w, [EventAnnotation(0.0, w.duration, label)]) for w in waves]
+        for label, waves in bench.train_instances.items()
+    }
+    train = build_training_segments(
+        bench.class_names[1], instances, config,
+        MixtureSpec(snr_levels=(-6.0, 0.0), rng_seed=2),
+        background=gammatone_cepstra(bench.dev_scene, config).rows,
+        background_rms=bench.background_rms,
+    )
+    assert (train.x.shape, train.n_positive) == ((1760, 16), 446)
+    digests = tuple(
+        hashlib.sha256(a.tobytes()).hexdigest()
+        for a in (train.x, train.labels, train.dists)
+    )
+    assert digests == TRAINING_SET_DIGESTS

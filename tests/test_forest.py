@@ -12,17 +12,18 @@ from hypothesis import strategies as st
 from conftest import (
     FEATURE_DIM,
     distance_variation,
+    entropy,
     feature_config,
     info_gain,
     leaf_node,
     node_depths,
     oracle_best_split,
     random_segments,
+    segment_set,
     split_node,
     split_test,
 )
 from eventforest import forest as forest_module
-from eventforest.dataset import Segment
 from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
     OBJECTIVE_REGRESSION,
@@ -32,7 +33,6 @@ from eventforest.forest import (
     Tree,
     calibrate,
     draw_candidates,
-    entropy,
     forest_from_dict,
     forest_to_dict,
     gaussian_pdf,
@@ -45,18 +45,11 @@ from eventforest.forest import (
 )
 
 
-def seg(x, c, d=None, m=0):
-    return Segment(np.asarray(x, float), c, d if d is None else np.asarray(d, float), m)
-
-
 def separable_set(n_pos=6, n_neg=6):
     """Positives at [+1, 0], negatives at [-1, 0]; one channel is constant."""
-    segments = []
-    for i in range(n_pos):
-        segments.append(seg([1.0, 0.0], 1, [float(i % 3), 1.0], i))
-    for i in range(n_neg):
-        segments.append(seg([-1.0, 0.0], 0, None, n_pos + i))
-    return segments
+    rows = [([1.0, 0.0], 1, [float(i % 3), 1.0]) for i in range(n_pos)]
+    rows += [([-1.0, 0.0], 0, None)] * n_neg
+    return segment_set(rows)
 
 
 # ---------------------------------------------------------------- split test
@@ -148,19 +141,19 @@ def test_info_gain_never_negative(seed):
 
 
 def test_distance_variation_single_positive_per_side_is_zero():
-    segments = [
-        seg([1.0, 0.0], 1, [3.0, 4.0], 0),
-        seg([-1.0, 0.0], 1, [7.0, 2.0], 1),
-    ]
+    segments = segment_set([
+        ([1.0, 0.0], 1, [3.0, 4.0]),
+        ([-1.0, 0.0], 1, [7.0, 2.0]),
+    ])
     assert distance_variation((0, 1, 0.0), segments) == 0.0
 
 
 def test_distance_variation_hand_example():
-    segments = [
-        seg([1.0, 0.0], 1, [0.0, 0.0], 0),
-        seg([1.0, 0.0], 1, [2.0, 2.0], 1),
-        seg([-1.0, 0.0], 1, [5.0, 5.0], 2),
-    ]
+    segments = segment_set([
+        ([1.0, 0.0], 1, [0.0, 0.0]),
+        ([1.0, 0.0], 1, [2.0, 2.0]),
+        ([-1.0, 0.0], 1, [5.0, 5.0]),
+    ])
     # right side holds [0,0] and [2,2]: mean [1,1], deviations sum to 4
     assert distance_variation((0, 1, 0.0), segments) == 4.0
 
@@ -170,7 +163,7 @@ def test_distance_variation_doubles_when_duplicated():
     segments = random_segments(rng, 9, dim=4)
     test = (0, 1, 0.1)
     base = distance_variation(test, segments)
-    doubled = distance_variation(test, segments + segments)
+    doubled = distance_variation(test, SegmentSet.concatenate([segments, segments]))
     assert doubled == 2.0 * base
 
 
@@ -186,7 +179,7 @@ def test_distance_variation_nonnegative_and_zero_iff_degenerate(seed):
     sides = ([], [])
     for s in segments:
         if s.c == 1:
-            sides[int(s.x[r] - s.x[q] > tau)].append(tuple(s.d))
+            sides[int(s.x[r] - s.x[q] > tau)].append(tuple(s.d.tolist()))
     degenerate = all(len(set(side)) <= 1 for side in sides)
     assert (v == 0.0) == degenerate
 
@@ -196,10 +189,7 @@ def test_distance_variation_nonnegative_and_zero_iff_degenerate(seed):
 
 def test_draw_candidates_ranges_and_determinism():
     rng = np.random.default_rng(31)
-    segments = random_segments(rng, 20, dim=5)
-    from eventforest.forest import SegmentSet
-
-    sset = SegmentSet.from_segments(segments)
+    sset = random_segments(rng, 20, dim=5)
     r, q, tau = draw_candidates(sset, 200, np.random.default_rng(1))
     assert r.min() >= 0 and r.max() < 5
     assert q.min() >= 0 and q.max() < 5
@@ -228,12 +218,12 @@ def test_select_best_test_separates_perfectly():
 
 
 def test_select_best_test_identical_features_signals_leaf():
-    segments = [
-        seg([1.0, 1.0], 1, [2.0, 3.0], 0),
-        seg([1.0, 1.0], 1, [4.0, 1.0], 1),
-        seg([1.0, 1.0], 0, None, 2),
-        seg([1.0, 1.0], 0, None, 3),
-    ]
+    segments = segment_set([
+        ([1.0, 1.0], 1, [2.0, 3.0]),
+        ([1.0, 1.0], 1, [4.0, 1.0]),
+        ([1.0, 1.0], 0, None),
+        ([1.0, 1.0], 0, None),
+    ])
     for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
         assert (
             select_best_test(segments, 100, objective, np.random.default_rng(0))
@@ -322,12 +312,10 @@ def two_cluster_set():
     Positives at [+1, 0] share one distance vector and positives at [-1, 0]
     another, so all valid candidates tie under both objectives.
     """
-    segments = []
-    for _ in range(4):
-        segments.append(seg([1.0, 0.0], 1, [0.0, 3.0], len(segments)))
-        segments.append(seg([-1.0, 0.0], 1, [5.0, 1.0], len(segments)))
-        segments.append(seg([-1.0, 0.0], 0, None, len(segments)))
-    return segments
+    return segment_set(
+        [([1.0, 0.0], 1, [0.0, 3.0]), ([-1.0, 0.0], 1, [5.0, 1.0]),
+         ([-1.0, 0.0], 0, None)] * 4
+    )
 
 
 @pytest.mark.parametrize(
@@ -380,13 +368,13 @@ def test_select_best_test_memory_is_bounded_in_candidates():
 
 
 def test_make_leaf_posterior_counts():
-    segments = [
-        seg([0.0], 1, [2.0, 1.0], 0),
-        seg([0.0], 1, [4.0, 3.0], 1),
-        seg([0.0], 0, None, 2),
-        seg([0.0], 0, None, 3),
-        seg([0.0], 0, None, 4),
-    ]
+    segments = segment_set([
+        ([0.0], 1, [2.0, 1.0]),
+        ([0.0], 1, [4.0, 3.0]),
+        ([0.0], 0, None),
+        ([0.0], 0, None),
+        ([0.0], 0, None),
+    ])
     leaf = make_leaf(segments)
     assert leaf["p_pos"] == 0.4
     assert leaf["p_neg"] == 0.6
@@ -397,7 +385,7 @@ def test_make_leaf_posterior_counts():
 
 
 def test_make_leaf_single_positive_hits_variance_floor():
-    segments = [seg([0.0], 1, [5.0, 2.0], 0), seg([0.0], 0, None, 1)]
+    segments = segment_set([([0.0], 1, [5.0, 2.0]), ([0.0], 0, None)])
     leaf = make_leaf(segments, variance_floor=1e-6)
     assert leaf["onset"] == [5.0, 1e-6]
     assert leaf["offset"] == [2.0, 1e-6]
@@ -406,7 +394,7 @@ def test_make_leaf_single_positive_hits_variance_floor():
 
 
 def test_make_leaf_without_positives_has_no_gaussians():
-    segments = [seg([0.0], 0, None, i) for i in range(3)]
+    segments = segment_set([([0.0], 0, None)] * 3)
     leaf = make_leaf(segments)
     assert leaf["p_pos"] == 0.0 and leaf["p_neg"] == 1.0
     assert leaf["onset"] is None and leaf["offset"] is None
@@ -414,7 +402,7 @@ def test_make_leaf_without_positives_has_no_gaussians():
 
 def test_make_leaf_empty_is_an_error():
     with pytest.raises(ValueError):
-        make_leaf([])
+        make_leaf(SegmentSet(np.zeros((0, 1)), np.zeros(0), np.zeros((0, 2))))
 
 
 # ---------------------------------------------------------------- tree growth
@@ -490,12 +478,9 @@ def test_single_full_sample_tree_matches_direct_growth():
     config = small_config(n_trees=1, subsample_ratio=1.0)
     forest = train_forest(segments, config, class_label="x")
 
-    from eventforest.forest import SegmentSet
-
     rng = np.random.default_rng([config.rng_seed, 0])
-    sset = SegmentSet.from_segments(segments)
-    indices = np.sort(rng.choice(len(sset), size=len(sset), replace=False))
-    manual = train_tree(sset.take(indices), config, rng)
+    indices = np.sort(rng.choice(len(segments), size=len(segments), replace=False))
+    manual = train_tree(segments.take(indices), config, rng)
 
     def node_key(tree):
         return tuple(
@@ -508,10 +493,10 @@ def test_single_full_sample_tree_matches_direct_growth():
 
 
 def test_train_forest_requires_both_classes():
-    only_pos = [seg([0.0], 1, [1.0, 1.0], i) for i in range(5)]
-    only_neg = [seg([0.0], 0, None, i) for i in range(5)]
+    only_pos = segment_set([([0.0], 1, [1.0, 1.0])] * 5)
+    only_neg = segment_set([([0.0], 0, None)] * 5)
     with pytest.raises(ValueError, match="cannot train class"):
-        train_forest(only_pos + [], small_config(), class_label="dog")
+        train_forest(only_pos, small_config(), class_label="dog")
     with pytest.raises(ValueError, match="cannot train class"):
         train_forest(only_neg, small_config(), class_label="dog")
 
@@ -540,12 +525,12 @@ def test_threaded_training_matches_serial():
 
 
 def test_forest_records_longest_training_event():
-    segments = [
-        seg([1.0, 0.0], 1, [3.0, 7.0], 0),  # 11 segments long
-        seg([1.0, 0.0], 1, [1.0, 2.0], 1),
-        seg([-1.0, 0.0], 0, None, 2),
-        seg([-1.0, 0.0], 0, None, 3),
-    ]
+    segments = segment_set([
+        ([1.0, 0.0], 1, [3.0, 7.0]),  # 11 segments long
+        ([1.0, 0.0], 1, [1.0, 2.0]),
+        ([-1.0, 0.0], 0, None),
+        ([-1.0, 0.0], 0, None),
+    ])
     forest = train_forest(
         segments, small_config(min_segments=1), class_label="x",
         feature_config=feature_config(2),
@@ -601,7 +586,7 @@ def test_calibration_unreached_and_negative_leaves():
     left, right = 1, 2
     forest = Forest(class_label="x", trees=[tree], config=small_config())
     # all segments route right (x0 - x1 > 0) and none of them is positive
-    segments = [seg([2.0, 0.0], 0, None, i) for i in range(4)]
+    segments = segment_set([([2.0, 0.0], 0, None)] * 4)
     calibrate(forest, segments)
     assert tree.n_train[right] == 4
     assert tree.p_pos[right] == 0.0 and tree.p_neg[right] == 1.0
