@@ -31,10 +31,10 @@ from .detect import (
     DetectConfig,
     Detection,
     ScoreTrack,
-    accumulate,
     detect_stream,
     extract_events,
     filter_duration,
+    score_track,
     smooth,
     write_detections,
 )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,10 @@ from .dataset import (
 )
 from .detect import (
     DetectConfig,
-    accumulate,
     collect_votes,
     detect_on_features,
     render_tracks,
-    smooth,
+    score_track,
     write_detections,
     write_scores_csv,
 )
@@ -67,12 +67,7 @@ TRAIN_DEFAULTS = {
     "noise_subtraction": False,
 }
 
-DETECT_DEFAULTS = {
-    "alpha": 0.0,
-    "beta": 0.5,
-    "smooth_window": 11,
-    "duration_factor": 3.0,
-}
+DETECT_DEFAULTS = asdict(DetectConfig())
 
 
 def _config_value_error(key: str, value, default) -> str | None:
@@ -351,6 +346,7 @@ def cmd_tune(args) -> int:
     if args.print_config:
         _print_config(merged)
         return 0
+    detect_config = DetectConfig(**merged)
     manifest = _load_manifest(args.manifest)
     forests = [load_forest(p) for p in args.models]
     feature_config = shared_feature_config(forests)
@@ -359,20 +355,13 @@ def cmd_tune(args) -> int:
     ]
     if not dev_entries:
         raise ValueError("manifest has no development entries to tune on")
-    folds = []
-    for entry in dev_entries:
-        features = featurize(load_audio(entry["audio"]), feature_config)
-        folds.append(
-            TuneFold(
-                features=features,
-                reference=parse_annotations(entry["annotations"]),
-                duration=features.duration,
-            )
+    folds = [
+        TuneFold(
+            features=featurize(load_audio(entry["audio"]), feature_config),
+            reference=parse_annotations(entry["annotations"]),
         )
-    detect_config = DetectConfig(
-        smooth_window=merged["smooth_window"],
-        duration_factor=merged["duration_factor"],
-    )
+        for entry in dev_entries
+    ]
     result = tune_thresholds(
         folds,
         forests,
@@ -400,21 +389,15 @@ def cmd_detect(args) -> int:
     tuned = thresholds.per_class
     configs = {}
     for forest in forests:
-        alpha = merged["alpha"]
-        beta = merged["beta"]
+        # explicit flags, then tuned thresholds, then the config file
+        settings = dict(merged)
         choice = tuned.get(forest.class_label)
         if choice is not None:
-            alpha, beta = choice.alpha, choice.beta
-        if args.alpha is not None:
-            alpha = args.alpha
-        if args.beta is not None:
-            beta = args.beta
-        configs[forest.class_label] = DetectConfig(
-            alpha=alpha,
-            beta=beta,
-            smooth_window=merged["smooth_window"],
-            duration_factor=merged["duration_factor"],
-        )
+            settings.update(alpha=choice.alpha, beta=choice.beta)
+        for key in ("alpha", "beta"):
+            if getattr(args, key) is not None:
+                settings[key] = getattr(args, key)
+        configs[forest.class_label] = DetectConfig(**settings)
     features = featurize(load_audio(args.audio), feature_config)
     if args.dump_features:
         dump_features_csv(features, args.dump_features)
@@ -422,11 +405,7 @@ def cmd_detect(args) -> int:
         score_dir = Path(args.dump_scores)
         score_dir.mkdir(parents=True, exist_ok=True)
         for forest in forests:
-            config = configs[forest.class_label]
-            track = smooth(
-                accumulate(features, forest, config.alpha),
-                config.smooth_window,
-            )
+            track = score_track(features, forest, configs[forest.class_label])
             write_scores_csv(track, score_dir / f"scores_{forest.class_label}.csv")
     # A class the thresholds file disables is never reported, whatever its
     # scores on this stream and whatever --alpha/--beta say.

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMatrix, Waveform, featurize
+from .features import FeatureConfig, FeatureMatrix, Waveform, featurize
 from .forest import Forest, gaussian_pdf, route, shared_feature_config
 
 
@@ -18,20 +19,21 @@ class DetectConfig:
     beta: float = 0.5
     smooth_window: int = 11
     duration_factor: float = 3.0
-    z_plus: float | None = None
-    z_minus: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
             raise ValueError(
                 f"smoothing window must be odd and positive, got {self.smooth_window}"
             )
-        if self.duration_factor <= 0.0:
-            raise ValueError("duration factor must be positive")
+        if not (math.isfinite(self.duration_factor) and self.duration_factor > 0.0):
+            raise ValueError(
+                "duration factor must be finite and positive, "
+                f"got {self.duration_factor}"
+            )
 
 
 @dataclass(eq=False)
@@ -193,28 +195,6 @@ def render_tracks(
     return render_track_grid(votes, [alpha], z_plus, z_minus)[0]
 
 
-def accumulate(
-    features: FeatureMatrix,
-    forest: Forest,
-    alpha: float,
-    z_plus: float | None = None,
-    z_minus: float | None = None,
-) -> ScoreTrack:
-    """Onset and offset score tracks for a stream under one forest.
-
-    Every segment's leaves cast Gaussian votes around their predicted event
-    boundaries; votes are averaged over trees and divided by the forest's
-    normalization constants unless overridden.
-    """
-    votes = collect_votes(features, forest)
-    return render_tracks(
-        votes,
-        alpha,
-        forest.z_plus if z_plus is None else z_plus,
-        forest.z_minus if z_minus is None else z_minus,
-    )
-
-
 def smooth(track: ScoreTrack, window: int) -> ScoreTrack:
     """Centered moving average; edge windows shrink to the available samples."""
     if window < 1 or window % 2 == 0:
@@ -316,26 +296,43 @@ def filter_duration(detections, max_train_duration: float, factor: float = 3.0):
     return [d for d in detections if d.offset - d.onset <= limit]
 
 
+def score_track(
+    features: FeatureMatrix, forest: Forest, config: DetectConfig
+) -> ScoreTrack:
+    """One class's smoothed onset and offset scores: the track detection pairs.
+
+    The leaf votes that pass ``config.alpha`` are rendered, divided by the
+    forest's normalization constants, and smoothed.
+    """
+    votes = collect_votes(features, forest)
+    track = render_tracks(votes, config.alpha, forest.z_plus, forest.z_minus)
+    return smooth(track, config.smooth_window)
+
+
+def forest_events(
+    track: ScoreTrack, forest: Forest, beta: float, duration_factor: float,
+    feature_config: FeatureConfig, maxima: tuple | None = None,
+) -> list:
+    """One class's detections: ``extract_events``, then ``filter_duration``.
+
+    The filter runs when the model records its longest training event.
+    ``maxima`` is the track's ``track_maxima``, when the caller has it.
+    """
+    events = extract_events(track, beta, feature_config.hop_len,
+                            feature_config.window_len, forest.class_label, maxima)
+    if forest.max_train_event_duration is None:
+        return events
+    return filter_duration(events, forest.max_train_event_duration, duration_factor)
+
+
 def detect_on_features(features: FeatureMatrix, forests, configs) -> list:
     """Run detection for several forests over precomputed features."""
     detections = []
     for forest in forests:
         config = configs[forest.class_label] if isinstance(configs, dict) else configs
-        track = accumulate(features, forest, config.alpha, config.z_plus,
-                           config.z_minus)
-        track = smooth(track, config.smooth_window)
-        events = extract_events(
-            track,
-            config.beta,
-            features.config.hop_len,
-            features.config.window_len,
-            forest.class_label,
-        )
-        if forest.max_train_event_duration is not None:
-            events = filter_duration(
-                events, forest.max_train_event_duration, config.duration_factor
-            )
-        detections.extend(events)
+        track = score_track(features, forest, config)
+        detections += forest_events(track, forest, config.beta,
+                                    config.duration_factor, features.config)
     detections.sort(key=lambda d: (d.onset, d.offset, d.label))
     return detections
 

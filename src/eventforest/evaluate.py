@@ -12,8 +12,7 @@ import numpy as np
 from .detect import (
     DetectConfig,
     collect_votes,
-    extract_events,
-    filter_duration,
+    forest_events,
     render_track_grid,
     smooth,
     track_maxima,
@@ -92,8 +91,10 @@ def segment_metrics(
     a substitution; unpaired misses and extras count as deletions and
     insertions.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution}")
+    if duration is not None and not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"duration must be finite and non-negative, got {duration}")
     reference = list(reference)
     hypothesis = list(hypothesis)
     if classes is None:
@@ -155,8 +156,8 @@ def event_metrics(reference, hypothesis, onset_collar: float = 0.2) -> EventScor
     within the collar; matching is greedy in onset order. Leftovers that
     align in time but not in class count as substitutions.
     """
-    if onset_collar < 0:
-        raise ValueError(f"collar must be non-negative, got {onset_collar}")
+    if not (math.isfinite(onset_collar) and onset_collar >= 0):
+        raise ValueError(f"collar must be finite and non-negative, got {onset_collar}")
     reference = sorted(reference, key=lambda e: (e.onset, e.offset, e.label))
     hypothesis = sorted(hypothesis, key=lambda e: (e.onset, e.offset, e.label))
     ref_used = [False] * len(reference)
@@ -225,7 +226,6 @@ class TuneFold:
 
     features: FeatureMatrix
     reference: list
-    duration: float
 
 
 @dataclass
@@ -312,25 +312,11 @@ def tune_thresholds(
             for beta in candidate_betas:
                 pooled = SegmentScore()
                 for track, peaks, fold in zip(tracks, maxima, folds):
-                    events = extract_events(
-                        track,
-                        beta,
-                        fold.features.config.hop_len,
-                        fold.features.config.window_len,
-                        label,
-                        maxima=peaks,
-                    )
-                    if forest.max_train_event_duration is not None:
-                        events = filter_duration(
-                            events,
-                            forest.max_train_event_duration,
-                            detect_config.duration_factor,
-                        )
-                    pooled.add(
-                        segment_metrics(
-                            fold.reference, events, resolution, fold.duration, [label]
-                        )
-                    )
+                    events = forest_events(track, forest, beta,
+                                           detect_config.duration_factor,
+                                           fold.features.config, peaks)
+                    pooled.add(segment_metrics(fold.reference, events, resolution,
+                                               fold.features.duration, [label]))
                 rate = pooled.error_rate
                 if rate is None:
                     errors = pooled.substitutions + pooled.deletions + pooled.insertions

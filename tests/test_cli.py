@@ -21,6 +21,12 @@ import eventforest
 from eventforest import features as features_module
 from eventforest.cli import main
 from eventforest.dataset import parse_annotations
+from eventforest.detect import (
+    DetectConfig,
+    ScoreTrack,
+    forest_events,
+    write_detections,
+)
 from eventforest.evaluate import (
     default_alpha_grid,
     default_beta_grid,
@@ -472,6 +478,36 @@ class TestDetect:
         assert code == 1
         assert "feature space" in capsys.readouterr().err
 
+    def test_dumped_scores_are_the_detection_track(self, corpus, models,
+                                                  thresholds, tmp_path):
+        scores = tmp_path / "scores"
+        out = tmp_path / "detections.txt"
+        code = main(
+            ["detect", str(corpus / "test.wav")]
+            + model_args(models)
+            + ["--thresholds", str(thresholds), "--out", str(out),
+               "--dump-scores", str(scores)]
+        )
+        assert code == 0
+        tuned = load_thresholds(thresholds).per_class
+        detections = []
+        for path in models:
+            forest = load_forest(path)
+            with open(scores / f"scores_{forest.class_label}.csv") as handle:
+                rows = list(csv.DictReader(handle))
+            # repr floats read back exactly
+            track = ScoreTrack([float(r["f_plus"]) for r in rows],
+                               [float(r["f_minus"]) for r in rows])
+            choice = tuned[forest.class_label]
+            detections += forest_events(track, forest, choice.beta,
+                                        DetectConfig().duration_factor,
+                                        forest.feature_config)
+        assert detections
+        detections.sort(key=lambda d: (d.onset, d.offset, d.label))
+        expected = tmp_path / "expected.txt"
+        write_detections(detections, expected)
+        assert out.read_text() == expected.read_text()
+
 
 # ---------------------------------------------------------------------------
 # evaluate
@@ -668,9 +704,40 @@ def test_detect_rejects_nan_beta(corpus, models, capsys):
     assert "beta" in err
 
 
-def test_tracer_counts_the_training_set(corpus, tmp_path, capsys):
-    # perfbench's tracer wraps build_training_segments and select_best_test by
-    # name and counts rows and positives by iterating the training set.
+# (command, flag, value): values that a sign check alone let through
+NON_FINITE_FLAGS = [
+    ("detect", "--beta", "inf"),
+    ("detect", "--duration-factor", "nan"),
+    ("detect", "--duration-factor", "inf"),
+    ("tune", "--duration-factor", "nan"),
+    ("tune", "--duration-factor", "inf"),
+    ("evaluate", "--collar", "nan"),
+    ("evaluate", "--collar", "inf"),
+    ("evaluate", "--resolution", "inf"),
+    ("evaluate", "--resolution", "nan"),
+    ("evaluate", "--duration", "inf"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", NON_FINITE_FLAGS)
+def test_non_finite_flag_rejected(command, flag, value, corpus, models, tmp_path,
+                                  capsys):
+    args = {
+        "detect": ["detect", str(corpus / "test.wav"), "--model", str(models[0])],
+        "tune": ["tune", str(corpus / "manifest.json"), str(models[0]),
+                 "--out", str(tmp_path / "never.json")],
+        "evaluate": ["evaluate", str(corpus / "test.txt"), str(corpus / "dev.txt")],
+    }[command]
+    code = main(args + [f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert flag.lstrip("-").split("-")[0] in captured.err
+    assert not (tmp_path / "never.json").exists()
+
+
+def traced_main(argv):
+    """Run the CLI under perfbench's tracer, loaded from its file unchanged."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -678,11 +745,18 @@ def test_tracer_counts_the_training_set(corpus, tmp_path, capsys):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        code = main(["train", str(corpus / "manifest.json"), "--out-dir",
-                     str(tmp_path), "--event-class", "tone300"] + TRAIN_ARGS)
+        code = main(argv)
     finally:
         tracer.uninstall()
     assert code == 0
+    return tracer
+
+
+def test_tracer_counts_the_training_set(corpus, tmp_path, capsys):
+    # perfbench's tracer wraps build_training_segments and select_best_test by
+    # name and counts rows and positives by iterating the training set.
+    tracer = traced_main(["train", str(corpus / "manifest.json"), "--out-dir",
+                          str(tmp_path), "--event-class", "tone300"] + TRAIN_ARGS)
     printed = capsys.readouterr().out
     totals = tracer.totals()
     counts = totals["dataset.build_training_segments"]
@@ -692,6 +766,47 @@ def test_tracer_counts_the_training_set(corpus, tmp_path, capsys):
     )
     assert 0 < counts["positives"] < counts["segments"]
     assert totals["forest.select_best_test"]["cells"] > 0
+
+
+def test_tracer_counts_tune_and_detect(corpus, models, tmp_path, capsys):
+    # perfbench's tracer wraps render_tracks, extract_events, tune_thresholds
+    # and detect_on_features by name, and counts peaks through _peak_indices;
+    # tune and detect must keep pairing through those names.
+    tuned = tmp_path / "thresholds.json"
+    tracer = traced_main(["tune", str(corpus / "manifest.json")]
+                         + [str(p) for p in models] + ["--out", str(tuned)])
+    totals = tracer.totals()
+    grid = len(default_alpha_grid()) * len(default_beta_grid())
+    assert grid == 861
+    assert totals["evaluate.tune_thresholds"]["calls"] == 1
+    assert totals["evaluate.tune_thresholds"]["grid_points"] == grid * len(models)
+    n_dev = sum(e["fold"] == "dev" for e in
+                json.loads((corpus / "manifest.json").read_text())["entries"])
+    assert totals["detect.extract_events"]["calls"] == grid * len(models) * n_dev
+    assert all(
+        tracer.has_ancestor(i, "evaluate.tune_thresholds")
+        for i, span in enumerate(tracer.spans)
+        if span[0] == "detect.extract_events"
+    )
+
+    out = tmp_path / "detections.txt"
+    tracer = traced_main(["detect", str(corpus / "test.wav")]
+                         + model_args(models)
+                         + ["--thresholds", str(tuned), "--out", str(out)])
+    capsys.readouterr()
+    totals = tracer.totals()
+    assert totals["detect.render_tracks"]["calls"] == len(models)
+    assert totals["detect.render_tracks"]["votes_rendered"] > 0
+    pairing = [i for i, span in enumerate(tracer.spans)
+               if span[0] == "detect.extract_events"]
+    assert len(pairing) == len(models)
+    assert all(tracer.has_ancestor(i, "detect.detect_on_features") for i in pairing)
+    events = totals["detect.extract_events"]
+    assert events["paired"] > 0
+    assert events["peaks"] >= 2 * events["paired"]
+    detections = totals["detect.detect_on_features"]["detections"]
+    assert 0 < detections <= events["paired"]
+    assert detections == len(out.read_text().splitlines())
 
 
 def drop_dev_key(key):

@@ -1,5 +1,6 @@
 """Tree routing, Gaussian voting, score tracks, and event extraction."""
 
+import copy
 import math
 import tracemalloc
 
@@ -26,16 +27,17 @@ from eventforest.detect import (
     Detection,
     DetectConfig,
     ScoreTrack,
-    accumulate,
     collect_votes,
     detect_on_features,
     detect_stream,
     extract_events,
     filter_duration,
+    forest_events,
     StreamVotes,
     _peak_indices,
     render_track_grid,
     render_tracks,
+    score_track,
     smooth,
     track_maxima,
     write_detections,
@@ -202,28 +204,28 @@ def test_forest_vote_matches_manual_mean(blob_model):
         assert got_off == pytest.approx(expected_off / forest.n_trees, abs=1e-12)
 
 
-# ---------------------------------------------------------------- accumulate
+# ---------------------------------------------------------------- score tracks
 
 
-def test_accumulate_single_segment_stream():
+def test_score_track_single_segment_stream():
     the_leaf = leaf(p_pos=1.0, onset=(0.0, PEAK_VARIANCE),
                     offset=(0.0, PEAK_VARIANCE))
     forest = single_leaf_forest(the_leaf, fc=feature_config())
-    track = accumulate(flat_features(1), forest, alpha=0.0)
+    track = score_track(flat_features(1), forest, DetectConfig(smooth_window=1))
     assert track.f_plus.shape == (1,)
     assert track.f_plus[0] == pytest.approx(1.0, rel=1e-12)
     assert track.f_minus[0] == pytest.approx(1.0, rel=1e-12)
 
 
-def test_accumulate_alpha_gates_everything():
+def test_score_track_alpha_gates_everything():
     the_leaf = leaf(p_pos=0.6)
     forest = single_leaf_forest(the_leaf, fc=feature_config())
-    track = accumulate(flat_features(30), forest, alpha=0.7)
+    track = score_track(flat_features(30), forest, DetectConfig(alpha=0.7))
     assert np.all(track.f_plus == 0.0)
     assert np.all(track.f_minus == 0.0)
 
 
-def test_accumulate_matches_per_segment_sum(blob_model):
+def test_score_track_matches_per_segment_sum(blob_model):
     forest = blob_model.forest
     features = blob_model.dev_features
     n = features.n_segments
@@ -249,18 +251,19 @@ def test_accumulate_matches_per_segment_sum(blob_model):
                     target[idx] += p_pos * gaussian_pdf(idx, mean, var)
     expected_plus /= forest.n_trees * forest.z_plus
     expected_minus /= forest.n_trees * forest.z_minus
-    track = accumulate(features, forest, alpha=alpha)
+    config = DetectConfig(alpha=alpha, smooth_window=1)
+    track = score_track(features, forest, config)
     assert np.max(np.abs(track.f_plus - expected_plus)) < 1e-9
     assert np.max(np.abs(track.f_minus - expected_minus)) < 1e-9
 
 
-def test_accumulate_divides_by_normalization():
+def test_render_tracks_divides_by_normalization():
     the_leaf = leaf(p_pos=1.0, onset=(0.0, PEAK_VARIANCE),
                     offset=(0.0, PEAK_VARIANCE))
     forest = single_leaf_forest(the_leaf, fc=feature_config())
-    base = accumulate(flat_features(5), forest, alpha=0.0)
-    halved = accumulate(flat_features(5), forest, alpha=0.0, z_plus=2.0,
-                        z_minus=4.0)
+    votes = collect_votes(flat_features(5), forest)
+    base = render_tracks(votes, alpha=0.0)
+    halved = render_tracks(votes, alpha=0.0, z_plus=2.0, z_minus=4.0)
     assert np.allclose(halved.f_plus, base.f_plus / 2.0, rtol=1e-12)
     assert np.allclose(halved.f_minus, base.f_minus / 4.0, rtol=1e-12)
 
@@ -628,6 +631,25 @@ def test_duration_filter_drops_only_overlong_events():
         filter_duration(events, max_train_duration=0.0, factor=3.0)
 
 
+def test_forest_events_filters_only_with_a_training_duration():
+    fc = feature_config()
+    f_plus = np.zeros(40)
+    f_minus = np.zeros(40)
+    f_plus[[2, 10]] = 0.9
+    f_minus[[4, 30]] = 0.8  # pairs lasting 2 and 20 hops
+    track = ScoreTrack(f_plus, f_minus)
+    forest = single_leaf_forest(leaf(), label="x", fc=fc)
+    paired = extract_events(track, 0.5, fc.hop_len, fc.window_len, "x")
+    assert len(paired) == 2
+    got = forest_events(track, forest, 0.5, 3.0, fc)
+    assert [(e.onset, e.offset) for e in got] == [(e.onset, e.offset) for e in paired]
+    forest.max_train_event_duration = 5 * fc.hop_len
+    got = forest_events(track, forest, 0.5, 1.0, fc, track_maxima(track))
+    assert [(e.onset, e.offset, e.label) for e in got] == [
+        (paired[0].onset, paired[0].offset, "x")
+    ]
+
+
 # ---------------------------------------------------------------- pipelines
 
 
@@ -714,6 +736,10 @@ def test_detect_config_validation():
         DetectConfig(smooth_window=4)
     with pytest.raises(ValueError):
         DetectConfig(duration_factor=0.0)
+    for bad in ({"beta": math.inf}, {"beta": math.nan},
+                {"duration_factor": math.inf}, {"duration_factor": math.nan}):
+        with pytest.raises(ValueError):
+            DetectConfig(**bad)
 
 
 # ---------------------------------------------------------------- output

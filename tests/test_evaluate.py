@@ -133,8 +133,9 @@ class TestSegmentMetrics:
         assert only_a.insertions == 0
 
     def test_invalid_resolution_rejected(self):
-        with pytest.raises(ValueError, match="resolution"):
-            segment_metrics([], [], resolution=0.0)
+        for resolution in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="resolution"):
+                segment_metrics([], [], resolution=resolution)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -249,8 +250,9 @@ class TestEventMetrics:
         assert base == perm
 
     def test_negative_collar_rejected(self):
-        with pytest.raises(ValueError, match="collar"):
-            event_metrics([], [], onset_collar=-0.1)
+        for collar in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="collar"):
+                event_metrics([], [], onset_collar=collar)
 
     def test_counts_partition(self):
         rng = np.random.default_rng(13)
@@ -370,7 +372,11 @@ def oracle_tune(folds, forest, alphas, betas, detect_config, resolution,
                 )
                 pooled.add(
                     segment_metrics(
-                        fold.reference, events, resolution, fold.duration, [label]
+                        fold.reference,
+                        events,
+                        resolution,
+                        fold.features.duration,
+                        [label],
                     )
                 )
             rate = pooled.error_rate
@@ -391,12 +397,10 @@ class TestTuneThresholds:
             TuneFold(
                 features=blob_model.dev_features,
                 reference=blob_model.dev_reference,
-                duration=blob_model.dev_features.duration,
             ),
             TuneFold(
                 features=blob_model.test_features,
                 reference=blob_model.test_reference,
-                duration=blob_model.test_features.duration,
             ),
         ]
         alphas = [0.0, 0.5, 1.0]
@@ -423,12 +427,10 @@ class TestTuneThresholds:
             TuneFold(
                 features=blob_model.dev_features,
                 reference=blob_model.dev_reference,
-                duration=blob_model.dev_features.duration,
             ),
             TuneFold(
                 features=blob_model.test_features,
                 reference=[],
-                duration=blob_model.test_features.duration,
             ),
         ]
         config = DetectConfig(smooth_window=11, duration_factor=3.0)
@@ -447,7 +449,6 @@ class TestTuneThresholds:
             TuneFold(
                 features=blob_model.dev_features,
                 reference=blob_model.dev_reference,
-                duration=blob_model.dev_features.duration,
             )
         ]
         result = tune_thresholds(
@@ -471,7 +472,6 @@ class TestTuneThresholds:
             TuneFold(
                 features=blob_model.test_features,
                 reference=[],
-                duration=blob_model.test_features.duration,
             )
         ]
         config = DetectConfig(smooth_window=11, duration_factor=3.0)
@@ -491,7 +491,6 @@ class TestTuneThresholds:
             TuneFold(
                 features=blob_model.dev_features,
                 reference=blob_model.dev_reference,
-                duration=blob_model.dev_features.duration,
             )
         ]
         result = tune_thresholds(
