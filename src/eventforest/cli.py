@@ -401,16 +401,19 @@ def cmd_detect(args) -> int:
     features = featurize(load_audio(args.audio), feature_config)
     if args.dump_features:
         dump_features_csv(features, args.dump_features)
+    # every class is dumped, and each dumped track is the one detection pairs
+    tracks = {}
     if args.dump_scores:
         score_dir = Path(args.dump_scores)
         score_dir.mkdir(parents=True, exist_ok=True)
         for forest in forests:
             track = score_track(features, forest, configs[forest.class_label])
             write_scores_csv(track, score_dir / f"scores_{forest.class_label}.csv")
+            tracks[forest.class_label] = track
     # A class the thresholds file disables is never reported, whatever its
     # scores on this stream and whatever --alpha/--beta say.
     detections = detect_on_features(
-        features, enabled_forests(forests, thresholds), configs
+        features, enabled_forests(forests, thresholds), configs, tracks
     )
     if args.out:
         write_detections(detections, args.out)

@@ -202,10 +202,13 @@ def smooth(track: ScoreTrack, window: int) -> ScoreTrack:
     if window == 1 or track.n_segments == 0:
         return ScoreTrack(track.f_plus.copy(), track.f_minus.copy())
     kernel = np.ones(window)
-    counts = np.convolve(np.ones(track.n_segments), kernel, mode="same")
+    # the centre of the full convolution: mode="same" gives max(n, window)
+    # values, and these n are its values whenever n >= window
+    centre = slice(window // 2, window // 2 + track.n_segments)
+    counts = np.convolve(np.ones(track.n_segments), kernel)[centre]
     return ScoreTrack(
-        np.convolve(track.f_plus, kernel, mode="same") / counts,
-        np.convolve(track.f_minus, kernel, mode="same") / counts,
+        np.convolve(track.f_plus, kernel)[centre] / counts,
+        np.convolve(track.f_minus, kernel)[centre] / counts,
     )
 
 
@@ -325,12 +328,20 @@ def forest_events(
     return filter_duration(events, forest.max_train_event_duration, duration_factor)
 
 
-def detect_on_features(features: FeatureMatrix, forests, configs) -> list:
-    """Run detection for several forests over precomputed features."""
+def detect_on_features(
+    features: FeatureMatrix, forests, configs, tracks: dict | None = None
+) -> list:
+    """Run detection for several forests over precomputed features.
+
+    ``tracks`` maps a class label to the ``score_track`` its caller already
+    computed with the same config; the other classes are scored here.
+    """
     detections = []
     for forest in forests:
         config = configs[forest.class_label] if isinstance(configs, dict) else configs
-        track = score_track(features, forest, config)
+        track = tracks.get(forest.class_label) if tracks else None
+        if track is None:
+            track = score_track(features, forest, config)
         detections += forest_events(track, forest, config.beta,
                                     config.duration_factor, features.config)
     detections.sort(key=lambda d: (d.onset, d.offset, d.label))

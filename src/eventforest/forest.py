@@ -125,9 +125,9 @@ def _entropy_from_counts(n_pos, n_neg):
     return h if h.shape else float(h)
 
 
-# Candidates are scored this many at a time, so one node's split search holds
-# O(rows x block) values however many candidates it draws.
-_CANDIDATE_BLOCK = 1024
+# A block of candidates holds about this many difference cells (512 KB of
+# float64), so it stays in cache whatever the node's row count.
+_BLOCK_CELLS = 1 << 16
 
 
 def _draw_pool(n_dims: int, n_candidates: int, rng):
@@ -142,17 +142,19 @@ def _candidate_blocks(x, r, q, u):
     """Yield ``(start, diffs, tau)`` for consecutive blocks of a candidate pool.
 
     ``diffs`` is the block's (B, n) matrix of x_r - x_q and ``tau`` its
-    thresholds, each uniform over that candidate's observed range. ``diffs``
-    is overwritten by the next block.
+    thresholds, each uniform over that candidate's observed range. A block
+    has ``max(1, _BLOCK_CELLS // n)`` candidates, and ``diffs`` is
+    overwritten by the next block.
     """
     # transposed, each candidate's differences are two contiguous row reads
     xt = np.ascontiguousarray(x.T)
+    block = max(1, _BLOCK_CELLS // max(1, len(x)))
     # reused across blocks: a fresh array this large faults in every page
-    size = min(len(r), _CANDIDATE_BLOCK)
+    size = min(len(r), block)
     minuend = np.empty((size, len(x)))
     subtrahend = np.empty_like(minuend)
-    for start in range(0, len(r), _CANDIDATE_BLOCK):
-        stop = min(start + _CANDIDATE_BLOCK, len(r))
+    for start in range(0, len(r), block):
+        stop = min(start + block, len(r))
         diffs = minuend[: stop - start]
         other = subtrahend[: stop - start]
         # indices are in range, and "clip" lets take write straight into out
@@ -195,17 +197,20 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     distance variation. Candidates producing an empty child are invalid, as
     are regression candidates leaving a child without positives.
 
-    The pool is scored in blocks of ``_CANDIDATE_BLOCK`` candidates, so memory
-    grows with rows x block and not with ``n_candidates``. Ties keep the
-    earliest-drawn candidate: within a block through argmax, across
-    blocks because a later block replaces the running best only when it is
-    strictly better. The result does not depend on the block size: child and
-    positive counts are integers, and distance vectors are integer frame
-    offsets, so every sum is exact in float64 in any order, and the scores
-    are the same elementwise formulas as for the whole pool at once.
+    The pool's differences are formed in blocks of about ``_BLOCK_CELLS``
+    cells (``max(1, _BLOCK_CELLS // rows)`` candidates), small enough to stay
+    in cache. Each block records only its candidates' threshold, child counts
+    and, for regression, right-side positive distance sums, in arrays of
+    length ``n_candidates``. The whole pool is then scored at once, and ties
+    keep the earliest-drawn candidate (the first maximum). Memory therefore
+    grows with one block plus O(n_candidates), and the result does not
+    depend on the block size: child and positive counts are integers, and
+    distance vectors are integer frame offsets, so every sum is exact in
+    float64 in any order.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
+    regression = objective == OBJECTIVE_REGRESSION
     # positives first, so a block's positive columns are a contiguous view
     positive = segments.labels == 1
     order = np.argsort(~positive, kind="stable")
@@ -214,49 +219,53 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     n_pos = float(n_pos_rows)
     h = _entropy_from_counts(n_pos, n - n_pos)
     d = segments.dists[positive]
-    # one product gives each block's right-side s1 (onset, offset) and s2
+    # one product gives each candidate's right-side s1 (onset, offset) and s2
     pos_stats = np.column_stack([d, (d**2).sum(axis=1)])
     s1_total = d.sum(axis=0)
     s2_total = float((d**2).sum())
 
     r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
-    best = None
-    best_score = -np.inf
-    for start, diffs, tau in _candidate_blocks(segments.x[order], r, q, u):
-        mask = diffs > tau[:, np.newaxis]
+    tau = np.empty(n_candidates)
+    n_right = np.empty(n_candidates)
+    n_pos_right = np.empty(n_candidates)
+    sums = np.empty((n_candidates, pos_stats.shape[1])) if regression else None
+    for start, diffs, block_tau in _candidate_blocks(segments.x[order], r, q, u):
+        stop = start + len(block_tau)
+        mask = diffs > block_tau[:, np.newaxis]
         pos_mask = mask[:, :n_pos_rows]
-        n_right = np.count_nonzero(mask, axis=1).astype(np.float64)
-        n_left = n - n_right
-        valid = (n_right > 0) & (n_left > 0)
-        n_pos_right = np.count_nonzero(pos_mask, axis=1).astype(np.float64)
-        n_pos_left = n_pos - n_pos_right
-        if objective == OBJECTIVE_CLASSIFICATION:
-            h_right = _entropy_from_counts(n_pos_right, n_right - n_pos_right)
-            h_left = _entropy_from_counts(n_pos_left, n_left - n_pos_left)
-            gain = h - (n_right / n) * h_right
-            gain = gain - (n_left / n) * h_left
-            scores = np.where(valid, gain, -np.inf)
-        else:
-            valid &= (n_pos_right > 0) & (n_pos_left > 0)
-            sums = pos_mask @ pos_stats
-            s1_right = sums[:, :2]
-            s2_right = sums[:, 2]
-            safe_right = np.where(n_pos_right > 0, n_pos_right, 1.0)
-            safe_left = np.where(n_pos_left > 0, n_pos_left, 1.0)
-            v_right = s2_right - (s1_right**2).sum(axis=1) / safe_right
-            s1_left = s1_total - s1_right
-            v_left = (s2_total - s2_right) - (s1_left**2).sum(axis=1) / safe_left
-            # negated (exactly), so both objectives keep the largest score
-            scores = np.where(valid, -(v_right + v_left), -np.inf)
-        i = int(np.argmax(scores))
-        if scores[i] > best_score:
-            best, best_tau, best_score = start + i, float(tau[i]), scores[i]
+        tau[start:stop] = block_tau
+        n_right[start:stop] = np.count_nonzero(mask, axis=1)
+        n_pos_right[start:stop] = np.count_nonzero(pos_mask, axis=1)
+        if regression:
+            sums[start:stop] = pos_mask @ pos_stats
 
-    if best is None:
+    n_left = n - n_right
+    valid = (n_right > 0) & (n_left > 0)
+    n_pos_left = n_pos - n_pos_right
+    if objective == OBJECTIVE_CLASSIFICATION:
+        h_right = _entropy_from_counts(n_pos_right, n_right - n_pos_right)
+        h_left = _entropy_from_counts(n_pos_left, n_left - n_pos_left)
+        gain = h - (n_right / n) * h_right
+        gain = gain - (n_left / n) * h_left
+        scores = np.where(valid, gain, -np.inf)
+    else:
+        valid &= (n_pos_right > 0) & (n_pos_left > 0)
+        s1_right = sums[:, :2]
+        s2_right = sums[:, 2]
+        safe_right = np.where(n_pos_right > 0, n_pos_right, 1.0)
+        safe_left = np.where(n_pos_left > 0, n_pos_left, 1.0)
+        v_right = s2_right - (s1_right**2).sum(axis=1) / safe_right
+        s1_left = s1_total - s1_right
+        v_left = (s2_total - s2_right) - (s1_left**2).sum(axis=1) / safe_left
+        # negated (exactly), so both objectives keep the largest score
+        scores = np.where(valid, -(v_right + v_left), -np.inf)
+    if not valid.any():
         return None
+    # the first maximum is the earliest-drawn of the tied candidates
+    best = int(np.argmax(scores))
     # information gain is non-negative by concavity of the entropy
-    assert objective == OBJECTIVE_REGRESSION or best_score >= -1e-12
-    r_best, q_best = int(r[best]), int(q[best])
+    assert regression or scores[best] >= -1e-12
+    r_best, q_best, best_tau = int(r[best]), int(q[best]), float(tau[best])
     return SplitChoice(
         r=r_best,
         q=q_best,

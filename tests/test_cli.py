@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eventforest
+from eventforest import detect as detect_module
 from eventforest import features as features_module
 from eventforest.cli import main
 from eventforest.dataset import parse_annotations
@@ -507,6 +508,38 @@ class TestDetect:
         expected = tmp_path / "expected.txt"
         write_detections(detections, expected)
         assert out.read_text() == expected.read_text()
+
+    def test_dump_scores_scores_each_class_once(self, corpus, models,
+                                                tmp_path, monkeypatch):
+        # the first class is disabled: dumped, never detected
+        disabled = load_forest(models[0]).class_label
+        tuned = tmp_path / "thresholds.json"
+        tuned.write_text(json.dumps(
+            {disabled: {"alpha": 0.0, "beta": 1.01, "error_rate": 1.0}}
+        ))
+        routed = []
+        collect_votes = detect_module.collect_votes
+
+        def counting(features, forest):
+            routed.append(forest.class_label)
+            return collect_votes(features, forest)
+
+        monkeypatch.setattr(detect_module, "collect_votes", counting)
+        base = (["detect", str(corpus / "test.wav")] + model_args(models)
+                + ["--thresholds", str(tuned), "--beta", "0.0"])
+        plain = tmp_path / "plain.txt"
+        assert main(base + ["--out", str(plain)]) == 0
+        enabled = sorted(routed)
+        assert disabled not in enabled and len(enabled) == len(models) - 1
+        routed.clear()
+        dumped = tmp_path / "dumped.txt"
+        scores = tmp_path / "scores"
+        assert main(base + ["--out", str(dumped),
+                            "--dump-scores", str(scores)]) == 0
+        assert sorted(routed) == sorted([disabled] + enabled)
+        assert (scores / f"scores_{disabled}.csv").exists()
+        assert dumped.read_bytes() == plain.read_bytes()
+        assert plain.read_text() and disabled not in plain.read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,28 @@ def test_smooth_preserves_interior_mass():
     assert out.f_plus.sum() == pytest.approx(values.sum(), rel=1e-9)
 
 
+def test_smooth_keeps_the_length_of_short_tracks():
+    values = np.array([3.0, 0.0, 6.0])
+    out = smooth(ScoreTrack(values, values[::-1].copy()), 11)
+    # every window covers the whole track: each value is the track's mean
+    assert np.array_equal(out.f_plus, np.full(3, 3.0))
+    assert np.array_equal(out.f_minus, np.full(3, 3.0))
+    values = np.array([1.0, 0.0, 0.0, 0.0, 2.0])
+    out = smooth(ScoreTrack(values, values.copy()), 7)
+    assert np.allclose(out.f_plus, [1 / 4, 3 / 5, 3 / 5, 3 / 5, 2 / 4])
+
+
+def test_smooth_keeps_the_bits_of_tracks_at_least_a_window_long():
+    rng = np.random.default_rng(6)
+    for n in (11, 12, 200):
+        values = rng.random(n)
+        out = smooth(ScoreTrack(values, values.copy()), 11)
+        kernel = np.ones(11)
+        counts = np.convolve(np.ones(n), kernel, mode="same")
+        same = np.convolve(values, kernel, mode="same") / counts
+        assert np.array_equal(out.f_plus, same)
+
+
 def test_smooth_rejects_even_windows():
     track = ScoreTrack(np.zeros(5), np.zeros(5))
     with pytest.raises(ValueError):
@@ -688,6 +710,15 @@ def test_detect_finds_planted_events(blob_model):
                 hit += 1
                 break
     assert hit >= len(blob_model.test_reference) * 0.5
+
+
+def test_detect_on_a_stream_shorter_than_the_smoothing_window():
+    features = flat_features(3)
+    forest = single_leaf_forest(leaf(onset=(0.0, 1.0), offset=(1.0, 1.0)))
+    config = DetectConfig(alpha=0.0, beta=0.0, smooth_window=11)
+    assert score_track(features, forest, config).n_segments == 3
+    for d in detect_on_features(features, [forest], config):
+        assert 0.0 <= d.onset < d.offset <= features.duration
 
 
 def test_detect_stream_checks_fingerprints():

@@ -253,7 +253,14 @@ def test_select_best_regression_needs_positives_on_both_sides():
     )
 
 
-BLOCK = forest_module._CANDIDATE_BLOCK
+# Candidates per block in the boundary tests: the cell budget is patched so
+# that a node of the test's rows scores this many candidates a block.
+BLOCK = 1024
+
+
+def use_block(monkeypatch, segments, block):
+    """Make a node of ``segments`` score ``block`` candidates per block."""
+    monkeypatch.setattr(forest_module, "_BLOCK_CELLS", block * len(segments))
 
 
 def assert_matches_oracle(segments, n_candidates, objective, seed):
@@ -295,15 +302,40 @@ def test_select_best_test_partition_is_exact():
 
 
 @pytest.mark.parametrize(
-    "n_candidates", [BLOCK // 3, BLOCK, BLOCK + 1, 5 * BLOCK // 2]
+    "n_candidates", [BLOCK // 3, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK // 2]
 )
 @pytest.mark.parametrize(
     "objective", [OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION]
 )
-def test_select_best_test_block_boundaries_match_oracle(n_candidates, objective):
+def test_select_best_test_block_boundaries_match_oracle(
+    n_candidates, objective, monkeypatch
+):
     rng = np.random.default_rng(n_candidates)
     segments = random_segments(rng, 24, dim=FEATURE_DIM, class_shift=0.5)
+    use_block(monkeypatch, segments, BLOCK)
     assert assert_matches_oracle(segments, n_candidates, objective, 17)
+
+
+@pytest.mark.parametrize(
+    "objective", [OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION]
+)
+def test_select_best_test_does_not_depend_on_the_block_size(objective, monkeypatch):
+    rng = np.random.default_rng(89)
+    segments = random_segments(rng, 300, dim=FEATURE_DIM, class_shift=0.5)
+
+    def search():
+        return select_best_test(segments, 500, objective, np.random.default_rng(9))
+
+    default = search()  # 218 candidates a block at 300 rows
+    assert default is not None
+    # one candidate per block, then the whole pool in one block
+    for cells in (1, 1 << 40):
+        monkeypatch.setattr(forest_module, "_BLOCK_CELLS", cells)
+        choice = search()
+        assert (choice.r, choice.q, choice.tau) == (
+            default.r, default.q, default.tau
+        )
+        assert np.array_equal(choice.mask, default.mask)
 
 
 def two_cluster_set():
@@ -321,8 +353,9 @@ def two_cluster_set():
 @pytest.mark.parametrize(
     "objective", [OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION]
 )
-def test_select_best_test_tie_across_blocks_keeps_earliest(objective):
+def test_select_best_test_tie_across_blocks_keeps_earliest(objective, monkeypatch):
     segments = two_cluster_set()
+    use_block(monkeypatch, segments, BLOCK)
     n_candidates = 5 * BLOCK // 2
     index, r, q, tau = assert_matches_oracle(segments, n_candidates, objective, 3)
     assert index < BLOCK
@@ -349,8 +382,9 @@ def test_select_best_test_memory_is_bounded_in_candidates():
         np.nan,
     )
     sset = SegmentSet(rng.normal(size=(n, FEATURE_DIM)), labels, dists)
-    # a quarter of one n x K float64 matrix; the whole-pool search holds ~3
-    bound = n * n_candidates * 8 // 4
+    # one block of differences (about 512 KB) plus O(K) per-candidate
+    # arrays; a block of 1,024 candidates at 2,000 rows alone is 16 MB
+    bound = 4 << 20
     for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
         tracemalloc.start()
         try:
