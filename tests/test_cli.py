@@ -37,6 +37,8 @@ from eventforest.evaluate import (
 )
 from eventforest.forest import load_forest
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 SYNTH_ARGS = [
     "--classes", "2",
     "--instances", "4",
@@ -609,6 +611,77 @@ class TestEvaluate:
 
 
 # ---------------------------------------------------------------------------
+# the whole pipeline
+# ---------------------------------------------------------------------------
+
+
+# sha256 of every file the pipeline below writes: the corpus, models,
+# thresholds, detections, score tracks and metric counts. Each stage runs in
+# a fresh interpreter under the package's one BLAS thread, the only setting
+# the digests hold for (a threaded BLAS sums features in another order). A
+# faster path must leave every byte as it is; new digests mean that models
+# or detections changed.
+PIPELINE_DIGESTS = {
+    "corpus/dev.txt": "b548bf6efc72ca71a600dce69b57264fde1ed0e503e7b1956cc642fa49050290",
+    "corpus/dev.wav": "7f7fbad87e7b46595cf9be29224935d3b4b7b258623a8eab7e3194eacc23bfca",
+    "corpus/manifest.json": "0f4d74a2a091d351c56119d5b12690f756b9647a4b002249f030bd31be17a1d2",
+    "corpus/test.txt": "5c1932facb0403aee57eccbc7919a97d0fc613f1ccb858d0bbc9f676d72c6061",
+    "corpus/test.wav": "09eb8014b5ab5cdda783d155d7c2a0154b330143f0a96fcf5652709a4147af9d",
+    "corpus/train/tone300_i00.txt": "bb6e5c646e0604cbbc092161db03a22659d410fb0b85c680ced431b07406f7be",
+    "corpus/train/tone300_i00.wav": "fe334ad54a508d806eed4fc42a159ad7153301518bf13ae028358fafd001d265",
+    "corpus/train/tone300_i01.txt": "3f8e10566d8298d8d08829588c2d60c6a6fb48ba2f628b42ae6f98531945bcd1",
+    "corpus/train/tone300_i01.wav": "58571b10144ede03f4b82f7c1d93c490f44e3d2fb091ee23949cd7f3e726c2c8",
+    "corpus/train/tone300_i02.txt": "a492ad7ba2bfe0d876436cbe67d0c203de09624cbf2b5687510a72696ecdaf9d",
+    "corpus/train/tone300_i02.wav": "fd631ecb2ef0b24122840c02152b4751de91839763fa5c47aea173542a410b75",
+    "corpus/train/tone300_i03.txt": "d96bdd1960622231a453f9444d6116b35497e49faad1cc30ec277bdd7bb8ff88",
+    "corpus/train/tone300_i03.wav": "a942ec5b6e3b912d2d42a902c5f42a4db7518bde2b7ed1e322ba35389e825fa5",
+    "corpus/train/tone600_i00.txt": "6cc59bbd54e30213925e46910a11d44358a2b3afaadc529c24cc9e8d9cfb0287",
+    "corpus/train/tone600_i00.wav": "bc3c3b511c1bf74d54d3abcece3df2277a1f1e55853a9a22208e17bd5707282c",
+    "corpus/train/tone600_i01.txt": "7f433d268bd5f7e4e2e5a74c519944cc046d62c8eadfc14e6da53294b3895d95",
+    "corpus/train/tone600_i01.wav": "874b895a3ef0ea0ced0999e480cd9426363e8933d7be1fa96dd7d18912c50990",
+    "corpus/train/tone600_i02.txt": "096fe5be8421e247db80ce602179fda8342b1007d5cacd25cbbc3a862f33c394",
+    "corpus/train/tone600_i02.wav": "a0df6ddfe2b59fe10f0281b2bca203a672f5a4b817cbe9332c4eb9e6ad9f8e6c",
+    "corpus/train/tone600_i03.txt": "4640d8cfe1797430afbc8fa9094577842da7faefd5eb043087ce4cd7a2c20cf4",
+    "corpus/train/tone600_i03.wav": "d7ff5e979963272a9beeea640bab35dfe3f52a44a540a96a68463973033e85c0",
+    "out/detections.txt": "0be6426b24452cd7da34eb515f9e2e6a089a61f1ebb652d4eb80981bf43b6d4d",
+    "out/model_tone300.json": "048b3d2b225c684b25a2c823b6edb7d576c7b34a4520a6358adbea074a28904e",
+    "out/model_tone600.json": "0d9c1b203ef2b7c79d7c27d40b7aaa4f0e23ec65c3bc94d9b4b45d64ef18dcf5",
+    "out/scores.csv": "2b3ae2947db80ec883e1a86b05d9a86a0e99d36dfdbf8692288c64161d575594",
+    "out/scores_tone300.csv": "fa2c1791ea7cfade837c140fb02486da934807538b0a19039283c2868bbc3bd0",
+    "out/scores_tone600.csv": "24a226c7ae4eb69a64df56a246dfcf38b8caeda163b579657c95be60fa1c1408",
+    "out/thresholds.json": "39bd0cf61b5754a4ca33af432181cd94ba6a1fa20f8e195f933639ad4b963f0b",
+}
+
+
+def test_pipeline_output_bytes_pinned(tmp_path):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    models = [str(out / f"model_{c}.json") for c in ("tone300", "tone600")]
+    env = _package_env(**dict.fromkeys(BLAS_THREAD_VARIABLES))
+    for argv in (
+        # the later --scene-len wins: 12 s scenes give detections to pin
+        ["synth", str(corpus)] + SYNTH_ARGS + ["--scene-len", "12"],
+        # --threads 2 in TRAIN_ARGS: trees grow on more than one worker
+        ["train", str(corpus / "manifest.json"), "--out-dir", str(out)]
+        + TRAIN_ARGS,
+        ["tune", str(corpus / "manifest.json"), *models,
+         "--out", str(out / "thresholds.json")],
+        ["detect", str(corpus / "test.wav"), *model_args(models),
+         "--thresholds", str(out / "thresholds.json"),
+         "--out", str(out / "detections.txt"), "--dump-scores", str(out)],
+        ["evaluate", str(corpus / "test.txt"), str(out / "detections.txt"),
+         "--csv", str(out / "scores.csv")],
+    ):
+        subprocess.run([sys.executable, "-m", "eventforest.cli", *argv],
+                       env=env, capture_output=True, check=True)
+    digests = {
+        path.relative_to(tmp_path).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*")) if path.is_file()
+    }
+    assert digests == PIPELINE_DIGESTS
+
+
+# ---------------------------------------------------------------------------
 # malformed inputs
 # ---------------------------------------------------------------------------
 
@@ -1082,11 +1155,10 @@ def test_features_do_not_depend_on_unset_blas_threads():
         "rows = featurize(Waveform(samples, 16000), FeatureConfig()).rows\n"
         "print(hashlib.sha256(rows.tobytes()).hexdigest())\n"
     )
-    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     digests = [
         subprocess.run(
             [sys.executable, "-c", code],
-            env=_package_env(**dict.fromkeys(names, value)),
+            env=_package_env(**dict.fromkeys(BLAS_THREAD_VARIABLES, value)),
             capture_output=True, text=True, check=True,
         ).stdout
         for value in (None, "1")
