@@ -64,7 +64,6 @@ from .forest import (
     SegmentSet,
     Tree,
     calibrate,
-    draw_candidates,
     load_forest,
     make_leaf,
     route,

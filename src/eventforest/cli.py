@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -260,6 +261,8 @@ def cmd_train(args) -> int:
     if args.print_config:
         _print_config(merged)
         return 0
+    if merged["threads"] < 1:
+        raise ValueError(f"threads must be at least 1, got {merged['threads']}")
     manifest = _load_manifest(args.manifest)
     feature_config = FeatureConfig(
         sample_rate=manifest["sample_rate"],
@@ -566,7 +569,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,12 +8,11 @@ inside an event their segments tend to sit.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -164,21 +163,6 @@ def _candidate_blocks(x, r, q, u):
         lo = diffs.min(axis=1)
         hi = diffs.max(axis=1)
         yield start, diffs, lo + u[start:stop] * (hi - lo)
-
-
-def draw_candidates(segments: SegmentSet, n_candidates: int, rng):
-    """Draw the candidate test pool for one node.
-
-    Channels r and q are uniform over the feature dimensions; each threshold
-    is uniform over the observed range of x_r - x_q within the node, so every
-    candidate has a chance to separate something. This replays exactly the
-    pool that ``select_best_test`` scores for the same RNG state.
-    """
-    r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
-    tau = np.empty(n_candidates)
-    for start, _, block_tau in _candidate_blocks(segments.x, r, q, u):
-        tau[start:start + len(block_tau)] = block_tau
-    return r, q, tau
 
 
 @dataclass(eq=False)
@@ -541,6 +525,83 @@ def _grow_one(segs: SegmentSet, config: ForestConfig, tree_index: int):
     return train_tree(segs.take(indices), config, rng)
 
 
+# (segments, config, next_tree) in a worker process, set by the pool initializer
+_worker_job = None
+
+
+def _init_worker(segments: SegmentSet, config: ForestConfig, next_tree) -> None:
+    global _worker_job
+    _worker_job = (segments, config, next_tree)
+
+
+def _grow_in_worker() -> dict:
+    return _grow_claimed(*_worker_job)
+
+
+def _grow_claimed(segments: SegmentSet, config: ForestConfig, next_tree) -> dict:
+    """Grow trees by index until none is left, claiming each from ``next_tree``.
+
+    ``next_tree`` is a shared counter, so every tree is grown exactly once
+    whichever process claims it.
+    """
+    trees = {}
+    while True:
+        with next_tree.get_lock():
+            i = next_tree.value
+            next_tree.value = i + 1
+        if i >= config.n_trees:
+            return trees
+        trees[i] = _grow_one(segments, config, i)
+
+
+def _start_method() -> str | None:
+    """Fork where the platform has it, else None: the default, spawn.
+
+    A forked child shares the training set's pages with its parent and
+    nothing is pickled. The pool forks all its children before it starts its
+    manager thread, and the package runs BLAS on one thread, so no lock is
+    held by a thread the child lacks. A spawned child gets the set pickled,
+    and its import of this package pins BLAS to one thread before numpy
+    loads.
+    """
+    import multiprocessing
+
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+
+
+def _grow_trees(segments: SegmentSet, config: ForestConfig, n_workers: int) -> list:
+    """Grow the forest's trees, in index order, on ``n_workers`` processes.
+
+    One worker is this process; the others are ``min(n_workers, n_trees) - 1``
+    child processes. Each worker claims the next tree nobody has claimed
+    until none is left, so no worker idles while a tree waits.
+    """
+    n_children = min(n_workers, config.n_trees) - 1
+    if n_children == 0:
+        return [_grow_one(segments, config, i) for i in range(config.n_trees)]
+    # imported here, so that only a run with workers loads multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context(_start_method())
+    next_tree = context.Value("q", 0)
+    pool = ProcessPoolExecutor(
+        n_children,
+        mp_context=context,
+        initializer=_init_worker,
+        initargs=(segments, config, next_tree),
+    )
+    try:
+        futures = [pool.submit(_grow_in_worker) for _ in range(n_children)]
+        trees = _grow_claimed(segments, config, next_tree)
+        for future in futures:
+            trees.update(future.result())
+        return [trees[i] for i in range(config.n_trees)]
+    finally:
+        next_tree.value = config.n_trees  # after an error, no child starts a tree
+        pool.shutdown(cancel_futures=True)
+
+
 def train_forest(
     segments: SegmentSet,
     config: ForestConfig,
@@ -551,9 +612,14 @@ def train_forest(
     """Train and calibrate a forest for one event class.
 
     Each tree grows on its own subsample drawn without replacement and with
-    its own seed stream, so results do not depend on worker count. After
-    growing, every leaf is re-estimated from the full training set.
+    its own seed stream, so results do not depend on worker count. With
+    ``n_workers`` above one, trees grow at once in this process and in up to
+    ``n_workers - 1`` child processes, never more children than trees less
+    one; a child that dies raises ``BrokenExecutor``. After growing,
+    every leaf is re-estimated from the full training set.
     """
+    if n_workers < 1:
+        raise ValueError(f"need at least one worker, got {n_workers}")
     if segments.n_positive == 0:
         raise ValueError(
             f"cannot train class {class_label!r}: no positive segments"
@@ -562,12 +628,10 @@ def train_forest(
         raise ValueError(
             f"cannot train class {class_label!r}: no negative segments"
         )
-    grow = functools.partial(_grow_one, segments, config)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            trees = list(pool.map(grow, range(config.n_trees)))
-    else:
-        trees = [grow(i) for i in range(config.n_trees)]
+    try:
+        trees = _grow_trees(segments, config, n_workers)
+    except BrokenExecutor as exc:
+        raise BrokenExecutor(f"cannot train class {class_label!r}: {exc}") from None
 
     duration = None
     if feature_config is not None and segments.n_positive:

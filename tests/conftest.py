@@ -24,8 +24,9 @@ from eventforest.forest import (
     ForestConfig,
     SegmentSet,
     Tree,
+    _candidate_blocks,
+    _draw_pool,
     _entropy_from_counts,
-    draw_candidates,
     gaussian_pdf,
     train_forest,
 )
@@ -300,6 +301,21 @@ def scalar_entropy(n_pos, n_neg):
             p = count / n
             h = h - p * np.log2(p)
     return h
+
+
+def draw_candidates(segments: SegmentSet, n_candidates: int, rng):
+    """Draw the candidate test pool for one node.
+
+    Channels r and q are uniform over the feature dimensions; each threshold
+    is uniform over the observed range of x_r - x_q within the node, so every
+    candidate has a chance to separate something. This replays exactly the
+    pool that ``select_best_test`` scores for the same RNG state.
+    """
+    r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
+    tau = np.empty(n_candidates)
+    for start, _, block_tau in _candidate_blocks(segments.x, r, q, u):
+        tau[start:start + len(block_tau)] = block_tau
+    return r, q, tau
 
 
 def oracle_best_split(segments, n_candidates, objective, seed):

@@ -15,6 +15,7 @@ from conftest import (
     FEATURE_DIM,
     blob_stream,
     distance_variation,
+    draw_candidates,
     entropy,
     feature_config,
     info_gain,
@@ -45,7 +46,6 @@ from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
     OBJECTIVE_REGRESSION,
     ForestConfig,
-    draw_candidates,
     gaussian_pdf,
     load_forest,
     make_leaf,

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import eventforest
 from eventforest import detect as detect_module
 from eventforest import features as features_module
+from eventforest import forest as forest_module
 from eventforest.cli import main
 from eventforest.dataset import parse_annotations
 from eventforest.detect import (
@@ -291,6 +292,46 @@ class TestTrain:
         code = main(["train", str(tmp_path / "absent.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads, source", [
+        (0, "flag"), (-2, "flag"), (0, "config"),
+    ])
+    def test_threads_below_one_rejected(self, threads, source, corpus, tmp_path,
+                                        capsys):
+        argv = ["train", str(corpus / "manifest.json"), "--out-dir",
+                str(tmp_path / "models"), "--event-class", "tone300",
+                "--trees", "1"]
+        if source == "flag":
+            argv += ["--threads", str(threads)]
+        else:
+            config = tmp_path / "train.json"
+            config.write_text(json.dumps({"threads": threads}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: threads must be at least 1, got {threads}\n"
+        assert not (tmp_path / "models").exists()
+
+    @pytest.mark.skipif(forest_module._start_method() != "fork",
+                        reason="only a forked child inherits the patch")
+    def test_dead_worker_gives_one_error_line(self, corpus, tmp_path, capsys,
+                                              monkeypatch):
+        grow_one, test_pid = forest_module._grow_one, os.getpid()
+
+        def die_in_a_child(*args):
+            if os.getpid() != test_pid:
+                os._exit(3)
+            return grow_one(*args)
+
+        monkeypatch.setattr(forest_module, "_grow_one", die_in_a_child)
+        out = tmp_path / "models"
+        code = main(["train", str(corpus / "manifest.json"), "--out-dir",
+                     str(out), "--event-class", "tone300"] + TRAIN_ARGS)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot train class 'tone300': ")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

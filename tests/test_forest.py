@@ -1,5 +1,6 @@
 """Split search, objectives, leaf models, training, calibration, model files."""
 
+import concurrent.futures
 import json
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     FEATURE_DIM,
     distance_variation,
+    draw_candidates,
     entropy,
     feature_config,
     info_gain,
@@ -32,7 +34,6 @@ from eventforest.forest import (
     SegmentSet,
     Tree,
     calibrate,
-    draw_candidates,
     forest_from_dict,
     forest_to_dict,
     gaussian_pdf,
@@ -549,13 +550,69 @@ def test_training_is_deterministic_on_disk(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def model_bytes(forest) -> bytes:
+    """The model file's bytes: floats as repr, so equal bytes are equal bits."""
+    return json.dumps(forest_to_dict(forest), sort_keys=True).encode()
+
+
 def test_threaded_training_matches_serial():
     segments = small_training_set()
-    serial = train_forest(segments, small_config(n_trees=4), class_label="x")
-    threaded = train_forest(
-        segments, small_config(n_trees=4), class_label="x", n_workers=3
-    )
-    assert forest_to_dict(serial) == forest_to_dict(threaded)
+    # (trees, workers): fewer workers than trees, more, and a single tree
+    for n_trees, n_workers in ((4, 2), (4, 3), (4, 6), (1, 3)):
+        config = small_config(n_trees=n_trees)
+        serial = train_forest(segments, config, class_label="x")
+        pooled = train_forest(segments, config, class_label="x",
+                              n_workers=n_workers)
+        assert model_bytes(pooled) == model_bytes(serial), (n_trees, n_workers)
+
+
+def test_spawned_workers_match_serial(monkeypatch):
+    # spawn pickles the training set and config into each child
+    segments = small_training_set()
+    config = small_config(n_trees=4)
+    serial = train_forest(segments, config, class_label="x")
+    monkeypatch.setattr(forest_module, "_start_method", lambda: "spawn")
+    spawned = train_forest(segments, config, class_label="x", n_workers=2)
+    assert model_bytes(spawned) == model_bytes(serial)
+
+
+def test_worker_processes_capped_at_trees_less_one(monkeypatch):
+    sizes = []
+
+    class PoolRecorder:
+        """Records the pool size and starts no process: each submitted job
+        returns no tree, so the calling process grows every tree."""
+
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result({})
+            return future
+
+        def shutdown(self, **kwargs):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
+    segments = small_training_set()
+    # a broken cap would ask for a billion processes, so none is ever started
+    for n_trees, n_workers, expected in (
+        (4, 1, []), (4, 2, [1]), (4, 10**9, [3]), (1, 10**9, []),
+    ):
+        config = small_config(n_trees=n_trees)
+        sizes.clear()
+        forest = train_forest(segments, config, class_label="x",
+                              n_workers=n_workers)
+        assert sizes == expected, (n_trees, n_workers)
+        serial = train_forest(segments, config, class_label="x")
+        assert model_bytes(forest) == model_bytes(serial)
+
+
+@pytest.mark.parametrize("n_workers", [0, -2])
+def test_training_needs_a_worker(n_workers):
+    with pytest.raises(ValueError, match="at least one worker"):
+        train_forest(small_training_set(), small_config(), n_workers=n_workers)
 
 
 def test_forest_records_longest_training_event():
