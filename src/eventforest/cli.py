@@ -54,14 +54,19 @@ from .forest import (
     train_forest,
 )
 
+# train's names for ForestConfig fields, whose defaults are train's defaults
+_FOREST_KEYS = {
+    "seed": "rng_seed",
+    "trees": "n_trees",
+    "max_depth": "max_depth",
+    "min_leaf": "min_segments",
+    "steer_depth": "steer_depth",
+    "tests_per_node": "n_candidate_tests",
+    "subsample": "subsample_ratio",
+}
+
 TRAIN_DEFAULTS = {
-    "seed": 0,
-    "trees": 10,
-    "max_depth": 12,
-    "min_leaf": 20,
-    "steer_depth": 9,
-    "tests_per_node": 20000,
-    "subsample": 0.5,
+    **{key: getattr(ForestConfig(), name) for key, name in _FOREST_KEYS.items()},
     "threads": 1,
     "snr_levels": None,
     "event_class": None,
@@ -307,13 +312,7 @@ def cmd_train(args) -> int:
         snr_levels=snr_levels, rng_seed=merged["seed"]
     )
     forest_config = ForestConfig(
-        n_trees=merged["trees"],
-        subsample_ratio=merged["subsample"],
-        n_candidate_tests=merged["tests_per_node"],
-        max_depth=merged["max_depth"],
-        min_segments=merged["min_leaf"],
-        steer_depth=merged["steer_depth"],
-        rng_seed=merged["seed"],
+        **{name: merged[key] for key, name in _FOREST_KEYS.items()}
     )
 
     out = Path(args.out_dir)

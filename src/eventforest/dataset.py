@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -51,6 +51,9 @@ class MixtureSpec:
     def __post_init__(self):
         if not self.snr_levels:
             raise ValueError("need at least one SNR level")
+        for level in self.snr_levels:
+            if not isfinite(level):
+                raise ValueError(f"SNR level must be finite, got {level}")
         if not 0.0 < self.min_overlap_fraction <= 1.0:
             raise ValueError(
                 f"overlap fraction must be in (0, 1], got {self.min_overlap_fraction}"

@@ -525,33 +525,17 @@ def _grow_one(segs: SegmentSet, config: ForestConfig, tree_index: int):
     return train_tree(segs.take(indices), config, rng)
 
 
-# (segments, config, next_tree) in a worker process, set by the pool initializer
+# (segments, config) in a worker process, set by the pool initializer
 _worker_job = None
 
 
-def _init_worker(segments: SegmentSet, config: ForestConfig, next_tree) -> None:
+def _init_worker(segments: SegmentSet, config: ForestConfig) -> None:
     global _worker_job
-    _worker_job = (segments, config, next_tree)
+    _worker_job = (segments, config)
 
 
-def _grow_in_worker() -> dict:
-    return _grow_claimed(*_worker_job)
-
-
-def _grow_claimed(segments: SegmentSet, config: ForestConfig, next_tree) -> dict:
-    """Grow trees by index until none is left, claiming each from ``next_tree``.
-
-    ``next_tree`` is a shared counter, so every tree is grown exactly once
-    whichever process claims it.
-    """
-    trees = {}
-    while True:
-        with next_tree.get_lock():
-            i = next_tree.value
-            next_tree.value = i + 1
-        if i >= config.n_trees:
-            return trees
-        trees[i] = _grow_one(segments, config, i)
+def _grow_in_worker(tree_index: int) -> Tree:
+    return _grow_one(*_worker_job, tree_index)
 
 
 def _start_method() -> str | None:
@@ -570,35 +554,28 @@ def _start_method() -> str | None:
 
 
 def _grow_trees(segments: SegmentSet, config: ForestConfig, n_workers: int) -> list:
-    """Grow the forest's trees, in index order, on ``n_workers`` processes.
+    """Grow the forest's trees, in index order, on ``min(n_workers, n_trees)``.
 
-    One worker is this process; the others are ``min(n_workers, n_trees) - 1``
-    child processes. Each worker claims the next tree nobody has claimed
-    until none is left, so no worker idles while a tree waits.
+    With one worker this process grows every tree itself and starts no
+    process. Otherwise that many child processes grow the trees, and this
+    process only waits for them.
     """
-    n_children = min(n_workers, config.n_trees) - 1
-    if n_children == 0:
+    n_processes = min(n_workers, config.n_trees)
+    if n_processes == 1:
         return [_grow_one(segments, config, i) for i in range(config.n_trees)]
     # imported here, so that only a run with workers loads multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context(_start_method())
-    next_tree = context.Value("q", 0)
     pool = ProcessPoolExecutor(
-        n_children,
-        mp_context=context,
+        n_processes,
+        mp_context=multiprocessing.get_context(_start_method()),
         initializer=_init_worker,
-        initargs=(segments, config, next_tree),
+        initargs=(segments, config),
     )
     try:
-        futures = [pool.submit(_grow_in_worker) for _ in range(n_children)]
-        trees = _grow_claimed(segments, config, next_tree)
-        for future in futures:
-            trees.update(future.result())
-        return [trees[i] for i in range(config.n_trees)]
+        return list(pool.map(_grow_in_worker, range(config.n_trees)))
     finally:
-        next_tree.value = config.n_trees  # after an error, no child starts a tree
         pool.shutdown(cancel_futures=True)
 
 
@@ -612,11 +589,11 @@ def train_forest(
     """Train and calibrate a forest for one event class.
 
     Each tree grows on its own subsample drawn without replacement and with
-    its own seed stream, so results do not depend on worker count. With
-    ``n_workers`` above one, trees grow at once in this process and in up to
-    ``n_workers - 1`` child processes, never more children than trees less
-    one; a child that dies raises ``BrokenExecutor``. After growing,
-    every leaf is re-estimated from the full training set.
+    its own seed stream, so results do not depend on worker count. When
+    ``min(n_workers, n_trees)`` is above one, that many child processes grow
+    the trees at once while this process waits; a child that dies raises
+    ``BrokenExecutor``. After growing, every leaf is re-estimated from the
+    full training set.
     """
     if n_workers < 1:
         raise ValueError(f"need at least one worker, got {n_workers}")

@@ -4,6 +4,9 @@ import math
 from math import ceil, floor, sqrt
 from types import SimpleNamespace
 
+# eventforest before numpy and scipy: its import pins BLAS to one thread, as
+# in the CLI, so in-process results do not depend on the core count.
+import eventforest  # noqa: F401
 import numpy as np
 import pytest
 from scipy.fft import dct

