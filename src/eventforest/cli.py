@@ -169,6 +169,11 @@ def _load_manifest(path):
     }
 
 
+def _dev_entries(manifest) -> list:
+    """The development entries: every fold other than train and test."""
+    return [e for e in manifest["entries"] if e["fold"] not in ("train", "test")]
+
+
 def _load_instances(entries, sample_rate):
     """Load isolated training instances grouped by their single class label."""
     instances: dict = {}
@@ -274,9 +279,7 @@ def cmd_train(args) -> int:
         noise_subtraction=bool(merged["noise_subtraction"]),
     )
     train_entries = [e for e in manifest["entries"] if e["fold"] == "train"]
-    dev_entries = [
-        e for e in manifest["entries"] if e["fold"] not in ("train", "test")
-    ]
+    dev_entries = _dev_entries(manifest)
     if not train_entries:
         raise ValueError("manifest has no train entries")
     instances = _load_instances(train_entries, feature_config.sample_rate)
@@ -307,7 +310,7 @@ def cmd_train(args) -> int:
     elif manifest["snr_db"] is not None:
         snr_levels = (float(manifest["snr_db"]),)
     else:
-        snr_levels = (-6.0, 0.0, 6.0)
+        snr_levels = MixtureSpec().snr_levels
     mixture = MixtureSpec(
         snr_levels=snr_levels, rng_seed=merged["seed"]
     )
@@ -352,9 +355,7 @@ def cmd_tune(args) -> int:
     manifest = _load_manifest(args.manifest)
     forests = [load_forest(p) for p in args.models]
     feature_config = shared_feature_config(forests)
-    dev_entries = [
-        e for e in manifest["entries"] if e["fold"] not in ("train", "test")
-    ]
+    dev_entries = _dev_entries(manifest)
     if not dev_entries:
         raise ValueError("manifest has no development entries to tune on")
     folds = [
@@ -511,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tests-per-node", type=int)
     p.add_argument("--subsample", type=float)
     p.add_argument("--threads", type=int)
-    p.add_argument("--snr-levels", help="comma separated mixing SNRs in dB")
+    p.add_argument("--snr-levels", metavar="LEVELS", help="comma separated mixing "
+                   "SNRs in dB; a negative first level needs '=': --snr-levels=-6,0")
     p.add_argument("--noise-subtraction", action="store_const", const=True,
                    default=None,
                    help="subtract the per-channel noise floor from streams")

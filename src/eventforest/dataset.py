@@ -453,12 +453,17 @@ def synth_benchmark(
     built from those instances for threshold tuning, and a test scene built
     from freshly drawn instances. Scenes mix the events into pink noise at
     the requested SNR with roughly a third of the events in overlapping
-    cross-class pairs.
+    cross-class pairs. The scene length and the SNR must be finite.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
     if instances_per_class < 1:
         raise ValueError("need at least one instance per class")
+    if events_per_scene < 0:
+        raise ValueError(f"events per scene {events_per_scene} is negative")
+    for what, value in (("scene length", scene_len), ("SNR", snr_db)):
+        if not isfinite(value):
+            raise ValueError(f"{what} must be finite, got {value}")
     class_names = [f"tone{300 * 2**k}" for k in range(n_classes)]
     rng_train = np.random.default_rng([seed, 1])
     rng_dev = np.random.default_rng([seed, 2])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureConfig, FeatureMatrix, Waveform, featurize
+from .features import FeatureMatrix, Waveform, featurize
 from .forest import Forest, gaussian_pdf, route, shared_feature_config
 
 
@@ -314,17 +314,17 @@ def score_track(
 
 def forest_events(
     track: ScoreTrack, forest: Forest, beta: float, duration_factor: float,
-    feature_config: FeatureConfig, maxima: tuple | None = None,
+    maxima: tuple | None = None,
 ) -> list:
     """One class's detections: ``extract_events``, then ``filter_duration``.
 
-    The filter runs when the model records its longest training event.
-    ``maxima`` is the track's ``track_maxima``, when the caller has it.
+    Segments map to times through the forest's feature space, and events
+    longer than ``duration_factor`` times its longest training event are
+    dropped. ``maxima`` is the track's ``track_maxima``, when the caller has it.
     """
-    events = extract_events(track, beta, feature_config.hop_len,
-                            feature_config.window_len, forest.class_label, maxima)
-    if forest.max_train_event_duration is None:
-        return events
+    fc = forest.feature_config
+    events = extract_events(track, beta, fc.hop_len, fc.window_len,
+                            forest.class_label, maxima)
     return filter_duration(events, forest.max_train_event_duration, duration_factor)
 
 
@@ -343,7 +343,7 @@ def detect_on_features(
         if track is None:
             track = score_track(features, forest, config)
         detections += forest_events(track, forest, config.beta,
-                                    config.duration_factor, features.config)
+                                    config.duration_factor)
     detections.sort(key=lambda d: (d.onset, d.offset, d.label))
     return detections
 

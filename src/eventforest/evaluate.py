@@ -313,8 +313,7 @@ def tune_thresholds(
                 pooled = SegmentScore()
                 for track, peaks, fold in zip(tracks, maxima, folds):
                     events = forest_events(track, forest, beta,
-                                           detect_config.duration_factor,
-                                           fold.features.config, peaks)
+                                           detect_config.duration_factor, peaks)
                     pooled.add(segment_metrics(fold.reference, events, resolution,
                                                fold.features.duration, [label]))
                 rate = pooled.error_rate

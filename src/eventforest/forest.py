@@ -485,15 +485,19 @@ def train_tree(segments: SegmentSet, config: ForestConfig, rng) -> Tree:
 
 @dataclass(eq=False)
 class Forest:
-    """Per-class detector: trees plus stream-level constants."""
+    """Per-class detector: trees plus the constants detection needs.
+
+    These are the feature space the trees split in, the longest training
+    event in seconds, and the score normalizers ``z_plus``/``z_minus``.
+    """
 
     class_label: str
     trees: list
     config: ForestConfig
-    feature_config: FeatureConfig | None = None
+    feature_config: FeatureConfig
+    max_train_event_duration: float
     z_plus: float = 1.0
     z_minus: float = 1.0
-    max_train_event_duration: float | None = None
 
     @property
     def n_trees(self) -> int:
@@ -503,13 +507,11 @@ class Forest:
 def shared_feature_config(forests) -> FeatureConfig:
     """The feature configuration that all of ``forests`` were trained with.
 
-    Raises ValueError when a forest carries no fingerprint or was trained in
-    another feature space than the first one.
+    Raises ValueError when a forest was trained in another feature space
+    than the first one.
     """
     first = forests[0].feature_config
     for forest in forests:
-        if forest.feature_config is None:
-            raise ValueError(f"model {forest.class_label!r} has no feature fingerprint")
         if forest.feature_config.fingerprint() != first.fingerprint():
             raise ValueError(
                 f"model {forest.class_label!r} was trained in a different "
@@ -582,12 +584,14 @@ def _grow_trees(segments: SegmentSet, config: ForestConfig, n_workers: int) -> l
 def train_forest(
     segments: SegmentSet,
     config: ForestConfig,
-    class_label: str = "",
-    feature_config: FeatureConfig | None = None,
+    class_label: str,
+    feature_config: FeatureConfig,
     n_workers: int = 1,
 ) -> Forest:
     """Train and calibrate a forest for one event class.
 
+    ``feature_config`` is the feature space of ``segments``; the forest
+    keeps it, and the longest positive event in it converted to seconds.
     Each tree grows on its own subsample drawn without replacement and with
     its own seed stream, so results do not depend on worker count. When
     ``min(n_workers, n_trees)`` is above one, that many child processes grow
@@ -610,16 +614,13 @@ def train_forest(
     except BrokenExecutor as exc:
         raise BrokenExecutor(f"cannot train class {class_label!r}: {exc}") from None
 
-    duration = None
-    if feature_config is not None and segments.n_positive:
-        lengths = segments.dists[segments.labels == 1].sum(axis=1) + 1.0
-        duration = float(lengths.max()) * feature_config.hop_len
+    lengths = segments.dists[segments.labels == 1].sum(axis=1) + 1.0
     forest = Forest(
         class_label=class_label,
         trees=trees,
         config=config,
         feature_config=feature_config,
-        max_train_event_duration=duration,
+        max_train_event_duration=float(lengths.max()) * feature_config.hop_len,
     )
     calibrate(forest, segments)
     return forest
@@ -681,25 +682,19 @@ def forest_to_dict(forest: Forest) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "class_label": forest.class_label,
-        "feature_fingerprint": (
-            asdict(forest.feature_config) if forest.feature_config else None
-        ),
+        "feature_fingerprint": asdict(forest.feature_config),
         "config": asdict(forest.config),
         "z_plus": _finite_float(forest.z_plus),
         "z_minus": _finite_float(forest.z_minus),
-        "max_train_event_duration": (
-            _finite_float(forest.max_train_event_duration)
-            if forest.max_train_event_duration is not None
-            else None
-        ),
+        "max_train_event_duration": _finite_float(forest.max_train_event_duration),
         "trees": [tree.to_nodes() for tree in forest.trees],
     }
 
 
-def _positive(value, what: str) -> float:
-    value = _finite_float(value, what)
+def _positive(payload: dict, key: str) -> float:
+    value = _finite_float(_get(payload, key), key)
     if value <= 0.0:
-        raise ValueError(f"model {what} {value} is not positive")
+        raise ValueError(f"model {key} {value} is not positive")
     return value
 
 
@@ -707,32 +702,29 @@ def forest_from_dict(payload: dict) -> Forest:
     """Rebuild a forest from ``forest_to_dict`` output.
 
     Every field is checked, so a malformed model raises ValueError here and
-    not later during detection.
+    not later during detection. The label must be a non-empty string, and
+    the fingerprint and the training duration must be present. Keys missing
+    from ``feature_fingerprint`` or ``config`` take their defaults, so ``{}``
+    reads as ``FeatureConfig()`` or ``ForestConfig()``.
     """
     if not isinstance(payload, dict):
         raise ValueError("model is not a JSON object")
     version = payload.get("format_version")
     if expected_type(version, FORMAT_VERSION) or version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    feature_config = None
-    if _get(payload, "feature_fingerprint"):
-        feature_config = _config_from_dict(
-            FeatureConfig, payload["feature_fingerprint"], "feature_fingerprint"
-        )
+    feature_config = _config_from_dict(
+        FeatureConfig, _get(payload, "feature_fingerprint"), "feature_fingerprint"
+    )
     config = _config_from_dict(ForestConfig, _get(payload, "config"), "config")
     class_label = _get(payload, "class_label")
-    if not isinstance(class_label, str):
-        raise ValueError("model class_label is not a string")
-    duration = _get(payload, "max_train_event_duration")
-    if duration is not None:
-        duration = _positive(duration, "max_train_event_duration")
+    if not isinstance(class_label, str) or not class_label:
+        raise ValueError("model class_label is not a non-empty string")
     if not isinstance(_get(payload, "trees"), list) or not payload["trees"]:
         raise ValueError("model has no trees")
-    n_features = feature_config.n_channels if feature_config else None
     trees = []
     for t, nodes in enumerate(payload["trees"]):
         try:
-            trees.append(Tree.from_nodes(nodes, n_features))
+            trees.append(Tree.from_nodes(nodes, feature_config.n_channels))
         except ValueError as exc:
             raise ValueError(f"model tree {t}, {exc}") from None
     return Forest(
@@ -740,9 +732,9 @@ def forest_from_dict(payload: dict) -> Forest:
         trees=trees,
         config=config,
         feature_config=feature_config,
-        z_plus=_positive(_get(payload, "z_plus"), "z_plus"),
-        z_minus=_positive(_get(payload, "z_minus"), "z_minus"),
-        max_train_event_duration=duration,
+        max_train_event_duration=_positive(payload, "max_train_event_duration"),
+        z_plus=_positive(payload, "z_plus"),
+        z_minus=_positive(payload, "z_minus"),
     )
 
 

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eventforest
+from eventforest import cli as cli_module
 from eventforest import detect as detect_module
 from eventforest import features as features_module
 from eventforest import forest as forest_module
@@ -163,6 +164,21 @@ class TestSynth:
         }
         assert digests == SYNTH_DIGESTS
 
+    @pytest.mark.parametrize("flag, value, quantity", [
+        ("--scene-len", "inf", "scene length"),
+        ("--scene-len", "nan", "scene length"),
+        ("--snr", "inf", "SNR"),
+        ("--snr", "-inf", "SNR"),
+        ("--events", "-3", "events per scene"),
+    ])
+    def test_bad_size_rejected(self, flag, value, quantity, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        code = main(["synth", str(out), f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {quantity} ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_different_seed_differs(self, corpus, tmp_path):
         other = tmp_path / "other"
         args = [a if a != "3" else "4" for a in SYNTH_ARGS]
@@ -244,6 +260,38 @@ class TestTrain:
             '  "trees": 10\n'
             '}\n'
         )
+
+    def test_negative_snr_levels_need_the_equals_form(self, capsys):
+        assert main(["train", "ignored.json", "--print-config",
+                     "--snr-levels=-6,0"]) == 0
+        assert '"snr_levels": "-6,0"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, snr_db, levels", [
+        (["--snr-levels=-6,0"], 0.0, (-6.0, 0.0)),
+        ([], 0.0, (0.0,)),
+        ([], None, (-6.0, 0.0, 6.0)),
+    ])
+    def test_mixture_snr_levels(self, flags, snr_db, levels, corpus, tmp_path,
+                                capsys, monkeypatch):
+        # flags first, then the manifest's snr_db, then MixtureSpec's default
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        manifest["snr_db"] = snr_db
+        path = corpus / f"manifest_snr_{snr_db}.json"
+        path.write_text(json.dumps(manifest))
+        mixtures = []
+        build = cli_module.build_training_segments
+
+        def recording(label, instances, feature_config, mixture, **kwargs):
+            mixtures.append(mixture)
+            return build(label, instances, feature_config, mixture, **kwargs)
+
+        monkeypatch.setattr(cli_module, "build_training_segments", recording)
+        code = main(["train", str(path), "--out-dir", str(tmp_path),
+                     "--event-class", "tone300", "--trees", "1",
+                     "--tests-per-node", "20"] + flags)
+        capsys.readouterr()
+        assert code == 0
+        assert [m.snr_levels for m in mixtures] == [levels]
 
     def test_config_file_merging(self, tmp_path, capsys):
         config = tmp_path / "train.json"
@@ -583,8 +631,7 @@ class TestDetect:
                                [float(r["f_minus"]) for r in rows])
             choice = tuned[forest.class_label]
             detections += forest_events(track, forest, choice.beta,
-                                        DetectConfig().duration_factor,
-                                        forest.feature_config)
+                                        DetectConfig().duration_factor)
         assert detections
         detections.sort(key=lambda d: (d.onset, d.offset, d.label))
         expected = tmp_path / "expected.txt"
@@ -815,6 +862,12 @@ MALFORMED_MODELS = {
                      "unsupported model format version True"),
     "config_bool": (lambda p: p["config"].update(n_trees=True),
                     "model config 'n_trees' must be an integer"),
+    "fingerprint_null": (lambda p: p.update(feature_fingerprint=None),
+                         "model feature_fingerprint is not an object"),
+    "duration_null": (lambda p: p.update(max_train_event_duration=None),
+                      "max_train_event_duration is not a number: None"),
+    "class_label_empty": (lambda p: p.update(class_label=""),
+                          "model class_label is not a non-empty string"),
     "fingerprint_string": (
         lambda p: p["feature_fingerprint"].update(window_len="0.1"),
         "model feature_fingerprint 'window_len' must be a finite number",
@@ -851,6 +904,30 @@ def test_malformed_model_rejected_at_load(case, corpus, models, tmp_path,
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize("case", ["fingerprint_null", "duration_null",
+                                  "class_label_empty"])
+def test_incomplete_model_rejected_by_tune(case, corpus, models, tmp_path,
+                                           capsys, monkeypatch):
+    corrupt, fragment = MALFORMED_MODELS[case]
+    payload = json.loads(models[0].read_text())
+    corrupt(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+
+    def no_audio(*args, **kwargs):
+        raise AssertionError("audio read before the model was checked")
+
+    monkeypatch.setattr(cli_module, "load_audio", no_audio)
+    out = tmp_path / "thresholds.json"
+    code = main(["tune", str(corpus / "manifest.json"), str(models[1]), str(bad),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert fragment in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("entry", [{"beta": 0.1}, {"alpha": "0.5", "beta": 0.1}, 5])

@@ -61,12 +61,13 @@ def leaf(p_pos=1.0, onset=(3.0, 1.0), offset=(2.0, 1.0), n_train=4):
     return Tree.from_nodes([leaf_node(p_pos, onset, offset, n_train)])
 
 
-def single_leaf_forest(the_leaf, n_trees=1, label="x", fc=None):
+def single_leaf_forest(the_leaf, n_trees=1, label="x", fc=None, duration=1.0):
     return Forest(
         class_label=label,
         trees=[the_leaf] * n_trees,
         config=ForestConfig(n_trees=n_trees),
-        feature_config=fc,
+        feature_config=fc or feature_config(),
+        max_train_event_duration=duration,
     )
 
 
@@ -180,6 +181,8 @@ def test_forest_vote_averages_trees():
         class_label="x",
         trees=[a] + [gated] * 9,
         config=ForestConfig(n_trees=10),
+        feature_config=feature_config(),
+        max_train_event_duration=1.0,
     )
     p_on, _ = vote_forest(mixed, x, m=5, alpha=0.0, n=5)
     assert p_on == pytest.approx(0.1, rel=1e-12)
@@ -210,7 +213,7 @@ def test_forest_vote_matches_manual_mean(blob_model):
 def test_score_track_single_segment_stream():
     the_leaf = leaf(p_pos=1.0, onset=(0.0, PEAK_VARIANCE),
                     offset=(0.0, PEAK_VARIANCE))
-    forest = single_leaf_forest(the_leaf, fc=feature_config())
+    forest = single_leaf_forest(the_leaf)
     track = score_track(flat_features(1), forest, DetectConfig(smooth_window=1))
     assert track.f_plus.shape == (1,)
     assert track.f_plus[0] == pytest.approx(1.0, rel=1e-12)
@@ -219,7 +222,7 @@ def test_score_track_single_segment_stream():
 
 def test_score_track_alpha_gates_everything():
     the_leaf = leaf(p_pos=0.6)
-    forest = single_leaf_forest(the_leaf, fc=feature_config())
+    forest = single_leaf_forest(the_leaf)
     track = score_track(flat_features(30), forest, DetectConfig(alpha=0.7))
     assert np.all(track.f_plus == 0.0)
     assert np.all(track.f_minus == 0.0)
@@ -260,7 +263,7 @@ def test_score_track_matches_per_segment_sum(blob_model):
 def test_render_tracks_divides_by_normalization():
     the_leaf = leaf(p_pos=1.0, onset=(0.0, PEAK_VARIANCE),
                     offset=(0.0, PEAK_VARIANCE))
-    forest = single_leaf_forest(the_leaf, fc=feature_config())
+    forest = single_leaf_forest(the_leaf)
     votes = collect_votes(flat_features(5), forest)
     base = render_tracks(votes, alpha=0.0)
     halved = render_tracks(votes, alpha=0.0, z_plus=2.0, z_minus=4.0)
@@ -289,12 +292,14 @@ def test_collect_votes_matches_oracle(blob_model):
        n_trees=st.integers(1, 4))
 def test_collect_votes_matches_oracle_on_random_trees(seed, n_segments, n_trees):
     rng = np.random.default_rng(seed)
+    config = feature_config(4)
     forest = Forest(
         class_label="x",
         trees=[random_tree(rng, 4, 6) for _ in range(n_trees)],
         config=ForestConfig(n_trees=n_trees),
+        feature_config=config,
+        max_train_event_duration=1.0,
     )
-    config = feature_config(4)
     features = FeatureMatrix(
         rng.integers(-3, 4, size=(n_segments, 4)).astype(float),
         np.arange(n_segments) * config.hop_len,
@@ -653,20 +658,20 @@ def test_duration_filter_drops_only_overlong_events():
         filter_duration(events, max_train_duration=0.0, factor=3.0)
 
 
-def test_forest_events_filters_only_with_a_training_duration():
+def test_forest_events_filters_by_the_training_duration():
     fc = feature_config()
     f_plus = np.zeros(40)
     f_minus = np.zeros(40)
     f_plus[[2, 10]] = 0.9
     f_minus[[4, 30]] = 0.8  # pairs lasting 2 and 20 hops
     track = ScoreTrack(f_plus, f_minus)
-    forest = single_leaf_forest(leaf(), label="x", fc=fc)
+    forest = single_leaf_forest(leaf(), label="x", fc=fc, duration=5 * fc.hop_len)
     paired = extract_events(track, 0.5, fc.hop_len, fc.window_len, "x")
     assert len(paired) == 2
-    got = forest_events(track, forest, 0.5, 3.0, fc)
+    # 20 hops fit in 5 x 5 hops, but not in 1 x 5 hops
+    got = forest_events(track, forest, 0.5, 5.0)
     assert [(e.onset, e.offset) for e in got] == [(e.onset, e.offset) for e in paired]
-    forest.max_train_event_duration = 5 * fc.hop_len
-    got = forest_events(track, forest, 0.5, 1.0, fc, track_maxima(track))
+    got = forest_events(track, forest, 0.5, 1.0, track_maxima(track))
     assert [(e.onset, e.offset, e.label) for e in got] == [
         (paired[0].onset, paired[0].offset, "x")
     ]
@@ -736,7 +741,6 @@ def test_detect_stream_resamples_input():
         leaf(p_pos=1.0, onset=(0.0, 4.0), offset=(5.0, 4.0)),
         fc=FeatureConfig(),
     )
-    forest.max_train_event_duration = 1.0
     wave = Waveform(np.random.default_rng(0).normal(size=8000) * 0.1, 8000)
     events = detect_stream(wave, [forest], DetectConfig(alpha=0.0, beta=0.01))
     assert isinstance(events, list)

@@ -26,6 +26,7 @@ from conftest import (
     split_test,
 )
 from eventforest import forest as forest_module
+from eventforest.features import FeatureConfig
 from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
     OBJECTIVE_REGRESSION,
@@ -511,7 +512,7 @@ def small_config(**overrides):
 def test_single_full_sample_tree_matches_direct_growth():
     segments = small_training_set()
     config = small_config(n_trees=1, subsample_ratio=1.0)
-    forest = train_forest(segments, config, class_label="x")
+    forest = train_forest(segments, config, "x", feature_config(4))
 
     rng = np.random.default_rng([config.rng_seed, 0])
     indices = np.sort(rng.choice(len(segments), size=len(segments), replace=False))
@@ -531,9 +532,9 @@ def test_train_forest_requires_both_classes():
     only_pos = segment_set([([0.0], 1, [1.0, 1.0])] * 5)
     only_neg = segment_set([([0.0], 0, None)] * 5)
     with pytest.raises(ValueError, match="cannot train class"):
-        train_forest(only_pos, small_config(), class_label="dog")
+        train_forest(only_pos, small_config(), "dog", feature_config())
     with pytest.raises(ValueError, match="cannot train class"):
-        train_forest(only_neg, small_config(), class_label="dog")
+        train_forest(only_neg, small_config(), "dog", feature_config())
 
 
 def test_training_is_deterministic_on_disk(tmp_path):
@@ -560,8 +561,8 @@ def test_threaded_training_matches_serial():
     # (trees, workers): fewer workers than trees, more, and a single tree
     for n_trees, n_workers in ((4, 2), (4, 3), (4, 6), (1, 3)):
         config = small_config(n_trees=n_trees)
-        serial = train_forest(segments, config, class_label="x")
-        pooled = train_forest(segments, config, class_label="x",
+        serial = train_forest(segments, config, "x", feature_config(4))
+        pooled = train_forest(segments, config, "x", feature_config(4),
                               n_workers=n_workers)
         assert model_bytes(pooled) == model_bytes(serial), (n_trees, n_workers)
 
@@ -570,9 +571,9 @@ def test_spawned_workers_match_serial(monkeypatch):
     # spawn pickles the training set and config into each child
     segments = small_training_set()
     config = small_config(n_trees=4)
-    serial = train_forest(segments, config, class_label="x")
+    serial = train_forest(segments, config, "x", feature_config(4))
     monkeypatch.setattr(forest_module, "_start_method", lambda: "spawn")
-    spawned = train_forest(segments, config, class_label="x", n_workers=2)
+    spawned = train_forest(segments, config, "x", feature_config(4), n_workers=2)
     assert model_bytes(spawned) == model_bytes(serial)
 
 
@@ -605,17 +606,18 @@ def test_worker_processes_capped_at_trees(monkeypatch):
     ):
         config = small_config(n_trees=n_trees)
         sizes.clear()
-        forest = train_forest(segments, config, class_label="x",
+        forest = train_forest(segments, config, "x", feature_config(4),
                               n_workers=n_workers)
         assert sizes == expected, (n_trees, n_workers)
-        serial = train_forest(segments, config, class_label="x")
+        serial = train_forest(segments, config, "x", feature_config(4))
         assert model_bytes(forest) == model_bytes(serial)
 
 
 @pytest.mark.parametrize("n_workers", [0, -2])
 def test_training_needs_a_worker(n_workers):
     with pytest.raises(ValueError, match="at least one worker"):
-        train_forest(small_training_set(), small_config(), n_workers=n_workers)
+        train_forest(small_training_set(), small_config(), "x", feature_config(4),
+                     n_workers=n_workers)
 
 
 def test_forest_records_longest_training_event():
@@ -652,7 +654,7 @@ def test_forest_config_validation():
 def test_calibration_is_a_fixed_point_on_full_sample():
     segments = small_training_set()
     config = small_config(n_trees=2, subsample_ratio=1.0)
-    forest = train_forest(segments, config, class_label="x")
+    forest = train_forest(segments, config, "x", feature_config(4))
     before = json.dumps(forest_to_dict(forest), sort_keys=True)
     calibrate(forest, segments)
     after = json.dumps(forest_to_dict(forest), sort_keys=True)
@@ -678,7 +680,8 @@ def test_calibration_unreached_and_negative_leaves():
         leaf_node(p_pos=0.5, onset=(2.0, 1.0), offset=(2.0, 1.0), n_train=2),
     ])
     left, right = 1, 2
-    forest = Forest(class_label="x", trees=[tree], config=small_config())
+    forest = Forest(class_label="x", trees=[tree], config=small_config(),
+                    feature_config=feature_config(2), max_train_event_duration=1.0)
     # all segments route right (x0 - x1 > 0) and none of them is positive
     segments = segment_set([([2.0, 0.0], 0, None)] * 4)
     calibrate(forest, segments)
@@ -758,6 +761,28 @@ def test_model_rejects_unknown_version():
     payload["format_version"] = 99
     with pytest.raises(ValueError, match="format"):
         forest_from_dict(payload)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("feature_fingerprint", None, "model feature_fingerprint is not an object"),
+    ("max_train_event_duration", None,
+     "max_train_event_duration is not a number: None"),
+    ("max_train_event_duration", 0.0,
+     "model max_train_event_duration 0.0 is not positive"),
+    ("class_label", "", "model class_label is not a non-empty string"),
+])
+def test_model_requires_label_fingerprint_and_duration(key, value, message):
+    payload = forest_to_dict(trained_forest())
+    payload[key] = value
+    with pytest.raises(ValueError) as caught:
+        forest_from_dict(payload)
+    assert str(caught.value) == message
+
+
+def test_model_empty_fingerprint_reads_as_defaults():
+    payload = forest_to_dict(trained_forest())
+    payload["feature_fingerprint"] = {}
+    assert forest_from_dict(payload).feature_config == FeatureConfig()
 
 
 def test_model_rejects_trailing_nodes():
