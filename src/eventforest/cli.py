@@ -23,7 +23,7 @@ from .detect import (
     collect_votes,
     detect_on_features,
     render_tracks,
-    score_track,
+    score_tracks,
     write_detections,
     write_scores_csv,
 )
@@ -39,11 +39,12 @@ from .evaluate import (
 )
 from .features import (
     FeatureConfig,
-    dump_features_csv,
+    dumped_blocks,
     featurize,
     load_audio,
     resample,
     save_audio,
+    stream_features,
 )
 from .forest import (
     ForestConfig,
@@ -218,6 +219,17 @@ def _fit_normalization(forest, dev_features) -> None:
 
 
 def cmd_synth(args) -> int:
+    out = Path(args.outdir)
+    scene_entries = []
+
+    def write_scene(name, scene, events):
+        out.mkdir(parents=True, exist_ok=True)
+        save_audio(out / f"{name}.wav", scene)
+        write_annotations(events, out / f"{name}.txt")
+        scene_entries.append(
+            {"audio": f"{name}.wav", "annotations": f"{name}.txt", "fold": name}
+        )
+
     bench = synth_benchmark(
         n_classes=args.classes,
         instances_per_class=args.instances,
@@ -225,8 +237,8 @@ def cmd_synth(args) -> int:
         snr_db=args.snr,
         seed=args.seed,
         events_per_scene=args.events,
+        write_scene=write_scene,
     )
-    out = Path(args.outdir)
     (out / "train").mkdir(parents=True, exist_ok=True)
     entries = []
     for label, waves in bench.train_instances.items():
@@ -239,15 +251,7 @@ def cmd_synth(args) -> int:
                 {"audio": f"{stem}.wav", "annotations": f"{stem}.txt",
                  "fold": "train"}
             )
-    for name, scene, events in (
-        ("dev", bench.dev_scene, bench.dev_events),
-        ("test", bench.test_scene, bench.test_events),
-    ):
-        save_audio(out / f"{name}.wav", scene)
-        write_annotations(events, out / f"{name}.txt")
-        entries.append(
-            {"audio": f"{name}.wav", "annotations": f"{name}.txt", "fold": name}
-        )
+    entries += scene_entries
     manifest = {
         "sample_rate": bench.sample_rate,
         "classes": bench.class_names,
@@ -401,23 +405,24 @@ def cmd_detect(args) -> int:
             if getattr(args, key) is not None:
                 settings[key] = getattr(args, key)
         configs[forest.class_label] = DetectConfig(**settings)
-    features = featurize(load_audio(args.audio), feature_config)
+    # One pass over the stream scores every class that is dumped or detected;
+    # each dumped track is the one detection pairs.
+    stream = stream_features(args.audio, feature_config)
+    enabled = enabled_forests(forests, thresholds)
+    scored = forests if args.dump_scores else enabled
+    blocks = stream.blocks()
     if args.dump_features:
-        dump_features_csv(features, args.dump_features)
-    # every class is dumped, and each dumped track is the one detection pairs
-    tracks = {}
+        blocks = dumped_blocks(blocks, args.dump_features, feature_config.n_channels)
+    tracks = score_tracks(blocks, stream.n_segments, scored, configs)
     if args.dump_scores:
         score_dir = Path(args.dump_scores)
         score_dir.mkdir(parents=True, exist_ok=True)
         for forest in forests:
-            track = score_track(features, forest, configs[forest.class_label])
-            write_scores_csv(track, score_dir / f"scores_{forest.class_label}.csv")
-            tracks[forest.class_label] = track
+            write_scores_csv(tracks[forest.class_label],
+                             score_dir / f"scores_{forest.class_label}.csv")
     # A class the thresholds file disables is never reported, whatever its
     # scores on this stream and whatever --alpha/--beta say.
-    detections = detect_on_features(
-        features, enabled_forests(forests, thresholds), configs, tracks
-    )
+    detections = detect_on_features(stream, enabled, configs, tracks)
     if args.out:
         write_detections(detections, args.out)
     else:

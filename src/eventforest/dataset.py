@@ -137,8 +137,12 @@ def scale_to_snr(event: Waveform, background_rms: float, snr_db: float) -> Wavef
         raise ValueError(
             f"cannot set SNR against a background of level {background_rms}"
         )
-    factor = 10.0 ** (snr_db / 20.0) * background_rms / event_rms
-    return Waveform(event.samples * factor, event.sample_rate)
+    try:
+        gain = 10.0 ** (snr_db / 20.0)
+    except OverflowError:
+        raise ValueError(f"cannot scale an event to an SNR of {snr_db} dB") from None
+    return Waveform(event.samples * (gain * background_rms / event_rms),
+                    event.sample_rate)
 
 
 def mix_overlap(
@@ -316,9 +320,9 @@ class SynthBenchmark:
     sample_rate: int
     class_names: list[str]
     train_instances: dict
-    dev_scene: Waveform
+    dev_scene: Waveform | None
     dev_events: list[EventAnnotation]
-    test_scene: Waveform
+    test_scene: Waveform | None
     test_events: list[EventAnnotation]
     background_rms: float
     snr_db: float
@@ -446,6 +450,7 @@ def synth_benchmark(
     sample_rate: int = 16000,
     background_rms: float = 0.05,
     instance_noise_ratio: float = 0.25,
+    write_scene=None,
 ) -> SynthBenchmark:
     """Generate a deterministic synthetic detection corpus.
 
@@ -454,6 +459,12 @@ def synth_benchmark(
     from freshly drawn instances. Scenes mix the events into pink noise at
     the requested SNR with roughly a third of the events in overlapping
     cross-class pairs. The scene length and the SNR must be finite.
+
+    ``write_scene(fold, scene, events)``, when given, receives the "dev" and
+    then the "test" scene as soon as each is composed, and the result holds
+    None in place of both scenes, so only one scene is in memory at a time.
+    Each scene draws from its own random stream, so the scenes are the same
+    either way.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
@@ -479,22 +490,24 @@ def synth_benchmark(
         ]
         for k, name in enumerate(class_names)
     }
-    dev_scene, dev_events = _compose_scene(
-        rng_dev, class_names, train_instances, events_per_scene, scene_len,
-        snr_db, background_rms, sample_rate, make_instance,
-    )
-    test_scene, test_events = _compose_scene(
-        rng_test, class_names, None, events_per_scene, scene_len,
-        snr_db, background_rms, sample_rate, make_instance,
-    )
+    scenes = {}
+    for fold, rng, pool in (("dev", rng_dev, train_instances), ("test", rng_test, None)):
+        scene, events = _compose_scene(
+            rng, class_names, pool, events_per_scene, scene_len,
+            snr_db, background_rms, sample_rate, make_instance,
+        )
+        if write_scene is not None:
+            write_scene(fold, scene, events)
+            scene = None
+        scenes[fold] = (scene, events)
     return SynthBenchmark(
         sample_rate=sample_rate,
         class_names=class_names,
         train_instances=train_instances,
-        dev_scene=dev_scene,
-        dev_events=dev_events,
-        test_scene=test_scene,
-        test_events=test_events,
+        dev_scene=scenes["dev"][0],
+        dev_events=scenes["dev"][1],
+        test_scene=scenes["test"][0],
+        test_events=scenes["test"][1],
         background_rms=background_rms,
         snr_db=snr_db,
     )

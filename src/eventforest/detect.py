@@ -69,10 +69,11 @@ class Detection:
 
 @dataclass(eq=False)
 class StreamVotes:
-    """Leaf assignments of a whole stream, cached for repeated rendering.
+    """Leaf assignments of a stream or of one block of it, cached for rendering.
 
     Arrays are ordered segment-major, then tree order, so rendering is a
-    fixed-order reduction regardless of the confidence gate.
+    fixed-order reduction regardless of the confidence gate. ``segment``
+    counts from the first row of the rows routed.
     """
 
     p_pos: np.ndarray
@@ -135,6 +136,48 @@ def _kernel_pairs(weight, mean, var, n_segments: int):
     return owner, positions, values
 
 
+def _splat(votes: StreamVotes, alphas, sums, first: int = 0) -> None:
+    """Add the gated Gaussian kernels of ``votes`` to raw track sums.
+
+    ``sums`` holds one (onset, offset) pair of whole-stream arrays per alpha,
+    and the votes' segments start at stream segment ``first``. Votes are
+    splatted in fixed blocks of ``_VOTE_BLOCK``: the kernels of a block's
+    votes that pass the lowest gate are evaluated once and, per alpha, the
+    pairs of the votes that pass its gate are added with ``np.add.at``. That
+    ufunc method is unbuffered and applies the pairs in index order, so every
+    segment receives its terms in vote order, exactly the additions of
+    rendering one vote at a time, for any block size and any set of alphas.
+    """
+    if not sums:
+        return
+    n = len(sums[0][0])
+    lowest = min(alphas)
+    for start in range(0, len(votes.p_pos), _VOTE_BLOCK):
+        block = np.arange(start, min(start + _VOTE_BLOCK, len(votes.p_pos)))
+        block = block[~(votes.p_pos[block] < lowest)]
+        p = votes.p_pos[block]
+        m = votes.segment[block] + first
+        kernels = (
+            (0, m - votes.mean_on[block], votes.var_on[block]),
+            (1, m + votes.mean_off[block], votes.var_off[block]),
+        )
+        for side, mean, var in kernels:
+            owner, positions, values = _kernel_pairs(p, mean, var, n)
+            pair_p = p[owner]
+            for alpha, pair in zip(alphas, sums):
+                keep = ~(pair_p < alpha)
+                if keep.any():
+                    np.add.at(pair[side], positions[keep], values[keep])
+
+
+def _normalized(sums, n_trees: int, z_plus: float, z_minus: float) -> ScoreTrack:
+    """The track of raw sums, divided in place by trees and z constants."""
+    f_plus, f_minus = sums
+    f_plus /= n_trees * z_plus
+    f_minus /= n_trees * z_minus
+    return ScoreTrack(f_plus, f_minus)
+
+
 def render_track_grid(
     votes: StreamVotes,
     alphas,
@@ -143,40 +186,13 @@ def render_track_grid(
 ) -> list:
     """Normalized onset and offset tracks for every gate in ``alphas``.
 
-    Votes are splatted in fixed blocks of ``_VOTE_BLOCK``: the kernels of a
-    block's votes that pass the lowest gate are evaluated once and, per
-    alpha, the pairs of the votes that pass its gate are added with
-    ``np.add.at``. That ufunc method is unbuffered and applies the pairs in
-    index order, so every segment receives its terms in vote order, exactly
-    the additions of rendering one vote at a time; the tracks are
-    bit-identical to that loop for any block size and any set of alphas.
+    The tracks are bit-identical to rendering one vote at a time, gate by
+    gate (see ``_splat``).
     """
     n = votes.n_segments
-    lowest = min(alphas, default=0.0)
-    tracks = [(np.zeros(n), np.zeros(n)) for _ in alphas]
-    for start in range(0, len(votes.p_pos), _VOTE_BLOCK):
-        block = np.arange(start, min(start + _VOTE_BLOCK, len(votes.p_pos)))
-        block = block[~(votes.p_pos[block] < lowest)]
-        p = votes.p_pos[block]
-        m = votes.segment[block]
-        kernels = (
-            (0, m - votes.mean_on[block], votes.var_on[block]),
-            (1, m + votes.mean_off[block], votes.var_off[block]),
-        )
-        for side, mean, var in kernels:
-            owner, positions, values = _kernel_pairs(p, mean, var, n)
-            pair_p = p[owner]
-            for alpha, pair in zip(alphas, tracks):
-                keep = ~(pair_p < alpha)
-                if keep.any():
-                    np.add.at(pair[side], positions[keep], values[keep])
-    scale = votes.n_trees
-    rendered = []
-    for f_plus, f_minus in tracks:
-        f_plus /= scale * z_plus
-        f_minus /= scale * z_minus
-        rendered.append(ScoreTrack(f_plus, f_minus))
-    return rendered
+    sums = [(np.zeros(n), np.zeros(n)) for _ in alphas]
+    _splat(votes, alphas, sums)
+    return [_normalized(pair, votes.n_trees, z_plus, z_minus) for pair in sums]
 
 
 def render_tracks(
@@ -184,15 +200,25 @@ def render_tracks(
     alpha: float,
     z_plus: float = 1.0,
     z_minus: float = 1.0,
-) -> ScoreTrack:
+    sums: tuple | None = None,
+    first: int = 0,
+) -> ScoreTrack | None:
     """Accumulate cached votes into normalized onset and offset tracks.
 
     Votes with ``p_pos`` below ``alpha`` are skipped; each remaining vote adds
     its ``p_pos``-weighted Gaussians, truncated at six standard deviations.
-    The blocked splat of ``render_track_grid`` keeps the additions in vote
-    order, so the result equals rendering one vote at a time bit for bit.
+    The blocked splat keeps the additions in vote order, so the result equals
+    rendering one vote at a time bit for bit.
+
+    A stream rendered block by block passes its raw (onset, offset) ``sums``
+    and the stream segment ``first`` of the block's first row: the votes are
+    added to the sums, which are normalized once the stream ends (see
+    ``score_tracks``), and None is returned.
     """
-    return render_track_grid(votes, [alpha], z_plus, z_minus)[0]
+    if sums is None:
+        return render_track_grid(votes, [alpha], z_plus, z_minus)[0]
+    _splat(votes, [alpha], [sums], first)
+    return None
 
 
 def smooth(track: ScoreTrack, window: int) -> ScoreTrack:
@@ -299,17 +325,55 @@ def filter_duration(detections, max_train_duration: float, factor: float = 3.0):
     return [d for d in detections if d.offset - d.onset <= limit]
 
 
+def _config_for(configs, label: str) -> DetectConfig:
+    """The class's config from one DetectConfig or a mapping by class label."""
+    return configs[label] if isinstance(configs, dict) else configs
+
+
+def score_tracks(blocks, n_segments: int, forests, configs) -> dict:
+    """Each class's smoothed onset and offset scores, from one pass over a stream.
+
+    ``blocks`` yields the stream's feature rows in order, as
+    ``FeatureStream.blocks`` does, and ``n_segments`` counts them all. Each
+    block's rows are routed through every forest, and the votes that pass
+    the class's alpha are added to its whole-stream sums at once. Votes
+    arrive segment-major, then in tree order, as in one batch over the
+    stream, so every sum takes the same additions in the same order and the
+    tracks are exact whatever the blocks. The sums are then divided by the
+    forest's normalization constants and smoothed. ``configs`` is one
+    DetectConfig or a mapping from class label to DetectConfig. Returns a
+    mapping from class label to track.
+    """
+    sums = {f.class_label: (np.zeros(n_segments), np.zeros(n_segments))
+            for f in forests}
+    first = 0
+    for block in blocks:
+        for forest in forests:
+            label = forest.class_label
+            render_tracks(collect_votes(block, forest),
+                          _config_for(configs, label).alpha,
+                          sums=sums[label], first=first)
+        first += block.n_segments
+    block = None  # the last block's rows are not kept while smoothing
+    tracks = {}
+    for forest in forests:
+        label = forest.class_label
+        track = _normalized(sums.pop(label), forest.n_trees, forest.z_plus,
+                            forest.z_minus)
+        tracks[label] = smooth(track, _config_for(configs, label).smooth_window)
+    return tracks
+
+
 def score_track(
     features: FeatureMatrix, forest: Forest, config: DetectConfig
 ) -> ScoreTrack:
     """One class's smoothed onset and offset scores: the track detection pairs.
 
     The leaf votes that pass ``config.alpha`` are rendered, divided by the
-    forest's normalization constants, and smoothed.
+    forest's normalization constants, and smoothed (see ``score_tracks``).
     """
-    votes = collect_votes(features, forest)
-    track = render_tracks(votes, config.alpha, forest.z_plus, forest.z_minus)
-    return smooth(track, config.smooth_window)
+    tracks = score_tracks(features.blocks(), features.n_segments, [forest], config)
+    return tracks[forest.class_label]
 
 
 def forest_events(
@@ -329,21 +393,26 @@ def forest_events(
 
 
 def detect_on_features(
-    features: FeatureMatrix, forests, configs, tracks: dict | None = None
+    features, forests, configs, tracks: dict | None = None
 ) -> list:
-    """Run detection for several forests over precomputed features.
+    """Run detection for several forests over a stream's features.
 
-    ``tracks`` maps a class label to the ``score_track`` its caller already
-    computed with the same config; the other classes are scored here.
+    ``features`` is a FeatureMatrix or a FeatureStream. ``tracks`` maps a
+    class label to the ``score_track`` its caller already computed with the
+    same config; the other classes are scored here, in one pass over the
+    features.
     """
+    forests = list(forests)
+    tracks = dict(tracks or {})
+    missing = [f for f in forests if f.class_label not in tracks]
+    if missing:
+        tracks.update(score_tracks(features.blocks(), features.n_segments,
+                                   missing, configs))
     detections = []
     for forest in forests:
-        config = configs[forest.class_label] if isinstance(configs, dict) else configs
-        track = tracks.get(forest.class_label) if tracks else None
-        if track is None:
-            track = score_track(features, forest, config)
-        detections += forest_events(track, forest, config.beta,
-                                    config.duration_factor)
+        config = _config_for(configs, forest.class_label)
+        detections += forest_events(tracks[forest.class_label], forest,
+                                    config.beta, config.duration_factor)
     detections.sort(key=lambda d: (d.onset, d.offset, d.label))
     return detections
 

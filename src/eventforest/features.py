@@ -23,9 +23,16 @@ _MIN_BW = 24.7
 _BW_FACTOR = 1.019
 _GT_ORDER = 4
 
-# Analysis windows transformed at once by gammatone_cepstra; a block's frames
-# and spectra take about 13 MB at 1,600-sample windows.
+# Windows pooled by the filterbank in one product, and windows whose spectra
+# are taken at once: at 1,600-sample windows one product's power spectra take
+# 3.3 MB, and one batch's frames and complex spectra 1.6 MB.
 _WINDOW_BLOCK = 512
+_FFT_BATCH = 64
+
+# Segments whose features a FeatureStream yields at once, and which detection
+# routes and renders together. A 60 s stream (5,991 segments at 10 ms hops)
+# is one block, so it takes the numpy calls of a whole-stream transform.
+_SEGMENT_BLOCK = 8192
 
 
 @dataclass(eq=False)
@@ -124,6 +131,12 @@ class FeatureMatrix:
             return 0.0
         return float(self.segment_times[-1]) + self.config.window_len
 
+    def blocks(self):
+        """The rows in stream order, ``_SEGMENT_BLOCK`` segments at a time."""
+        for lo in range(0, self.n_segments, _SEGMENT_BLOCK):
+            hi = lo + _SEGMENT_BLOCK
+            yield FeatureMatrix(self.rows[lo:hi], self.segment_times[lo:hi], self.config)
+
 
 def load_audio(path) -> Waveform:
     """Decode a PCM or float WAV file to a mono Waveform.
@@ -146,10 +159,22 @@ def load_audio(path) -> Waveform:
     _check_data_chunk(path)
     for warning in caught:
         warnings.warn(warning.message, stacklevel=2)
-    if data.dtype not in (np.uint8, np.int16, np.int32, np.float32, np.float64):
-        raise ValueError(f"unsupported sample encoding {data.dtype} in {path}")
-    # Scaled in place: one float64 copy of the stream, the same values as
-    # scaling into a new array.
+    _check_encoding(data.dtype, path)
+    return Waveform(_scaled(data), int(rate))
+
+
+def _check_encoding(dtype, path) -> None:
+    if dtype not in (np.uint8, np.int16, np.int32, np.float32, np.float64):
+        raise ValueError(f"unsupported sample encoding {dtype} in {path}")
+
+
+def _scaled(data: np.ndarray) -> np.ndarray:
+    """Mono float64 samples of decoded PCM frames, integers scaled to [-1, 1].
+
+    Scaled in place: one float64 copy of the frames, the same values as
+    scaling into a new array. Every operation is elementwise or per frame, so
+    a block of frames scales to the same values as the whole stream.
+    """
     samples = data.astype(np.float64, copy=False)
     if data.dtype == np.uint8:
         samples -= 128.0
@@ -161,7 +186,54 @@ def load_audio(path) -> Waveform:
         samples /= 2147483648.0
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    return Waveform(samples, int(rate))
+    return samples
+
+
+# Frames scaled at once when a float WAV is checked for non-finite samples.
+_CHECK_FRAMES = 1 << 20
+
+
+def _pcm_reader(path):
+    """``(rate, n_frames, read)`` of a WAV whose samples are read block by block.
+
+    ``read(start, stop)`` returns the mono float64 samples of frames
+    ``[start, stop)``, scaled as ``load_audio`` scales them, from a positioned
+    read of the file. The file is only mapped to let scipy parse its header:
+    pages touched through a map would count toward resident memory for the
+    rest of the run. A float file is checked for non-finite samples here,
+    before any block is used. Returns None where scipy cannot map the samples
+    (3-byte 24-bit PCM) or cannot read the file at all; ``load_audio`` then
+    reads it whole, or reports the fault.
+    """
+    from scipy.io import wavfile
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rate, data = wavfile.read(path, mmap=True)
+        except Exception:
+            return None
+    _check_data_chunk(path)
+    for warning in caught:
+        warnings.warn(warning.message, stacklevel=3)
+    _check_encoding(data.dtype, path)
+    dtype, offset, frame_shape = data.dtype, data.offset, data.shape[1:]
+    n_frames = data.shape[0]
+    del data  # unmapped before any sample is read
+    channels = frame_shape[0] if frame_shape else 1
+
+    def read(start: int, stop: int) -> np.ndarray:
+        with open(path, "rb") as handle:
+            handle.seek(offset + start * channels * dtype.itemsize)
+            frames = np.fromfile(handle, dtype, (stop - start) * channels)
+        return _scaled(frames.reshape((-1, *frame_shape)))
+
+    if dtype.kind == "f":
+        for start in range(0, n_frames, _CHECK_FRAMES):
+            samples = read(start, min(start + _CHECK_FRAMES, n_frames))
+            if not np.all(np.isfinite(samples)):
+                raise ValueError("waveform contains non-finite samples")
+    return int(rate), n_frames, read
 
 
 def _check_data_chunk(path) -> None:
@@ -301,59 +373,144 @@ def featurize(waveform: Waveform, config: FeatureConfig) -> FeatureMatrix:
 def gammatone_cepstra(waveform: Waveform, config: FeatureConfig) -> FeatureMatrix:
     """Extract gammatone-cepstral coefficients from overlapping windows.
 
-    The stream is cut into windows of ``window_len`` seconds every ``hop_len``
-    seconds (trailing partial window dropped), each window is Hann-weighted,
-    its power spectrum is pooled by the gammatone filterbank, and a DCT-II of
-    the log energies yields one cepstral row per segment.
-
-    Windows are strided views of the stream, transformed in blocks of
-    ``_WINDOW_BLOCK``, so memory is the output plus one block of frames
-    however long the stream is. The rows equal those of one transform over
-    all windows, bit for bit, and the filterbank energies of the whole stream
-    are kept, so noise subtraction still takes its global percentile.
+    The rows of every ``FeatureStream`` block of the waveform, in one matrix.
     """
     if waveform.sample_rate != config.sample_rate:
         raise ValueError(
             f"waveform rate {waveform.sample_rate} does not match "
             f"configured rate {config.sample_rate}; resample first"
         )
-    from scipy.fft import dct
-
-    win = int(round(config.window_len * config.sample_rate))
-    hop = int(round(config.hop_len * config.sample_rate))
-    n = len(waveform.samples)
-    n_segments = 0 if n < win else (n - win) // hop + 1
-    if n_segments == 0:
-        rows = np.zeros((0, config.n_channels))
-        return FeatureMatrix(rows, np.zeros(0), config)
-
-    windows = np.lib.stride_tricks.sliding_window_view(waveform.samples, win)[::hop]
-    hann = periodic_hann(win)
-    weights_t = gammatone_weights(config, win).T
-    energies = np.empty((n_segments, config.n_channels))
-    for start in range(0, n_segments, _WINDOW_BLOCK):
-        # A short last block is moved back to overlap the one before it, so
-        # every product has the same shape: BLAS takes other kernels, which
-        # round differently, for small products.
-        start = max(min(start, n_segments - _WINDOW_BLOCK), 0)
-        stop = min(start + _WINDOW_BLOCK, n_segments)
-        power = np.abs(np.fft.rfft(windows[start:stop] * hann, axis=1))
-        np.square(power, out=power)
-        np.matmul(power, weights_t, out=energies[start:stop])
-    if config.noise_subtraction:
-        energies = subtract_noise_floor(energies)
-    energies += LOG_FLOOR
-    np.log(energies, out=energies)
-    rows = dct(energies, type=2, norm="ortho", axis=1, overwrite_x=True)
-    times = np.arange(n_segments) * hop / config.sample_rate
-    return FeatureMatrix(rows, times, config)
+    samples = waveform.samples
+    return FeatureStream(lambda start, stop: samples[start:stop], len(samples),
+                         config).matrix()
 
 
-def dump_features_csv(features: FeatureMatrix, path) -> None:
-    """Write one row per segment: onset time followed by the coefficients."""
-    n_coef = features.rows.shape[1]
+def stream_features(path, config: FeatureConfig) -> "FeatureStream":
+    """The features of a WAV file, read and transformed a block at a time.
+
+    The rows equal ``featurize(load_audio(path), config)`` bit for bit. Only
+    the samples of one block of windows are held, except in two cases that
+    ``load_audio`` reads whole: a stream at another rate than the
+    configured one, which is resampled whole, and 3-byte 24-bit PCM, which
+    scipy cannot map. The blocks are then slices of the one array.
+    """
+    reader = _pcm_reader(path)
+    if reader is not None and reader[0] == config.sample_rate:
+        return FeatureStream(reader[2], reader[1], config)
+    samples = resample(load_audio(path), config.sample_rate).samples
+    return FeatureStream(lambda start, stop: samples[start:stop], len(samples),
+                         config)
+
+
+class FeatureStream:
+    """Gammatone-cepstral rows of one stream, produced a block at a time.
+
+    ``read(start, stop)`` returns the mono float64 samples ``[start, stop)``
+    of a stream of ``n_samples`` at the configured rate. The stream is cut
+    into windows of ``window_len`` seconds every ``hop_len`` seconds
+    (trailing partial window dropped), each window is Hann-weighted, its
+    power spectrum is pooled by the gammatone filterbank, and a DCT-II of the
+    log energies yields one cepstral row per segment.
+
+    ``blocks`` yields the rows ``_SEGMENT_BLOCK`` segments at a time, so
+    memory is one block of samples, windows and rows however long the stream
+    is. The rows equal those of one transform over all windows bit for bit:
+    windows are transformed in fixed blocks (see ``_energies``), and the log
+    and the DCT act on each row alone. Noise subtraction takes a percentile
+    over the whole stream, so it keeps the n x channels filterbank energies
+    of the whole stream and yields slices of them.
+    """
+
+    def __init__(self, read, n_samples: int, config: FeatureConfig):
+        self.config = config
+        self._read = read
+        self._win = int(round(config.window_len * config.sample_rate))
+        self._hop = int(round(config.hop_len * config.sample_rate))
+        n_samples = int(n_samples)
+        self.n_segments = (
+            0 if n_samples < self._win else (n_samples - self._win) // self._hop + 1
+        )
+
+    def _energies(self, lo: int, hi: int) -> np.ndarray:
+        """Filterbank energies of segments ``[lo, hi)``.
+
+        Windows are transformed in blocks of ``_WINDOW_BLOCK`` that start at
+        its multiples, the last block moved back to end with the stream, so
+        every product has the same shape: BLAS takes other kernels, which
+        round differently, for small products. A row is taken from the last
+        block that covers it, so its value does not depend on ``lo`` and
+        ``hi``.
+        """
+        n, width, win, hop = self.n_segments, _WINDOW_BLOCK, self._win, self._hop
+        last = max(n - width, 0)
+        starts = list(range(lo - lo % width, min(hi, last), width)) if lo < last else []
+        if hi > last:
+            starts.append(last)
+        hann = periodic_hann(win)
+        weights_t = gammatone_weights(self.config, win).T
+        out = np.empty((hi - lo, self.config.n_channels))
+        for start in starts:
+            stop = min(start + width, n)
+            owned = stop if start == last else min(stop, last)
+            samples = self._read(start * hop, (stop - 1) * hop + win)
+            windows = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
+            power = np.empty((stop - start, weights_t.shape[0]))
+            for i in range(0, stop - start, _FFT_BATCH):
+                batch = windows[i:i + _FFT_BATCH]
+                np.abs(np.fft.rfft(batch * hann, axis=1), out=power[i:i + len(batch)])
+            np.square(power, out=power)
+            energies = np.matmul(power, weights_t)
+            a, b = max(start, lo), min(owned, hi)
+            out[a - lo:b - lo] = energies[a - start:b - start]
+        return out
+
+    def blocks(self):
+        """``FeatureMatrix`` blocks of ``_SEGMENT_BLOCK`` rows, in stream order."""
+        from scipy.fft import dct
+
+        n, config = self.n_segments, self.config
+        whole = None
+        if config.noise_subtraction:
+            whole = subtract_noise_floor(self._energies(0, n))
+        for lo in range(0, n, _SEGMENT_BLOCK):
+            hi = min(lo + _SEGMENT_BLOCK, n)
+            energies = self._energies(lo, hi) if whole is None else whole[lo:hi]
+            energies += LOG_FLOOR
+            np.log(energies, out=energies)
+            rows = dct(energies, type=2, norm="ortho", axis=1, overwrite_x=True)
+            times = np.arange(lo, hi) * self._hop / config.sample_rate
+            yield FeatureMatrix(rows, times, config)
+
+    def matrix(self) -> FeatureMatrix:
+        """All rows of the stream in one matrix."""
+        rows = np.empty((self.n_segments, self.config.n_channels))
+        lo = 0
+        for block in self.blocks():
+            rows[lo:lo + block.n_segments] = block.rows
+            lo += block.n_segments
+        times = np.arange(self.n_segments) * self._hop / self.config.sample_rate
+        return FeatureMatrix(rows, times, self.config)
+
+
+def dump_features_csv(features, path) -> None:
+    """Write one row per segment: onset time followed by the coefficients.
+
+    ``features`` is a FeatureMatrix or a FeatureStream.
+    """
+    for _ in dumped_blocks(features.blocks(), path, features.config.n_channels):
+        pass
+
+
+def dumped_blocks(blocks, path, n_channels: int):
+    """Pass feature blocks on, after writing each one's rows to a CSV at ``path``.
+
+    The file holds a header and one line per segment: its onset time and its
+    coefficients. It is complete once ``blocks`` is exhausted.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["time"] + [f"c{i}" for i in range(n_coef)])
-        for t, row in zip(features.segment_times, features.rows):
-            writer.writerow([f"{t:.6f}"] + [repr(float(v)) for v in row])
+        writer.writerow(["time"] + [f"c{i}" for i in range(n_channels)])
+        for block in blocks:
+            for t, row in zip(block.segment_times, block.rows):
+                writer.writerow([f"{t:.6f}"] + [repr(float(v)) for v in row])
+            yield block

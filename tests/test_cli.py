@@ -179,6 +179,15 @@ class TestSynth:
         assert err.startswith(f"error: {quantity} ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_snr_rejected(self, tmp_path, capsys):
+        # finite, but 10 ** (snr / 20) overflows a float
+        out = tmp_path / "corpus"
+        code = main(["synth", str(out), "--snr", "1e308"] + SYNTH_ARGS)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: cannot scale an event to an SNR of 1e+308 dB\n"
+        assert not (out / "manifest.json").exists()
+
     def test_different_seed_differs(self, corpus, tmp_path):
         other = tmp_path / "other"
         args = [a if a != "3" else "4" for a in SYNTH_ARGS]
@@ -398,6 +407,24 @@ class TestTrain:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: SNR level must be finite, got {shown}\n"
+
+    @pytest.mark.parametrize("source", ["flag", "manifest"])
+    def test_overflowing_snr_level_rejected(self, source, corpus, tmp_path,
+                                            capsys):
+        argv = ["train", str(corpus / "manifest.json"), "--out-dir",
+                str(tmp_path / "models"), "--event-class", "tone300",
+                "--trees", "1"]
+        if source == "flag":
+            argv.append("--snr-levels=1e308")
+        else:
+            manifest = json.loads((corpus / "manifest.json").read_text())
+            manifest["snr_db"] = 1e308
+            argv[1] = str(corpus / "manifest_snr_overflow.json")
+            Path(argv[1]).write_text(json.dumps(manifest))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cannot scale an event to an SNR of 1e+308 dB\n"
+        assert not list((tmp_path / "models").glob("model_*.json"))
 
     @pytest.mark.skipif(forest_module._start_method() != "fork",
                         reason="only a forked child inherits the patch")
@@ -669,6 +696,112 @@ class TestDetect:
         assert (scores / f"scores_{disabled}.csv").exists()
         assert dumped.read_bytes() == plain.read_bytes()
         assert plain.read_text() and disabled not in plain.read_text()
+
+
+# ---------------------------------------------------------------------------
+# streamed detect
+# ---------------------------------------------------------------------------
+
+# Segments per block in the tests below: the test scene is shorter than one
+# block of the default size, so the tests shrink the block to stream it.
+BLOCK = 64
+
+
+def cut_scene(corpus, path, n_segments):
+    """Write the start of the test scene that makes exactly ``n_segments``."""
+    wave = load_audio(corpus / "test.wav")
+    win, hop = 1600, 160  # FeatureConfig() at 16 kHz
+    n = win - 1 if n_segments == 0 else win + (n_segments - 1) * hop
+    assert n <= len(wave.samples)
+    save_audio(path, Waveform(wave.samples[:n], wave.sample_rate))
+
+
+def detect_outputs(audio, models, thresholds, out_dir):
+    """Bytes of every file ``detect`` writes with all its dump flags."""
+    out_dir.mkdir()
+    code = main(["detect", str(audio)] + model_args(models)
+                + ["--thresholds", str(thresholds),
+                   "--out", str(out_dir / "detections.txt"),
+                   "--dump-scores", str(out_dir / "scores"),
+                   "--dump-features", str(out_dir / "features.csv")])
+    assert code == 0
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("window_block", [512, 48])
+@pytest.mark.parametrize("n_segments",
+                         [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 1])
+def test_streamed_detect_equals_batch_at_block_boundaries(
+    n_segments, window_block, corpus, models, thresholds, tmp_path, monkeypatch
+):
+    audio = tmp_path / "cut.wav"
+    cut_scene(corpus, audio, n_segments)
+    # transform blocks of 48 windows end inside the segment blocks
+    monkeypatch.setattr(features_module, "_WINDOW_BLOCK", window_block)
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 10**9)
+    batch = detect_outputs(audio, models, thresholds, tmp_path / "batch")
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", BLOCK)
+    streamed = detect_outputs(audio, models, thresholds, tmp_path / "streamed")
+    assert sorted(batch) == ["detections.txt", "features.csv",
+                             "scores/scores_tone300.csv", "scores/scores_tone600.csv"]
+    assert batch["features.csv"].count(b"\n") == 1 + n_segments
+    assert streamed == batch
+
+
+@pytest.mark.parametrize("fault", ["nan", "truncated"])
+def test_faulty_stream_gives_one_error_line_and_no_output(
+    fault, corpus, models, tmp_path, monkeypatch
+):
+    from scipy.io import wavfile
+
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", BLOCK)
+    audio = tmp_path / "faulty.wav"
+    if fault == "nan":
+        wave = load_audio(corpus / "test.wav")
+        samples = wave.samples.astype(np.float32)
+        samples[-200] = np.nan  # in the last of the stream's blocks
+        wavfile.write(audio, wave.sample_rate, samples)
+        shown = "waveform contains non-finite samples"
+    else:
+        full = (corpus / "test.wav").read_bytes()
+        audio.write_bytes(full[:len(full) // 2])
+        shown = "truncated WAV"
+    out, feats = tmp_path / "detections.txt", tmp_path / "features.csv"
+    code, err = run_main(["detect", str(audio)] + model_args(models)
+                         + ["--out", str(out), "--dump-features", str(feats)])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert shown in err
+    assert not out.exists() and not feats.exists()
+
+
+def test_detect_memory_does_not_grow_with_the_stream(
+    corpus, models, thresholds, tmp_path, monkeypatch
+):
+    import tracemalloc
+
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 2 * BLOCK)
+    wave = load_audio(corpus / "test.wav")
+    runs = []
+    for tiles in (1, 4):
+        audio = tmp_path / f"tiled_{tiles}.wav"
+        save_audio(audio, Waveform(np.tile(wave.samples, tiles), wave.sample_rate))
+        runs.append(["detect", str(audio)] + model_args(models)
+                    + ["--thresholds", str(thresholds),
+                       "--out", str(tmp_path / f"detections_{tiles}.txt")])
+    assert main(runs[0]) == 0  # caches and lazy imports are not counted
+    peaks = []
+    for argv in runs:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # what batch detection adds first: a float64 copy of the extra audio
+    extra_audio = 3 * len(wave.samples) * 8
+    assert peaks[1] - peaks[0] < extra_audio
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -249,6 +250,36 @@ def test_scale_to_snr_rejects_silence():
         scale_to_snr(silent, loud.rms(), 0.0)
     with pytest.raises(ValueError):
         scale_to_snr(loud, silent.rms(), 0.0)
+
+
+def test_scale_to_snr_rejects_an_snr_whose_gain_overflows():
+    loud = Waveform(np.full(100, 0.1), 16000)
+    with pytest.raises(ValueError, match="SNR of 1e\\+308 dB"):
+        scale_to_snr(loud, loud.rms(), 1e308)
+    # a large gain that a float holds still scales
+    assert np.all(np.isfinite(scale_to_snr(loud, loud.rms(), 400.0).samples))
+
+
+def test_synth_writes_each_scene_before_composing_the_next():
+    corpus_args = dict(n_classes=2, instances_per_class=2, scene_len=4.0,
+                    events_per_scene=4, seed=7)
+    held = synth_benchmark(**corpus_args)
+    written, alive = [], {}
+
+    def write_scene(fold, scene, events):
+        # only the scene being written is in memory
+        assert all(ref() is None for ref in alive.values())
+        alive[fold] = weakref.ref(scene)
+        written.append((fold, scene.samples.tobytes(), events))
+
+    streamed = synth_benchmark(**corpus_args, write_scene=write_scene)
+    assert streamed.dev_scene is None and streamed.test_scene is None
+    assert written == [
+        ("dev", held.dev_scene.samples.tobytes(), held.dev_events),
+        ("test", held.test_scene.samples.tobytes(), held.test_events),
+    ]
+    assert (streamed.dev_events, streamed.test_events) == (held.dev_events,
+                                                           held.test_events)
 
 
 def test_synth_reads_each_sample_once_for_levels(monkeypatch):

@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_gammatone_cepstra
+from eventforest import features as features_module
 from eventforest.features import (
     FeatureConfig,
     Waveform,
     dump_features_csv,
     erb_bandwidth,
     erb_space,
+    featurize,
     gammatone_cepstra,
     gammatone_weights,
     hz_to_cam,
@@ -28,6 +30,7 @@ from eventforest.features import (
     periodic_hann,
     resample,
     save_audio,
+    stream_features,
     subtract_noise_floor,
 )
 
@@ -452,3 +455,84 @@ def test_cepstra_memory_is_output_plus_a_block():
     assert peak_120 < 64 * 2**20
     peak_30, rows_30 = traced_peak(30)
     assert peak_120 - 4 * rows_120 <= peak_30 - 4 * rows_30
+
+
+# ---------------------------------------------------------------- streams
+
+
+def write_wav(path, rate, frames, format_tag, bits, width):
+    """A little-endian WAV of ``frames`` (n x channels) in ``width``-byte containers."""
+    n, channels = frames.shape
+    if width == 3:
+        data = frames.astype("<i4").view(np.uint8).reshape(n, channels, 4)[..., :3]
+    else:
+        data = frames.astype(frames.dtype.newbyteorder("<"))
+    payload = data.tobytes()
+    fmt = struct.pack("<HHIIHH", format_tag, channels, rate,
+                      rate * channels * width, channels * width, bits)
+    body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def encoded(name, noise):
+    """``noise`` in [-1, 1) as WAV frames: (frames, format tag, bits, width)."""
+    if name == "uint8":
+        return np.round(noise * 127 + 128).astype(np.uint8), 1, 8, 1
+    if name == "int16":
+        return np.round(noise * 32767).astype(np.int16), 1, 16, 2
+    if name == "int24_in_int32":  # 24 valid bits in the high bytes of 4
+        return np.round(noise * 8388607).astype(np.int32) << 8, 1, 24, 4
+    if name == "int24":  # 3-byte containers
+        return np.round(noise * 8388607).astype(np.int32), 1, 24, 3
+    if name == "float32":
+        return noise.astype(np.float32), 3, 32, 4
+    return noise, 3, 64, 8
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("encoding", ["uint8", "int16", "int24_in_int32", "int24",
+                                      "float32", "float64"])
+def test_streamed_rows_equal_batch_for_every_encoding(encoding, channels, tmp_path,
+                                                      monkeypatch):
+    config = FeatureConfig()
+    noise = np.random.default_rng(channels).uniform(-0.9, 0.9, size=(96000, channels))
+    path = tmp_path / f"{encoding}_{channels}.wav"
+    write_wav(path, config.sample_rate, *encoded(encoding, noise))
+    batch = featurize(load_audio(path), config)
+    assert batch.n_segments == 591
+    # Blocks of 100 segments straddle the 512-window transform blocks.
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 100)
+    stream = stream_features(path, config)
+    # scipy cannot map 3-byte samples, so that file is read whole
+    assert (features_module._pcm_reader(path) is None) == (encoding == "int24")
+    blocks = list(stream.blocks())
+    assert [b.n_segments for b in blocks] == [100] * 5 + [91]
+    rows = np.concatenate([b.rows for b in blocks])
+    times = np.concatenate([b.segment_times for b in blocks])
+    assert rows.tobytes() == batch.rows.tobytes()
+    assert times.tobytes() == batch.segment_times.tobytes()
+
+
+@pytest.mark.parametrize("noise_subtraction", [False, True])
+def test_streamed_rows_equal_batch_when_resampled_or_floored(noise_subtraction,
+                                                             tmp_path, monkeypatch):
+    # a stream at another rate is resampled whole; the noise floor takes its
+    # percentile over the energies of the whole stream
+    config = FeatureConfig(noise_subtraction=noise_subtraction)
+    path = tmp_path / "low.wav"
+    save_audio(path, Waveform(
+        np.random.default_rng(5).normal(size=11025) * 0.1, 11025))
+    batch = featurize(load_audio(path), config)
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 64)
+    streamed = stream_features(path, config).matrix()
+    assert streamed.rows.tobytes() == batch.rows.tobytes()
+
+
+def test_streamed_float_wav_rejects_non_finite_samples_up_front(tmp_path):
+    noise = np.random.default_rng(2).uniform(-0.5, 0.5, size=(40000, 1))
+    noise[-3] = np.nan
+    path = tmp_path / "nan.wav"
+    write_wav(path, 16000, *encoded("float32", noise))
+    with pytest.raises(ValueError, match="non-finite"):
+        stream_features(path, FeatureConfig())
