@@ -40,7 +40,6 @@ from .evaluate import (
 from .features import (
     FeatureConfig,
     dumped_blocks,
-    featurize,
     load_audio,
     resample,
     save_audio,
@@ -297,7 +296,7 @@ def cmd_train(args) -> int:
     dev_features = []
     background_rows = []
     for entry in dev_entries:
-        features = featurize(load_audio(entry["audio"]), feature_config)
+        features = stream_features(entry["audio"], feature_config).matrix()
         dev_features.append(features)
         background_rows.append(
             _event_free_rows(features, parse_annotations(entry["annotations"]))
@@ -364,7 +363,7 @@ def cmd_tune(args) -> int:
         raise ValueError("manifest has no development entries to tune on")
     folds = [
         TuneFold(
-            features=featurize(load_audio(entry["audio"]), feature_config),
+            features=stream_features(entry["audio"], feature_config).matrix(),
             reference=parse_annotations(entry["annotations"]),
         )
         for entry in dev_entries

@@ -34,6 +34,9 @@ _FFT_BATCH = 64
 # is one block, so it takes the numpy calls of a whole-stream transform.
 _SEGMENT_BLOCK = 8192
 
+# Frames scaled at once when a float WAV is checked for non-finite samples.
+_CHECK_FRAMES = 1 << 20
+
 
 @dataclass(eq=False)
 class Waveform:
@@ -144,23 +147,8 @@ def load_audio(path) -> Waveform:
     Integer encodings are scaled to [-1, 1]; multi-channel input is averaged
     down to mono. A file whose data chunk runs past its end is rejected.
     """
-    from scipy.io import wavfile
-
-    # The reader's warnings are held back until it succeeds, so a corrupt file
-    # is reported by one error alone.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            rate, data = wavfile.read(path)
-        except FileNotFoundError:
-            raise
-        except Exception as exc:
-            raise ValueError(f"unsupported/corrupt container: {path}: {exc}") from exc
-    _check_data_chunk(path)
-    for warning in caught:
-        warnings.warn(warning.message, stacklevel=2)
-    _check_encoding(data.dtype, path)
-    return Waveform(_scaled(data), int(rate))
+    rate, n_frames, read, _ = _open_wav(path)
+    return Waveform(read(0, n_frames), rate)
 
 
 def _check_encoding(dtype, path) -> None:
@@ -189,36 +177,45 @@ def _scaled(data: np.ndarray) -> np.ndarray:
     return samples
 
 
-# Frames scaled at once when a float WAV is checked for non-finite samples.
-_CHECK_FRAMES = 1 << 20
-
-
-def _pcm_reader(path):
-    """``(rate, n_frames, read)`` of a WAV whose samples are read block by block.
+def _open_wav(path):
+    """``(rate, n_frames, read, floating)`` of a WAV file that passed every check.
 
     ``read(start, stop)`` returns the mono float64 samples of frames
-    ``[start, stop)``, scaled as ``load_audio`` scales them, from a positioned
-    read of the file. The file is only mapped to let scipy parse its header:
-    pages touched through a map would count toward resident memory for the
-    rest of the run. A float file is checked for non-finite samples here,
-    before any block is used. Returns None where scipy cannot map the samples
-    (3-byte 24-bit PCM) or cannot read the file at all; ``load_audio`` then
-    reads it whole, or reports the fault.
+    ``[start, stop)``, scaled by ``_scaled``, from a positioned read of the
+    file. The file is only mapped to let scipy parse its header: pages
+    touched through a map would count toward resident memory for the rest
+    of the run. Where scipy cannot map the samples (3-byte 24-bit PCM), it
+    decodes them whole and ``read`` slices that one array. ``floating`` is
+    true for a float encoding, the only one whose samples can be non-finite.
     """
     from scipy.io import wavfile
 
+    # The reader's warnings are held back until it succeeds, so a corrupt file
+    # is reported by one error alone.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            rate, data = wavfile.read(path, mmap=True)
-        except Exception:
-            return None
+            try:
+                rate, data = wavfile.read(path, mmap=True)
+            except ValueError:
+                # scipy cannot map 3-byte samples or a cut data chunk: decode
+                # the file whole, and keep only the warnings of that read
+                caught.clear()
+                rate, data = wavfile.read(path)
+        except FileNotFoundError:
+            raise
+        except Exception as exc:
+            raise ValueError(f"unsupported/corrupt container: {path}: {exc}") from exc
     _check_data_chunk(path)
     for warning in caught:
         warnings.warn(warning.message, stacklevel=3)
     _check_encoding(data.dtype, path)
-    dtype, offset, frame_shape = data.dtype, data.offset, data.shape[1:]
-    n_frames = data.shape[0]
+    dtype, frame_shape, n_frames = data.dtype, data.shape[1:], data.shape[0]
+    floating = dtype.kind == "f"
+    if not isinstance(data, np.memmap):
+        return (int(rate), n_frames, lambda start, stop: _scaled(data[start:stop]),
+                floating)
+    offset = data.offset
     del data  # unmapped before any sample is read
     channels = frame_shape[0] if frame_shape else 1
 
@@ -228,12 +225,7 @@ def _pcm_reader(path):
             frames = np.fromfile(handle, dtype, (stop - start) * channels)
         return _scaled(frames.reshape((-1, *frame_shape)))
 
-    if dtype.kind == "f":
-        for start in range(0, n_frames, _CHECK_FRAMES):
-            samples = read(start, min(start + _CHECK_FRAMES, n_frames))
-            if not np.all(np.isfinite(samples)):
-                raise ValueError("waveform contains non-finite samples")
-    return int(rate), n_frames, read
+    return int(rate), n_frames, read, floating
 
 
 def _check_data_chunk(path) -> None:
@@ -388,18 +380,24 @@ def gammatone_cepstra(waveform: Waveform, config: FeatureConfig) -> FeatureMatri
 def stream_features(path, config: FeatureConfig) -> "FeatureStream":
     """The features of a WAV file, read and transformed a block at a time.
 
-    The rows equal ``featurize(load_audio(path), config)`` bit for bit. Only
-    the samples of one block of windows are held, except in two cases that
-    ``load_audio`` reads whole: a stream at another rate than the
-    configured one, which is resampled whole, and 3-byte 24-bit PCM, which
-    scipy cannot map. The blocks are then slices of the one array.
+    This is the one path from a file to features. The rows equal
+    ``featurize(load_audio(path), config)`` bit for bit. Only the samples of
+    one block of windows are held, except in two cases that are read whole:
+    a stream at another rate than the configured one, which is resampled
+    whole, and 3-byte 24-bit PCM, which scipy cannot map. The blocks are then
+    slices of the one array. A float file is checked for non-finite samples
+    before the first block.
     """
-    reader = _pcm_reader(path)
-    if reader is not None and reader[0] == config.sample_rate:
-        return FeatureStream(reader[2], reader[1], config)
-    samples = resample(load_audio(path), config.sample_rate).samples
-    return FeatureStream(lambda start, stop: samples[start:stop], len(samples),
-                         config)
+    rate, n_frames, read, floating = _open_wav(path)
+    if rate != config.sample_rate:
+        samples = resample(Waveform(read(0, n_frames), rate),
+                           config.sample_rate).samples
+        return FeatureStream(lambda start, stop: samples[start:stop], len(samples),
+                             config)
+    if floating:  # a Waveform rejects non-finite samples
+        for start in range(0, n_frames, _CHECK_FRAMES):
+            Waveform(read(start, min(start + _CHECK_FRAMES, n_frames)), rate)
+    return FeatureStream(read, n_frames, config)
 
 
 class FeatureStream:
@@ -490,15 +488,6 @@ class FeatureStream:
             lo += block.n_segments
         times = np.arange(self.n_segments) * self._hop / self.config.sample_rate
         return FeatureMatrix(rows, times, self.config)
-
-
-def dump_features_csv(features, path) -> None:
-    """Write one row per segment: onset time followed by the coefficients.
-
-    ``features`` is a FeatureMatrix or a FeatureStream.
-    """
-    for _ in dumped_blocks(features.blocks(), path, features.config.n_channels):
-        pass
 
 
 def dumped_blocks(blocks, path, n_channels: int):

@@ -1031,7 +1031,7 @@ def test_malformed_model_rejected_at_load(case, corpus, models, tmp_path,
     def no_features(*args, **kwargs):
         raise AssertionError("features extracted before the model was checked")
 
-    monkeypatch.setattr(features_module, "gammatone_cepstra", no_features)
+    monkeypatch.setattr(cli_module, "stream_features", no_features)
     code = main(["detect", str(corpus / "test.wav"), "--model", str(bad)])
     err = capsys.readouterr().err
     assert code == 1
@@ -1053,6 +1053,7 @@ def test_incomplete_model_rejected_by_tune(case, corpus, models, tmp_path,
         raise AssertionError("audio read before the model was checked")
 
     monkeypatch.setattr(cli_module, "load_audio", no_audio)
+    monkeypatch.setattr(cli_module, "stream_features", no_audio)
     out = tmp_path / "thresholds.json"
     code = main(["tune", str(corpus / "manifest.json"), str(models[1]), str(bad),
                  "--out", str(out)])

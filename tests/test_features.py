@@ -18,7 +18,7 @@ from eventforest import features as features_module
 from eventforest.features import (
     FeatureConfig,
     Waveform,
-    dump_features_csv,
+    dumped_blocks,
     erb_bandwidth,
     erb_space,
     featurize,
@@ -366,6 +366,15 @@ def test_fingerprint_ignores_noise_subtraction():
 # ---------------------------------------------------------------- CSV dump
 
 
+def dump_features_csv(features, path) -> None:
+    """Write one row per segment: onset time followed by the coefficients.
+
+    ``features`` is a FeatureMatrix or a FeatureStream.
+    """
+    for _ in dumped_blocks(features.blocks(), path, features.config.n_channels):
+        pass
+
+
 def test_feature_csv_round_trips_exactly(tmp_path):
     rng = np.random.default_rng(21)
     wave = Waveform(rng.normal(size=4000) * 0.1, 16000)
@@ -490,6 +499,21 @@ def encoded(name, noise):
     return noise, 3, 64, 8
 
 
+def recorded_reads(monkeypatch):
+    """The ``mmap`` argument of each later ``scipy.io.wavfile.read`` call."""
+    from scipy.io import wavfile
+
+    calls = []
+    read = wavfile.read
+
+    def recording(path, mmap=False):
+        calls.append(mmap)
+        return read(path, mmap=mmap)
+
+    monkeypatch.setattr(wavfile, "read", recording)
+    return calls
+
+
 @pytest.mark.parametrize("channels", [1, 2])
 @pytest.mark.parametrize("encoding", ["uint8", "int16", "int24_in_int32", "int24",
                                       "float32", "float64"])
@@ -503,9 +527,10 @@ def test_streamed_rows_equal_batch_for_every_encoding(encoding, channels, tmp_pa
     assert batch.n_segments == 591
     # Blocks of 100 segments straddle the 512-window transform blocks.
     monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 100)
+    reads = recorded_reads(monkeypatch)
     stream = stream_features(path, config)
-    # scipy cannot map 3-byte samples, so that file is read whole
-    assert (features_module._pcm_reader(path) is None) == (encoding == "int24")
+    # scipy cannot map 3-byte samples, so only that file is decoded whole
+    assert reads == ([True, False] if encoding == "int24" else [True])
     blocks = list(stream.blocks())
     assert [b.n_segments for b in blocks] == [100] * 5 + [91]
     rows = np.concatenate([b.rows for b in blocks])
@@ -536,3 +561,21 @@ def test_streamed_float_wav_rejects_non_finite_samples_up_front(tmp_path):
     write_wav(path, 16000, *encoded("float32", noise))
     with pytest.raises(ValueError, match="non-finite"):
         stream_features(path, FeatureConfig())
+
+
+@pytest.mark.parametrize("encoding", ["int16", "float32"])
+def test_resampled_stream_parses_the_wav_once(encoding, tmp_path, monkeypatch):
+    config = FeatureConfig()
+    noise = np.random.default_rng(8).uniform(-0.5, 0.5, size=(22050, 1))
+    path = tmp_path / "low.wav"
+    write_wav(path, 11025, *encoded(encoding, noise))
+    batch = featurize(load_audio(path), config)
+    reads = recorded_reads(monkeypatch)
+    streamed = stream_features(path, config).matrix()
+    assert reads == [True]
+    assert streamed.rows.tobytes() == batch.rows.tobytes()
+    if encoding == "float32":
+        noise[-3] = np.nan
+        write_wav(path, 11025, *encoded(encoding, noise))
+        with pytest.raises(ValueError, match="non-finite"):
+            stream_features(path, config)
