@@ -61,8 +61,8 @@ from .features import (
 from .forest import (
     Forest,
     ForestConfig,
+    NodeTable,
     SegmentSet,
-    Tree,
     calibrate,
     load_forest,
     make_leaf,
@@ -70,7 +70,6 @@ from .forest import (
     save_forest,
     select_best_test,
     train_forest,
-    train_tree,
 )
 
 __version__ = "0.1.0"

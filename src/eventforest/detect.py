@@ -88,22 +88,18 @@ class StreamVotes:
 
 def collect_votes(features: FeatureMatrix, forest: Forest) -> StreamVotes:
     """Route every segment through every tree and keep the Gaussian leaves."""
-    # one (segments, trees) matrix of node indices into the trees' joined arrays
-    first = np.cumsum([0] + [len(tree) for tree in forest.trees])[:-1]
-    nodes = np.column_stack([route(tree, features.rows) for tree in forest.trees])
-    nodes = (nodes + first).ravel()  # segment-major, then tree order
-    onset = np.concatenate([tree.onset for tree in forest.trees])[nodes]
-    offset = np.concatenate([tree.offset for tree in forest.trees])[nodes]
-    p_pos = np.concatenate([tree.p_pos for tree in forest.trees])[nodes]
-    keep = ~np.isnan(onset[:, 0])
-    segment = np.repeat(np.arange(features.n_segments, dtype=np.int64), forest.n_trees)
+    table = forest.table
+    leaf = route(table, features.rows)  # segment-major, then tree order
+    keep = np.flatnonzero(~np.isnan(table.onset[leaf, 0]))
+    leaf = leaf[keep]
+    onset, offset = table.onset[leaf], table.offset[leaf]
     return StreamVotes(
-        p_pos=p_pos[keep],
-        segment=segment[keep],
-        mean_on=onset[keep, 0],
-        var_on=onset[keep, 1],
-        mean_off=offset[keep, 0],
-        var_off=offset[keep, 1],
+        p_pos=table.p_pos[leaf],
+        segment=keep // forest.n_trees,
+        mean_on=onset[:, 0],
+        var_on=onset[:, 1],
+        mean_off=offset[:, 0],
+        var_off=offset[:, 1],
         n_segments=features.n_segments,
         n_trees=forest.n_trees,
     )

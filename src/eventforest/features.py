@@ -195,18 +195,18 @@ def _open_wav(path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            _check_data_chunk(path)  # a cut file is rejected before any decode
             try:
                 rate, data = wavfile.read(path, mmap=True)
             except ValueError:
-                # scipy cannot map 3-byte samples or a cut data chunk: decode
-                # the file whole, and keep only the warnings of that read
+                # scipy cannot map 3-byte samples: decode the file whole, and
+                # keep only the warnings of that read
                 caught.clear()
                 rate, data = wavfile.read(path)
-        except FileNotFoundError:
+        except (FileNotFoundError, _TruncatedWav):
             raise
         except Exception as exc:
             raise ValueError(f"unsupported/corrupt container: {path}: {exc}") from exc
-    _check_data_chunk(path)
     for warning in caught:
         warnings.warn(warning.message, stacklevel=3)
     _check_encoding(data.dtype, path)
@@ -228,16 +228,22 @@ def _open_wav(path):
     return int(rate), n_frames, read, floating
 
 
+class _TruncatedWav(ValueError):
+    """A WAV file whose data chunk runs past its end."""
+
+
 def _check_data_chunk(path) -> None:
-    """Raise ValueError when a WAV's data chunk declares more bytes than the file holds.
+    """Raise _TruncatedWav when a WAV's data chunk declares more bytes than it holds.
 
     The WAV reader only warns about such a file and returns the samples it
-    found, so a cut recording would load as a shorter stream. Only called on
-    files the reader accepted, so the RIFF header is known to be sound.
+    found, so a cut recording would load as a shorter stream. A non-RIFF file
+    is left to the reader.
     """
     file_size = os.path.getsize(path)
     with open(path, "rb") as handle:
         riff_id = handle.read(4)
+        if riff_id not in (b"RIFF", b"RIFX", b"RF64"):
+            return
         order = ">" if riff_id == b"RIFX" else "<"
         handle.seek(12)
         data_size64 = None
@@ -255,7 +261,7 @@ def _check_data_chunk(path) -> None:
                     size = data_size64
                 available = file_size - handle.tell()
                 if size > available:
-                    raise ValueError(
+                    raise _TruncatedWav(
                         f"truncated WAV: {path}: data chunk declares {size} bytes, "
                         f"file holds {available}"
                     )

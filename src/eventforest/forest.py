@@ -268,10 +268,11 @@ def gaussian_pdf(x, mean: float, variance: float):
 
 
 @dataclass(eq=False)
-class Tree:
-    """One decision tree as arrays over its nodes in pre-order.
+class NodeTable:
+    """A forest's trees as arrays over all their nodes, tree after tree.
 
-    Split ``i`` sends a feature vector ``x`` to ``right[i]`` when
+    Tree ``t`` is in pre-order from node ``roots[t]``. Split ``i`` sends a
+    feature vector ``x`` to ``right[i]``, an index into the table, when
     ``x[r[i]] - x[q[i]] > tau[i]`` and to its left child ``i + 1`` otherwise;
     a leaf has ``right[i] == -1``. A leaf holds its posterior, the number of
     training rows that reached it, and the (mean, variance) Gaussians of the
@@ -279,6 +280,7 @@ class Tree:
     no positive reached it. Fields of the other node kind are 0, NaN or "".
     """
 
+    roots: np.ndarray
     right: np.ndarray
     r: np.ndarray
     q: np.ndarray
@@ -294,52 +296,57 @@ class Tree:
         return len(self.right)
 
     @classmethod
-    def from_nodes(cls, nodes, n_features: int | None = None) -> "Tree":
-        """Build a tree from the model file's pre-order node records.
+    def from_trees(cls, trees, n_features: int | None = None) -> "NodeTable":
+        """Build the table from the model file's node records, one list per tree.
 
-        A split record has ``r``, ``q``, ``tau`` and ``objective``; a leaf
-        record ``p_pos``, ``p_neg``, ``n_train`` and ``onset``/``offset``,
-        both a [mean, variance] pair or both null. Each record is checked,
-        with channels below ``n_features`` when it is given.
+        Each list holds a tree in pre-order. A split record has ``r``, ``q``,
+        ``tau`` and ``objective``; a leaf record ``p_pos``, ``p_neg``,
+        ``n_train`` and ``onset``/``offset``, both a [mean, variance] pair or
+        both null. Each record is checked, with channels below ``n_features``
+        if given.
         """
-        if not isinstance(nodes, list):
-            raise ValueError("tree is not a list of nodes")
-        n = len(nodes)
-        tree = cls(
+        n = sum(len(nodes) for nodes in trees if isinstance(nodes, list))
+        table = cls(
+            roots=np.zeros(len(trees), dtype=np.int64),
             right=np.full(n, -1, dtype=np.int64),
             objective=np.full(n, "", dtype="<U14"),
             **{key: np.zeros(n, dtype=np.int64) for key in ("r", "q", "n_train")},
             **{key: np.full(n, np.nan) for key in ("tau", "p_pos", "p_neg")},
             **{key: np.full((n, 2), np.nan) for key in ("onset", "offset")},
         )
-        waiting = []  # splits whose right subtree starts after the open one
-        for i, node in enumerate(nodes):
-            if i > 0 and tree.objective[i - 1] == "":  # a subtree just closed
-                if not waiting:
-                    raise ValueError(f"trailing nodes from node {i}")
-                tree.right[waiting.pop()] = i
-            try:
-                if not isinstance(node, dict):
-                    raise ValueError("not an object")
-                kind = _get(node, "kind")
-                if kind == "split":
-                    tree.r[i] = _integer(_get(node, "r"), "r", n_features)
-                    tree.q[i] = _integer(_get(node, "q"), "q", n_features)
-                    tree.tau[i] = _finite_float(_get(node, "tau"), "tau")
-                    objective = _get(node, "objective")
-                    if objective not in _OBJECTIVES:
-                        raise ValueError(f"unknown objective {objective!r}")
-                    tree.objective[i] = objective
-                    waiting.append(i)
-                elif kind == "leaf":
-                    tree.set_leaf(i, node)
-                else:
-                    raise ValueError(f"unknown node kind {kind!r}")
-            except ValueError as exc:
-                raise ValueError(f"node {i}: {exc}") from None
-        if waiting or n == 0:
-            raise ValueError("tree is truncated")
-        return tree
+        waiting, at = [], 0  # splits whose right subtree starts after the open one
+        for t, nodes in enumerate(trees):
+            table.roots[t] = at
+            if not isinstance(nodes, list):
+                raise ValueError(f"model tree {t}, tree is not a list of nodes")
+            for i, node in enumerate(nodes):
+                if i > 0 and table.objective[at - 1] == "":  # a subtree just closed
+                    if not waiting:
+                        raise ValueError(f"model tree {t}, trailing nodes from node {i}")
+                    table.right[waiting.pop()] = at
+                try:
+                    if not isinstance(node, dict):
+                        raise ValueError("not an object")
+                    kind = _get(node, "kind")
+                    if kind == "split":
+                        table.r[at] = _integer(_get(node, "r"), "r", n_features)
+                        table.q[at] = _integer(_get(node, "q"), "q", n_features)
+                        table.tau[at] = _finite_float(_get(node, "tau"), "tau")
+                        objective = _get(node, "objective")
+                        if objective not in _OBJECTIVES:
+                            raise ValueError(f"unknown objective {objective!r}")
+                        table.objective[at] = objective
+                        waiting.append(at)
+                    elif kind == "leaf":
+                        table.set_leaf(at, node)
+                    else:
+                        raise ValueError(f"unknown node kind {kind!r}")
+                except ValueError as exc:
+                    raise ValueError(f"model tree {t}, node {i}: {exc}") from None
+                at += 1
+            if waiting or not nodes:
+                raise ValueError(f"model tree {t}, tree is truncated")
+        return table
 
     def set_leaf(self, i: int, node: dict) -> None:
         """Write leaf record ``node`` to node ``i``, checking its values."""
@@ -364,8 +371,8 @@ class Tree:
                 raise ValueError(f"{key} variance {var} is not positive")
             getattr(self, key)[i] = (mean, var)
 
-    def to_nodes(self) -> list:
-        """The pre-order node records that ``from_nodes`` reads."""
+    def to_trees(self) -> list:
+        """The per-tree lists of pre-order node records that ``from_trees`` reads."""
         nodes = []
         for i in range(len(self)):
             if self.right[i] >= 0:
@@ -378,7 +385,8 @@ class Tree:
                               "n_train": int(self.n_train[i]),
                               "onset": _pair(self.onset[i]),
                               "offset": _pair(self.offset[i])})
-        return nodes
+        bounds = [*self.roots.tolist(), len(self)]
+        return [nodes[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 def _pair(gaussian) -> list | None:
@@ -414,24 +422,26 @@ def _finite_float(value, what: str = "value") -> float:
     return value
 
 
-def route(tree: Tree, x) -> np.ndarray:
-    """Leaf index of every row of the (n, d) matrix ``x``.
+def route(table: NodeTable, x) -> np.ndarray:
+    """Leaf index of every (row, tree) pair of the (n, d) matrix ``x``.
 
-    All rows move down together, one level per step, so a tree of depth D
-    takes at most D - 1 vectorized steps. Ties ``x[r] - x[q] == tau`` go left.
+    Entry ``k`` is row ``k // T`` in tree ``k % T``. All pairs move down
+    together, one level per step, so trees of depth D take at most D - 1
+    vectorized steps. Ties ``x[r] - x[q] == tau`` go left.
     """
     x = np.asarray(x, dtype=np.float64)
-    splits = tree.right >= 0
-    if splits.any() and max(tree.r[splits].max(), tree.q[splits].max()) >= x.shape[1]:
+    splits = table.right >= 0
+    if splits.any() and max(table.r[splits].max(), table.q[splits].max()) >= x.shape[1]:
         raise ValueError(
             f"feature vector of length {x.shape[1]} does not match the tree"
         )
-    node = np.zeros(len(x), dtype=np.int64)
+    node = np.tile(table.roots, len(x))
     active = np.flatnonzero(splits[node])
     while len(active):
         at = node[active]
-        right = x[active, tree.r[at]] - x[active, tree.q[at]] > tree.tau[at]
-        at = np.where(right, tree.right[at], at + 1)
+        row = active // len(table.roots)
+        right = x[row, table.r[at]] - x[row, table.q[at]] > table.tau[at]
+        at = np.where(right, table.right[at], at + 1)
         node[active] = at
         active = active[splits[at]]
     return node
@@ -459,8 +469,8 @@ def make_leaf(segments: SegmentSet, variance_floor: float = 1e-6) -> dict:
     return leaf
 
 
-def _grow(segs: SegmentSet, config: ForestConfig, rng, depth: int, nodes: list):
-    """Append the pre-order records of the subtree grown on ``segs``."""
+def _grow(segs: SegmentSet, config: ForestConfig, rng, depth: int, nodes: list) -> list:
+    """``nodes`` with the pre-order records of the subtree grown on ``segs`` appended."""
     choice = None
     if depth < config.max_depth and len(segs) > config.min_segments:
         classify = depth <= config.steer_depth
@@ -469,30 +479,23 @@ def _grow(segs: SegmentSet, config: ForestConfig, rng, depth: int, nodes: list):
             choice = select_best_test(segs, config.n_candidate_tests, objective, rng)
     if choice is None:
         nodes.append(make_leaf(segs, config.variance_floor))
-        return
+        return nodes
     nodes.append({"kind": "split", "r": choice.r, "q": choice.q,
                   "tau": choice.tau, "objective": objective})
     _grow(segs.take(~choice.mask), config, rng, depth + 1, nodes)
-    _grow(segs.take(choice.mask), config, rng, depth + 1, nodes)
-
-
-def train_tree(segments: SegmentSet, config: ForestConfig, rng) -> Tree:
-    """Grow one tree, writing its nodes in pre-order, left subtree first."""
-    nodes: list = []
-    _grow(segments, config, rng, 1, nodes)
-    return Tree.from_nodes(nodes, segments.x.shape[1])
+    return _grow(segs.take(choice.mask), config, rng, depth + 1, nodes)
 
 
 @dataclass(eq=False)
 class Forest:
-    """Per-class detector: trees plus the constants detection needs.
+    """Per-class detector: its trees' node table plus the constants detection needs.
 
     These are the feature space the trees split in, the longest training
     event in seconds, and the score normalizers ``z_plus``/``z_minus``.
     """
 
     class_label: str
-    trees: list
+    table: NodeTable
     config: ForestConfig
     feature_config: FeatureConfig
     max_train_event_duration: float
@@ -501,7 +504,7 @@ class Forest:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.table.roots)
 
 
 def shared_feature_config(forests) -> FeatureConfig:
@@ -524,7 +527,7 @@ def _grow_one(segs: SegmentSet, config: ForestConfig, tree_index: int):
     rng = np.random.default_rng([config.rng_seed, tree_index])
     n_sub = max(1, int(config.subsample_ratio * len(segs)))
     indices = np.sort(rng.choice(len(segs), size=n_sub, replace=False))
-    return train_tree(segs.take(indices), config, rng)
+    return _grow(segs.take(indices), config, rng, 1, [])
 
 
 # (segments, config) in a worker process, set by the pool initializer
@@ -536,7 +539,7 @@ def _init_worker(segments: SegmentSet, config: ForestConfig) -> None:
     _worker_job = (segments, config)
 
 
-def _grow_in_worker(tree_index: int) -> Tree:
+def _grow_in_worker(tree_index: int) -> list:
     return _grow_one(*_worker_job, tree_index)
 
 
@@ -556,7 +559,7 @@ def _start_method() -> str | None:
 
 
 def _grow_trees(segments: SegmentSet, config: ForestConfig, n_workers: int) -> list:
-    """Grow the forest's trees, in index order, on ``min(n_workers, n_trees)``.
+    """Each tree's node records, in index order, grown on ``min(n_workers, n_trees)``.
 
     With one worker this process grows every tree itself and starts no
     process. Otherwise that many child processes grow the trees, and this
@@ -617,7 +620,7 @@ def train_forest(
     lengths = segments.dists[segments.labels == 1].sum(axis=1) + 1.0
     forest = Forest(
         class_label=class_label,
-        trees=trees,
+        table=NodeTable.from_trees(trees, segments.x.shape[1]),
         config=config,
         feature_config=feature_config,
         max_train_event_duration=float(lengths.max()) * feature_config.hop_len,
@@ -635,15 +638,17 @@ def calibrate(forest: Forest, segments: SegmentSet) -> None:
     zero, so the arrival counts of a tree's leaves always sum to the
     calibration set size.
     """
-    floor = forest.config.variance_floor
-    for tree in forest.trees:
-        leaf_of = route(tree, segments.x)
-        counts = np.bincount(leaf_of, minlength=len(tree))
-        # rows grouped by leaf, ascending within each group
-        rows = np.split(np.argsort(leaf_of, kind="stable"), np.cumsum(counts)[:-1])
-        tree.n_train[tree.right < 0] = 0
-        for leaf in np.flatnonzero(counts):
-            tree.set_leaf(leaf, make_leaf(segments.take(rows[leaf]), floor))
+    table, n_trees = forest.table, forest.n_trees
+    leaf_of = route(table, segments.x)
+    counts = np.bincount(leaf_of, minlength=len(table))
+    # rows grouped by leaf: a leaf's pairs are all in its tree, so the stable
+    # order of the (row, tree) pairs keeps its rows ascending
+    pairs = np.argsort(leaf_of, kind="stable")
+    rows = np.split(pairs // n_trees, np.cumsum(counts)[:-1])
+    table.n_train[table.right < 0] = 0
+    for leaf in np.flatnonzero(counts):
+        table.set_leaf(leaf, make_leaf(segments.take(rows[leaf]),
+                                       forest.config.variance_floor))
 
 
 def expected_type(value, default) -> str | None:
@@ -687,7 +692,7 @@ def forest_to_dict(forest: Forest) -> dict:
         "z_plus": _finite_float(forest.z_plus),
         "z_minus": _finite_float(forest.z_minus),
         "max_train_event_duration": _finite_float(forest.max_train_event_duration),
-        "trees": [tree.to_nodes() for tree in forest.trees],
+        "trees": forest.table.to_trees(),
     }
 
 
@@ -721,15 +726,9 @@ def forest_from_dict(payload: dict) -> Forest:
         raise ValueError("model class_label is not a non-empty string")
     if not isinstance(_get(payload, "trees"), list) or not payload["trees"]:
         raise ValueError("model has no trees")
-    trees = []
-    for t, nodes in enumerate(payload["trees"]):
-        try:
-            trees.append(Tree.from_nodes(nodes, feature_config.n_channels))
-        except ValueError as exc:
-            raise ValueError(f"model tree {t}, {exc}") from None
     return Forest(
         class_label=class_label,
-        trees=trees,
+        table=NodeTable.from_trees(payload["trees"], feature_config.n_channels),
         config=config,
         feature_config=feature_config,
         max_train_event_duration=_positive(payload, "max_train_event_duration"),

@@ -25,12 +25,13 @@ from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
     OBJECTIVE_REGRESSION,
     ForestConfig,
+    NodeTable,
     SegmentSet,
-    Tree,
     _candidate_blocks,
     _draw_pool,
     _entropy_from_counts,
     gaussian_pdf,
+    make_leaf,
     train_forest,
 )
 
@@ -168,7 +169,7 @@ def distance_variation(test, segments) -> float:
 
 
 def leaf_node(p_pos=1.0, onset=(3.0, 1.0), offset=(2.0, 1.0), n_train=4):
-    """Leaf record for ``Tree.from_nodes``; ``onset=None`` means no Gaussians."""
+    """Leaf record for ``NodeTable.from_trees``; ``onset=None`` means no Gaussians."""
     return {
         "kind": "leaf",
         "p_pos": p_pos,
@@ -180,31 +181,39 @@ def leaf_node(p_pos=1.0, onset=(3.0, 1.0), offset=(2.0, 1.0), n_train=4):
 
 
 def split_node(r, q, tau, objective=OBJECTIVE_CLASSIFICATION):
-    """Split record for ``Tree.from_nodes``."""
+    """Split record for ``NodeTable.from_trees``."""
     return {"kind": "split", "r": r, "q": q, "tau": tau, "objective": objective}
 
 
-def node_depths(tree):
-    """Depth of every node, the root at 1; parents precede children in pre-order."""
-    depths = np.zeros(len(tree), dtype=np.int64)
-    depths[0] = 1
-    for i in range(len(tree)):
-        if tree.right[i] >= 0:
-            depths[i + 1] = depths[tree.right[i]] = depths[i] + 1
+def node_depths(table):
+    """Depth of every node, each root at 1; parents precede children in pre-order."""
+    depths = np.zeros(len(table), dtype=np.int64)
+    depths[table.roots] = 1
+    for i in range(len(table)):
+        if table.right[i] >= 0:
+            depths[i + 1] = depths[table.right[i]] = depths[i] + 1
     return depths
 
 
-def descend(tree, x) -> int:
+def tree_leaves(table) -> list:
+    """The table indices of each tree's leaves, one array per tree."""
+    bounds = [*table.roots.tolist(), len(table)]
+    return [start + np.flatnonzero(table.right[start:stop] < 0)
+            for start, stop in zip(bounds, bounds[1:])]
+
+
+def descend(table, x, root=0) -> int:
     """Reference routing: the leaf index of one feature vector, node by node.
 
-    Test outcome 1 goes to the right child, 0 to the left one at ``i + 1``.
+    The walk starts at node ``root``. Test outcome 1 goes to the right child,
+    0 to the left one at ``i + 1``.
     """
     x = np.asarray(x, dtype=np.float64)
-    node = 0
+    node = int(root)
     try:
-        while tree.right[node] >= 0:
-            if split_test(x, tree.r[node], tree.q[node], tree.tau[node]):
-                node = int(tree.right[node])
+        while table.right[node] >= 0:
+            if split_test(x, table.r[node], table.q[node], table.tau[node]):
+                node = int(table.right[node])
             else:
                 node += 1
     except IndexError:
@@ -214,17 +223,17 @@ def descend(tree, x) -> int:
     return node
 
 
-def vote_tree(tree, leaf: int, m: int, alpha: float, n: int) -> tuple:
+def vote_tree(table, leaf: int, m: int, alpha: float, n: int) -> tuple:
     """Onset and offset vote of leaf ``leaf`` for segment m at target position n.
 
     Leaves below the confidence gate, or without distance Gaussians, vote
     zero on both curves.
     """
-    p_pos = tree.p_pos[leaf]
-    if np.isnan(tree.onset[leaf, 0]) or p_pos < alpha:
+    p_pos = table.p_pos[leaf]
+    if np.isnan(table.onset[leaf, 0]) or p_pos < alpha:
         return (0.0, 0.0)
-    mean_on, var_on = tree.onset[leaf]
-    mean_off, var_off = tree.offset[leaf]
+    mean_on, var_on = table.onset[leaf]
+    mean_off, var_off = table.offset[leaf]
     p_plus = p_pos * gaussian_pdf(n, m - mean_on, var_on)
     p_minus = p_pos * gaussian_pdf(n, m + mean_off, var_off)
     return (float(p_plus), float(p_minus))
@@ -232,10 +241,11 @@ def vote_tree(tree, leaf: int, m: int, alpha: float, n: int) -> tuple:
 
 def vote_forest(forest, x, m: int, alpha: float, n: int) -> tuple:
     """Average the per-tree votes for one segment at one target position."""
+    table = forest.table
     total_plus = 0.0
     total_minus = 0.0
-    for tree in forest.trees:
-        p_plus, p_minus = vote_tree(tree, descend(tree, x), m, alpha, n)
+    for root in table.roots:
+        p_plus, p_minus = vote_tree(table, descend(table, x, root), m, alpha, n)
         total_plus += p_plus
         total_minus += p_minus
     n_trees = forest.n_trees
@@ -244,19 +254,20 @@ def vote_forest(forest, x, m: int, alpha: float, n: int) -> tuple:
 
 def oracle_collect_votes(features, forest):
     """Reference vote collection: one ``descend`` per segment and tree."""
+    table = forest.table
     p_pos, segment = [], []
     mean_on, var_on, mean_off, var_off = [], [], [], []
     for m, x in enumerate(features.rows):
-        for tree in forest.trees:
-            leaf = descend(tree, x)
-            if np.isnan(tree.onset[leaf, 0]):
+        for root in table.roots:
+            leaf = descend(table, x, root)
+            if np.isnan(table.onset[leaf, 0]):
                 continue
-            p_pos.append(tree.p_pos[leaf])
+            p_pos.append(table.p_pos[leaf])
             segment.append(m)
-            mean_on.append(tree.onset[leaf, 0])
-            var_on.append(tree.onset[leaf, 1])
-            mean_off.append(tree.offset[leaf, 0])
-            var_off.append(tree.offset[leaf, 1])
+            mean_on.append(table.onset[leaf, 0])
+            var_on.append(table.onset[leaf, 1])
+            mean_off.append(table.offset[leaf, 0])
+            var_off.append(table.offset[leaf, 1])
     return StreamVotes(
         p_pos=np.array(p_pos, dtype=np.float64),
         segment=np.array(segment, dtype=np.int64),
@@ -269,8 +280,37 @@ def oracle_collect_votes(features, forest):
     )
 
 
+def oracle_calibrate(forest, segments) -> list:
+    """Reference calibration: the per-tree node records ``calibrate`` should leave.
+
+    Every row descends every tree node by node; each reached leaf becomes
+    ``make_leaf`` of its rows in ascending order, and an unreached leaf keeps
+    its statistics with ``n_train`` 0.
+    """
+    table = forest.table
+    arrivals = {}
+    for row, x in enumerate(segments.x):
+        for root in table.roots:
+            arrivals.setdefault(descend(table, x, root), []).append(row)
+    expected = table.to_trees()
+    for root, nodes in zip(table.roots.tolist(), expected):
+        for i, node in enumerate(nodes):
+            if node["kind"] != "leaf":
+                continue
+            rows = arrivals.get(root + i)
+            if rows is None:
+                node["n_train"] = 0
+            else:
+                nodes[i] = make_leaf(segments.take(np.array(rows)),
+                                     forest.config.variance_floor)
+    return expected
+
+
 def random_tree(rng, n_features, max_depth):
-    """Random tree with integer thresholds; about a third of leaves lack Gaussians."""
+    """Node records of a random tree with integer thresholds.
+
+    About a third of its leaves lack Gaussians.
+    """
     nodes = []
 
     def grow(depth):
@@ -292,7 +332,7 @@ def random_tree(rng, n_features, max_depth):
         grow(depth + 1)
 
     grow(1)
-    return Tree.from_nodes(nodes, n_features)
+    return nodes
 
 
 def scalar_entropy(n_pos, n_neg):

@@ -23,6 +23,7 @@ from conftest import (
     random_segments,
     segment_set,
     split_test,
+    tree_leaves,
 )
 from eventforest.cli import main
 from eventforest.dataset import parse_annotations
@@ -203,12 +204,12 @@ def test_calibration_conserves_counts(blob_model):
     """Across each tree the calibrated leaves account for every segment."""
     failures = []
     total = len(blob_model.train_segments)
-    for t, tree in enumerate(blob_model.forest.trees):
-        leaves = np.flatnonzero(tree.right < 0)
-        arrived = sum(tree.n_train[leaves])
+    table = blob_model.forest.table
+    for t, leaves in enumerate(tree_leaves(table)):
+        arrived = sum(table.n_train[leaves])
         if arrived != total:
             failures.append(f"tree {t}: {arrived} arrivals, expected {total}")
-        for p_pos, p_neg in zip(tree.p_pos[leaves], tree.p_neg[leaves]):
+        for p_pos, p_neg in zip(table.p_pos[leaves], table.p_neg[leaves]):
             if p_pos + p_neg != 1.0:
                 failures.append(f"tree {t}: p_pos {p_pos} + p_neg {p_neg} != 1")
     _verdict(

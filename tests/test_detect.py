@@ -1,4 +1,4 @@
-"""Tree routing, Gaussian voting, score tracks, and event extraction."""
+"""Forest routing, Gaussian voting, score tracks, and event extraction."""
 
 import copy
 import math
@@ -48,7 +48,7 @@ from eventforest.features import FeatureConfig, FeatureMatrix, Waveform
 from eventforest.forest import (
     Forest,
     ForestConfig,
-    Tree,
+    NodeTable,
     gaussian_pdf,
     route,
 )
@@ -57,14 +57,14 @@ PEAK_VARIANCE = 1.0 / (2.0 * math.pi)  # unit peak density
 
 
 def leaf(p_pos=1.0, onset=(3.0, 1.0), offset=(2.0, 1.0), n_train=4):
-    """A tree that is one leaf, node 0."""
-    return Tree.from_nodes([leaf_node(p_pos, onset, offset, n_train)])
+    """A one-tree table whose tree is one leaf, node 0."""
+    return NodeTable.from_trees([[leaf_node(p_pos, onset, offset, n_train)]])
 
 
 def single_leaf_forest(the_leaf, n_trees=1, label="x", fc=None, duration=1.0):
     return Forest(
         class_label=label,
-        trees=[the_leaf] * n_trees,
+        table=NodeTable.from_trees(the_leaf.to_trees() * n_trees),
         config=ForestConfig(n_trees=n_trees),
         feature_config=fc or feature_config(),
         max_train_event_duration=duration,
@@ -88,8 +88,8 @@ def test_descend_single_leaf():
 
 
 def test_descend_follows_split():
-    tree = Tree.from_nodes(
-        [split_node(0, 1, 0.0), leaf_node(p_pos=0.2), leaf_node(p_pos=0.9)]
+    tree = NodeTable.from_trees(
+        [[split_node(0, 1, 0.0), leaf_node(p_pos=0.2), leaf_node(p_pos=0.9)]]
     )
     left, right = 1, 2
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -100,8 +100,8 @@ def test_descend_follows_split():
 
 
 def test_descend_deterministic():
-    tree = Tree.from_nodes(
-        [split_node(0, 1, 0.5), leaf_node(p_pos=0.1), leaf_node(p_pos=0.8)]
+    tree = NodeTable.from_trees(
+        [[split_node(0, 1, 0.5), leaf_node(p_pos=0.1), leaf_node(p_pos=0.8)]]
     )
     x = np.array([2.0, 0.0])
     assert descend(tree, x) == descend(tree, x)
@@ -109,7 +109,7 @@ def test_descend_deterministic():
 
 
 def test_descend_rejects_short_vector():
-    tree = Tree.from_nodes([split_node(5, 1, 0.0), leaf_node(), leaf_node()])
+    tree = NodeTable.from_trees([[split_node(5, 1, 0.0), leaf_node(), leaf_node()]])
     with pytest.raises(ValueError, match="does not match the tree"):
         descend(tree, np.zeros(2))
     with pytest.raises(ValueError, match="does not match the tree"):
@@ -121,19 +121,25 @@ def test_descend_rejects_short_vector():
     seed=st.integers(0, 2**32 - 1),
     n_rows=st.integers(0, 60),
     max_depth=st.integers(1, 7),
+    n_trees=st.integers(1, 4),
 )
-def test_route_matches_descend_oracle(seed, n_rows, max_depth):
+def test_route_matches_descend_oracle(seed, n_rows, max_depth, n_trees):
     # integer features and thresholds make x[r] - x[q] == tau common
     rng = np.random.default_rng(seed)
-    tree = random_tree(rng, 4, max_depth)
+    table = NodeTable.from_trees(
+        [random_tree(rng, 4, max_depth) for _ in range(n_trees)], 4
+    )
     x = rng.integers(-3, 4, size=(n_rows, 4)).astype(float)
     ties = []
-    for i in np.flatnonzero((tree.right >= 0) & (tree.r != tree.q)):
+    for i in np.flatnonzero((table.right >= 0) & (table.r != table.q)):
         tie = np.zeros(4)
-        tie[tree.r[i]] = tree.tau[i]  # x[r] - x[q] == tau at split i
+        tie[table.r[i]] = table.tau[i]  # x[r] - x[q] == tau at split i
         ties.append(tie)
     x = np.vstack([x] + ties)
-    assert route(tree, x).tolist() == [descend(tree, row) for row in x]
+    leaves = route(table, x).reshape(len(x), n_trees)
+    assert leaves.tolist() == [
+        [descend(table, row, root) for root in table.roots] for row in x
+    ]
 
 
 # ---------------------------------------------------------------- voting
@@ -179,7 +185,7 @@ def test_forest_vote_averages_trees():
     gated = leaf(p_pos=0.0, onset=None, offset=None, n_train=1)
     mixed = Forest(
         class_label="x",
-        trees=[a] + [gated] * 9,
+        table=NodeTable.from_trees(a.to_trees() + gated.to_trees() * 9),
         config=ForestConfig(n_trees=10),
         feature_config=feature_config(),
         max_train_event_duration=1.0,
@@ -198,8 +204,9 @@ def test_forest_vote_matches_manual_mean(blob_model):
         x = features.rows[m]
         expected_on = 0.0
         expected_off = 0.0
-        for tree in forest.trees:
-            p_on, p_off = vote_tree(tree, descend(tree, x), m, 0.2, n)
+        for root in forest.table.roots:
+            p_on, p_off = vote_tree(forest.table, descend(forest.table, x, root),
+                                    m, 0.2, n)
             expected_on += p_on
             expected_off += p_off
         got_on, got_off = vote_forest(forest, x, m, 0.2, n)
@@ -230,6 +237,7 @@ def test_score_track_alpha_gates_everything():
 
 def test_score_track_matches_per_segment_sum(blob_model):
     forest = blob_model.forest
+    table = forest.table
     features = blob_model.dev_features
     n = features.n_segments
     alpha = 0.3
@@ -237,14 +245,14 @@ def test_score_track_matches_per_segment_sum(blob_model):
     expected_minus = np.zeros(n)
     for m in range(n):
         x = features.rows[m]
-        for tree in forest.trees:
-            node = descend(tree, x)
-            p_pos = tree.p_pos[node]
-            if np.isnan(tree.onset[node, 0]) or p_pos < alpha:
+        for root in table.roots:
+            node = descend(table, x, root)
+            p_pos = table.p_pos[node]
+            if np.isnan(table.onset[node, 0]) or p_pos < alpha:
                 continue
             for target, (mean_d, var), sign in (
-                (expected_plus, tree.onset[node], -1.0),
-                (expected_minus, tree.offset[node], 1.0),
+                (expected_plus, table.onset[node], -1.0),
+                (expected_minus, table.offset[node], 1.0),
             ):
                 mean = m + sign * mean_d
                 sigma = math.sqrt(var)
@@ -295,7 +303,7 @@ def test_collect_votes_matches_oracle_on_random_trees(seed, n_segments, n_trees)
     config = feature_config(4)
     forest = Forest(
         class_label="x",
-        trees=[random_tree(rng, 4, 6) for _ in range(n_trees)],
+        table=NodeTable.from_trees([random_tree(rng, 4, 6) for _ in range(n_trees)]),
         config=ForestConfig(n_trees=n_trees),
         feature_config=config,
         max_train_event_duration=1.0,

@@ -122,6 +122,33 @@ def test_load_rejects_every_cut_inside_the_data_chunk(tmp_path):
         assert caught == [], size
 
 
+def test_cut_wav_is_rejected_before_a_whole_decode(tmp_path, monkeypatch):
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+    body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 100) + bytes(10))
+    path = tmp_path / "cut.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    reads = recorded_reads(monkeypatch)
+    with pytest.raises(ValueError, match="^truncated WAV: .*declares 100 bytes, "
+                                         "file holds 10$"):
+        load_audio(path)
+    assert reads == []  # neither mapped nor decoded
+
+
+def test_garbled_chunk_header_is_a_corrupt_container(tmp_path):
+    # the chunk scan finds a ds64 chunk too short to hold its data size
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 24000, 3, 24)
+    body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"ds64" + struct.pack("<I", 4) + bytes(4)
+            + b"data" + struct.pack("<I", 3) + bytes(3))
+    path = tmp_path / "garbled.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="^unsupported/corrupt container: "):
+            load_audio(path)
+
+
 def test_load_rf64_checks_the_ds64_data_size(tmp_path):
     # RF64 puts 0xFFFFFFFF in the data chunk and the real size in ds64
     data = struct.pack("<3h", 16384, -16384, 0)

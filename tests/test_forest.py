@@ -20,10 +20,13 @@ from conftest import (
     leaf_node,
     node_depths,
     oracle_best_split,
+    oracle_calibrate,
     random_segments,
+    random_tree,
     segment_set,
     split_node,
     split_test,
+    tree_leaves,
 )
 from eventforest import forest as forest_module
 from eventforest.features import FeatureConfig
@@ -32,8 +35,8 @@ from eventforest.forest import (
     OBJECTIVE_REGRESSION,
     Forest,
     ForestConfig,
+    NodeTable,
     SegmentSet,
-    Tree,
     calibrate,
     forest_from_dict,
     forest_to_dict,
@@ -43,7 +46,6 @@ from eventforest.forest import (
     save_forest,
     select_best_test,
     train_forest,
-    train_tree,
 )
 
 
@@ -444,11 +446,17 @@ def test_make_leaf_empty_is_an_error():
 # ---------------------------------------------------------------- tree growth
 
 
+def grown_tree(segments, config, rng):
+    """The one-tree table of a tree grown from the root on ``segments``."""
+    nodes = forest_module._grow(segments, config, rng, 1, [])
+    return NodeTable.from_trees([nodes], segments.x.shape[1])
+
+
 def test_small_set_collapses_to_single_leaf():
     rng = np.random.default_rng(71)
     segments = random_segments(rng, 10, dim=4)
     config = ForestConfig(min_segments=20)
-    tree = train_tree(segments, config, np.random.default_rng(0))
+    tree = grown_tree(segments, config, np.random.default_rng(0))
     assert len(tree) == 1 and tree.right[0] == -1
     assert tree.n_train[0] == 10
 
@@ -459,7 +467,7 @@ def test_steering_depth_controls_objectives():
     all_classification = ForestConfig(
         max_depth=4, steer_depth=4, min_segments=10, n_candidate_tests=200
     )
-    tree = train_tree(segments, all_classification, np.random.default_rng(1))
+    tree = grown_tree(segments, all_classification, np.random.default_rng(1))
     splits = tree.right >= 0
     assert splits.any()
     assert all(tree.objective[splits] == OBJECTIVE_CLASSIFICATION)
@@ -467,7 +475,7 @@ def test_steering_depth_controls_objectives():
     steered = ForestConfig(
         max_depth=5, steer_depth=2, min_segments=10, n_candidate_tests=200
     )
-    tree = train_tree(segments, steered, np.random.default_rng(1))
+    tree = grown_tree(segments, steered, np.random.default_rng(1))
     for node, depth in enumerate(node_depths(tree)):
         if tree.right[node] >= 0:
             expected = (
@@ -482,7 +490,7 @@ def test_tree_depth_never_exceeds_limit():
     config = ForestConfig(
         max_depth=4, steer_depth=3, min_segments=2, n_candidate_tests=100
     )
-    tree = train_tree(segments, config, np.random.default_rng(2))
+    tree = grown_tree(segments, config, np.random.default_rng(2))
     assert max(node_depths(tree)) <= 4
     assert sum(tree.n_train[tree.right < 0]) == len(segments)
 
@@ -516,7 +524,7 @@ def test_single_full_sample_tree_matches_direct_growth():
 
     rng = np.random.default_rng([config.rng_seed, 0])
     indices = np.sort(rng.choice(len(segments), size=len(segments), replace=False))
-    manual = train_tree(segments.take(indices), config, rng)
+    manual = grown_tree(segments.take(indices), config, rng)
 
     def node_key(tree):
         return tuple(
@@ -525,7 +533,7 @@ def test_single_full_sample_tree_matches_direct_growth():
                           "p_neg", "n_train", "onset", "offset")
         )
 
-    assert node_key(forest.trees[0]) == node_key(manual)
+    assert node_key(forest.table) == node_key(manual)
 
 
 def test_train_forest_requires_both_classes():
@@ -663,24 +671,24 @@ def test_calibration_is_a_fixed_point_on_full_sample():
 
 def test_calibration_counts_and_posteriors(blob_model):
     total = len(blob_model.train_segments)
-    for tree in blob_model.forest.trees:
-        leaves = np.flatnonzero(tree.right < 0)
-        assert sum(tree.n_train[leaves]) == total
+    table = blob_model.forest.table
+    for leaves in tree_leaves(table):
+        assert sum(table.n_train[leaves]) == total
         for leaf in leaves:
-            assert tree.p_pos[leaf] + tree.p_neg[leaf] == 1.0
-            for gaussian in (tree.onset[leaf], tree.offset[leaf]):
+            assert table.p_pos[leaf] + table.p_neg[leaf] == 1.0
+            for gaussian in (table.onset[leaf], table.offset[leaf]):
                 if not np.isnan(gaussian[0]):
                     assert gaussian[1] >= 1e-6
 
 
 def test_calibration_unreached_and_negative_leaves():
-    tree = Tree.from_nodes([
+    tree = NodeTable.from_trees([[
         split_node(0, 1, 0.0),
         leaf_node(p_pos=0.5, onset=(1.0, 1.0), offset=(1.0, 1.0), n_train=2),
         leaf_node(p_pos=0.5, onset=(2.0, 1.0), offset=(2.0, 1.0), n_train=2),
-    ])
+    ]])
     left, right = 1, 2
-    forest = Forest(class_label="x", trees=[tree], config=small_config(),
+    forest = Forest(class_label="x", table=tree, config=small_config(),
                     feature_config=feature_config(2), max_train_event_duration=1.0)
     # all segments route right (x0 - x1 > 0) and none of them is positive
     segments = segment_set([([2.0, 0.0], 0, None)] * 4)
@@ -690,6 +698,28 @@ def test_calibration_unreached_and_negative_leaves():
     assert np.isnan(tree.onset[right]).all() and np.isnan(tree.offset[right]).all()
     assert tree.n_train[left] == 0  # unreached: keeps its model otherwise
     assert tree.p_pos[left] == 0.5 and tree.onset[left].tolist() == [1.0, 1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 60),
+       n_trees=st.integers(1, 4))
+def test_calibration_matches_oracle_on_random_trees(seed, n_rows, n_trees):
+    # integer features and thresholds make ties x[r] - x[q] == tau common
+    rng = np.random.default_rng(seed)
+    table = NodeTable.from_trees(
+        [random_tree(rng, 4, 6) for _ in range(n_trees)], 4
+    )
+    labels = rng.integers(0, 2, size=n_rows)
+    dists = np.where(labels[:, np.newaxis] == 1,
+                     rng.integers(0, 12, size=(n_rows, 2)), np.nan)
+    segments = SegmentSet(rng.integers(-3, 4, size=(n_rows, 4)).astype(float),
+                          labels, dists)
+    forest = Forest(class_label="x", table=table,
+                    config=small_config(n_trees=n_trees),
+                    feature_config=feature_config(4), max_train_event_duration=1.0)
+    expected = oracle_calibrate(forest, segments)
+    calibrate(forest, segments)
+    assert table.to_trees() == expected
 
 
 # ---------------------------------------------------------------- gaussians
