@@ -34,7 +34,6 @@ from .detect import (
     detect_stream,
     extract_events,
     filter_duration,
-    score_track,
     smooth,
     write_detections,
 )

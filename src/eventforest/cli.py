@@ -22,7 +22,7 @@ from .detect import (
     DetectConfig,
     collect_votes,
     detect_on_features,
-    render_tracks,
+    render_track_grid,
     score_tracks,
     write_detections,
     write_scores_csv,
@@ -209,7 +209,7 @@ def _fit_normalization(forest, dev_features) -> None:
     z_plus = 0.0
     z_minus = 0.0
     for features in dev_features:
-        track = render_tracks(collect_votes(features, forest), alpha=0.0)
+        track = render_track_grid(collect_votes(features, forest), [0.0])[0]
         if track.n_segments:
             z_plus = max(z_plus, float(track.f_plus.max()))
             z_minus = max(z_minus, float(track.f_minus.max()))
@@ -421,23 +421,25 @@ def cmd_detect(args) -> int:
                              score_dir / f"scores_{forest.class_label}.csv")
     # A class the thresholds file disables is never reported, whatever its
     # scores on this stream and whatever --alpha/--beta say.
-    detections = detect_on_features(stream, enabled, configs, tracks)
+    detections = detect_on_features(tracks, enabled, configs)
     if args.out:
         write_detections(detections, args.out)
-    else:
-        for d in detections:
-            print(f"{d.onset:.3f}\t{d.offset:.3f}\t{d.label}")
-    if args.out:
         print(f"{len(detections)} detections -> {args.out}")
+    else:
+        write_detections(detections, sys.stdout)
     return 0
+
+
+def _class_order(report) -> list:
+    """A metric report's class labels in sorted order, then ``overall``."""
+    return sorted(k for k in report if k != "overall") + ["overall"]
 
 
 def _print_metric_table(title, report) -> None:
     print(title)
     header = f"{'class':<16}{'ER':>8}{'F1':>8}{'N':>7}{'S':>6}{'D':>6}{'I':>6}"
     print(header)
-    order = sorted(k for k in report if k != "overall") + ["overall"]
-    for label in order:
+    for label in _class_order(report):
         score = report[label]
         rate = "n/a" if score.error_rate is None else f"{score.error_rate:.3f}"
         print(
@@ -469,8 +471,7 @@ def cmd_evaluate(args) -> int:
                 "error_rate,f1\n"
             )
             for mode, report in reports.items():
-                order = sorted(k for k in report if k != "overall") + ["overall"]
-                for label in order:
+                for label in _class_order(report):
                     s = report[label]
                     rate = "" if s.error_rate is None else repr(s.error_rate)
                     handle.write(

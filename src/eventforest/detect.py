@@ -191,30 +191,17 @@ def render_track_grid(
     return [_normalized(pair, votes.n_trees, z_plus, z_minus) for pair in sums]
 
 
-def render_tracks(
-    votes: StreamVotes,
-    alpha: float,
-    z_plus: float = 1.0,
-    z_minus: float = 1.0,
-    sums: tuple | None = None,
-    first: int = 0,
-) -> ScoreTrack | None:
-    """Accumulate cached votes into normalized onset and offset tracks.
+def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0) -> None:
+    """Add one block's cached votes to a stream's raw onset and offset sums.
 
     Votes with ``p_pos`` below ``alpha`` are skipped; each remaining vote adds
-    its ``p_pos``-weighted Gaussians, truncated at six standard deviations.
-    The blocked splat keeps the additions in vote order, so the result equals
-    rendering one vote at a time bit for bit.
-
-    A stream rendered block by block passes its raw (onset, offset) ``sums``
-    and the stream segment ``first`` of the block's first row: the votes are
-    added to the sums, which are normalized once the stream ends (see
-    ``score_tracks``), and None is returned.
+    its ``p_pos``-weighted Gaussians, truncated at six standard deviations, to
+    the whole-stream ``sums`` pair, and the votes' segments start at stream
+    segment ``first``. The blocked splat keeps the additions in vote order, so
+    the sums equal rendering one vote at a time bit for bit. They are
+    normalized once the stream ends (see ``score_tracks``).
     """
-    if sums is None:
-        return render_track_grid(votes, [alpha], z_plus, z_minus)[0]
     _splat(votes, [alpha], [sums], first)
-    return None
 
 
 def smooth(track: ScoreTrack, window: int) -> ScoreTrack:
@@ -321,11 +308,6 @@ def filter_duration(detections, max_train_duration: float, factor: float = 3.0):
     return [d for d in detections if d.offset - d.onset <= limit]
 
 
-def _config_for(configs, label: str) -> DetectConfig:
-    """The class's config from one DetectConfig or a mapping by class label."""
-    return configs[label] if isinstance(configs, dict) else configs
-
-
 def score_tracks(blocks, n_segments: int, forests, configs) -> dict:
     """Each class's smoothed onset and offset scores, from one pass over a stream.
 
@@ -346,9 +328,8 @@ def score_tracks(blocks, n_segments: int, forests, configs) -> dict:
     for block in blocks:
         for forest in forests:
             label = forest.class_label
-            render_tracks(collect_votes(block, forest),
-                          _config_for(configs, label).alpha,
-                          sums=sums[label], first=first)
+            render_tracks(collect_votes(block, forest), configs[label].alpha,
+                          sums[label], first)
         first += block.n_segments
     block = None  # the last block's rows are not kept while smoothing
     tracks = {}
@@ -356,20 +337,8 @@ def score_tracks(blocks, n_segments: int, forests, configs) -> dict:
         label = forest.class_label
         track = _normalized(sums.pop(label), forest.n_trees, forest.z_plus,
                             forest.z_minus)
-        tracks[label] = smooth(track, _config_for(configs, label).smooth_window)
+        tracks[label] = smooth(track, configs[label].smooth_window)
     return tracks
-
-
-def score_track(
-    features: FeatureMatrix, forest: Forest, config: DetectConfig
-) -> ScoreTrack:
-    """One class's smoothed onset and offset scores: the track detection pairs.
-
-    The leaf votes that pass ``config.alpha`` are rendered, divided by the
-    forest's normalization constants, and smoothed (see ``score_tracks``).
-    """
-    tracks = score_tracks(features.blocks(), features.n_segments, [forest], config)
-    return tracks[forest.class_label]
 
 
 def forest_events(
@@ -388,25 +357,15 @@ def forest_events(
     return filter_duration(events, forest.max_train_event_duration, duration_factor)
 
 
-def detect_on_features(
-    features, forests, configs, tracks: dict | None = None
-) -> list:
-    """Run detection for several forests over a stream's features.
+def detect_on_features(tracks: dict, forests, configs) -> list:
+    """Pair the scored tracks of several forests into detections, sorted by time.
 
-    ``features`` is a FeatureMatrix or a FeatureStream. ``tracks`` maps a
-    class label to the ``score_track`` its caller already computed with the
-    same config; the other classes are scored here, in one pass over the
-    features.
+    ``tracks`` maps each forest's class label to its track from
+    ``score_tracks``, and ``configs`` maps it to its DetectConfig.
     """
-    forests = list(forests)
-    tracks = dict(tracks or {})
-    missing = [f for f in forests if f.class_label not in tracks]
-    if missing:
-        tracks.update(score_tracks(features.blocks(), features.n_segments,
-                                   missing, configs))
     detections = []
     for forest in forests:
-        config = _config_for(configs, forest.class_label)
+        config = configs[forest.class_label]
         detections += forest_events(tracks[forest.class_label], forest,
                                     config.beta, config.duration_factor)
     detections.sort(key=lambda d: (d.onset, d.offset, d.label))
@@ -416,24 +375,32 @@ def detect_on_features(
 def detect_stream(waveform: Waveform, forests, configs) -> list:
     """Detect events of all classes in a continuous stream.
 
-    ``configs`` is either one DetectConfig applied to every class or a
-    mapping from class label to DetectConfig. All forests must share one
-    feature fingerprint; the stream is resampled to the training rate and
-    featurized once. Every given forest is scored: drop the classes that
-    tuned thresholds disable with ``evaluate.enabled_forests`` first.
+    ``configs`` maps each class label to its DetectConfig. All forests must
+    share one feature fingerprint; the stream is resampled to the training
+    rate, and its features are scored block by block in one pass (see
+    ``score_tracks``), so the whole feature matrix is never held. Every given
+    forest is scored: drop the classes that tuned thresholds disable with
+    ``evaluate.enabled_forests`` first.
     """
     forests = list(forests)
     if not forests:
         return []
-    features = featurize(waveform, shared_feature_config(forests))
-    return detect_on_features(features, forests, configs)
+    stream = featurize(waveform, shared_feature_config(forests))
+    tracks = score_tracks(stream.blocks(), stream.n_segments, forests, configs)
+    return detect_on_features(tracks, forests, configs)
 
 
-def write_detections(detections, path) -> None:
-    """Write detections one per line as tab-separated onset, offset, label."""
-    with open(path, "w") as handle:
-        for d in detections:
-            handle.write(f"{d.onset:.3f}\t{d.offset:.3f}\t{d.label}\n")
+def write_detections(detections, out) -> None:
+    """Write detections one per line as tab-separated onset, offset, label.
+
+    ``out`` is a path, or an open text stream such as ``sys.stdout``.
+    """
+    lines = (f"{d.onset:.3f}\t{d.offset:.3f}\t{d.label}\n" for d in detections)
+    if hasattr(out, "write"):
+        out.writelines(lines)
+        return
+    with open(out, "w") as handle:
+        handle.writelines(lines)
 
 
 def write_scores_csv(track: ScoreTrack, path) -> None:

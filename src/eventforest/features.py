@@ -91,6 +91,12 @@ class FeatureConfig:
             raise ValueError(
                 f"need 0 < hop_len <= window_len, got {self.hop_len}, {self.window_len}"
             )
+        # the window is at least the hop, so it spans a sample too
+        if round(self.hop_len * self.sample_rate) < 1:
+            raise ValueError(
+                f"hop_len {self.hop_len} is shorter than one sample "
+                f"at rate {self.sample_rate}"
+            )
 
     def fingerprint(self) -> dict:
         """Fields that pin the feature space a model was trained in.
@@ -133,12 +139,6 @@ class FeatureMatrix:
         if self.n_segments == 0:
             return 0.0
         return float(self.segment_times[-1]) + self.config.window_len
-
-    def blocks(self):
-        """The rows in stream order, ``_SEGMENT_BLOCK`` segments at a time."""
-        for lo in range(0, self.n_segments, _SEGMENT_BLOCK):
-            hi = lo + _SEGMENT_BLOCK
-            yield FeatureMatrix(self.rows[lo:hi], self.segment_times[lo:hi], self.config)
 
 
 def load_audio(path) -> Waveform:
@@ -363,9 +363,10 @@ def periodic_hann(n: int) -> np.ndarray:
     return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
 
 
-def featurize(waveform: Waveform, config: FeatureConfig) -> FeatureMatrix:
-    """Features of a stream after resampling it to the configured rate."""
-    return gammatone_cepstra(resample(waveform, config.sample_rate), config)
+def featurize(waveform: Waveform, config: FeatureConfig) -> "FeatureStream":
+    """The feature stream of a waveform after resampling it to the configured rate."""
+    return FeatureStream.of_samples(resample(waveform, config.sample_rate).samples,
+                                    config)
 
 
 def gammatone_cepstra(waveform: Waveform, config: FeatureConfig) -> FeatureMatrix:
@@ -378,9 +379,7 @@ def gammatone_cepstra(waveform: Waveform, config: FeatureConfig) -> FeatureMatri
             f"waveform rate {waveform.sample_rate} does not match "
             f"configured rate {config.sample_rate}; resample first"
         )
-    samples = waveform.samples
-    return FeatureStream(lambda start, stop: samples[start:stop], len(samples),
-                         config).matrix()
+    return FeatureStream.of_samples(waveform.samples, config).matrix()
 
 
 def stream_features(path, config: FeatureConfig) -> "FeatureStream":
@@ -396,10 +395,7 @@ def stream_features(path, config: FeatureConfig) -> "FeatureStream":
     """
     rate, n_frames, read, floating = _open_wav(path)
     if rate != config.sample_rate:
-        samples = resample(Waveform(read(0, n_frames), rate),
-                           config.sample_rate).samples
-        return FeatureStream(lambda start, stop: samples[start:stop], len(samples),
-                             config)
+        return featurize(Waveform(read(0, n_frames), rate), config)
     if floating:  # a Waveform rejects non-finite samples
         for start in range(0, n_frames, _CHECK_FRAMES):
             Waveform(read(start, min(start + _CHECK_FRAMES, n_frames)), rate)
@@ -434,6 +430,11 @@ class FeatureStream:
         self.n_segments = (
             0 if n_samples < self._win else (n_samples - self._win) // self._hop + 1
         )
+
+    @classmethod
+    def of_samples(cls, samples: np.ndarray, config: FeatureConfig) -> "FeatureStream":
+        """The stream of mono samples held in memory at the configured rate."""
+        return cls(lambda start, stop: samples[start:stop], len(samples), config)
 
     def _energies(self, lo: int, hi: int) -> np.ndarray:
         """Filterbank energies of segments ``[lo, hi)``.

@@ -12,7 +12,14 @@ import pytest
 from scipy.fft import dct
 
 from eventforest.dataset import EventAnnotation
-from eventforest.detect import ScoreTrack, StreamVotes, collect_votes, render_tracks
+from eventforest.detect import (
+    ScoreTrack,
+    StreamVotes,
+    collect_votes,
+    detect_on_features,
+    render_track_grid,
+    score_tracks,
+)
 from eventforest.features import (
     LOG_FLOOR,
     FeatureConfig,
@@ -439,6 +446,17 @@ def oracle_render_tracks(votes, alpha, z_plus=1.0, z_minus=1.0):
     return ScoreTrack(f_plus, f_minus)
 
 
+def score_matrix(features, forests, configs):
+    """Each class's track, scored from a whole feature matrix as one block."""
+    return score_tracks([features], features.n_segments, forests, configs)
+
+
+def detect_matrix(features, forests, configs):
+    """Detections of a whole feature matrix: its tracks as one block, paired."""
+    return detect_on_features(score_matrix(features, forests, configs), forests,
+                              configs)
+
+
 def oracle_peak_indices(values, threshold):
     """Reference plateau scan: local maxima at or above the threshold.
 
@@ -556,7 +574,7 @@ def blob_model():
     dev_features, dev_reference, _ = blob_stream(
         np.random.default_rng(12), n_events=6
     )
-    raw = render_tracks(collect_votes(dev_features, forest), alpha=0.0)
+    raw = render_track_grid(collect_votes(dev_features, forest), [0.0])[0]
     forest.z_plus = max(float(raw.f_plus.max()), 1e-12)
     forest.z_minus = max(float(raw.f_minus.max()), 1e-12)
     test_features, test_reference, _ = blob_stream(

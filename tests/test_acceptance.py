@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from conftest import (
     FEATURE_DIM,
     blob_stream,
+    detect_matrix,
     distance_variation,
     draw_candidates,
     entropy,
@@ -30,9 +31,8 @@ from eventforest.dataset import parse_annotations
 from eventforest.detect import (
     DetectConfig,
     collect_votes,
-    detect_on_features,
     extract_events,
-    render_tracks,
+    render_track_grid,
     smooth,
     write_detections,
 )
@@ -251,12 +251,11 @@ def test_reproducible_models_and_detections(tmp_path, blob_model):
     out_a = tmp_path / "direct.txt"
     out_b = tmp_path / "reloaded.txt"
     write_detections(
-        detect_on_features(blob_model.test_features, [blob_model.forest],
-                           configs),
+        detect_matrix(blob_model.test_features, [blob_model.forest], configs),
         out_a,
     )
     write_detections(
-        detect_on_features(blob_model.test_features, [reloaded], configs),
+        detect_matrix(blob_model.test_features, [reloaded], configs),
         out_b,
     )
     if out_a.read_bytes() != out_b.read_bytes():
@@ -276,12 +275,12 @@ def test_beta_monotonicity_and_ignorance(blob_model):
     fc = blob_model.feature_config
     forest = blob_model.forest
     track = smooth(
-        render_tracks(
+        render_track_grid(
             collect_votes(blob_model.dev_features, forest),
-            0.5,
+            [0.5],
             forest.z_plus,
             forest.z_minus,
-        ),
+        )[0],
         11,
     )
     grid = default_beta_grid() + [1.01]

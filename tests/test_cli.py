@@ -28,7 +28,10 @@ from eventforest.dataset import parse_annotations
 from eventforest.detect import (
     DetectConfig,
     ScoreTrack,
+    detect_on_features,
+    detect_stream,
     forest_events,
+    score_tracks,
     write_detections,
 )
 from eventforest.evaluate import (
@@ -38,8 +41,14 @@ from eventforest.evaluate import (
     per_class_event_metrics,
     per_class_segment_metrics,
 )
-from eventforest.features import Waveform, load_audio, save_audio
-from eventforest.forest import load_forest
+from eventforest.features import (
+    Waveform,
+    featurize,
+    gammatone_cepstra,
+    load_audio,
+    save_audio,
+)
+from eventforest.forest import load_forest, shared_feature_config
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -804,6 +813,67 @@ def test_detect_memory_does_not_grow_with_the_stream(
     assert peaks[1] - peaks[0] < extra_audio
 
 
+def library_detection(models):
+    """The forests of ``models`` and a config per class that fires on the test scene."""
+    forests = [load_forest(p) for p in models]
+    configs = {f.class_label: DetectConfig(alpha=0.3, beta=0.1) for f in forests}
+    return forests, configs
+
+
+def test_detect_stream_equals_pairing_the_whole_matrix(corpus, models, monkeypatch):
+    forests, configs = library_detection(models)
+    wave = load_audio(corpus / "test.wav")
+    whole = gammatone_cepstra(wave, shared_feature_config(forests))
+    tracks = score_tracks([whole], whole.n_segments, forests, configs)
+    expected = detect_on_features(tracks, forests, configs)
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", BLOCK)
+    routed = []
+
+    def recording(features, forest):
+        routed.append(features.n_segments)
+        return collect_votes(features, forest)
+
+    collect_votes = detect_module.collect_votes
+    monkeypatch.setattr(detect_module, "collect_votes", recording)
+    got = detect_stream(wave, forests, configs)
+    # every forest routes the stream once, one block of rows at a time
+    assert whole.n_segments > 2 * BLOCK
+    assert max(routed) == BLOCK
+    assert sum(routed) == whole.n_segments * len(forests)
+    assert expected
+    assert [(d.label, d.onset, d.offset, d.confidence) for d in got] == [
+        (d.label, d.onset, d.offset, d.confidence) for d in expected
+    ]
+
+
+def test_detect_stream_memory_does_not_grow_with_the_features(
+    corpus, models, monkeypatch
+):
+    import tracemalloc
+
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 2 * BLOCK)
+    forests, configs = library_detection(models)
+    wave = load_audio(corpus / "test.wav")
+    waves = [Waveform(np.tile(wave.samples, tiles), wave.sample_rate)
+             for tiles in (1, 4)]
+    detect_stream(waves[0], forests, configs)  # caches are not counted
+    peaks = []
+    for tiled in waves:
+        tracemalloc.start()
+        try:
+            assert detect_stream(tiled, forests, configs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the rows of the three added tiles: a whole feature matrix holds them,
+    # at 512 bytes a segment
+    fc = shared_feature_config(forests)
+    n_segments = [featurize(w, fc).n_segments for w in waves]
+    extra_rows = (n_segments[1] - n_segments[0]) * fc.n_channels * 8
+    # the whole-stream score sums and tracks grow by about 35 bytes a segment
+    assert peaks[1] - peaks[0] < extra_rows / 4
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -1010,6 +1080,10 @@ MALFORMED_MODELS = {
         "n_train 9223372036854775808 outside [0, 9223372036854775808)",
     ),
     "z_plus_overflow": (lambda p: p.update(z_plus=10**400), "non-finite z_plus inf"),
+    "hop_below_one_sample": (
+        lambda p: p["feature_fingerprint"].update(hop_len=1e-5, window_len=1e-5),
+        "hop_len 1e-05 is shorter than one sample at rate 16000",
+    ),
     "infinite_variance": (
         lambda p: first_node(p, "leaf", gaussian=True)["offset"].__setitem__(
             1, float("inf")
@@ -1463,7 +1537,7 @@ def test_features_do_not_depend_on_unset_blas_threads():
         "from eventforest.features import FeatureConfig, Waveform, featurize\n"
         "import numpy as np\n"
         "samples = np.random.default_rng(0).normal(size=6 * 16000) * 0.1\n"
-        "rows = featurize(Waveform(samples, 16000), FeatureConfig()).rows\n"
+        "rows = featurize(Waveform(samples, 16000), FeatureConfig()).matrix().rows\n"
         "print(hashlib.sha256(rows.tobytes()).hexdigest())\n"
     )
     digests = [

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from conftest import (
     blob_stream,
     descend,
+    detect_matrix,
     feature_config,
     leaf_node,
     oracle_collect_votes,
     oracle_peak_indices,
     oracle_render_tracks,
     random_tree,
+    score_matrix,
     split_node,
     vote_forest,
     vote_tree,
@@ -37,7 +39,7 @@ from eventforest.detect import (
     _peak_indices,
     render_track_grid,
     render_tracks,
-    score_track,
+    score_tracks,
     smooth,
     track_maxima,
     write_detections,
@@ -221,7 +223,8 @@ def test_score_track_single_segment_stream():
     the_leaf = leaf(p_pos=1.0, onset=(0.0, PEAK_VARIANCE),
                     offset=(0.0, PEAK_VARIANCE))
     forest = single_leaf_forest(the_leaf)
-    track = score_track(flat_features(1), forest, DetectConfig(smooth_window=1))
+    track = score_matrix(flat_features(1), [forest],
+                         {"x": DetectConfig(smooth_window=1)})["x"]
     assert track.f_plus.shape == (1,)
     assert track.f_plus[0] == pytest.approx(1.0, rel=1e-12)
     assert track.f_minus[0] == pytest.approx(1.0, rel=1e-12)
@@ -230,7 +233,8 @@ def test_score_track_single_segment_stream():
 def test_score_track_alpha_gates_everything():
     the_leaf = leaf(p_pos=0.6)
     forest = single_leaf_forest(the_leaf)
-    track = score_track(flat_features(30), forest, DetectConfig(alpha=0.7))
+    track = score_matrix(flat_features(30), [forest],
+                         {"x": DetectConfig(alpha=0.7)})["x"]
     assert np.all(track.f_plus == 0.0)
     assert np.all(track.f_minus == 0.0)
 
@@ -263,18 +267,18 @@ def test_score_track_matches_per_segment_sum(blob_model):
     expected_plus /= forest.n_trees * forest.z_plus
     expected_minus /= forest.n_trees * forest.z_minus
     config = DetectConfig(alpha=alpha, smooth_window=1)
-    track = score_track(features, forest, config)
+    track = score_matrix(features, [forest], {"blob": config})["blob"]
     assert np.max(np.abs(track.f_plus - expected_plus)) < 1e-9
     assert np.max(np.abs(track.f_minus - expected_minus)) < 1e-9
 
 
-def test_render_tracks_divides_by_normalization():
+def test_render_track_grid_divides_by_normalization():
     the_leaf = leaf(p_pos=1.0, onset=(0.0, PEAK_VARIANCE),
                     offset=(0.0, PEAK_VARIANCE))
     forest = single_leaf_forest(the_leaf)
     votes = collect_votes(flat_features(5), forest)
-    base = render_tracks(votes, alpha=0.0)
-    halved = render_tracks(votes, alpha=0.0, z_plus=2.0, z_minus=4.0)
+    [base] = render_track_grid(votes, [0.0])
+    [halved] = render_track_grid(votes, [0.0], z_plus=2.0, z_minus=4.0)
     assert np.allclose(halved.f_plus, base.f_plus / 2.0, rtol=1e-12)
     assert np.allclose(halved.f_minus, base.f_minus / 4.0, rtol=1e-12)
 
@@ -320,9 +324,9 @@ def test_collect_votes_matches_oracle_on_random_trees(seed, n_segments, n_trees)
 
 def test_raising_alpha_never_raises_scores(blob_model):
     votes = collect_votes(blob_model.dev_features, blob_model.forest)
-    previous = render_tracks(votes, alpha=0.0)
+    [previous] = render_track_grid(votes, [0.0])
     for alpha in (0.2, 0.5, 0.8, 1.0):
-        current = render_tracks(votes, alpha=alpha)
+        [current] = render_track_grid(votes, [alpha])
         assert np.all(current.f_plus <= previous.f_plus + 1e-15)
         assert np.all(current.f_minus <= previous.f_minus + 1e-15)
         previous = current
@@ -330,8 +334,8 @@ def test_raising_alpha_never_raises_scores(blob_model):
 
 def test_rendering_is_deterministic(blob_model):
     votes = collect_votes(blob_model.dev_features, blob_model.forest)
-    a = render_tracks(votes, alpha=0.4)
-    b = render_tracks(votes, alpha=0.4)
+    [a] = render_track_grid(votes, [0.4])
+    [b] = render_track_grid(votes, [0.4])
     assert np.array_equal(a.f_plus, b.f_plus)
     assert np.array_equal(a.f_minus, b.f_minus)
 
@@ -364,6 +368,40 @@ def assert_tracks_identical(track, expected):
     assert np.array_equal(track.f_minus, expected.f_minus)
 
 
+def segment_major(votes):
+    """The votes in segment order, as ``collect_votes`` returns them."""
+    order = np.argsort(votes.segment, kind="stable")
+    return StreamVotes(
+        votes.p_pos[order], votes.segment[order],
+        votes.mean_on[order], votes.var_on[order],
+        votes.mean_off[order], votes.var_off[order],
+        votes.n_segments, votes.n_trees,
+    )
+
+
+def streamed_render(votes, alpha, z_plus=1.0, z_minus=1.0, cuts=()):
+    """The track ``render_tracks`` adds up, block by block at segment ``cuts``.
+
+    The votes must be segment-major when there are cuts. Each block's votes
+    count their segments from the block's first, as ``collect_votes`` of a
+    block does; the sums are normalized as ``score_tracks`` normalizes them.
+    """
+    n = votes.n_segments
+    sums = (np.zeros(n), np.zeros(n))
+    bounds = [0, *cuts, n]
+    for first, stop in zip(bounds, bounds[1:]):
+        keep = (votes.segment >= first) & (votes.segment < stop)
+        block = StreamVotes(
+            votes.p_pos[keep], votes.segment[keep] - first,
+            votes.mean_on[keep], votes.var_on[keep],
+            votes.mean_off[keep], votes.var_off[keep],
+            stop - first, votes.n_trees,
+        )
+        render_tracks(block, alpha, sums, first)
+    return ScoreTrack(sums[0] / (votes.n_trees * z_plus),
+                      sums[1] / (votes.n_trees * z_minus))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_segments=st.integers(1, 90),
@@ -379,7 +417,25 @@ def test_render_grid_is_bit_identical_to_scalar_loop(n_segments, n_votes, z, see
     for alpha, track in zip(alphas, grid):
         expected = oracle_render_tracks(votes, alpha, z, 1.0 / z)
         assert_tracks_identical(track, expected)
-        assert_tracks_identical(render_tracks(votes, alpha, z, 1.0 / z), expected)
+        assert_tracks_identical(streamed_render(votes, alpha, z, 1.0 / z), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_segments=st.integers(1, 60),
+    n_votes=st.integers(0, 120),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_render_is_bit_identical_at_any_block_cuts(
+    n_segments, n_votes, data, seed
+):
+    votes = segment_major(random_votes(np.random.default_rng(seed), n_votes,
+                                       n_segments))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n_segments), max_size=4)))
+    for alpha in (0.0, 0.35, 0.9):
+        assert_tracks_identical(streamed_render(votes, alpha, cuts=cuts),
+                                oracle_render_tracks(votes, alpha))
 
 
 @pytest.mark.parametrize(
@@ -409,10 +465,13 @@ def test_render_truncates_at_both_stream_ends():
         n_segments=n,
         n_trees=2,
     )
-    for alpha in (0.0, 0.7, 0.95):
-        track = render_tracks(votes, alpha)
+    alphas = (0.0, 0.7, 0.95)
+    for alpha, track in zip(alphas, render_track_grid(votes, alphas)):
         assert_tracks_identical(track, oracle_render_tracks(votes, alpha))
-    assert np.count_nonzero(render_tracks(votes, 0.0).f_plus) == n
+        in_order = segment_major(votes)
+        assert_tracks_identical(streamed_render(in_order, alpha, cuts=(4,)),
+                                oracle_render_tracks(in_order, alpha))
+    assert np.count_nonzero(render_track_grid(votes, [0.0])[0].f_plus) == n
 
 
 def test_render_without_votes_is_zero():
@@ -420,7 +479,7 @@ def test_render_without_votes_is_zero():
     for track in render_track_grid(votes, default_alpha_grid()):
         assert np.array_equal(track.f_plus, np.zeros(25))
         assert np.array_equal(track.f_minus, np.zeros(25))
-    empty = render_tracks(random_votes(np.random.default_rng(0), 0, 0), 0.0)
+    [empty] = render_track_grid(random_votes(np.random.default_rng(0), 0, 0), [0.0])
     assert empty.n_segments == 0
 
 
@@ -443,7 +502,7 @@ def test_render_memory_stays_within_a_few_blocks():
     track_bytes = n_segments * 8
     tracemalloc.start()
     try:
-        render_tracks(votes, 0.5)
+        render_tracks(votes, 0.5, (np.zeros(n_segments), np.zeros(n_segments)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -688,21 +747,21 @@ def test_forest_events_filters_by_the_training_duration():
 # ---------------------------------------------------------------- pipelines
 
 
-def test_detect_on_features_no_classes(blob_model):
-    assert detect_on_features(blob_model.test_features, [], {}) == []
+def test_detect_on_features_no_classes():
+    assert detect_on_features({}, [], {}) == []
 
 
 def test_detect_on_features_ignorance_threshold(blob_model):
     config = DetectConfig(alpha=0.0, beta=1.01)
-    events = detect_on_features(
-        blob_model.test_features, [blob_model.forest], config
+    events = detect_matrix(
+        blob_model.test_features, [blob_model.forest], {"blob": config}
     )
     assert events == []
 
 
 def test_detect_on_features_sorted_and_labeled(blob_model):
     config = DetectConfig(alpha=0.5, beta=0.05)
-    events = detect_on_features(
+    events = detect_matrix(
         blob_model.test_features, [blob_model.forest], {"blob": config}
     )
     assert events
@@ -713,8 +772,8 @@ def test_detect_on_features_sorted_and_labeled(blob_model):
 
 def test_detect_finds_planted_events(blob_model):
     config = DetectConfig(alpha=0.5, beta=0.05)
-    events = detect_on_features(
-        blob_model.test_features, [blob_model.forest], config
+    events = detect_matrix(
+        blob_model.test_features, [blob_model.forest], {"blob": config}
     )
     hit = 0
     for ref in blob_model.test_reference:
@@ -728,9 +787,9 @@ def test_detect_finds_planted_events(blob_model):
 def test_detect_on_a_stream_shorter_than_the_smoothing_window():
     features = flat_features(3)
     forest = single_leaf_forest(leaf(onset=(0.0, 1.0), offset=(1.0, 1.0)))
-    config = DetectConfig(alpha=0.0, beta=0.0, smooth_window=11)
-    assert score_track(features, forest, config).n_segments == 3
-    for d in detect_on_features(features, [forest], config):
+    configs = {"x": DetectConfig(alpha=0.0, beta=0.0, smooth_window=11)}
+    assert score_matrix(features, [forest], configs)["x"].n_segments == 3
+    for d in detect_matrix(features, [forest], configs):
         assert 0.0 <= d.onset < d.offset <= features.duration
 
 
@@ -741,7 +800,8 @@ def test_detect_stream_checks_fingerprints():
     forest_b = single_leaf_forest(leaf(), label="b", fc=fc_b)
     wave = Waveform(np.zeros(16000), 16000)
     with pytest.raises(ValueError, match="b"):
-        detect_stream(wave, [forest_a, forest_b], DetectConfig())
+        detect_stream(wave, [forest_a, forest_b],
+                      {"a": DetectConfig(), "b": DetectConfig()})
 
 
 def test_detect_stream_resamples_input():
@@ -750,7 +810,7 @@ def test_detect_stream_resamples_input():
         fc=FeatureConfig(),
     )
     wave = Waveform(np.random.default_rng(0).normal(size=8000) * 0.1, 8000)
-    events = detect_stream(wave, [forest], DetectConfig(alpha=0.0, beta=0.01))
+    events = detect_stream(wave, [forest], {"x": DetectConfig(alpha=0.0, beta=0.01)})
     assert isinstance(events, list)
     for e in events:
         assert e.label == "x"

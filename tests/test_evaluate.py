@@ -7,12 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_render_tracks
+from conftest import detect_matrix, oracle_render_tracks
 from eventforest.dataset import EventAnnotation
 from eventforest.detect import (
     DetectConfig,
     collect_votes,
-    detect_on_features,
     extract_events,
     filter_duration,
     smooth,
@@ -550,7 +549,7 @@ class TestThresholdFiles:
         loud.z_plus /= 1000.0
         loud.z_minus /= 1000.0
         config = DetectConfig(alpha=0.0, beta=IGNORANCE_BETA)
-        assert detect_on_features(blob_model.test_features, [loud], config)
+        assert detect_matrix(blob_model.test_features, [loud], {"blob": config})
         off = TuneResult({"blob": ClassThresholds(0.0, IGNORANCE_BETA, 1.0)})
         on = TuneResult({"blob": ClassThresholds(0.0, 0.5, 0.2)})
         assert enabled_forests([loud], off) == []

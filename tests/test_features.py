@@ -381,6 +381,8 @@ def test_feature_config_validation():
         FeatureConfig(hop_len=0.2, window_len=0.1)
     with pytest.raises(ValueError):
         FeatureConfig(n_channels=1)
+    with pytest.raises(ValueError, match="shorter than one sample"):
+        FeatureConfig(hop_len=1e-5, window_len=1e-5)
 
 
 def test_fingerprint_ignores_noise_subtraction():
@@ -393,21 +395,19 @@ def test_fingerprint_ignores_noise_subtraction():
 # ---------------------------------------------------------------- CSV dump
 
 
-def dump_features_csv(features, path) -> None:
-    """Write one row per segment: onset time followed by the coefficients.
-
-    ``features`` is a FeatureMatrix or a FeatureStream.
-    """
-    for _ in dumped_blocks(features.blocks(), path, features.config.n_channels):
+def dump_features_csv(stream, path) -> None:
+    """Write one row per segment of a FeatureStream: onset time, then coefficients."""
+    for _ in dumped_blocks(stream.blocks(), path, stream.config.n_channels):
         pass
 
 
 def test_feature_csv_round_trips_exactly(tmp_path):
     rng = np.random.default_rng(21)
     wave = Waveform(rng.normal(size=4000) * 0.1, 16000)
-    feats = gammatone_cepstra(wave, FeatureConfig(n_channels=8))
+    stream = featurize(wave, FeatureConfig(n_channels=8))
+    feats = stream.matrix()
     path = tmp_path / "features.csv"
-    dump_features_csv(feats, path)
+    dump_features_csv(stream, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "time," + ",".join(f"c{i}" for i in range(8))
     assert len(lines) == feats.n_segments + 1
@@ -550,7 +550,7 @@ def test_streamed_rows_equal_batch_for_every_encoding(encoding, channels, tmp_pa
     noise = np.random.default_rng(channels).uniform(-0.9, 0.9, size=(96000, channels))
     path = tmp_path / f"{encoding}_{channels}.wav"
     write_wav(path, config.sample_rate, *encoded(encoding, noise))
-    batch = featurize(load_audio(path), config)
+    batch = featurize(load_audio(path), config).matrix()
     assert batch.n_segments == 591
     # Blocks of 100 segments straddle the 512-window transform blocks.
     monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 100)
@@ -575,7 +575,7 @@ def test_streamed_rows_equal_batch_when_resampled_or_floored(noise_subtraction,
     path = tmp_path / "low.wav"
     save_audio(path, Waveform(
         np.random.default_rng(5).normal(size=11025) * 0.1, 11025))
-    batch = featurize(load_audio(path), config)
+    batch = featurize(load_audio(path), config).matrix()
     monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 64)
     streamed = stream_features(path, config).matrix()
     assert streamed.rows.tobytes() == batch.rows.tobytes()
@@ -596,7 +596,7 @@ def test_resampled_stream_parses_the_wav_once(encoding, tmp_path, monkeypatch):
     noise = np.random.default_rng(8).uniform(-0.5, 0.5, size=(22050, 1))
     path = tmp_path / "low.wav"
     write_wav(path, 11025, *encoded(encoding, noise))
-    batch = featurize(load_audio(path), config)
+    batch = featurize(load_audio(path), config).matrix()
     reads = recorded_reads(monkeypatch)
     streamed = stream_features(path, config).matrix()
     assert reads == [True]
