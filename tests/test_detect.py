@@ -368,15 +368,19 @@ def assert_tracks_identical(track, expected):
     assert np.array_equal(track.f_minus, expected.f_minus)
 
 
+def take_votes(votes, index, first=0, n_segments=None):
+    """The votes at ``index``, their segments counted from segment ``first``."""
+    return StreamVotes(
+        votes.p_pos[index], votes.segment[index] - first,
+        votes.mean_on[index], votes.var_on[index],
+        votes.mean_off[index], votes.var_off[index],
+        votes.n_segments if n_segments is None else n_segments, votes.n_trees,
+    )
+
+
 def segment_major(votes):
     """The votes in segment order, as ``collect_votes`` returns them."""
-    order = np.argsort(votes.segment, kind="stable")
-    return StreamVotes(
-        votes.p_pos[order], votes.segment[order],
-        votes.mean_on[order], votes.var_on[order],
-        votes.mean_off[order], votes.var_off[order],
-        votes.n_segments, votes.n_trees,
-    )
+    return take_votes(votes, np.argsort(votes.segment, kind="stable"))
 
 
 def streamed_render(votes, alpha, z_plus=1.0, z_minus=1.0, cuts=()):
@@ -391,13 +395,8 @@ def streamed_render(votes, alpha, z_plus=1.0, z_minus=1.0, cuts=()):
     bounds = [0, *cuts, n]
     for first, stop in zip(bounds, bounds[1:]):
         keep = (votes.segment >= first) & (votes.segment < stop)
-        block = StreamVotes(
-            votes.p_pos[keep], votes.segment[keep] - first,
-            votes.mean_on[keep], votes.var_on[keep],
-            votes.mean_off[keep], votes.var_off[keep],
-            stop - first, votes.n_trees,
-        )
-        render_tracks(block, alpha, sums, first)
+        render_tracks(take_votes(votes, keep, first, stop - first), alpha, sums,
+                      first)
     return ScoreTrack(sums[0] / (votes.n_trees * z_plus),
                       sums[1] / (votes.n_trees * z_minus))
 
@@ -466,9 +465,9 @@ def test_render_truncates_at_both_stream_ends():
         n_trees=2,
     )
     alphas = (0.0, 0.7, 0.95)
+    in_order = segment_major(votes)
     for alpha, track in zip(alphas, render_track_grid(votes, alphas)):
         assert_tracks_identical(track, oracle_render_tracks(votes, alpha))
-        in_order = segment_major(votes)
         assert_tracks_identical(streamed_render(in_order, alpha, cuts=(4,)),
                                 oracle_render_tracks(in_order, alpha))
     assert np.count_nonzero(render_track_grid(votes, [0.0])[0].f_plus) == n
