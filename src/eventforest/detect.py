@@ -318,9 +318,9 @@ def score_tracks(blocks, n_segments: int, forests, configs) -> dict:
     arrive segment-major, then in tree order, as in one batch over the
     stream, so every sum takes the same additions in the same order and the
     tracks are exact whatever the blocks. The sums are then divided by the
-    forest's normalization constants and smoothed. ``configs`` is one
-    DetectConfig or a mapping from class label to DetectConfig. Returns a
-    mapping from class label to track.
+    forest's normalization constants and smoothed. ``configs`` maps each
+    class label to its DetectConfig. Returns a mapping from class label to
+    track.
     """
     sums = {f.class_label: (np.zeros(n_segments), np.zeros(n_segments))
             for f in forests}

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import os
 import struct
-import warnings
 import wave
 from dataclasses import asdict, dataclass
-from math import gcd
 
 import numpy as np
 
@@ -22,6 +21,9 @@ _EAR_Q = 9.26449
 _MIN_BW = 24.7
 _BW_FACTOR = 1.019
 _GT_ORDER = 4
+
+# pi to long double precision, as pocketfft's twiddle tables take it.
+_PI = np.longdouble("3.141592653589793238462643383279502884197")
 
 # Windows pooled by the filterbank in one product, and windows whose spectra
 # are taken at once: at 1,600-sample windows one product's power spectra take
@@ -36,6 +38,10 @@ _SEGMENT_BLOCK = 8192
 
 # Frames scaled at once when a float WAV is checked for non-finite samples.
 _CHECK_FRAMES = 1 << 20
+
+# Rows whose DCT is taken at once: at 64 channels, a chunk's spectra and
+# temporaries take about 1 MB.
+_DCT_ROWS = 512
 
 
 @dataclass(eq=False)
@@ -151,11 +157,6 @@ def load_audio(path) -> Waveform:
     return Waveform(read(0, n_frames), rate)
 
 
-def _check_encoding(dtype, path) -> None:
-    if dtype not in (np.uint8, np.int16, np.int32, np.float32, np.float64):
-        raise ValueError(f"unsupported sample encoding {dtype} in {path}")
-
-
 def _scaled(data: np.ndarray) -> np.ndarray:
     """Mono float64 samples of decoded PCM frames, integers scaled to [-1, 1].
 
@@ -170,11 +171,22 @@ def _scaled(data: np.ndarray) -> np.ndarray:
     elif data.dtype == np.int16:
         samples /= 32768.0
     elif data.dtype == np.int32:
-        # scipy places 24-bit PCM in the high bytes of int32
+        # 24-bit PCM is decoded into the high bytes of int32
         samples /= 2147483648.0
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     return samples
+
+
+# Sample encodings that load, as a byte order, a numpy kind and the bytes per
+# sample. 3-byte PCM has no numpy dtype and is decoded whole (``_int24``).
+_ENCODINGS = {"<u1", ">u1", "<i2", "<i3", "<i4", "<f4", "<f8"}
+
+# WAVE format tags: integer PCM, IEEE float, and the extensible header whose
+# subformat GUID names one of them. The GUID's last 12 bytes, in file order.
+_WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 1, 3, 0xFFFE
+_GUID_TAIL = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xAA\x00\x38\x9B\x71",
+              ">": b"\x00\x00\x00\x10\x80\x00\x00\xAA\x00\x38\x9B\x71"}
 
 
 def _open_wav(path):
@@ -182,91 +194,149 @@ def _open_wav(path):
 
     ``read(start, stop)`` returns the mono float64 samples of frames
     ``[start, stop)``, scaled by ``_scaled``, from a positioned read of the
-    file. The file is only mapped to let scipy parse its header: pages
-    touched through a map would count toward resident memory for the rest
-    of the run. Where scipy cannot map the samples (3-byte 24-bit PCM), it
-    decodes them whole and ``read`` slices that one array. ``floating`` is
-    true for a float encoding, the only one whose samples can be non-finite.
+    file, so only the frames asked for are ever in memory. 3-byte 24-bit PCM
+    is decoded whole instead and ``read`` slices that one array. ``floating``
+    is true for a float encoding, the only one whose samples can be
+    non-finite.
     """
-    from scipy.io import wavfile
-
-    # The reader's warnings are held back until it succeeds, so a corrupt file
-    # is reported by one error alone.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            _check_data_chunk(path)  # a cut file is rejected before any decode
-            try:
-                rate, data = wavfile.read(path, mmap=True)
-            except ValueError:
-                # scipy cannot map 3-byte samples: decode the file whole, and
-                # keep only the warnings of that read
-                caught.clear()
-                rate, data = wavfile.read(path)
-        except (FileNotFoundError, _TruncatedWav):
-            raise
-        except Exception as exc:
-            raise ValueError(f"unsupported/corrupt container: {path}: {exc}") from exc
-    for warning in caught:
-        warnings.warn(warning.message, stacklevel=3)
-    _check_encoding(data.dtype, path)
-    dtype, frame_shape, n_frames = data.dtype, data.shape[1:], data.shape[0]
-    floating = dtype.kind == "f"
-    if not isinstance(data, np.memmap):
-        return (int(rate), n_frames, lambda start, stop: _scaled(data[start:stop]),
-                floating)
-    offset = data.offset
-    del data  # unmapped before any sample is read
-    channels = frame_shape[0] if frame_shape else 1
+    try:
+        fmt, order, offset, size = _wav_chunks(path)
+        rate, channels, width, encoding = _wav_format(fmt, order)
+    except (FileNotFoundError, _TruncatedWav):
+        raise
+    except Exception as exc:
+        raise ValueError(f"unsupported/corrupt container: {path}: {exc}") from exc
+    if encoding not in _ENCODINGS:
+        raise ValueError(f"unsupported sample encoding {encoding} in {path}")
+    n_frames = size // (channels * width)
+    shape = (-1, channels) if channels > 1 else (-1,)
+    floating = encoding[1] == "f"
+    if width == 3:
+        data = _int24(path, offset, n_frames * channels).reshape(shape)
+        return rate, n_frames, lambda start, stop: _scaled(data[start:stop]), floating
+    dtype = np.dtype(encoding)
 
     def read(start: int, stop: int) -> np.ndarray:
         with open(path, "rb") as handle:
-            handle.seek(offset + start * channels * dtype.itemsize)
+            handle.seek(offset + start * channels * width)
             frames = np.fromfile(handle, dtype, (stop - start) * channels)
-        return _scaled(frames.reshape((-1, *frame_shape)))
+        return _scaled(frames.reshape(shape))
 
-    return int(rate), n_frames, read, floating
+    return rate, n_frames, read, floating
 
 
 class _TruncatedWav(ValueError):
     """A WAV file whose data chunk runs past its end."""
 
 
-def _check_data_chunk(path) -> None:
-    """Raise _TruncatedWav when a WAV's data chunk declares more bytes than it holds.
+def _wav_chunks(path) -> tuple:
+    """``(fmt, order, offset, size)`` of a RIFF, RIFX or RF64 WAVE file.
 
-    The WAV reader only warns about such a file and returns the samples it
-    found, so a cut recording would load as a shorter stream. A non-RIFF file
-    is left to the reader.
+    One walk over the chunk headers, up to the data chunk: ``fmt`` is the
+    body of the format chunk before it (its first 40 bytes, all that
+    ``_wav_format`` reads), ``order`` the byte order of the sizes and
+    samples, and ``offset`` and ``size`` locate the samples. RF64 keeps the
+    data size in its ds64 chunk. A data chunk that declares more bytes than
+    the file holds raises _TruncatedWav before the format is looked at, so a
+    cut recording is rejected as such, and not loaded as a shorter stream.
+    Every other fault raises ValueError.
     """
     file_size = os.path.getsize(path)
     with open(path, "rb") as handle:
-        riff_id = handle.read(4)
+        riff = handle.read(12)
+        riff_id, form = riff[:4], riff[8:12]
         if riff_id not in (b"RIFF", b"RIFX", b"RF64"):
-            return
+            raise ValueError(f"File format {riff_id!r} not understood. Only "
+                             "'RIFF', 'RIFX', and 'RF64' supported.")
+        if form != b"WAVE":
+            raise ValueError(f"Not a WAV file. RIFF form type is {form!r}.")
         order = ">" if riff_id == b"RIFX" else "<"
-        handle.seek(12)
-        data_size64 = None
+        fmt = data_size64 = None
         while True:
             header = handle.read(8)
             if len(header) < 8:
-                return
+                raise ValueError("Unexpected end of file.")
             chunk_id, size = struct.unpack(order + "4sI", header)
-            if chunk_id == b"ds64":
-                # RF64 keeps the real data size here, after the 8-byte RIFF size
-                data_size64 = struct.unpack("<8xQ", handle.read(16))[0]
-                size -= 16
+            offset = handle.tell()
+            if chunk_id == b"fmt ":
+                fmt = handle.read(min(size, 40))
+            elif chunk_id == b"ds64":
+                # the RIFF size, then the data size
+                body = handle.read(16)
+                if size < 16 or len(body) < 16:
+                    raise ValueError(f"ds64 chunk of {size} bytes is too short")
+                data_size64 = struct.unpack("<8xQ", body)[0]
             elif chunk_id == b"data":
-                if data_size64 is not None:
+                if riff_id == b"RF64":
+                    if data_size64 is None:
+                        raise ValueError("Invalid RF64 file: ds64 chunk not found.")
                     size = data_size64
-                available = file_size - handle.tell()
+                available = file_size - offset
                 if size > available:
                     raise _TruncatedWav(
                         f"truncated WAV: {path}: data chunk declares {size} bytes, "
                         f"file holds {available}"
                     )
-                return
-            handle.seek(size + (size & 1), os.SEEK_CUR)
+                if fmt is None:
+                    raise ValueError("No fmt chunk before data")
+                return fmt, order, offset, size
+            handle.seek(offset + size + (size & 1))
+
+
+def _wav_format(fmt: bytes, order: str) -> tuple:
+    """``(rate, channels, width, encoding)`` of a WAV format chunk's body.
+
+    ``width`` is the bytes of one sample and ``encoding`` its byte order,
+    numpy kind and width, as ``"<i2"``. PCM, IEEE float and the extensible
+    header with either as its subformat are read; every other format, a
+    frame that is not ``channels`` whole samples, and a PCM byte rate other
+    than rate times frame bytes raise ValueError.
+    """
+    if len(fmt) < 16:
+        raise ValueError("Binary structure of wave file is not compliant")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack(
+        order + "HHIIHH", fmt[:16])
+    if tag == _WAVE_EXTENSIBLE and len(fmt) >= 18:
+        if struct.unpack(order + "H", fmt[16:18])[0] < 22 or len(fmt) < 40:
+            raise ValueError("Binary structure of wave file is not compliant")
+        guid = fmt[24:40]
+        if guid.endswith(_GUID_TAIL[order]):
+            tag = struct.unpack(order + "I", guid[:4])[0]
+    if tag not in (_WAVE_PCM, _WAVE_FLOAT):
+        raise ValueError(f"Unknown wave file format: {tag:#06x}. Supported "
+                         "formats: PCM, IEEE_FLOAT")
+    width = block_align // channels if channels else 0
+    if width == 0 or block_align != channels * width:
+        raise ValueError(f"WAV header is invalid: nBlockAlign = {block_align} "
+                         f"is not a whole number of bytes for {channels} channels")
+    if tag == _WAVE_PCM:
+        if byte_rate != rate * block_align:
+            raise ValueError("WAV header is invalid: nAvgBytesPerSec must"
+                             " equal product of nSamplesPerSec and"
+                             " nBlockAlign, but file has nSamplesPerSec ="
+                             f" {rate}, nBlockAlign = {block_align}, and"
+                             f" nAvgBytesPerSec = {byte_rate}")
+        if bits > 64:
+            raise ValueError(f"Unsupported bit depth: the WAV file has {bits}-bit "
+                             "integer data.")
+        kind = "u" if 1 <= bits <= 8 else "i"  # 8 bits and fewer are unsigned
+    elif bits in (32, 64):
+        kind = "f"
+    else:
+        raise ValueError(f"Unsupported bit depth: the WAV file has {bits}-bit "
+                         "floating-point data.")
+    return rate, channels, width, f"{order}{kind}{width}"
+
+
+def _int24(path, offset: int, count: int) -> np.ndarray:
+    """``count`` 3-byte little-endian samples from ``offset``, each in the
+    high bytes of an int32."""
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        raw = np.fromfile(handle, np.uint8, 3 * count)
+    wide = np.zeros((count, 4), np.uint8)
+    wide[:, 1:] = raw.reshape(count, 3)
+    return wide.view("<i4").reshape(count)
 
 
 def save_audio(path, waveform: Waveform) -> None:
@@ -292,7 +362,7 @@ def resample(waveform: Waveform, target_rate: int) -> Waveform:
         return waveform
     from scipy.signal import resample_poly
 
-    g = gcd(target_rate, waveform.sample_rate)
+    g = math.gcd(target_rate, waveform.sample_rate)
     out = resample_poly(waveform.samples, target_rate // g, waveform.sample_rate // g)
     return Waveform(out, target_rate)
 
@@ -363,6 +433,96 @@ def periodic_hann(n: int) -> np.ndarray:
     return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
 
 
+@functools.lru_cache(maxsize=16)
+def _dct_constants(n: int) -> tuple:
+    """Scale and post-twiddle factors of pocketfft's orthonormal DCT-II of length n.
+
+    ``scale`` is 1/sqrt(2n) rounded from long double. The twiddles are
+    cos(2 pi k / 4n), k = 1..n, built as pocketfft's ``sincos_2pibyn(4n)``
+    builds them: libm's cos and sin of a first table of angles and a second
+    of coarse angles, and each value a product of one entry of each, since
+    numpy's vectorized cos differs by an ulp. ``a[k-1]`` and ``b[k-1]``
+    weight the pair k, n-k of the post-twiddle; ``mid`` the middle
+    coefficient of an even length.
+    """
+    points = 4 * n
+    angle = float(np.longdouble(0.25) * _PI / np.longdouble(points))
+
+    def sincos(x: int) -> tuple:
+        # cos and sin of 2 pi x / points, up to a half turn, from libm at an
+        # angle of at most an eighth of a turn
+        x <<= 3
+        if x >= 2 * points:  # second quadrant
+            x -= 2 * points
+            if x < points:
+                return -math.sin(x * angle), math.cos(x * angle)
+            return -math.cos((2 * points - x) * angle), math.sin((2 * points - x) * angle)
+        if x < points:
+            return math.cos(x * angle), math.sin(x * angle)
+        return math.sin((2 * points - x) * angle), math.cos((2 * points - x) * angle)
+
+    n_values = (points + 2) // 2
+    shift = 1
+    while (1 << shift) * (1 << shift) < n_values:
+        shift += 1
+    mask = (1 << shift) - 1
+    fine = [sincos(i) for i in range(mask + 1)]
+    coarse = [sincos(i * (mask + 1)) for i in range((n >> shift) + 1)]
+    twiddles = []
+    for k in range(1, n + 1):
+        (c1, s1), (c2, s2) = fine[k & mask], coarse[k >> shift]
+        twiddles.append(c1 * c2 - s1 * s2)
+    twiddles = np.array(twiddles)
+    half = (n + 1) // 2
+    k = np.arange(1, half)
+    a, b = twiddles[k - 1], twiddles[n - k - 1]
+    a.flags.writeable = b.flags.writeable = False  # shared by every caller
+    scale = float(np.longdouble(1) / np.sqrt(np.longdouble(2 * n)))
+    return scale, a, b, twiddles[half - 1]
+
+
+def _dct_ortho(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II of each row, in place; returns ``rows``.
+
+    Bit for bit ``scipy.fft.dct(rows, type=2, norm="ortho", axis=1)``: the
+    steps of pocketfft's ``T_dcst23``, whose real inverse FFT numpy shares.
+    The first and (even length) last inputs are doubled and the others
+    paired into sums and differences, an unnormalized inverse real FFT of
+    that half-complex packing is scaled by 1/sqrt(2n), and each pair k, n-k
+    of outputs is twiddled. Rows are taken ``_DCT_ROWS`` at a time, so the
+    spectra and temporaries stay a fixed size however many rows there are.
+    """
+    m, n = rows.shape
+    scale, a, b, mid = _dct_constants(n)
+    half, pairs = (n + 1) // 2, (n - 1) // 2
+    spectra = np.zeros((min(m, _DCT_ROWS), n // 2 + 1), np.complex128)
+    inverse = np.empty((len(spectra), n))
+    for lo in range(0, m, _DCT_ROWS):
+        x = rows[lo:lo + _DCT_ROWS]
+        z, y = spectra[:len(x)], inverse[:len(x)]
+        packed = z.view(np.float64)  # the imaginary parts of z[0] and z[n/2] stay 0
+        np.multiply(x[:, 0], 2.0, out=packed[:, 0])
+        np.add(x[:, 2:n:2], x[:, 1:n - 1:2], out=packed[:, 2:2 + 2 * pairs:2])
+        np.subtract(x[:, 2:n:2], x[:, 1:n - 1:2], out=packed[:, 3:3 + 2 * pairs:2])
+        if n % 2 == 0:
+            np.multiply(x[:, n - 1], 2.0, out=packed[:, n])
+        np.fft.irfft(z, n, axis=1, norm="forward", out=y)
+        y *= scale
+        low, high = y[:, 1:half], y[:, n - 1:n - half:-1]  # k and n-k
+        t1 = high * a
+        t1 += low * b
+        t2 = low * a
+        t2 -= high * b
+        np.add(t1, t2, out=x[:, 1:half])
+        np.subtract(t1, t2, out=x[:, n - 1:n - half:-1])
+        x[:, 1:half] *= 0.5
+        x[:, n - 1:n - half:-1] *= 0.5
+        if n % 2 == 0:
+            np.multiply(y[:, half], mid, out=x[:, half])
+        np.multiply(y[:, 0], math.sqrt(2.0) * 0.5, out=x[:, 0])
+    return rows
+
+
 def featurize(waveform: Waveform, config: FeatureConfig) -> "FeatureStream":
     """The feature stream of a waveform after resampling it to the configured rate."""
     return FeatureStream.of_samples(resample(waveform, config.sample_rate).samples,
@@ -389,9 +549,9 @@ def stream_features(path, config: FeatureConfig) -> "FeatureStream":
     ``featurize(load_audio(path), config)`` bit for bit. Only the samples of
     one block of windows are held, except in two cases that are read whole:
     a stream at another rate than the configured one, which is resampled
-    whole, and 3-byte 24-bit PCM, which scipy cannot map. The blocks are then
-    slices of the one array. A float file is checked for non-finite samples
-    before the first block.
+    whole, and 3-byte 24-bit PCM, which has no numpy dtype and is decoded
+    whole. The blocks are then slices of the one array. A float file is
+    checked for non-finite samples before the first block.
     """
     rate, n_frames, read, floating = _open_wav(path)
     if rate != config.sample_rate:
@@ -471,8 +631,6 @@ class FeatureStream:
 
     def blocks(self):
         """``FeatureMatrix`` blocks of ``_SEGMENT_BLOCK`` rows, in stream order."""
-        from scipy.fft import dct
-
         n, config = self.n_segments, self.config
         whole = None
         if config.noise_subtraction:
@@ -482,7 +640,7 @@ class FeatureStream:
             energies = self._energies(lo, hi) if whole is None else whole[lo:hi]
             energies += LOG_FLOOR
             np.log(energies, out=energies)
-            rows = dct(energies, type=2, norm="ortho", axis=1, overwrite_x=True)
+            rows = _dct_ortho(energies)
             times = np.arange(lo, hi) * self._hop / config.sample_rate
             yield FeatureMatrix(rows, times, config)
 

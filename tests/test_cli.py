@@ -1491,6 +1491,21 @@ def test_fuzzed_wav_gives_one_error_line(how, at, cut, mask, corpus, models,
     assert_one_error_line(["detect", str(bad), "--model", str(models[0])])
 
 
+@pytest.mark.parametrize("mask", [0x01, 0x80, 0xFF])
+def test_every_checked_wav_byte_flipped_gives_one_error_line(mask, corpus, models,
+                                                             fuzz_dir):
+    # each checked header byte, flipped in its lowest, highest and every bit
+    wav = (corpus / "test.wav").read_bytes()
+    bad = Path(fuzz_dir) / f"flipped_{mask}.wav"
+    accepted = []
+    for at in WAV_CHECKED_BYTES:
+        bad.write_bytes(wav[:at] + bytes([wav[at] ^ mask]) + wav[at + 1:])
+        code, err = run_main(["detect", str(bad), "--model", str(models[0])])
+        if code != 1 or not err.startswith("error: ") or err.count("\n") != 1:
+            accepted.append((at, code, err))
+    assert accepted == []
+
+
 def _package_env(**overrides):
     """The environment with this package first on the path; a None value unsets."""
     src = str(Path(eventforest.__file__).resolve().parents[1])
@@ -1507,27 +1522,44 @@ def _package_env(**overrides):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
-    # `synth` and `evaluate` load no scipy module at all, and neither does the
-    # import; scipy.signal is therefore unloaded too.
+    # The import, `synth` and `evaluate` load no scipy module at all, and
+    # neither do `train`, `tune` and `detect` on 16 kHz streams: WAVs are
+    # parsed and cepstra transformed with numpy alone. Only a stream at
+    # another rate, which is resampled, loads scipy.signal (and what it
+    # imports), and still no WAV reader.
     code = (
         "import contextlib, io, sys\n"
+        "import numpy as np\n"
         "import eventforest.cli as cli\n"
+        "from eventforest.features import Waveform, save_audio\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
         "print(loaded())\n"
         "out = sys.argv[1]\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['synth', out, *sys.argv[2:]]) == 0\n"
+        "run('synth', out, *sys.argv[3:])\n"
         "print(loaded())\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['evaluate', out + '/test.txt', out + '/dev.txt']) == 0\n"
+        "run('evaluate', out + '/test.txt', out + '/dev.txt')\n"
         "print(loaded())\n"
+        "models = [out + '/models/model_tone300.json', out + '/models/model_tone600.json']\n"
+        "run('train', out + '/manifest.json', '--out-dir', out + '/models', "
+        "*sys.argv[2].split())\n"
+        "run('tune', out + '/manifest.json', *models, '--out', out + '/t.json')\n"
+        "run('detect', out + '/test.wav', '--model', models[0], '--model', models[1])\n"
+        "print(loaded())\n"
+        "noise = np.random.default_rng(0).uniform(-0.5, 0.5, 11025 * 2)\n"
+        "save_audio(out + '/low.wav', Waveform(noise, 11025))\n"
+        "run('detect', out + '/low.wav', '--model', models[0])\n"
+        "print('scipy.signal' in sys.modules, 'scipy.io' in sys.modules)\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "corpus"), *SYNTH_ARGS],
+        [sys.executable, "-c", code, str(tmp_path / "corpus"), " ".join(TRAIN_ARGS),
+         *SYNTH_ARGS],
         env=_package_env(), capture_output=True, text=True, check=True,
     )
-    assert result.stdout.splitlines() == ["[]", "[]", "[]"]
+    assert result.stdout.splitlines() == ["[]"] * 4 + ["True False"]
 
 
 def test_features_do_not_depend_on_unset_blas_threads():

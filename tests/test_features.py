@@ -76,7 +76,7 @@ def test_load_uint8_scaling(tmp_path):
 
 
 def test_load_int32_scaling(tmp_path):
-    # 24-bit PCM, which scipy reads into the high bytes of int32
+    # 24-bit PCM, which is read into the high bytes of int32
     samples = [1 << 22, -(1 << 23), 1, 0]
     data = b"".join(v.to_bytes(3, "little", signed=True) for v in samples)
     fmt = struct.pack("<HHIIHH", 1, 1, 8000, 8000 * 3, 3, 24)
@@ -132,7 +132,7 @@ def test_cut_wav_is_rejected_before_a_whole_decode(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="^truncated WAV: .*declares 100 bytes, "
                                          "file holds 10$"):
         load_audio(path)
-    assert reads == []  # neither mapped nor decoded
+    assert reads == []  # neither its format parsed nor its samples decoded
 
 
 def test_garbled_chunk_header_is_a_corrupt_container(tmp_path):
@@ -450,6 +450,22 @@ def test_featurizing_leaves_scipy_signal_unloaded():
     assert result.stdout.split() == ["91", "False"]
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, 511, 512, 513, 8192])
+def test_dct_equals_scipy_bit_for_bit(n_rows):
+    from scipy.fft import dct
+
+    rng = np.random.default_rng(n_rows)
+    # every length up to 128 channels; 8,192 rows (16 chunks) at a few of them
+    lengths = range(2, 129) if n_rows < 8192 else (2, 3, 40, 63, 64, 65, 127, 128)
+    for n in lengths:
+        # log energies of a filterbank, and values of every magnitude
+        rows = np.log(rng.exponential(size=(n_rows, n)) + 1e-10)
+        rows[::7] = rng.normal(size=(len(rows[::7]), n)) * 10.0 ** rng.uniform(
+            -30, 30, size=(len(rows[::7]), 1))
+        expected = dct(rows, type=2, norm="ortho", axis=1)
+        assert features_module._dct_ortho(rows).tobytes() == expected.tobytes(), n
+
+
 # ---------------------------------------------------------------- blocks
 
 
@@ -527,17 +543,21 @@ def encoded(name, noise):
 
 
 def recorded_reads(monkeypatch):
-    """The ``mmap`` argument of each later ``scipy.io.wavfile.read`` call."""
-    from scipy.io import wavfile
-
+    """What each later WAV open does: ``"header"`` for each parse of a format
+    chunk, ``"whole"`` for each decode of a whole file's samples."""
     calls = []
-    read = wavfile.read
+    parse, decode = features_module._wav_format, features_module._int24
 
-    def recording(path, mmap=False):
-        calls.append(mmap)
-        return read(path, mmap=mmap)
+    def parsing(*args):
+        calls.append("header")
+        return parse(*args)
 
-    monkeypatch.setattr(wavfile, "read", recording)
+    def decoding(*args):
+        calls.append("whole")
+        return decode(*args)
+
+    monkeypatch.setattr(features_module, "_wav_format", parsing)
+    monkeypatch.setattr(features_module, "_int24", decoding)
     return calls
 
 
@@ -556,8 +576,8 @@ def test_streamed_rows_equal_batch_for_every_encoding(encoding, channels, tmp_pa
     monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 100)
     reads = recorded_reads(monkeypatch)
     stream = stream_features(path, config)
-    # scipy cannot map 3-byte samples, so only that file is decoded whole
-    assert reads == ([True, False] if encoding == "int24" else [True])
+    # 3-byte samples have no numpy dtype, so only that file is decoded whole
+    assert reads == (["header", "whole"] if encoding == "int24" else ["header"])
     blocks = list(stream.blocks())
     assert [b.n_segments for b in blocks] == [100] * 5 + [91]
     rows = np.concatenate([b.rows for b in blocks])
@@ -599,7 +619,7 @@ def test_resampled_stream_parses_the_wav_once(encoding, tmp_path, monkeypatch):
     batch = featurize(load_audio(path), config).matrix()
     reads = recorded_reads(monkeypatch)
     streamed = stream_features(path, config).matrix()
-    assert reads == [True]
+    assert reads == ["header"]
     assert streamed.rows.tobytes() == batch.rows.tobytes()
     if encoding == "float32":
         noise[-3] = np.nan
