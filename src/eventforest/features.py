@@ -179,7 +179,7 @@ def _scaled(data: np.ndarray) -> np.ndarray:
 
 
 # Sample encodings that load, as a byte order, a numpy kind and the bytes per
-# sample. 3-byte PCM has no numpy dtype and is decoded whole (``_int24``).
+# sample. 3-byte PCM has no numpy dtype and is decoded by ``_int24``.
 _ENCODINGS = {"<u1", ">u1", "<i2", "<i3", "<i4", "<f4", "<f8"}
 
 # WAVE format tags: integer PCM, IEEE float, and the extensible header whose
@@ -194,10 +194,8 @@ def _open_wav(path):
 
     ``read(start, stop)`` returns the mono float64 samples of frames
     ``[start, stop)``, scaled by ``_scaled``, from a positioned read of the
-    file, so only the frames asked for are ever in memory. 3-byte 24-bit PCM
-    is decoded whole instead and ``read`` slices that one array. ``floating``
-    is true for a float encoding, the only one whose samples can be
-    non-finite.
+    file, so only the frames asked for are ever in memory. ``floating`` is
+    true for a float encoding, the only one whose samples can be non-finite.
     """
     try:
         fmt, order, offset, size = _wav_chunks(path)
@@ -211,15 +209,15 @@ def _open_wav(path):
     n_frames = size // (channels * width)
     shape = (-1, channels) if channels > 1 else (-1,)
     floating = encoding[1] == "f"
-    if width == 3:
-        data = _int24(path, offset, n_frames * channels).reshape(shape)
-        return rate, n_frames, lambda start, stop: _scaled(data[start:stop]), floating
-    dtype = np.dtype(encoding)
 
     def read(start: int, stop: int) -> np.ndarray:
-        with open(path, "rb") as handle:
-            handle.seek(offset + start * channels * width)
-            frames = np.fromfile(handle, dtype, (stop - start) * channels)
+        at, count = offset + start * channels * width, (stop - start) * channels
+        if width == 3:
+            frames = _int24(path, at, count)
+        else:
+            with open(path, "rb") as handle:
+                handle.seek(at)
+                frames = np.fromfile(handle, encoding, count)
         return _scaled(frames.reshape(shape))
 
     return rate, n_frames, read, floating
@@ -485,7 +483,8 @@ def _dct_ortho(rows: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II of each row, in place; returns ``rows``.
 
     Bit for bit ``scipy.fft.dct(rows, type=2, norm="ortho", axis=1)``: the
-    steps of pocketfft's ``T_dcst23``, whose real inverse FFT numpy shares.
+    steps of pocketfft's ``T_dcst23``, whose real inverse FFT numpy shares
+    from 2.0 on.
     The first and (even length) last inputs are doubled and the others
     paired into sums and differences, an unnormalized inverse real FFT of
     that half-complex packing is scaled by 1/sqrt(2n), and each pair k, n-k
@@ -547,10 +546,8 @@ def stream_features(path, config: FeatureConfig) -> "FeatureStream":
 
     This is the one path from a file to features. The rows equal
     ``featurize(load_audio(path), config)`` bit for bit. Only the samples of
-    one block of windows are held, except in two cases that are read whole:
-    a stream at another rate than the configured one, which is resampled
-    whole, and 3-byte 24-bit PCM, which has no numpy dtype and is decoded
-    whole. The blocks are then slices of the one array. A float file is
+    one block of windows are held, except for a stream at another rate than
+    the configured one, which is read and resampled whole. A float file is
     checked for non-finite samples before the first block.
     """
     rate, n_frames, read, floating = _open_wav(path)

@@ -132,7 +132,7 @@ def test_cut_wav_is_rejected_before_a_whole_decode(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="^truncated WAV: .*declares 100 bytes, "
                                          "file holds 10$"):
         load_audio(path)
-    assert reads == []  # neither its format parsed nor its samples decoded
+    assert reads == []  # its format is never parsed
 
 
 def test_garbled_chunk_header_is_a_corrupt_container(tmp_path):
@@ -512,19 +512,49 @@ def test_cepstra_memory_is_output_plus_a_block():
 # ---------------------------------------------------------------- streams
 
 
-def write_wav(path, rate, frames, format_tag, bits, width):
-    """A little-endian WAV of ``frames`` (n x channels) in ``width``-byte containers."""
+def write_wav(path, rate, frames, format_tag, bits, width, riff=b"RIFF",
+              subformat=None):
+    """A WAV of ``frames`` (n x channels) in ``width``-byte containers.
+
+    ``riff`` is the container id; ``RIFX`` writes big-endian sizes and
+    samples. With ``subformat``, the 16 bytes of a GUID, the format chunk is
+    the extensible one (tag 0xFFFE) naming that subformat.
+    """
+    order = ">" if riff == b"RIFX" else "<"
     n, channels = frames.shape
     if width == 3:
         data = frames.astype("<i4").view(np.uint8).reshape(n, channels, 4)[..., :3]
     else:
-        data = frames.astype(frames.dtype.newbyteorder("<"))
+        data = frames.astype(frames.dtype.newbyteorder(order))
     payload = data.tobytes()
-    fmt = struct.pack("<HHIIHH", format_tag, channels, rate,
+    tag = format_tag if subformat is None else 0xFFFE
+    fmt = struct.pack(order + "HHIIHH", tag, channels, rate,
                       rate * channels * width, channels * width, bits)
-    body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", len(payload)) + payload)
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    if subformat is not None:  # cbSize, valid bits, channel mask, GUID
+        fmt += struct.pack(order + "HHI", 22, bits, 0) + subformat
+    body = (b"WAVEfmt " + struct.pack(order + "I", len(fmt)) + fmt
+            + b"data" + struct.pack(order + "I", len(payload)) + payload)
+    path.write_bytes(riff + struct.pack(order + "I", len(body)) + body)
+
+
+def scipy_samples(path):
+    """``scipy.io.wavfile.read``'s samples of a WAV, scaled and averaged to mono
+    as ``load_audio`` documents."""
+    import scipy.io.wavfile as wavfile
+
+    _, data = wavfile.read(path)
+    samples = data.astype(np.float64)
+    if data.dtype == np.uint8:
+        samples = (samples - 128.0) / 128.0
+    elif data.dtype.kind == "i":
+        samples = samples / 2.0 ** (8 * data.dtype.itemsize - 1)
+    return samples.mean(axis=1) if samples.ndim == 2 else samples
+
+
+def subformat_guid(tag, tail=b"\x00\x00\x10\x00\x80\x00\x00\xAA\x00\x38\x9B\x71"):
+    """A little-endian extensible subformat GUID: the format tag, then the
+    tail that marks it as a standard format."""
+    return struct.pack("<I", tag) + tail
 
 
 def encoded(name, noise):
@@ -544,20 +574,15 @@ def encoded(name, noise):
 
 def recorded_reads(monkeypatch):
     """What each later WAV open does: ``"header"`` for each parse of a format
-    chunk, ``"whole"`` for each decode of a whole file's samples."""
+    chunk."""
     calls = []
-    parse, decode = features_module._wav_format, features_module._int24
+    parse = features_module._wav_format
 
     def parsing(*args):
         calls.append("header")
         return parse(*args)
 
-    def decoding(*args):
-        calls.append("whole")
-        return decode(*args)
-
     monkeypatch.setattr(features_module, "_wav_format", parsing)
-    monkeypatch.setattr(features_module, "_int24", decoding)
     return calls
 
 
@@ -576,14 +601,78 @@ def test_streamed_rows_equal_batch_for_every_encoding(encoding, channels, tmp_pa
     monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 100)
     reads = recorded_reads(monkeypatch)
     stream = stream_features(path, config)
-    # 3-byte samples have no numpy dtype, so only that file is decoded whole
-    assert reads == (["header", "whole"] if encoding == "int24" else ["header"])
+    assert reads == ["header"]
     blocks = list(stream.blocks())
     assert [b.n_segments for b in blocks] == [100] * 5 + [91]
     rows = np.concatenate([b.rows for b in blocks])
     times = np.concatenate([b.segment_times for b in blocks])
     assert rows.tobytes() == batch.rows.tobytes()
     assert times.tobytes() == batch.segment_times.tobytes()
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("encoding", ["uint8", "int16", "int24_in_int32", "int24",
+                                      "float32", "float64"])
+def test_extensible_wav_loads_as_scipy_reads_it(encoding, channels, tmp_path):
+    noise = np.random.default_rng(channels).uniform(-0.9, 0.9, size=(1000, channels))
+    frames, tag, bits, width = encoded(encoding, noise)
+    path = tmp_path / "extensible.wav"
+    write_wav(path, 16000, frames, tag, bits, width, subformat=subformat_guid(tag))
+    wave = load_audio(path)
+    assert wave.sample_rate == 16000
+    assert wave.samples.tobytes() == scipy_samples(path).tobytes()
+
+
+@pytest.mark.parametrize("guid, message", [
+    (subformat_guid(1, bytes(12)), "0xfffe"),  # no standard tail
+    (subformat_guid(6), "0x0006"),  # A-law
+], ids=["unknown_guid", "alaw"])
+def test_extensible_wav_of_another_subformat_is_rejected(guid, message, tmp_path):
+    frames, _, bits, width = encoded("int16", np.zeros((4, 1)))
+    path = tmp_path / "other.wav"
+    write_wav(path, 16000, frames, 1, bits, width, subformat=guid)
+    with pytest.raises(ValueError, match="^unsupported/corrupt container: .*"
+                                         f"Unknown wave file format: {message}"):
+        load_audio(path)
+
+
+def test_extensible_wav_without_its_extension_is_rejected(tmp_path):
+    frames, tag, bits, width = encoded("int16", np.zeros((4, 1)))
+    path = tmp_path / "short_extension.wav"
+    write_wav(path, 16000, frames, tag, bits, width, subformat=subformat_guid(tag))
+    wav = bytearray(path.read_bytes())
+    wav[36:38] = struct.pack("<H", 21)  # cbSize, one byte short of the extension
+    path.write_bytes(bytes(wav))
+    with pytest.raises(ValueError, match="not compliant"):
+        load_audio(path)
+
+
+def test_rifx_wav_loads_bytes_and_rejects_wider_samples(tmp_path):
+    noise = np.random.default_rng(4).uniform(-0.9, 0.9, size=(1000, 2))
+    path = tmp_path / "rifx.wav"
+    write_wav(path, 8000, *encoded("uint8", noise), riff=b"RIFX")
+    assert load_audio(path).samples.tobytes() == scipy_samples(path).tobytes()
+    write_wav(path, 8000, *encoded("int16", noise), riff=b"RIFX")
+    with pytest.raises(ValueError, match="^unsupported sample encoding >i2 in "):
+        load_audio(path)
+
+
+def test_3_byte_pcm_is_read_one_block_of_windows_at_a_time(tmp_path, monkeypatch):
+    config = FeatureConfig()
+    noise = np.random.default_rng(6).uniform(-0.9, 0.9, size=(96000, 2))
+    path = tmp_path / "pcm24.wav"
+    write_wav(path, config.sample_rate, *encoded("int24", noise))
+    counts, decode = [], features_module._int24
+
+    def decoding(path, offset, count):
+        counts.append(count)
+        return decode(path, offset, count)
+
+    monkeypatch.setattr(features_module, "_int24", decoding)
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 100)
+    assert stream_features(path, config).matrix().n_segments == 591
+    # 512 windows span 511 hops and a window: 83,360 of the 96,000 frames
+    assert max(counts) == (511 * 160 + 1600) * 2
 
 
 @pytest.mark.parametrize("noise_subtraction", [False, True])
