@@ -35,13 +35,10 @@ from .detect import (
     extract_events,
     filter_duration,
     smooth,
-    write_detections,
 )
 from .evaluate import (
-    EventScore,
-    SegmentScore,
+    Score,
     TuneFold,
-    TuneResult,
     event_metrics,
     load_thresholds,
     save_thresholds,

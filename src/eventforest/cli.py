@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
+    EventAnnotation,
     MixtureSpec,
     build_training_segments,
     parse_annotations,
@@ -24,12 +25,10 @@ from .detect import (
     detect_on_features,
     render_track_grid,
     score_tracks,
-    write_detections,
     write_scores_csv,
 )
 from .evaluate import (
     TuneFold,
-    TuneResult,
     enabled_forests,
     load_thresholds,
     per_class_event_metrics,
@@ -244,8 +243,8 @@ def cmd_synth(args) -> int:
         for i, wave in enumerate(waves):
             stem = f"train/{label}_i{i:02d}"
             save_audio(out / f"{stem}.wav", wave)
-            with open(out / f"{stem}.txt", "w") as handle:
-                handle.write(f"0.000\t{wave.duration:.3f}\t{label}\n")
+            write_annotations([EventAnnotation(0.0, wave.duration, label)],
+                              out / f"{stem}.txt")
             entries.append(
                 {"audio": f"{stem}.wav", "annotations": f"{stem}.txt",
                  "fold": "train"}
@@ -368,14 +367,14 @@ def cmd_tune(args) -> int:
         )
         for entry in dev_entries
     ]
-    result = tune_thresholds(
+    tuned = tune_thresholds(
         folds,
         forests,
         detect_config,
         allow_ignorance=args.allow_ignorance,
     )
-    save_thresholds(result, args.out)
-    for label, t in sorted(result.per_class.items()):
+    save_thresholds(tuned, args.out)
+    for label, t in sorted(tuned.items()):
         rate = "n/a" if t.error_rate is None else f"{t.error_rate:.3f}"
         chosen = "disabled" if t.disabled else f"alpha={t.alpha:g} beta={t.beta:g}"
         print(f"{label}: {chosen} segment-ER={rate}")
@@ -389,10 +388,7 @@ def cmd_detect(args) -> int:
         return 0
     forests = [load_forest(p) for p in args.models]
     feature_config = shared_feature_config(forests)
-    thresholds = (
-        load_thresholds(args.thresholds) if args.thresholds else TuneResult({})
-    )
-    tuned = thresholds.per_class
+    tuned = load_thresholds(args.thresholds) if args.thresholds else {}
     configs = {}
     for forest in forests:
         # explicit flags, then tuned thresholds, then the config file
@@ -407,7 +403,7 @@ def cmd_detect(args) -> int:
     # One pass over the stream scores every class that is dumped or detected;
     # each dumped track is the one detection pairs.
     stream = stream_features(args.audio, feature_config)
-    enabled = enabled_forests(forests, thresholds)
+    enabled = enabled_forests(forests, tuned)
     scored = forests if args.dump_scores else enabled
     blocks = stream.blocks()
     if args.dump_features:
@@ -423,10 +419,10 @@ def cmd_detect(args) -> int:
     # scores on this stream and whatever --alpha/--beta say.
     detections = detect_on_features(tracks, enabled, configs)
     if args.out:
-        write_detections(detections, args.out)
+        write_annotations(detections, args.out)
         print(f"{len(detections)} detections -> {args.out}")
     else:
-        write_detections(detections, sys.stdout)
+        write_annotations(detections, sys.stdout)
     return 0
 
 

@@ -87,11 +87,19 @@ def parse_annotations(path) -> list[EventAnnotation]:
     return sorted(events, key=lambda e: (e.onset, e.offset, e.label))
 
 
-def write_annotations(events, path) -> None:
-    """Write events one per line as tab-separated onset, offset, label."""
-    with open(path, "w") as handle:
-        for event in events:
-            handle.write(f"{event.onset:.3f}\t{event.offset:.3f}\t{event.label}\n")
+def write_annotations(events, out) -> None:
+    """Write events one per line as tab-separated onset, offset, label.
+
+    ``events`` are annotations or detections: anything with an onset, an
+    offset and a label. ``out`` is a path, or an open text stream such as
+    ``sys.stdout``.
+    """
+    lines = (f"{e.onset:.3f}\t{e.offset:.3f}\t{e.label}\n" for e in events)
+    if hasattr(out, "write"):
+        out.writelines(lines)
+        return
+    with open(out, "w") as handle:
+        handle.writelines(lines)
 
 
 def label_segments(
@@ -342,9 +350,11 @@ def pink_noise(rng, n_samples: int, sample_rate: int) -> np.ndarray:
     return noise
 
 
-def _tone_instance(
-    rng, class_index: int, sample_rate: int, noise_ratio: float = 0.15
-) -> Waveform:
+# RMS of a tone instance's pink-noise bed relative to the tone's.
+_INSTANCE_NOISE_RATIO = 0.25
+
+
+def _tone_instance(rng, class_index: int, sample_rate: int) -> Waveform:
     """One amplitude-modulated tone burst; class k sits an octave above k-1.
 
     A pink-noise bed under the tone stands in for the room tone of a real
@@ -367,8 +377,8 @@ def _tone_instance(
     samples = np.sin(2.0 * np.pi * carrier * t + phase) * envelope * ramp
     rms = np.sqrt(np.mean(samples**2))
     samples = samples * (0.1 / rms)
-    if noise_ratio > 0:
-        samples = samples + pink_noise(rng, len(t), sample_rate) * (0.1 * noise_ratio)
+    noise = pink_noise(rng, len(t), sample_rate)
+    samples = samples + noise * (0.1 * _INSTANCE_NOISE_RATIO)
     return Waveform(samples, sample_rate)
 
 
@@ -381,7 +391,6 @@ def _compose_scene(
     snr_db: float,
     background_rms: float,
     sample_rate: int,
-    make_instance,
 ) -> tuple[Waveform, list[EventAnnotation]]:
     """Place events along a noise bed; every third event group is an overlapping pair.
 
@@ -399,7 +408,7 @@ def _compose_scene(
         if pool is not None:
             items = pool[class_names[class_index]]
             return items[int(rng.integers(len(items)))]
-        return make_instance(rng, class_index, sample_rate)
+        return _tone_instance(rng, class_index, sample_rate)
 
     placements = []  # (onset seconds, waveform, label)
     cursor = rng.uniform(0.5, 1.5)
@@ -449,7 +458,6 @@ def synth_benchmark(
     events_per_scene: int = 60,
     sample_rate: int = 16000,
     background_rms: float = 0.05,
-    instance_noise_ratio: float = 0.25,
     write_scene=None,
 ) -> SynthBenchmark:
     """Generate a deterministic synthetic detection corpus.
@@ -479,13 +487,9 @@ def synth_benchmark(
     rng_train = np.random.default_rng([seed, 1])
     rng_dev = np.random.default_rng([seed, 2])
     rng_test = np.random.default_rng([seed, 3])
-
-    def make_instance(rng, class_index, rate):
-        return _tone_instance(rng, class_index, rate, instance_noise_ratio)
-
     train_instances = {
         name: [
-            make_instance(rng_train, k, sample_rate)
+            _tone_instance(rng_train, k, sample_rate)
             for _ in range(instances_per_class)
         ]
         for k, name in enumerate(class_names)
@@ -494,7 +498,7 @@ def synth_benchmark(
     for fold, rng, pool in (("dev", rng_dev, train_instances), ("test", rng_test, None)):
         scene, events = _compose_scene(
             rng, class_names, pool, events_per_scene, scene_len,
-            snr_db, background_rms, sample_rate, make_instance,
+            snr_db, background_rms, sample_rate,
         )
         if write_scene is not None:
             write_scene(fold, scene, events)

@@ -390,19 +390,6 @@ def detect_stream(waveform: Waveform, forests, configs) -> list:
     return detect_on_features(tracks, forests, configs)
 
 
-def write_detections(detections, out) -> None:
-    """Write detections one per line as tab-separated onset, offset, label.
-
-    ``out`` is a path, or an open text stream such as ``sys.stdout``.
-    """
-    lines = (f"{d.onset:.3f}\t{d.offset:.3f}\t{d.label}\n" for d in detections)
-    if hasattr(out, "write"):
-        out.writelines(lines)
-        return
-    with open(out, "w") as handle:
-        handle.writelines(lines)
-
-
 def write_scores_csv(track: ScoreTrack, path) -> None:
     """Write the two score tracks with their segment indices."""
     with open(path, "w") as handle:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from math import ceil
 
 import numpy as np
@@ -26,16 +27,21 @@ IGNORANCE_BETA = 1.01
 
 
 @dataclass
-class SegmentScore:
-    """Error counts pooled over fixed-length time cells."""
+class Score:
+    """Error counts of one metric: over fixed time cells or over matched events.
+
+    ``n_ref`` and ``n_hyp`` count the active reference and hypothesis cells,
+    or the reference and hypothesis events. Either way ``n_ref`` is
+    ``tp + substitutions + deletions`` and ``n_hyp`` is
+    ``tp + substitutions + insertions``.
+    """
 
     n_ref: int = 0
+    n_hyp: int = 0
+    tp: int = 0
     substitutions: int = 0
     deletions: int = 0
     insertions: int = 0
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
 
     @property
     def error_rate(self) -> float | None:
@@ -45,19 +51,15 @@ class SegmentScore:
 
     @property
     def f1(self) -> float:
-        denom = 2 * self.tp + self.fp + self.fn
+        denom = self.n_ref + self.n_hyp
         if denom == 0:
             return 1.0
         return 2 * self.tp / denom
 
-    def add(self, other: "SegmentScore") -> None:
-        self.n_ref += other.n_ref
-        self.substitutions += other.substitutions
-        self.deletions += other.deletions
-        self.insertions += other.insertions
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
+    def add(self, other: "Score") -> None:
+        for field in fields(self):
+            setattr(self, field.name,
+                    getattr(self, field.name) + getattr(other, field.name))
 
 
 def _activity(events, classes, n_cells: int, resolution: float) -> np.ndarray:
@@ -83,7 +85,7 @@ def segment_metrics(
     resolution: float = 1.0,
     duration: float | None = None,
     classes=None,
-) -> SegmentScore:
+) -> Score:
     """Score detections against reference events on fixed time cells.
 
     Each cell of ``resolution`` seconds holds the set of active classes on
@@ -106,50 +108,24 @@ def segment_metrics(
         duration = max(spans) if spans else 0.0
     n_cells = int(ceil(duration / resolution)) if duration > 0 else 0
 
-    score = SegmentScore()
     if n_cells == 0 or not classes:
-        return score
+        return Score()
     ref_grid = _activity(reference, classes, n_cells, resolution)
     hyp_grid = _activity(hypothesis, classes, n_cells, resolution)
     fn_cells = (ref_grid & ~hyp_grid).sum(axis=1)
     fp_cells = (hyp_grid & ~ref_grid).sum(axis=1)
     sub_cells = np.minimum(fn_cells, fp_cells)
-    score.n_ref = int(ref_grid.sum())
-    score.tp = int((ref_grid & hyp_grid).sum())
-    score.fp = int(fp_cells.sum())
-    score.fn = int(fn_cells.sum())
-    score.substitutions = int(sub_cells.sum())
-    score.deletions = int((fn_cells - sub_cells).sum())
-    score.insertions = int((fp_cells - sub_cells).sum())
-    return score
+    return Score(
+        n_ref=int(ref_grid.sum()),
+        n_hyp=int(hyp_grid.sum()),
+        tp=int((ref_grid & hyp_grid).sum()),
+        substitutions=int(sub_cells.sum()),
+        deletions=int((fn_cells - sub_cells).sum()),
+        insertions=int((fp_cells - sub_cells).sum()),
+    )
 
 
-@dataclass
-class EventScore:
-    """Error counts over matched whole events."""
-
-    n_ref: int = 0
-    n_hyp: int = 0
-    tp: int = 0
-    substitutions: int = 0
-    deletions: int = 0
-    insertions: int = 0
-
-    @property
-    def error_rate(self) -> float | None:
-        if self.n_ref == 0:
-            return None
-        return (self.substitutions + self.deletions + self.insertions) / self.n_ref
-
-    @property
-    def f1(self) -> float:
-        denom = self.n_ref + self.n_hyp
-        if denom == 0:
-            return 1.0
-        return 2 * self.tp / denom
-
-
-def event_metrics(reference, hypothesis, onset_collar: float = 0.2) -> EventScore:
+def event_metrics(reference, hypothesis, onset_collar: float = 0.2) -> Score:
     """Score detections by one-to-one event matching on onset proximity.
 
     A hypothesis matches a reference of the same class when their onsets lie
@@ -184,40 +160,40 @@ def event_metrics(reference, hypothesis, onset_collar: float = 0.2) -> EventScor
                 hyp_used[i] = True
                 subs += 1
                 break
-    score = EventScore(n_ref=len(reference), n_hyp=len(hypothesis), tp=tp)
-    score.substitutions = subs
-    score.deletions = len(reference) - tp - subs
-    score.insertions = len(hypothesis) - tp - subs
-    return score
+    return Score(
+        n_ref=len(reference),
+        n_hyp=len(hypothesis),
+        tp=tp,
+        substitutions=subs,
+        deletions=len(reference) - tp - subs,
+        insertions=len(hypothesis) - tp - subs,
+    )
+
+
+def _per_class(metric, reference, hypothesis) -> dict:
+    """``metric`` of each label on that label's events, under 'overall' on all."""
+    classes = sorted({e.label for e in reference} | {e.label for e in hypothesis})
+    report = {
+        label: metric([e for e in reference if e.label == label],
+                      [e for e in hypothesis if e.label == label])
+        for label in classes
+    }
+    report["overall"] = metric(reference, hypothesis)
+    return report
 
 
 def per_class_segment_metrics(
     reference, hypothesis, resolution: float = 1.0, duration: float | None = None
 ) -> dict:
     """Segment scores per class label, under 'overall' the pooled score."""
-    classes = sorted({e.label for e in reference} | {e.label for e in hypothesis})
-    report = {
-        label: segment_metrics(reference, hypothesis, resolution, duration, [label])
-        for label in classes
-    }
-    report["overall"] = segment_metrics(
-        reference, hypothesis, resolution, duration, classes
-    )
-    return report
+    return _per_class(partial(segment_metrics, resolution=resolution,
+                              duration=duration), reference, hypothesis)
 
 
 def per_class_event_metrics(reference, hypothesis, onset_collar: float = 0.2) -> dict:
     """Event scores per class label, under 'overall' the pooled score."""
-    classes = sorted({e.label for e in reference} | {e.label for e in hypothesis})
-    report = {}
-    for label in classes:
-        report[label] = event_metrics(
-            [e for e in reference if e.label == label],
-            [e for e in hypothesis if e.label == label],
-            onset_collar,
-        )
-    report["overall"] = event_metrics(reference, hypothesis, onset_collar)
-    return report
+    return _per_class(partial(event_metrics, onset_collar=onset_collar),
+                      reference, hypothesis)
 
 
 @dataclass(eq=False)
@@ -242,11 +218,6 @@ class ClassThresholds:
         return self.beta == IGNORANCE_BETA
 
 
-@dataclass
-class TuneResult:
-    per_class: dict
-
-
 def default_alpha_grid() -> list:
     return [round(0.05 * i, 10) for i in range(21)]
 
@@ -263,8 +234,10 @@ def tune_thresholds(
     betas=None,
     resolution: float = 1.0,
     allow_ignorance: bool = False,
-) -> TuneResult:
+) -> dict:
     """Exhaustive per-class grid search minimizing pooled segment error rate.
+
+    Returns the chosen ``ClassThresholds`` of each forest's class label.
 
     For each class the onset and offset tracks of every fold are rendered
     for all alphas in one blocked pass over the cached leaf votes, then
@@ -310,7 +283,7 @@ def tune_thresholds(
             if allow_ignorance and alpha == alphas[0]:
                 candidate_betas.append(IGNORANCE_BETA)
             for beta in candidate_betas:
-                pooled = SegmentScore()
+                pooled = Score()
                 for track, peaks, fold in zip(tracks, maxima, folds):
                     events = forest_events(track, forest, beta,
                                            detect_config.duration_factor, peaks)
@@ -328,7 +301,7 @@ def tune_thresholds(
         per_class[label] = ClassThresholds(
             alpha=best[1], beta=best[2], error_rate=best[3]
         )
-    return TuneResult(per_class=per_class)
+    return per_class
 
 
 def _better(entry, best) -> bool:
@@ -342,21 +315,23 @@ def _better(entry, best) -> bool:
     return alpha > best_alpha
 
 
-def save_thresholds(result: TuneResult, path) -> None:
+def save_thresholds(thresholds: dict, path) -> None:
+    """Write ``{label: ClassThresholds}`` as a JSON object, sorted by label."""
     payload = {
         label: {
             "alpha": t.alpha,
             "beta": t.beta,
             "error_rate": t.error_rate,
         }
-        for label, t in result.per_class.items()
+        for label, t in thresholds.items()
     }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def load_thresholds(path) -> TuneResult:
+def load_thresholds(path) -> dict:
+    """Read a thresholds file back into ``{label: ClassThresholds}``."""
     with open(path) as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
@@ -380,19 +355,19 @@ def load_thresholds(path) -> TuneResult:
             beta=entry["beta"],
             error_rate=error_rate,
         )
-    return TuneResult(per_class=per_class)
+    return per_class
 
 
-def enabled_forests(forests, thresholds: TuneResult) -> list:
+def enabled_forests(forests, thresholds: dict) -> list:
     """The forests whose class ``thresholds`` does not disable.
 
-    A disabled class's thresholds still fire wherever its scores reach the
+    ``thresholds`` maps class labels to ``ClassThresholds``. A disabled class's thresholds still fire wherever its scores reach the
     ignorance beta, so drop such classes before ``detect_on_features`` or
     ``detect_stream``. Classes the thresholds do not name are kept.
     """
     return [
         forest
         for forest in forests
-        if forest.class_label not in thresholds.per_class
-        or not thresholds.per_class[forest.class_label].disabled
+        if forest.class_label not in thresholds
+        or not thresholds[forest.class_label].disabled
     ]

@@ -39,6 +39,11 @@ _SEGMENT_BLOCK = 8192
 # Frames scaled at once when a float WAV is checked for non-finite samples.
 _CHECK_FRAMES = 1 << 20
 
+# Taps of the longest anti-aliasing filter resample lets scipy design, which
+# takes 20 * max(up, down) of them: 32 MB of float64. 44.1 -> 16 kHz needs
+# 8,820 taps, and any rate up to 209 kHz fits whatever its ratio to the target.
+_MAX_RESAMPLE_TAPS = 1 << 22
+
 # Rows whose DCT is taken at once: at 64 channels, a chunk's spectra and
 # temporaries take about 1 MB.
 _DCT_ROWS = 512
@@ -352,17 +357,28 @@ def save_audio(path, waveform: Waveform) -> None:
 
 
 def resample(waveform: Waveform, target_rate: int) -> Waveform:
-    """Polyphase resampling; identity when rates already match."""
+    """Polyphase resampling; identity when rates already match.
+
+    A pair of rates whose reduced ratio needs a filter longer than
+    ``_MAX_RESAMPLE_TAPS`` is rejected before any filter is designed.
+    """
     target_rate = int(target_rate)
     if target_rate <= 0:
         raise ValueError(f"target rate must be positive, got {target_rate}")
-    if target_rate == waveform.sample_rate:
+    rate = waveform.sample_rate
+    if target_rate == rate:
         return waveform
+    g = math.gcd(target_rate, rate)
+    up, down = target_rate // g, rate // g
+    taps = 20 * max(up, down)
+    if taps > _MAX_RESAMPLE_TAPS:
+        raise ValueError(
+            f"cannot resample {rate} Hz to {target_rate} Hz: the filter would "
+            f"take {taps:,} taps, more than {_MAX_RESAMPLE_TAPS:,}"
+        )
     from scipy.signal import resample_poly
 
-    g = math.gcd(target_rate, waveform.sample_rate)
-    out = resample_poly(waveform.samples, target_rate // g, waveform.sample_rate // g)
-    return Waveform(out, target_rate)
+    return Waveform(resample_poly(waveform.samples, up, down), target_rate)
 
 
 def hz_to_cam(f):

@@ -27,14 +27,13 @@ from conftest import (
     tree_leaves,
 )
 from eventforest.cli import main
-from eventforest.dataset import parse_annotations
+from eventforest.dataset import parse_annotations, write_annotations
 from eventforest.detect import (
     DetectConfig,
     collect_votes,
     extract_events,
     render_track_grid,
     smooth,
-    write_detections,
 )
 from eventforest.evaluate import default_beta_grid, segment_metrics
 from eventforest.features import (
@@ -250,11 +249,11 @@ def test_reproducible_models_and_detections(tmp_path, blob_model):
     configs = {"blob": DetectConfig(alpha=0.5, beta=0.05)}
     out_a = tmp_path / "direct.txt"
     out_b = tmp_path / "reloaded.txt"
-    write_detections(
+    write_annotations(
         detect_matrix(blob_model.test_features, [blob_model.forest], configs),
         out_a,
     )
-    write_detections(
+    write_annotations(
         detect_matrix(blob_model.test_features, [reloaded], configs),
         out_b,
     )

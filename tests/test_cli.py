@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -24,7 +25,7 @@ from eventforest import detect as detect_module
 from eventforest import features as features_module
 from eventforest import forest as forest_module
 from eventforest.cli import main
-from eventforest.dataset import parse_annotations
+from eventforest.dataset import parse_annotations, write_annotations
 from eventforest.detect import (
     DetectConfig,
     ScoreTrack,
@@ -32,7 +33,6 @@ from eventforest.detect import (
     detect_stream,
     forest_events,
     score_tracks,
-    write_detections,
 )
 from eventforest.evaluate import (
     default_alpha_grid,
@@ -465,7 +465,7 @@ class TestTrain:
 class TestTune:
     def test_thresholds_on_grid(self, thresholds, corpus):
         manifest = json.loads((corpus / "manifest.json").read_text())
-        tuned = load_thresholds(thresholds).per_class
+        tuned = load_thresholds(thresholds)
         assert set(tuned) == set(manifest["classes"])
         for choice in tuned.values():
             assert choice.alpha in default_alpha_grid()
@@ -656,7 +656,7 @@ class TestDetect:
                "--dump-scores", str(scores)]
         )
         assert code == 0
-        tuned = load_thresholds(thresholds).per_class
+        tuned = load_thresholds(thresholds)
         detections = []
         for path in models:
             forest = load_forest(path)
@@ -671,7 +671,7 @@ class TestDetect:
         assert detections
         detections.sort(key=lambda d: (d.onset, d.offset, d.label))
         expected = tmp_path / "expected.txt"
-        write_detections(detections, expected)
+        write_annotations(detections, expected)
         assert out.read_text() == expected.read_text()
 
     def test_dump_scores_scores_each_class_once(self, corpus, models,
@@ -1239,6 +1239,21 @@ def traced_main(argv):
     return tracer
 
 
+def test_benchmark_scores_the_head_and_tail_thirds(corpus, monkeypatch):
+    # perfbench/run.py scores the first and last third of the test scene with
+    # parse_annotations and per_class_segment_metrics, imported by name, and
+    # reads the error rate of the report's 'overall' row.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    reference = corpus / "test.txt"
+    assert run._head_tail_error(reference, reference, "overall") == (0.0, 0.0)
+    head, tail = run._head_tail_error(reference, corpus / "dev.txt", "overall")
+    assert head > 0 and tail > 0
+
+
 def test_tracer_counts_the_training_set(corpus, tmp_path, capsys):
     # perfbench's tracer wraps build_training_segments and select_best_test by
     # name and counts rows and positives by iterating the training set.
@@ -1504,6 +1519,37 @@ def test_every_checked_wav_byte_flipped_gives_one_error_line(mask, corpus, model
         if code != 1 or not err.startswith("error: ") or err.count("\n") != 1:
             accepted.append((at, code, err))
     assert accepted == []
+
+
+def test_rate_beyond_the_resampling_cap_gives_one_error_line(corpus, models,
+                                                             tmp_path,
+                                                             monkeypatch):
+    # 8-bit mono PCM may declare any rate below 2**32 with a consistent byte
+    # rate. From 2,147,499,648 Hz, 16 kHz is up 125 and down 16,777,341: a
+    # 335 M-tap filter of 2.7 GB, which must be refused before scipy designs it.
+    import scipy.signal
+
+    def designed(*args, **kwargs):
+        raise AssertionError("resample_poly was called")
+
+    monkeypatch.setattr(scipy.signal, "resample_poly", designed)
+    rate = 2_147_499_648
+    data = bytes(range(0, 256, 8))
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, rate, 1, 8)
+    body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    wav = tmp_path / "fast.wav"
+    wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    (tmp_path / "fast.txt").write_text("0.000\t1.000\ttone300\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"audio": "fast.wav", "annotations": "fast.txt", "fold": "train"}]}))
+    for argv in (["detect", str(wav), "--model", str(models[0])],
+                 ["train", str(manifest), "--out-dir", str(tmp_path / "out")]):
+        code, err = run_main(argv)
+        assert code == 1
+        assert err.startswith("error: cannot resample 2147499648 Hz to 16000 Hz")
+        assert err.count("\n") == 1
 
 
 def _package_env(**overrides):

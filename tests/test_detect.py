@@ -1,6 +1,7 @@
 """Forest routing, Gaussian voting, score tracks, and event extraction."""
 
 import copy
+import io
 import math
 import tracemalloc
 
@@ -42,9 +43,9 @@ from eventforest.detect import (
     score_tracks,
     smooth,
     track_maxima,
-    write_detections,
     write_scores_csv,
 )
+from eventforest.dataset import write_annotations
 from eventforest.evaluate import default_alpha_grid
 from eventforest.features import FeatureConfig, FeatureMatrix, Waveform
 from eventforest.forest import (
@@ -853,8 +854,11 @@ def test_write_detections_format(tmp_path):
         Detection("cat", 2.0, 3.25, 0.8),
     ]
     path = tmp_path / "out.txt"
-    write_detections(events, path)
+    write_annotations(events, path)
     assert path.read_text() == "0.123\t1.500\tdog\n2.000\t3.250\tcat\n"
+    stream = io.StringIO()
+    write_annotations(events, stream)
+    assert stream.getvalue() == path.read_text()
 
 
 def test_write_scores_round_trip(tmp_path):

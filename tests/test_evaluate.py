@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import detect_matrix, oracle_render_tracks
 from eventforest.dataset import EventAnnotation
@@ -19,10 +21,8 @@ from eventforest.detect import (
 from eventforest.evaluate import (
     IGNORANCE_BETA,
     ClassThresholds,
-    EventScore,
-    SegmentScore,
+    Score,
     TuneFold,
-    TuneResult,
     default_alpha_grid,
     default_beta_grid,
     enabled_forests,
@@ -54,8 +54,7 @@ class TestSegmentMetrics:
         assert score.substitutions == 0
         assert score.deletions == 0
         assert score.insertions == 0
-        assert score.fp == 0 and score.fn == 0
-        assert score.tp == score.n_ref > 0
+        assert score.tp == score.n_ref == score.n_hyp > 0
 
     def test_empty_hypothesis_gives_unit_error_rate(self):
         reference = [ev(0.0, 10.0, "A")]
@@ -89,7 +88,7 @@ class TestSegmentMetrics:
         assert score.deletions == 0
         assert score.insertions == 0
         assert score.error_rate == 1.0
-        assert score.tp == 0 and score.fp == 1 and score.fn == 1
+        assert score.tp == 0 and score.n_hyp == 1 and score.n_ref == 1
         assert score.f1 == 0.0
 
     def test_empty_against_empty(self):
@@ -156,19 +155,20 @@ class TestSegmentMetrics:
         assert score.n_ref == 4
 
 
-class TestSegmentScore:
+class TestScore:
     def test_add_pools_counts(self):
-        a = SegmentScore(n_ref=10, substitutions=1, deletions=2, insertions=1,
-                         tp=7, fp=2, fn=3)
-        b = SegmentScore(n_ref=5, substitutions=0, deletions=1, insertions=2,
-                         tp=4, fp=2, fn=1)
+        a = Score(n_ref=10, n_hyp=9, tp=7, substitutions=1, deletions=2,
+                  insertions=1)
+        b = Score(n_ref=5, n_hyp=6, tp=4, substitutions=0, deletions=1,
+                  insertions=2)
         a.add(b)
-        assert a == SegmentScore(n_ref=15, substitutions=1, deletions=3,
-                                 insertions=3, tp=11, fp=4, fn=4)
+        assert a == Score(n_ref=15, n_hyp=15, tp=11, substitutions=1,
+                          deletions=3, insertions=3)
         assert a.error_rate == pytest.approx(7 / 15)
+        assert a.f1 == 22 / 30
 
     def test_f1_empty_denominator(self):
-        assert SegmentScore().f1 == 1.0
+        assert Score().f1 == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +263,17 @@ class TestEventMetrics:
             ev(float(o), float(o) + 1.0, "ABC"[i % 3])
             for i, o in enumerate(rng.uniform(0.0, 40.0, size=9))
         ]
-        score = event_metrics(reference, hypothesis)
-        assert score.tp + score.substitutions + score.deletions == score.n_ref
-        assert score.tp + score.substitutions + score.insertions == score.n_hyp
+        for score in (
+            event_metrics(reference, hypothesis),
+            segment_metrics(reference, hypothesis, duration=45.0),
+            segment_metrics(reference, hypothesis, resolution=0.3),
+        ):
+            assert score.n_ref > 0 and score.n_hyp > 0
+            assert score.tp + score.substitutions + score.deletions == score.n_ref
+            assert score.tp + score.substitutions + score.insertions == score.n_hyp
+            fp = score.substitutions + score.insertions
+            fn = score.substitutions + score.deletions
+            assert score.f1 == 2 * score.tp / (2 * score.tp + fp + fn)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +281,39 @@ class TestEventMetrics:
 # ---------------------------------------------------------------------------
 
 
+EVENT_LISTS = st.lists(
+    st.builds(lambda onset, length, label: ev(onset, onset + length, label),
+              st.floats(0.0, 20.0), st.floats(0.01, 5.0), st.sampled_from("ABC")),
+    max_size=8,
+)
+
+
 class TestPerClass:
+    @settings(max_examples=150, deadline=None)
+    @given(reference=EVENT_LISTS, hypothesis=EVENT_LISTS,
+           resolution=st.sampled_from([0.25, 0.5, 1.0, 1.7]),
+           duration=st.none() | st.floats(0.0, 30.0))
+    def test_segment_rows_equal_the_class_filter(self, reference, hypothesis,
+                                                 resolution, duration):
+        # A row scores the label's own events; the class filter scores the
+        # full lists and ignores the other labels. Both give the same counts.
+        report = per_class_segment_metrics(reference, hypothesis, resolution,
+                                           duration)
+        labels = {e.label for e in reference + hypothesis}
+        assert set(report) == labels | {"overall"}
+        for label in labels:
+            assert report[label] == segment_metrics(
+                reference, hypothesis, resolution, duration, classes=[label]
+            )
+        assert report["overall"] == segment_metrics(reference, hypothesis,
+                                                    resolution, duration)
+
     def test_segment_keys_and_pooled_counts(self):
         reference = [ev(0.0, 3.0, "A"), ev(5.0, 8.0, "B")]
         hypothesis = [ev(0.0, 2.0, "A"), ev(5.0, 9.0, "B")]
         report = per_class_segment_metrics(reference, hypothesis, duration=10.0)
         assert set(report) == {"A", "B", "overall"}
-        for field in ("tp", "fp", "fn", "n_ref"):
+        for field in ("tp", "n_hyp", "n_ref"):
             assert getattr(report["overall"], field) == (
                 getattr(report["A"], field) + getattr(report["B"], field)
             )
@@ -355,7 +389,7 @@ def oracle_tune(folds, forest, alphas, betas, detect_config, resolution,
             for fold in folds
         ]
         for beta in candidate_betas:
-            pooled = SegmentScore()
+            pooled = Score()
             for track, fold in zip(tracks, folds):
                 events = extract_events(
                     track,
@@ -408,7 +442,7 @@ class TestTuneThresholds:
         result = tune_thresholds(
             folds, [blob_model.forest], config, alphas=alphas, betas=betas
         )
-        chosen = result.per_class["blob"]
+        chosen = result["blob"]
         alpha, beta, rate = oracle_tune(
             folds, blob_model.forest, alphas, betas, config, 1.0, False
         )
@@ -436,7 +470,7 @@ class TestTuneThresholds:
         chosen = tune_thresholds(
             folds, [blob_model.forest], config, resolution=0.1,
             allow_ignorance=allow_ignorance,
-        ).per_class["blob"]
+        )["blob"]
         expected = oracle_tune(
             folds, blob_model.forest, default_alpha_grid(), default_beta_grid(),
             config, 0.1, allow_ignorance,
@@ -457,7 +491,7 @@ class TestTuneThresholds:
             alphas=[0.0, 0.5],
             betas=[0.05, 0.25, 0.5, 0.95],
         )
-        chosen = result.per_class["blob"]
+        chosen = result["blob"]
         # The dev stream carries real events, so a detecting pair must beat
         # the silent high-beta pair.
         assert chosen.beta < 0.95
@@ -477,13 +511,13 @@ class TestTuneThresholds:
         with_ignorance = tune_thresholds(
             folds, [blob_model.forest], config, allow_ignorance=True
         )
-        assert with_ignorance.per_class["blob"].beta == IGNORANCE_BETA
-        assert with_ignorance.per_class["blob"].disabled
+        assert with_ignorance["blob"].beta == IGNORANCE_BETA
+        assert with_ignorance["blob"].disabled
         without = tune_thresholds(
             folds, [blob_model.forest], config, allow_ignorance=False
         )
-        assert without.per_class["blob"].beta == default_beta_grid()[-1]
-        assert not without.per_class["blob"].disabled
+        assert without["blob"].beta == default_beta_grid()[-1]
+        assert not without["blob"].disabled
 
     def test_ignorance_is_not_chosen_when_detections_help(self, blob_model):
         folds = [
@@ -500,7 +534,7 @@ class TestTuneThresholds:
             betas=[0.05, 0.5],
             allow_ignorance=True,
         )
-        assert result.per_class["blob"].beta != IGNORANCE_BETA
+        assert result["blob"].beta != IGNORANCE_BETA
 
     def test_empty_folds_rejected(self, blob_model):
         with pytest.raises(ValueError, match="fold"):
@@ -509,23 +543,18 @@ class TestTuneThresholds:
 
 class TestThresholdFiles:
     def test_round_trip(self, tmp_path):
-        result = TuneResult(
-            per_class={
-                "dog": ClassThresholds(alpha=0.35, beta=0.125, error_rate=0.21),
-                "cat": ClassThresholds(alpha=0.0, beta=IGNORANCE_BETA,
-                                       error_rate=None),
-            }
-        )
+        result = {
+            "dog": ClassThresholds(alpha=0.35, beta=0.125, error_rate=0.21),
+            "cat": ClassThresholds(alpha=0.0, beta=IGNORANCE_BETA, error_rate=None),
+        }
         path = tmp_path / "thresholds.json"
         save_thresholds(result, path)
         loaded = load_thresholds(path)
         assert loaded == result
 
     def test_json_is_plain_and_sorted(self, tmp_path):
-        result = TuneResult(
-            per_class={"b": ClassThresholds(0.5, 0.1, 0.3),
-                       "a": ClassThresholds(0.2, 0.4, 0.0)}
-        )
+        result = {"b": ClassThresholds(0.5, 0.1, 0.3),
+                  "a": ClassThresholds(0.2, 0.4, 0.0)}
         path = tmp_path / "thresholds.json"
         save_thresholds(result, path)
         text = path.read_text()
@@ -538,7 +567,7 @@ class TestThresholdFiles:
             "cat": {"alpha": 0.0, "beta": 1.01, "error_rate": None},
             "dog": {"alpha": 0.5, "beta": 1.0, "error_rate": 0.4},
         }))
-        loaded = load_thresholds(path).per_class
+        loaded = load_thresholds(path)
         assert loaded["cat"].disabled
         assert not loaded["dog"].disabled
 
@@ -550,8 +579,8 @@ class TestThresholdFiles:
         loud.z_minus /= 1000.0
         config = DetectConfig(alpha=0.0, beta=IGNORANCE_BETA)
         assert detect_matrix(blob_model.test_features, [loud], {"blob": config})
-        off = TuneResult({"blob": ClassThresholds(0.0, IGNORANCE_BETA, 1.0)})
-        on = TuneResult({"blob": ClassThresholds(0.0, 0.5, 0.2)})
+        off = {"blob": ClassThresholds(0.0, IGNORANCE_BETA, 1.0)}
+        on = {"blob": ClassThresholds(0.0, 0.5, 0.2)}
         assert enabled_forests([loud], off) == []
         assert enabled_forests([loud], on) == [loud]
-        assert enabled_forests([loud], TuneResult({})) == [loud]
+        assert enabled_forests([loud], {}) == [loud]
