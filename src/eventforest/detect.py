@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,11 @@ class DetectConfig:
 
 @dataclass(eq=False)
 class ScoreTrack:
-    """Normalized onset and offset scores, one value per segment."""
+    """Normalized onset and offset scores, one value per segment.
+
+    A track's arrays are not changed after it is made, so its local maxima
+    are found once, on first use of ``maxima``.
+    """
 
     f_plus: np.ndarray
     f_minus: np.ndarray
@@ -55,6 +60,11 @@ class ScoreTrack:
     @property
     def n_segments(self) -> int:
         return len(self.f_plus)
+
+    @cached_property
+    def maxima(self) -> tuple:
+        """Local maxima of the onset and offset tracks, whatever their height."""
+        return _local_maxima(self.f_plus), _local_maxima(self.f_minus)
 
 
 @dataclass(eq=False)
@@ -241,20 +251,9 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return starts[rises & falls]
 
 
-def track_maxima(track: ScoreTrack) -> tuple:
-    """Local maxima of the onset and offset tracks, for ``extract_events``."""
-    return _local_maxima(track.f_plus), _local_maxima(track.f_minus)
-
-
-def _peak_indices(values: np.ndarray, threshold: float, maxima=None) -> list:
-    """Indices of local maxima at or above the threshold.
-
-    The threshold only filters: the peaks above it are exactly the local
-    maxima of ``_local_maxima`` whose value reaches it, so callers that
-    scan many thresholds pass the maxima in once.
-    """
-    if maxima is None:
-        maxima = _local_maxima(values)
+def _peak_indices(values: np.ndarray, threshold: float, maxima) -> list:
+    """The indices of ``maxima``, the local maxima of ``values``, that reach
+    the threshold."""
     return maxima[values[maxima] >= threshold].tolist()
 
 
@@ -264,20 +263,16 @@ def extract_events(
     hop_len: float,
     window_len: float = 0.0,
     label: str = "",
-    maxima: tuple | None = None,
 ) -> list:
     """Pair onset and offset peaks into detected events.
 
     Onset peaks are taken in order; each consumes the earliest unused offset
     peak at a strictly later segment. The confidence of a detection is the
     smaller of its two peak scores. Segment indices map to the center time of
-    the segment. ``maxima`` is the track's ``track_maxima``, when the caller
-    has it already.
+    the segment. Peaks are the track's ``maxima`` that reach ``beta``.
     """
-    if maxima is None:
-        maxima = track_maxima(track)
-    onsets = _peak_indices(track.f_plus, beta, maxima[0])
-    offsets = _peak_indices(track.f_minus, beta, maxima[1])
+    onsets = _peak_indices(track.f_plus, beta, track.maxima[0])
+    offsets = _peak_indices(track.f_minus, beta, track.maxima[1])
     detections = []
     cursor = 0
     for n_on in onsets:
@@ -342,18 +337,17 @@ def score_tracks(blocks, n_segments: int, forests, configs) -> dict:
 
 
 def forest_events(
-    track: ScoreTrack, forest: Forest, beta: float, duration_factor: float,
-    maxima: tuple | None = None,
+    track: ScoreTrack, forest: Forest, beta: float, duration_factor: float
 ) -> list:
     """One class's detections: ``extract_events``, then ``filter_duration``.
 
     Segments map to times through the forest's feature space, and events
     longer than ``duration_factor`` times its longest training event are
-    dropped. ``maxima`` is the track's ``track_maxima``, when the caller has it.
+    dropped.
     """
     fc = forest.feature_config
     events = extract_events(track, beta, fc.hop_len, fc.window_len,
-                            forest.class_label, maxima)
+                            forest.class_label)
     return filter_duration(events, forest.max_train_event_duration, duration_factor)
 
 
@@ -376,7 +370,8 @@ def detect_stream(waveform: Waveform, forests, configs) -> list:
     """Detect events of all classes in a continuous stream.
 
     ``configs`` maps each class label to its DetectConfig. All forests must
-    share one feature fingerprint; the stream is resampled to the training
+    share one feature configuration and name distinct classes (see
+    ``forest.shared_feature_config``); the stream is resampled to the training
     rate, and its features are scored block by block in one pass (see
     ``score_tracks``), so the whole feature matrix is never held. Every given
     forest is scored: drop the classes that tuned thresholds disable with

@@ -16,7 +16,6 @@ from .detect import (
     forest_events,
     render_track_grid,
     smooth,
-    track_maxima,
 )
 from .features import FeatureMatrix
 from .forest import expected_type
@@ -238,28 +237,35 @@ def tune_thresholds(
     """Exhaustive per-class grid search minimizing pooled segment error rate.
 
     Returns the chosen ``ClassThresholds`` of each forest's class label.
+    ``alphas`` must lie in [0, 1] and ``betas`` be finite and non-negative;
+    ``None`` takes the default grid, and an empty grid is a ValueError.
 
     For each class the onset and offset tracks of every fold are rendered
     for all alphas in one blocked pass over the cached leaf votes, then
     every beta is applied. The pooled segment error rate over all folds
     scores each pair; ties prefer the larger beta, then the larger alpha.
-    With ``allow_ignorance`` the pair (0, IGNORANCE_BETA) competes too, so a
-    class whose best grid point is still worse than silence is disabled.
+    With ``allow_ignorance`` the pair (first alpha, IGNORANCE_BETA) competes
+    too, so a class whose best grid point is still worse than silence is
+    disabled.
 
     The search is exact: the grid renderer adds every vote in the same
     order as rendering one alpha at a time, and the peaks above a beta are
-    exactly the track's local maxima that reach it, so the maxima are found
-    once per (alpha, fold) and each beta only filters and pairs them.
+    exactly the track's local maxima that reach it. Each smoothed track
+    finds its ``maxima`` once, and each beta only filters and pairs them.
     """
     folds = list(folds)
     if not folds:
         raise ValueError("need at least one tuning fold")
     if detect_config is None:
         detect_config = DetectConfig()
-    if alphas is None:
-        alphas = default_alpha_grid()
-    if betas is None:
-        betas = default_beta_grid()
+    alphas = default_alpha_grid() if alphas is None else list(alphas)
+    betas = default_beta_grid() if betas is None else list(betas)
+    if not alphas or not betas:
+        raise ValueError("the alpha and beta grids must not be empty")
+    if not all(0.0 <= a <= 1.0 for a in alphas):
+        raise ValueError(f"alphas must lie in [0, 1], got {alphas}")
+    if not all(math.isfinite(b) and b >= 0.0 for b in betas):
+        raise ValueError(f"betas must be finite and non-negative, got {betas}")
 
     per_class = {}
     for forest in forests:
@@ -273,20 +279,19 @@ def tune_thresholds(
             )
             for fold in folds
         ]
-        best = None  # (score, alpha, beta, error_rate)
+        best = None  # (rank, alpha, beta, error_rate)
         for a, alpha in enumerate(alphas):
             tracks = [
                 smooth(grid[a], detect_config.smooth_window) for grid in per_fold
             ]
-            maxima = [track_maxima(track) for track in tracks]
-            candidate_betas = list(betas)
-            if allow_ignorance and alpha == alphas[0]:
-                candidate_betas.append(IGNORANCE_BETA)
+            candidate_betas = betas
+            if allow_ignorance and a == 0:
+                candidate_betas = betas + [IGNORANCE_BETA]
             for beta in candidate_betas:
                 pooled = Score()
-                for track, peaks, fold in zip(tracks, maxima, folds):
+                for track, fold in zip(tracks, folds):
                     events = forest_events(track, forest, beta,
-                                           detect_config.duration_factor, peaks)
+                                           detect_config.duration_factor)
                     pooled.add(segment_metrics(fold.reference, events, resolution,
                                                fold.features.duration, [label]))
                 rate = pooled.error_rate
@@ -295,24 +300,14 @@ def tune_thresholds(
                     score = 0.0 if errors == 0 else math.inf
                 else:
                     score = rate
-                entry = (score, alpha, beta, rate)
-                if best is None or _better(entry, best):
-                    best = entry
+                # lower score wins; ties fall to the larger beta, then alpha
+                rank = (score, -beta, -alpha)
+                if best is None or rank < best[0]:
+                    best = (rank, alpha, beta, rate)
         per_class[label] = ClassThresholds(
             alpha=best[1], beta=best[2], error_rate=best[3]
         )
     return per_class
-
-
-def _better(entry, best) -> bool:
-    """Lower score wins; ties fall to the larger beta, then the larger alpha."""
-    score, alpha, beta, _ = entry
-    best_score, best_alpha, best_beta, _ = best
-    if score != best_score:
-        return score < best_score
-    if beta != best_beta:
-        return beta > best_beta
-    return alpha > best_alpha
 
 
 def save_thresholds(thresholds: dict, path) -> None:
@@ -361,8 +356,9 @@ def load_thresholds(path) -> dict:
 def enabled_forests(forests, thresholds: dict) -> list:
     """The forests whose class ``thresholds`` does not disable.
 
-    ``thresholds`` maps class labels to ``ClassThresholds``. A disabled class's thresholds still fire wherever its scores reach the
-    ignorance beta, so drop such classes before ``detect_on_features`` or
+    ``thresholds`` maps class labels to ``ClassThresholds``. A disabled
+    class's thresholds still fire wherever its scores reach the ignorance
+    beta, so drop such classes before ``detect_on_features`` or
     ``detect_stream``. Classes the thresholds do not name are kept.
     """
     return [

@@ -8,7 +8,7 @@ import math
 import os
 import struct
 import wave
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,16 +108,6 @@ class FeatureConfig:
                 f"hop_len {self.hop_len} is shorter than one sample "
                 f"at rate {self.sample_rate}"
             )
-
-    def fingerprint(self) -> dict:
-        """Fields that pin the feature space a model was trained in.
-
-        Noise subtraction is a per-stream preprocessing toggle, not part of the
-        space itself, so it is excluded.
-        """
-        fp = asdict(self)
-        del fp["noise_subtraction"]
-        return fp
 
 
 @dataclass(eq=False)

@@ -510,12 +510,17 @@ class Forest:
 def shared_feature_config(forests) -> FeatureConfig:
     """The feature configuration that all of ``forests`` were trained with.
 
-    Raises ValueError when a forest was trained in another feature space
-    than the first one.
+    Raises ValueError when two forests name the same class, or when a forest
+    was trained with another ``FeatureConfig`` than the first one, noise
+    subtraction included: every class is scored on the same feature rows.
     """
     first = forests[0].feature_config
+    seen = set()
     for forest in forests:
-        if forest.feature_config.fingerprint() != first.fingerprint():
+        if forest.class_label in seen:
+            raise ValueError(f"two models are for class {forest.class_label!r}")
+        seen.add(forest.class_label)
+        if forest.feature_config != first:
             raise ValueError(
                 f"model {forest.class_label!r} was trained in a different "
                 f"feature space than {forests[0].class_label!r}"

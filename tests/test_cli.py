@@ -716,6 +716,40 @@ class TestDetect:
 BLOCK = 64
 
 
+@pytest.mark.parametrize("case", ["mixed", "mixed_reversed", "duplicate_detect",
+                                  "duplicate_tune"])
+def test_inconsistent_model_set_gives_one_error_line(case, corpus, models,
+                                                     tmp_path):
+    # A model trained with noise subtraction scores other feature rows, and
+    # two models for one class would each claim its track.
+    payload = json.loads(models[0].read_text())
+    payload["feature_fingerprint"]["noise_subtraction"] = True
+    subtracted = tmp_path / "subtracted.json"
+    subtracted.write_text(json.dumps(payload))
+    copy = tmp_path / "copy.json"
+    copy.write_text(models[0].read_text())
+    out = tmp_path / "out.json"
+    detect = ["detect", str(corpus / "test.wav"), "--out", str(out)]
+    argv, fragment = {
+        "mixed": (detect + ["--model", str(models[1]), "--model", str(subtracted)],
+                  "feature space"),
+        "mixed_reversed": (
+            detect + ["--model", str(subtracted), "--model", str(models[1])],
+            "feature space"),
+        "duplicate_detect": (
+            detect + ["--model", str(models[0]), "--model", str(models[0])],
+            "two models are for class"),
+        "duplicate_tune": (["tune", str(corpus / "manifest.json"), str(models[0]),
+                            str(copy), "--out", str(out)],
+                           "two models are for class"),
+    }[case]
+    code, err = run_main(argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err
+    assert not out.exists()
+
+
 def cut_scene(corpus, path, n_segments):
     """Write the start of the test scene that makes exactly ``n_segments``."""
     wave = load_audio(corpus / "test.wav")

@@ -25,6 +25,7 @@ from conftest import (
     vote_forest,
     vote_tree,
 )
+from eventforest import detect as detect_module
 from eventforest.detect import (
     _VOTE_BLOCK,
     Detection,
@@ -37,12 +38,12 @@ from eventforest.detect import (
     filter_duration,
     forest_events,
     StreamVotes,
+    _local_maxima,
     _peak_indices,
     render_track_grid,
     render_tracks,
     score_tracks,
     smooth,
-    track_maxima,
     write_scores_csv,
 )
 from eventforest.dataset import write_annotations
@@ -605,7 +606,7 @@ def spiky_track(n, plus_peaks, minus_peaks):
 )
 def test_peak_indices_match_plateau_scan(values, threshold):
     values = np.array(values, dtype=np.float64)
-    peaks = _peak_indices(values, threshold)
+    peaks = _peak_indices(values, threshold, _local_maxima(values))
     assert peaks == oracle_peak_indices(values, threshold)
     assert all(type(i) is int for i in peaks)
 
@@ -624,20 +625,31 @@ def test_peak_indices_match_plateau_scan(values, threshold):
 )
 def test_peak_indices_on_plateaus_ties_and_short_tracks(values, expected):
     values = np.array(values, dtype=np.float64)
-    assert _peak_indices(values, 0.0) == expected
+    assert _peak_indices(values, 0.0, _local_maxima(values)) == expected
     assert oracle_peak_indices(values, 0.0) == expected
 
 
-def test_extract_with_precomputed_maxima_matches_fresh_scan():
+def test_extract_with_precomputed_maxima_matches_fresh_scan(monkeypatch):
     rng = np.random.default_rng(4)
     values = np.round(rng.random((2, 120)) * 4) / 4
     track = ScoreTrack(values[0], values[1])
-    maxima = track_maxima(track)
+    scans = []
+
+    def counted(side):
+        scans.append(len(side))
+        return _local_maxima(side)
+
+    monkeypatch.setattr(detect_module, "_local_maxima", counted)
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        fresh = extract_events(track, beta, hop_len=0.5, label="x")
-        reused = extract_events(track, beta, hop_len=0.5, label="x",
-                                maxima=maxima)
+        reused = extract_events(track, beta, hop_len=0.5, label="x")
+        fresh = extract_events(ScoreTrack(values[0].copy(), values[1].copy()),
+                               beta, hop_len=0.5, label="x")
         assert [vars(e) for e in reused] == [vars(e) for e in fresh]
+    # two sides for the shared track, two for each of the five fresh copies
+    assert len(scans) == 2 + 2 * 5
+    onsets, offsets = track.maxima
+    assert onsets.tolist() == _local_maxima(values[0]).tolist()
+    assert offsets.tolist() == _local_maxima(values[1]).tolist()
 
 
 def test_extract_single_pair():
@@ -738,7 +750,7 @@ def test_forest_events_filters_by_the_training_duration():
     # 20 hops fit in 5 x 5 hops, but not in 1 x 5 hops
     got = forest_events(track, forest, 0.5, 5.0)
     assert [(e.onset, e.offset) for e in got] == [(e.onset, e.offset) for e in paired]
-    got = forest_events(track, forest, 0.5, 1.0, track_maxima(track))
+    got = forest_events(track, forest, 0.5, 1.0)
     assert [(e.onset, e.offset, e.label) for e in got] == [
         (paired[0].onset, paired[0].offset, "x")
     ]
@@ -793,15 +805,22 @@ def test_detect_on_a_stream_shorter_than_the_smoothing_window():
         assert 0.0 <= d.onset < d.offset <= features.duration
 
 
-def test_detect_stream_checks_fingerprints():
-    fc_a = FeatureConfig()
-    fc_b = FeatureConfig(n_channels=32)
-    forest_a = single_leaf_forest(leaf(), label="a", fc=fc_a)
-    forest_b = single_leaf_forest(leaf(), label="b", fc=fc_b)
+@pytest.mark.parametrize(
+    "label_b, fc_b, message",
+    [
+        ("b", FeatureConfig(n_channels=32), "was trained in a different"),
+        ("b", FeatureConfig(noise_subtraction=True), "was trained in a different"),
+        ("a", FeatureConfig(), "two models are for class 'a'"),
+    ],
+    ids=["n_channels", "noise_subtraction", "duplicate_label"],
+)
+def test_detect_stream_checks_fingerprints(label_b, fc_b, message):
+    forest_a = single_leaf_forest(leaf(), label="a", fc=FeatureConfig())
+    forest_b = single_leaf_forest(leaf(), label=label_b, fc=fc_b)
     wave = Waveform(np.zeros(16000), 16000)
-    with pytest.raises(ValueError, match="b"):
-        detect_stream(wave, [forest_a, forest_b],
-                      {"a": DetectConfig(), "b": DetectConfig()})
+    for forests in ([forest_a, forest_b], [forest_b, forest_a]):
+        with pytest.raises(ValueError, match=message):
+            detect_stream(wave, forests, {"a": DetectConfig(), "b": DetectConfig()})
 
 
 def test_detect_stream_resamples_input():

@@ -540,6 +540,26 @@ class TestTuneThresholds:
         with pytest.raises(ValueError, match="fold"):
             tune_thresholds([], [blob_model.forest])
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"alphas": []}, "must not be empty"),
+            ({"betas": []}, "must not be empty"),
+            ({"alphas": [0.5, 1.5]}, "alphas must lie in"),
+            ({"alphas": [-0.1]}, "alphas must lie in"),
+            ({"alphas": [math.nan]}, "alphas must lie in"),
+            ({"betas": [0.5, -0.5]}, "betas must be finite"),
+            ({"betas": [math.inf]}, "betas must be finite"),
+            ({"betas": [math.nan]}, "betas must be finite"),
+        ],
+        ids=["no_alphas", "no_betas", "alpha_above_one", "alpha_below_zero",
+             "alpha_nan", "beta_negative", "beta_inf", "beta_nan"],
+    )
+    def test_invalid_grids_rejected(self, blob_model, grid, message):
+        folds = [TuneFold(features=blob_model.dev_features, reference=[])]
+        with pytest.raises(ValueError, match=message):
+            tune_thresholds(folds, [blob_model.forest], **grid)
+
 
 class TestThresholdFiles:
     def test_round_trip(self, tmp_path):

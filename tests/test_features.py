@@ -385,11 +385,17 @@ def test_feature_config_validation():
         FeatureConfig(hop_len=1e-5, window_len=1e-5)
 
 
-def test_fingerprint_ignores_noise_subtraction():
+def test_noise_subtraction_is_part_of_the_feature_space():
+    # the same stream gives other rows with and without it, so models trained
+    # each way do not share a FeatureConfig
+    wave = sine(600, 0.5, 16000)
+    wave.samples += np.random.default_rng(0).normal(size=len(wave.samples)) * 0.05
     plain = FeatureConfig()
     subtracted = FeatureConfig(noise_subtraction=True)
-    assert plain.fingerprint() == subtracted.fingerprint()
-    assert plain.fingerprint() != FeatureConfig(n_channels=32).fingerprint()
+    assert plain != subtracted
+    rows = gammatone_cepstra(wave, plain).rows
+    other = gammatone_cepstra(wave, subtracted).rows
+    assert rows.shape == other.shape and not np.allclose(rows, other)
 
 
 # ---------------------------------------------------------------- CSV dump
