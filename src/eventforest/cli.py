@@ -21,9 +21,7 @@ from .dataset import (
 )
 from .detect import (
     DetectConfig,
-    collect_votes,
     detect_on_features,
-    render_track_grid,
     score_tracks,
     write_scores_csv,
 )
@@ -205,10 +203,13 @@ def _fit_normalization(forest, dev_features) -> None:
     Scores are taken before smoothing and with the gate wide open, so every
     rendered track on the same material stays at or below one for any alpha.
     """
+    forest.z_plus = forest.z_minus = 1.0
+    raw = {forest.class_label: [DetectConfig(alpha=0.0, smooth_window=1)]}
     z_plus = 0.0
     z_minus = 0.0
     for features in dev_features:
-        track = render_track_grid(collect_votes(features, forest), [0.0])[0]
+        [track] = score_tracks([features], features.n_segments, [forest],
+                               raw)[forest.class_label]
         if track.n_segments:
             z_plus = max(z_plus, float(track.f_plus.max()))
             z_minus = max(z_minus, float(track.f_minus.max()))
@@ -408,7 +409,9 @@ def cmd_detect(args) -> int:
     blocks = stream.blocks()
     if args.dump_features:
         blocks = dumped_blocks(blocks, args.dump_features, feature_config.n_channels)
-    tracks = score_tracks(blocks, stream.n_segments, scored, configs)
+    tracks = score_tracks(blocks, stream.n_segments, scored,
+                          {label: [config] for label, config in configs.items()})
+    tracks = {label: track for label, [track] in tracks.items()}
     if args.dump_scores:
         score_dir = Path(args.dump_scores)
         score_dir.mkdir(parents=True, exist_ok=True)

@@ -28,6 +28,10 @@ class EventAnnotation:
     def __post_init__(self):
         if not self.label:
             raise ValueError("annotation label must be non-empty")
+        if not (isfinite(self.onset) and isfinite(self.offset)):
+            raise ValueError(
+                f"onset and offset must be finite, got {self.onset} and {self.offset}"
+            )
         if self.onset < 0:
             raise ValueError(f"onset must be non-negative, got {self.onset}")
         if self.onset >= self.offset:

@@ -142,25 +142,26 @@ def _kernel_pairs(weight, mean, var, n_segments: int):
     return owner, positions, values
 
 
-def _splat(votes: StreamVotes, alphas, sums, first: int = 0) -> None:
-    """Add the gated Gaussian kernels of ``votes`` to raw track sums.
+def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0) -> None:
+    """Add one block's cached votes to a stream's raw onset and offset sums.
 
-    ``sums`` holds one (onset, offset) pair of whole-stream arrays per alpha,
-    and the votes' segments start at stream segment ``first``. Votes are
-    splatted in fixed blocks of ``_VOTE_BLOCK``: the kernels of a block's
-    votes that pass the lowest gate are evaluated once and, per alpha, the
-    pairs of the votes that pass its gate are added with ``np.add.at``. That
-    ufunc method is unbuffered and applies the pairs in index order, so every
-    segment receives its terms in vote order, exactly the additions of
-    rendering one vote at a time, for any block size and any set of alphas.
+    ``sums`` maps each gate to the (onset, offset) pair of whole-stream sums
+    that the votes with ``p_pos`` at or above it add to, and ``alpha`` is the
+    lowest gate. Each such vote adds its ``p_pos``-weighted Gaussians,
+    truncated at six standard deviations, and the votes' segments start at
+    stream segment ``first``. Votes are splatted in fixed blocks of
+    ``_VOTE_BLOCK``: the kernels of a block's votes that pass ``alpha`` are
+    evaluated once and, per gate, the pairs of the votes that pass it are
+    added with ``np.add.at``. That ufunc method is unbuffered and applies the
+    pairs in index order, so every segment receives its terms in vote order,
+    exactly the additions of rendering one vote at a time, for any block
+    size and any set of gates. The sums are normalized once the stream ends
+    (see ``score_tracks``).
     """
-    if not sums:
-        return
-    n = len(sums[0][0])
-    lowest = min(alphas)
+    n = len(next(iter(sums.values()))[0])
     for start in range(0, len(votes.p_pos), _VOTE_BLOCK):
         block = np.arange(start, min(start + _VOTE_BLOCK, len(votes.p_pos)))
-        block = block[~(votes.p_pos[block] < lowest)]
+        block = block[~(votes.p_pos[block] < alpha)]
         p = votes.p_pos[block]
         m = votes.segment[block] + first
         kernels = (
@@ -170,48 +171,10 @@ def _splat(votes: StreamVotes, alphas, sums, first: int = 0) -> None:
         for side, mean, var in kernels:
             owner, positions, values = _kernel_pairs(p, mean, var, n)
             pair_p = p[owner]
-            for alpha, pair in zip(alphas, sums):
-                keep = ~(pair_p < alpha)
+            for gate, pair in sums.items():
+                keep = ~(pair_p < gate)
                 if keep.any():
                     np.add.at(pair[side], positions[keep], values[keep])
-
-
-def _normalized(sums, n_trees: int, z_plus: float, z_minus: float) -> ScoreTrack:
-    """The track of raw sums, divided in place by trees and z constants."""
-    f_plus, f_minus = sums
-    f_plus /= n_trees * z_plus
-    f_minus /= n_trees * z_minus
-    return ScoreTrack(f_plus, f_minus)
-
-
-def render_track_grid(
-    votes: StreamVotes,
-    alphas,
-    z_plus: float = 1.0,
-    z_minus: float = 1.0,
-) -> list:
-    """Normalized onset and offset tracks for every gate in ``alphas``.
-
-    The tracks are bit-identical to rendering one vote at a time, gate by
-    gate (see ``_splat``).
-    """
-    n = votes.n_segments
-    sums = [(np.zeros(n), np.zeros(n)) for _ in alphas]
-    _splat(votes, alphas, sums)
-    return [_normalized(pair, votes.n_trees, z_plus, z_minus) for pair in sums]
-
-
-def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0) -> None:
-    """Add one block's cached votes to a stream's raw onset and offset sums.
-
-    Votes with ``p_pos`` below ``alpha`` are skipped; each remaining vote adds
-    its ``p_pos``-weighted Gaussians, truncated at six standard deviations, to
-    the whole-stream ``sums`` pair, and the votes' segments start at stream
-    segment ``first``. The blocked splat keeps the additions in vote order, so
-    the sums equal rendering one vote at a time bit for bit. They are
-    normalized once the stream ends (see ``score_tracks``).
-    """
-    _splat(votes, [alpha], [sums], first)
 
 
 def smooth(track: ScoreTrack, window: int) -> ScoreTrack:
@@ -307,32 +270,43 @@ def score_tracks(blocks, n_segments: int, forests, configs) -> dict:
     """Each class's smoothed onset and offset scores, from one pass over a stream.
 
     ``blocks`` yields the stream's feature rows in order, as
-    ``FeatureStream.blocks`` does, and ``n_segments`` counts them all. Each
-    block's rows are routed through every forest, and the votes that pass
-    the class's alpha are added to its whole-stream sums at once. Votes
-    arrive segment-major, then in tree order, as in one batch over the
-    stream, so every sum takes the same additions in the same order and the
-    tracks are exact whatever the blocks. The sums are then divided by the
-    forest's normalization constants and smoothed. ``configs`` maps each
-    class label to its DetectConfig. Returns a mapping from class label to
-    track.
+    ``FeatureStream.blocks`` does, and ``n_segments`` counts them all.
+    ``configs`` maps each class label to a list of DetectConfigs. Each
+    block's rows are routed once through every forest, and each vote's
+    kernels are evaluated once and added to the whole-stream sums of every
+    distinct alpha of its class that it passes. Votes arrive segment-major,
+    then in tree order, as in one batch over the stream, so every sum takes
+    the same additions in the same order and the tracks are exact whatever
+    the blocks. The sums are then divided by the forest's normalization
+    constants and smoothed, and each gate's sums are freed once its last
+    track is smoothed. Returns a mapping from class label to the list of
+    tracks, one per config and in the same order.
     """
-    sums = {f.class_label: (np.zeros(n_segments), np.zeros(n_segments))
-            for f in forests}
+    sums = {
+        f.class_label: {c.alpha: (np.zeros(n_segments), np.zeros(n_segments))
+                        for c in configs[f.class_label]}
+        for f in forests
+    }
     first = 0
     for block in blocks:
         for forest in forests:
-            label = forest.class_label
-            render_tracks(collect_votes(block, forest), configs[label].alpha,
-                          sums[label], first)
+            gates = sums[forest.class_label]
+            render_tracks(collect_votes(block, forest), min(gates), gates, first)
         first += block.n_segments
     block = None  # the last block's rows are not kept while smoothing
     tracks = {}
     for forest in forests:
         label = forest.class_label
-        track = _normalized(sums.pop(label), forest.n_trees, forest.z_plus,
-                            forest.z_minus)
-        tracks[label] = smooth(track, configs[label].smooth_window)
+        gates = sums.pop(label)
+        for f_plus, f_minus in gates.values():
+            f_plus /= forest.n_trees * forest.z_plus
+            f_minus /= forest.n_trees * forest.z_minus
+        last = {config.alpha: i for i, config in enumerate(configs[label])}
+        tracks[label] = []
+        for i, config in enumerate(configs[label]):
+            alpha = config.alpha
+            pair = gates.pop(alpha) if last[alpha] == i else gates[alpha]
+            tracks[label].append(smooth(ScoreTrack(*pair), config.smooth_window))
     return tracks
 
 
@@ -354,8 +328,8 @@ def forest_events(
 def detect_on_features(tracks: dict, forests, configs) -> list:
     """Pair the scored tracks of several forests into detections, sorted by time.
 
-    ``tracks`` maps each forest's class label to its track from
-    ``score_tracks``, and ``configs`` maps it to its DetectConfig.
+    ``tracks`` maps each forest's class label to its track, scored by
+    ``score_tracks`` for its DetectConfig in ``configs``.
     """
     detections = []
     for forest in forests:
@@ -381,8 +355,10 @@ def detect_stream(waveform: Waveform, forests, configs) -> list:
     if not forests:
         return []
     stream = featurize(waveform, shared_feature_config(forests))
-    tracks = score_tracks(stream.blocks(), stream.n_segments, forests, configs)
-    return detect_on_features(tracks, forests, configs)
+    tracks = score_tracks(stream.blocks(), stream.n_segments, forests,
+                          {label: [config] for label, config in configs.items()})
+    return detect_on_features({label: t for label, [t] in tracks.items()},
+                              forests, configs)
 
 
 def write_scores_csv(track: ScoreTrack, path) -> None:

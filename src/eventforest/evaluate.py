@@ -4,19 +4,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from math import ceil
 
 import numpy as np
 
-from .detect import (
-    DetectConfig,
-    collect_votes,
-    forest_events,
-    render_track_grid,
-    smooth,
-)
+from .detect import DetectConfig, forest_events, score_tracks
 from .features import FeatureMatrix
 from .forest import expected_type
 
@@ -124,6 +118,27 @@ def segment_metrics(
     )
 
 
+def _match_onsets(hypothesis, reference, hyp_used, ref_used, collar: float,
+                  same_class: bool) -> int:
+    """Greedy collar matching in onset order; returns the number of new matches.
+
+    Each unused hypothesis, in order, takes the first unused reference whose
+    onset lies within the collar of its own, of the same class when
+    ``same_class``.
+    """
+    matched = 0
+    for i, hyp in enumerate(hypothesis):
+        if hyp_used[i]:
+            continue
+        for j, ref in enumerate(reference):
+            if (not ref_used[j] and (ref.label == hyp.label or not same_class)
+                    and abs(hyp.onset - ref.onset) <= collar):
+                ref_used[j] = hyp_used[i] = True
+                matched += 1
+                break
+    return matched
+
+
 def event_metrics(reference, hypothesis, onset_collar: float = 0.2) -> Score:
     """Score detections by one-to-one event matching on onset proximity.
 
@@ -137,28 +152,9 @@ def event_metrics(reference, hypothesis, onset_collar: float = 0.2) -> Score:
     hypothesis = sorted(hypothesis, key=lambda e: (e.onset, e.offset, e.label))
     ref_used = [False] * len(reference)
     hyp_used = [False] * len(hypothesis)
-    tp = 0
-    for i, hyp in enumerate(hypothesis):
-        for j, ref in enumerate(reference):
-            if ref_used[j] or ref.label != hyp.label:
-                continue
-            if abs(hyp.onset - ref.onset) <= onset_collar:
-                ref_used[j] = True
-                hyp_used[i] = True
-                tp += 1
-                break
-    subs = 0
-    for i, hyp in enumerate(hypothesis):
-        if hyp_used[i]:
-            continue
-        for j, ref in enumerate(reference):
-            if ref_used[j]:
-                continue
-            if abs(hyp.onset - ref.onset) <= onset_collar:
-                ref_used[j] = True
-                hyp_used[i] = True
-                subs += 1
-                break
+    tp = _match_onsets(hypothesis, reference, hyp_used, ref_used, onset_collar, True)
+    subs = _match_onsets(hypothesis, reference, hyp_used, ref_used, onset_collar,
+                         False)
     return Score(
         n_ref=len(reference),
         n_hyp=len(hypothesis),
@@ -240,16 +236,16 @@ def tune_thresholds(
     ``alphas`` must lie in [0, 1] and ``betas`` be finite and non-negative;
     ``None`` takes the default grid, and an empty grid is a ValueError.
 
-    For each class the onset and offset tracks of every fold are rendered
-    for all alphas in one blocked pass over the cached leaf votes, then
+    For each class and fold, ``score_tracks`` renders the smoothed onset
+    and offset tracks of all alphas in one pass over the fold's votes, then
     every beta is applied. The pooled segment error rate over all folds
     scores each pair; ties prefer the larger beta, then the larger alpha.
     With ``allow_ignorance`` the pair (first alpha, IGNORANCE_BETA) competes
     too, so a class whose best grid point is still worse than silence is
     disabled.
 
-    The search is exact: the grid renderer adds every vote in the same
-    order as rendering one alpha at a time, and the peaks above a beta are
+    The search is exact: the tracks of all alphas take every vote in the
+    same order as rendering one alpha at a time, and the peaks above a beta are
     exactly the track's local maxima that reach it. Each smoothed track
     finds its ``maxima`` once, and each beta only filters and pairs them.
     """
@@ -270,20 +266,15 @@ def tune_thresholds(
     per_class = {}
     for forest in forests:
         label = forest.class_label
+        grid = {label: [replace(detect_config, alpha=a) for a in alphas]}
         per_fold = [
-            render_track_grid(
-                collect_votes(fold.features, forest),
-                alphas,
-                forest.z_plus,
-                forest.z_minus,
-            )
+            score_tracks([fold.features], fold.features.n_segments, [forest],
+                         grid)[label]
             for fold in folds
         ]
         best = None  # (rank, alpha, beta, error_rate)
         for a, alpha in enumerate(alphas):
-            tracks = [
-                smooth(grid[a], detect_config.smooth_window) for grid in per_fold
-            ]
+            tracks = [grid.pop(0) for grid in per_fold]  # freed once scored
             candidate_betas = betas
             if allow_ignorance and a == 0:
                 candidate_betas = betas + [IGNORANCE_BETA]

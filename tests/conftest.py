@@ -13,11 +13,10 @@ from scipy.fft import dct
 
 from eventforest.dataset import EventAnnotation
 from eventforest.detect import (
+    DetectConfig,
     ScoreTrack,
     StreamVotes,
-    collect_votes,
     detect_on_features,
-    render_track_grid,
     score_tracks,
 )
 from eventforest.features import (
@@ -447,14 +446,49 @@ def oracle_render_tracks(votes, alpha, z_plus=1.0, z_minus=1.0):
 
 
 def score_matrix(features, forests, configs):
-    """Each class's track, scored from a whole feature matrix as one block."""
-    return score_tracks([features], features.n_segments, forests, configs)
+    """Each class's track for its one DetectConfig in ``configs``, scored from
+    a whole feature matrix as one block."""
+    tracks = score_tracks([features], features.n_segments, forests,
+                          {label: [config] for label, config in configs.items()})
+    return {label: track for label, [track] in tracks.items()}
 
 
 def detect_matrix(features, forests, configs):
     """Detections of a whole feature matrix: its tracks as one block, paired."""
     return detect_on_features(score_matrix(features, forests, configs), forests,
                               configs)
+
+
+def oracle_event_metrics(reference, hypothesis, onset_collar=0.2):
+    """Reference event matcher: every hypothesis against every reference,
+    first by class, then across classes, in onset order."""
+    reference = sorted(reference, key=lambda e: (e.onset, e.offset, e.label))
+    hypothesis = sorted(hypothesis, key=lambda e: (e.onset, e.offset, e.label))
+    ref_used = [False] * len(reference)
+    hyp_used = [False] * len(hypothesis)
+    tp = 0
+    for i, hyp in enumerate(hypothesis):
+        for j, ref in enumerate(reference):
+            if ref_used[j] or ref.label != hyp.label:
+                continue
+            if abs(hyp.onset - ref.onset) <= onset_collar:
+                ref_used[j] = True
+                hyp_used[i] = True
+                tp += 1
+                break
+    subs = 0
+    for i, hyp in enumerate(hypothesis):
+        if hyp_used[i]:
+            continue
+        for j, ref in enumerate(reference):
+            if ref_used[j]:
+                continue
+            if abs(hyp.onset - ref.onset) <= onset_collar:
+                ref_used[j] = True
+                hyp_used[i] = True
+                subs += 1
+                break
+    return (tp, subs)
 
 
 def oracle_peak_indices(values, threshold):
@@ -574,7 +608,8 @@ def blob_model():
     dev_features, dev_reference, _ = blob_stream(
         np.random.default_rng(12), n_events=6
     )
-    raw = render_track_grid(collect_votes(dev_features, forest), [0.0])[0]
+    raw = score_matrix(dev_features, [forest],
+                       {"blob": DetectConfig(alpha=0.0, smooth_window=1)})["blob"]
     forest.z_plus = max(float(raw.f_plus.max()), 1e-12)
     forest.z_minus = max(float(raw.f_minus.max()), 1e-12)
     test_features, test_reference, _ = blob_stream(

@@ -22,19 +22,14 @@ from conftest import (
     info_gain,
     oracle_best_split,
     random_segments,
+    score_matrix,
     segment_set,
     split_test,
     tree_leaves,
 )
 from eventforest.cli import main
 from eventforest.dataset import parse_annotations, write_annotations
-from eventforest.detect import (
-    DetectConfig,
-    collect_votes,
-    extract_events,
-    render_track_grid,
-    smooth,
-)
+from eventforest.detect import DetectConfig, extract_events
 from eventforest.evaluate import default_beta_grid, segment_metrics
 from eventforest.features import (
     FeatureConfig,
@@ -273,15 +268,8 @@ def test_beta_monotonicity_and_ignorance(blob_model):
     failures = []
     fc = blob_model.feature_config
     forest = blob_model.forest
-    track = smooth(
-        render_track_grid(
-            collect_votes(blob_model.dev_features, forest),
-            [0.5],
-            forest.z_plus,
-            forest.z_minus,
-        )[0],
-        11,
-    )
+    track = score_matrix(blob_model.dev_features, [forest],
+                         {"blob": DetectConfig(alpha=0.5, smooth_window=11)})["blob"]
     grid = default_beta_grid() + [1.01]
     counts = [
         len(extract_events(track, beta, fc.hop_len, fc.window_len, "blob"))

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eventforest
+from conftest import score_matrix
 from eventforest import cli as cli_module
 from eventforest import detect as detect_module
 from eventforest import features as features_module
@@ -32,7 +33,6 @@ from eventforest.detect import (
     detect_on_features,
     detect_stream,
     forest_events,
-    score_tracks,
 )
 from eventforest.evaluate import (
     default_alpha_grid,
@@ -858,7 +858,7 @@ def test_detect_stream_equals_pairing_the_whole_matrix(corpus, models, monkeypat
     forests, configs = library_detection(models)
     wave = load_audio(corpus / "test.wav")
     whole = gammatone_cepstra(wave, shared_feature_config(forests))
-    tracks = score_tracks([whole], whole.n_segments, forests, configs)
+    tracks = score_matrix(whole, forests, configs)
     expected = detect_on_features(tracks, forests, configs)
     monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", BLOCK)
     routed = []
@@ -1391,6 +1391,36 @@ def test_malformed_manifest_rejected(case, corpus, models, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and path.name in err and fragment in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "tune"])
+@pytest.mark.parametrize("line", ["0.0\tinf\ttone300", "nan\t1.0\ttone300"])
+def test_non_finite_annotation_times_rejected(command, line, corpus, models,
+                                              tmp_path, capsys):
+    # An infinite offset overflowed the segment cells into a traceback, and
+    # a NaN onset was scored silently by the event metric.
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0.5\t1.0\ttone300\n" + line + "\n")
+    if command == "evaluate":
+        argv = ["evaluate", str(bad), str(corpus / "test.txt")]
+    else:
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        for entry in manifest["entries"]:
+            entry["audio"] = str(corpus / entry["audio"])
+            entry["annotations"] = str(corpus / entry["annotations"])
+            if entry["fold"] == "dev":
+                entry["annotations"] = str(bad)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        argv = (["tune", str(path)] + [str(p) for p in models]
+                + ["--out", str(tmp_path / "t.json")])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {bad}: line 2: onset and offset must be finite, "
+        f"got {float(line.split()[0])} and {float(line.split()[1])}\n"
+    )
+    assert not (tmp_path / "t.json").exists()
 
 
 # ---------------------------------------------------------------------------

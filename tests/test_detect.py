@@ -4,6 +4,7 @@ import copy
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from eventforest.detect import (
     StreamVotes,
     _local_maxima,
     _peak_indices,
-    render_track_grid,
     render_tracks,
     score_tracks,
     smooth,
@@ -274,13 +274,14 @@ def test_score_track_matches_per_segment_sum(blob_model):
     assert np.max(np.abs(track.f_minus - expected_minus)) < 1e-9
 
 
-def test_render_track_grid_divides_by_normalization():
+def test_score_tracks_divide_by_normalization():
     the_leaf = leaf(p_pos=1.0, onset=(0.0, PEAK_VARIANCE),
                     offset=(0.0, PEAK_VARIANCE))
     forest = single_leaf_forest(the_leaf)
-    votes = collect_votes(flat_features(5), forest)
-    [base] = render_track_grid(votes, [0.0])
-    [halved] = render_track_grid(votes, [0.0], z_plus=2.0, z_minus=4.0)
+    configs = {"x": DetectConfig(smooth_window=1)}
+    base = score_matrix(flat_features(5), [forest], configs)["x"]
+    forest.z_plus, forest.z_minus = 2.0, 4.0
+    halved = score_matrix(flat_features(5), [forest], configs)["x"]
     assert np.allclose(halved.f_plus, base.f_plus / 2.0, rtol=1e-12)
     assert np.allclose(halved.f_minus, base.f_minus / 4.0, rtol=1e-12)
 
@@ -324,20 +325,29 @@ def test_collect_votes_matches_oracle_on_random_trees(seed, n_segments, n_trees)
     )
 
 
+def score_configs(blocks, n_segments, forest, configs):
+    """The tracks ``score_tracks`` gives one class's ``configs`` in one call."""
+    label = forest.class_label
+    return score_tracks(blocks, n_segments, [forest], {label: configs})[label]
+
+
+def score_alphas(features, forest, alphas, window=1):
+    """One class's tracks of a whole matrix, one per alpha, in one call."""
+    configs = [DetectConfig(alpha=a, smooth_window=window) for a in alphas]
+    return score_configs([features], features.n_segments, forest, configs)
+
+
 def test_raising_alpha_never_raises_scores(blob_model):
-    votes = collect_votes(blob_model.dev_features, blob_model.forest)
-    [previous] = render_track_grid(votes, [0.0])
-    for alpha in (0.2, 0.5, 0.8, 1.0):
-        [current] = render_track_grid(votes, [alpha])
+    tracks = score_alphas(blob_model.dev_features, blob_model.forest,
+                          (0.0, 0.2, 0.5, 0.8, 1.0))
+    for previous, current in zip(tracks, tracks[1:]):
         assert np.all(current.f_plus <= previous.f_plus + 1e-15)
         assert np.all(current.f_minus <= previous.f_minus + 1e-15)
-        previous = current
 
 
 def test_rendering_is_deterministic(blob_model):
-    votes = collect_votes(blob_model.dev_features, blob_model.forest)
-    [a] = render_track_grid(votes, [0.4])
-    [b] = render_track_grid(votes, [0.4])
+    [a] = score_alphas(blob_model.dev_features, blob_model.forest, [0.4])
+    [b] = score_alphas(blob_model.dev_features, blob_model.forest, [0.4])
     assert np.array_equal(a.f_plus, b.f_plus)
     assert np.array_equal(a.f_minus, b.f_minus)
 
@@ -385,22 +395,24 @@ def segment_major(votes):
     return take_votes(votes, np.argsort(votes.segment, kind="stable"))
 
 
-def streamed_render(votes, alpha, z_plus=1.0, z_minus=1.0, cuts=()):
-    """The track ``render_tracks`` adds up, block by block at segment ``cuts``.
+def streamed_render(votes, alphas, z_plus=1.0, z_minus=1.0, cuts=()):
+    """The track of each gate in ``alphas`` that ``render_tracks`` adds up,
+    all gates at once, block by block at segment ``cuts``.
 
     The votes must be segment-major when there are cuts. Each block's votes
     count their segments from the block's first, as ``collect_votes`` of a
     block does; the sums are normalized as ``score_tracks`` normalizes them.
     """
     n = votes.n_segments
-    sums = (np.zeros(n), np.zeros(n))
+    sums = {alpha: (np.zeros(n), np.zeros(n)) for alpha in alphas}
     bounds = [0, *cuts, n]
     for first, stop in zip(bounds, bounds[1:]):
         keep = (votes.segment >= first) & (votes.segment < stop)
-        render_tracks(take_votes(votes, keep, first, stop - first), alpha, sums,
-                      first)
-    return ScoreTrack(sums[0] / (votes.n_trees * z_plus),
-                      sums[1] / (votes.n_trees * z_minus))
+        render_tracks(take_votes(votes, keep, first, stop - first), min(alphas),
+                      sums, first)
+    return [ScoreTrack(sums[alpha][0] / (votes.n_trees * z_plus),
+                       sums[alpha][1] / (votes.n_trees * z_minus))
+            for alpha in alphas]
 
 
 @settings(max_examples=60, deadline=None)
@@ -413,12 +425,13 @@ def streamed_render(votes, alpha, z_plus=1.0, z_minus=1.0, cuts=()):
 def test_render_grid_is_bit_identical_to_scalar_loop(n_segments, n_votes, z, seed):
     votes = random_votes(np.random.default_rng(seed), n_votes, n_segments)
     alphas = default_alpha_grid()
-    grid = render_track_grid(votes, alphas, z, 1.0 / z)
+    grid = streamed_render(votes, alphas, z, 1.0 / z)
     assert len(grid) == len(alphas)
     for alpha, track in zip(alphas, grid):
         expected = oracle_render_tracks(votes, alpha, z, 1.0 / z)
         assert_tracks_identical(track, expected)
-        assert_tracks_identical(streamed_render(votes, alpha, z, 1.0 / z), expected)
+        [alone] = streamed_render(votes, [alpha], z, 1.0 / z)
+        assert_tracks_identical(alone, expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -434,9 +447,9 @@ def test_streamed_render_is_bit_identical_at_any_block_cuts(
     votes = segment_major(random_votes(np.random.default_rng(seed), n_votes,
                                        n_segments))
     cuts = sorted(data.draw(st.lists(st.integers(0, n_segments), max_size=4)))
-    for alpha in (0.0, 0.35, 0.9):
-        assert_tracks_identical(streamed_render(votes, alpha, cuts=cuts),
-                                oracle_render_tracks(votes, alpha))
+    alphas = (0.0, 0.35, 0.9)
+    for alpha, track in zip(alphas, streamed_render(votes, alphas, cuts=cuts)):
+        assert_tracks_identical(track, oracle_render_tracks(votes, alpha))
 
 
 @pytest.mark.parametrize(
@@ -448,7 +461,7 @@ def test_render_is_bit_identical_across_block_boundaries(n_votes):
     # blocks, so adding a block's partial sums at once would show.
     votes = random_votes(np.random.default_rng(n_votes), n_votes, 40)
     alphas = [0.0, 0.35, 0.9]
-    for alpha, track in zip(alphas, render_track_grid(votes, alphas)):
+    for alpha, track in zip(alphas, streamed_render(votes, alphas)):
         assert_tracks_identical(track, oracle_render_tracks(votes, alpha))
 
 
@@ -468,20 +481,65 @@ def test_render_truncates_at_both_stream_ends():
     )
     alphas = (0.0, 0.7, 0.95)
     in_order = segment_major(votes)
-    for alpha, track in zip(alphas, render_track_grid(votes, alphas)):
+    streamed = streamed_render(in_order, alphas, cuts=(4,))
+    for alpha, track, cut in zip(alphas, streamed_render(votes, alphas), streamed):
         assert_tracks_identical(track, oracle_render_tracks(votes, alpha))
-        assert_tracks_identical(streamed_render(in_order, alpha, cuts=(4,)),
-                                oracle_render_tracks(in_order, alpha))
-    assert np.count_nonzero(render_track_grid(votes, [0.0])[0].f_plus) == n
+        assert_tracks_identical(cut, oracle_render_tracks(in_order, alpha))
+    assert np.count_nonzero(streamed_render(votes, [0.0])[0].f_plus) == n
 
 
 def test_render_without_votes_is_zero():
     votes = random_votes(np.random.default_rng(0), 0, 25)
-    for track in render_track_grid(votes, default_alpha_grid()):
+    for track in streamed_render(votes, default_alpha_grid()):
         assert np.array_equal(track.f_plus, np.zeros(25))
         assert np.array_equal(track.f_minus, np.zeros(25))
-    [empty] = render_track_grid(random_votes(np.random.default_rng(0), 0, 0), [0.0])
+    [empty] = streamed_render(random_votes(np.random.default_rng(0), 0, 0), [0.0])
     assert empty.n_segments == 0
+
+
+def test_score_tracks_render_each_alpha_as_the_scalar_loop(blob_model):
+    forest = blob_model.forest
+    features = blob_model.dev_features
+    votes = collect_votes(features, forest)
+    alphas = default_alpha_grid()
+    for alpha, track in zip(alphas, score_alphas(features, forest, alphas)):
+        assert_tracks_identical(
+            track, oracle_render_tracks(votes, alpha, forest.z_plus, forest.z_minus)
+        )
+    [empty] = score_alphas(flat_features(0), single_leaf_forest(leaf()), [0.0])
+    assert empty.n_segments == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alphas=st.lists(
+        st.sampled_from(default_alpha_grid()) | st.floats(0.0, 1.0),
+        min_size=1, max_size=4,
+    ),
+    windows=st.lists(st.sampled_from([1, 3, 11]), min_size=5, max_size=5),
+    data=st.data(),
+)
+def test_configs_of_one_class_score_as_separate_calls(blob_model, alphas,
+                                                      windows, data):
+    # The first alpha comes back with another window: both tracks share the
+    # gate's sums, and each must still be smoothed from the raw ones.
+    forest = blob_model.forest
+    features = blob_model.dev_features
+    n = features.n_segments
+    configs = [DetectConfig(alpha=a, smooth_window=w)
+               for a, w in zip(alphas + alphas[:1], windows)]
+    if configs[-1].smooth_window == configs[0].smooth_window:
+        configs[-1] = replace(configs[-1],
+                              smooth_window=configs[0].smooth_window + 2)
+    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, n), max_size=4))), n]
+    blocks = [FeatureMatrix(features.rows[a:b], features.segment_times[a:b],
+                            features.config)
+              for a, b in zip(bounds, bounds[1:])]
+    together = score_configs(blocks, n, forest, configs)
+    assert len(together) == len(configs)
+    for config, track in zip(configs, together):
+        [alone] = score_configs([features], n, forest, [config])
+        assert_tracks_identical(track, alone)
 
 
 def test_render_memory_stays_within_a_few_blocks():
@@ -503,7 +561,7 @@ def test_render_memory_stays_within_a_few_blocks():
     track_bytes = n_segments * 8
     tracemalloc.start()
     try:
-        render_tracks(votes, 0.5, (np.zeros(n_segments), np.zeros(n_segments)))
+        render_tracks(votes, 0.5, {0.5: (np.zeros(n_segments), np.zeros(n_segments))})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import detect_matrix, oracle_render_tracks
+from conftest import detect_matrix, oracle_event_metrics, oracle_render_tracks
 from eventforest.dataset import EventAnnotation
 from eventforest.detect import (
     DetectConfig,
@@ -247,6 +247,28 @@ class TestEventMetrics:
         base = event_metrics(reference, hypothesis)
         perm = event_metrics(reference[::-1], hypothesis[::-1])
         assert base == perm
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 60).map(lambda k: 0.1 * k) | st.floats(0.0, 6.0),
+                st.sampled_from("AB"),
+            ),
+            max_size=30,
+        ),
+        collar=st.sampled_from([0.0, 0.1, 0.2, 0.3]) | st.floats(0.0, 1.0),
+    )
+    def test_matches_the_quadratic_oracle(self, events, collar):
+        # Onsets on a 0.1 s grid put many pairs exactly at, or one rounding
+        # away from, the collar's edge.
+        reference = [ev(o, o + 0.5, c) for is_ref, o, c in events if is_ref]
+        hypothesis = [ev(o, o + 0.5, c) for is_ref, o, c in events if not is_ref]
+        score = event_metrics(reference, hypothesis, onset_collar=collar)
+        assert (score.tp, score.substitutions) == oracle_event_metrics(
+            reference, hypothesis, collar
+        )
 
     def test_negative_collar_rejected(self):
         for collar in (-0.1, math.nan, math.inf):
