@@ -137,6 +137,8 @@ def _load_manifest(path):
         isinstance(classes, list) and all(isinstance(c, str) for c in classes)
     ):
         raise must_be("classes", "a list of strings or null")
+    if classes is not None and len(set(classes)) < len(classes):
+        raise must_be("classes", "distinct")
     for key in ("background_rms", "snr_db"):
         if payload.get(key) is not None and expected_type(payload[key], 0.0):
             raise must_be(key, "a finite number or null")
@@ -166,9 +168,17 @@ def _load_manifest(path):
     }
 
 
-def _dev_entries(manifest) -> list:
-    """The development entries: every fold other than train and test."""
-    return [e for e in manifest["entries"] if e["fold"] not in ("train", "test")]
+def _dev_folds(manifest, feature_config) -> list:
+    """A ``TuneFold`` of features and reference annotations per development
+    entry, in manifest order: every fold other than train and test."""
+    return [
+        TuneFold(
+            features=stream_features(entry["audio"], feature_config).matrix(),
+            reference=parse_annotations(entry["annotations"]),
+        )
+        for entry in manifest["entries"]
+        if entry["fold"] not in ("train", "test")
+    ]
 
 
 def _load_instances(entries, sample_rate):
@@ -189,32 +199,14 @@ def _load_instances(entries, sample_rate):
 
 
 def _event_free_rows(features, annotations):
-    """Feature rows whose segment centers fall outside every annotated event."""
+    """Feature rows whose segment centers fall outside every annotated event,
+    each event spanning [onset, offset) as in ``dataset.label_segments``."""
     centers = features.segment_centers()
     keep = np.ones(features.n_segments, dtype=bool)
     for a in annotations:
-        keep[(centers >= a.onset) & (centers < a.offset)] = False
+        keep[np.searchsorted(centers, a.onset):
+             np.searchsorted(centers, a.offset)] = False
     return features.rows[keep]
-
-
-def _fit_normalization(forest, dev_features) -> None:
-    """Set z constants to the raw ungated score maxima over the dev streams.
-
-    Scores are taken before smoothing and with the gate wide open, so every
-    rendered track on the same material stays at or below one for any alpha.
-    """
-    forest.z_plus = forest.z_minus = 1.0
-    raw = {forest.class_label: [DetectConfig(alpha=0.0, smooth_window=1)]}
-    z_plus = 0.0
-    z_minus = 0.0
-    for features in dev_features:
-        [track] = score_tracks([features], features.n_segments, [forest],
-                               raw)[forest.class_label]
-        if track.n_segments:
-            z_plus = max(z_plus, float(track.f_plus.max()))
-            z_minus = max(z_minus, float(track.f_minus.max()))
-    forest.z_plus = z_plus if z_plus > 0 else 1.0
-    forest.z_minus = z_minus if z_minus > 0 else 1.0
 
 
 def cmd_synth(args) -> int:
@@ -282,7 +274,6 @@ def cmd_train(args) -> int:
         noise_subtraction=bool(merged["noise_subtraction"]),
     )
     train_entries = [e for e in manifest["entries"] if e["fold"] == "train"]
-    dev_entries = _dev_entries(manifest)
     if not train_entries:
         raise ValueError("manifest has no train entries")
     instances = _load_instances(train_entries, feature_config.sample_rate)
@@ -293,17 +284,12 @@ def cmd_train(args) -> int:
     if missing:
         raise ValueError(f"no training instances for classes: {missing}")
 
-    dev_features = []
-    background_rows = []
-    for entry in dev_entries:
-        features = stream_features(entry["audio"], feature_config).matrix()
-        dev_features.append(features)
-        background_rows.append(
-            _event_free_rows(features, parse_annotations(entry["annotations"]))
-        )
-    background = np.concatenate(background_rows) if background_rows else None
-    if not dev_entries:
+    folds = _dev_folds(manifest, feature_config)
+    if not folds:
         print("warning: no dev entries; scores stay unnormalized", file=sys.stderr)
+    background = np.concatenate(
+        [_event_free_rows(f.features, f.reference) for f in folds]
+    ) if folds else None
 
     if merged["snr_levels"] is not None:
         levels = merged["snr_levels"]
@@ -323,6 +309,7 @@ def cmd_train(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    forests, counts = [], []  # no model is written until every class trains
     for label in classes:
         segments = build_training_segments(
             label,
@@ -332,20 +319,34 @@ def cmd_train(args) -> int:
             background=background,
             background_rms=manifest["background_rms"],
         )
-        forest = train_forest(
+        forests.append(train_forest(
             segments,
             forest_config,
             class_label=label,
             feature_config=feature_config,
             n_workers=merged["threads"],
-        )
-        _fit_normalization(forest, dev_features)
+        ))
+        counts.append(f"{len(segments)} segments ({segments.n_positive} positive)")
+
+    # z constants: the largest raw scores over the dev folds, before smoothing
+    # and with the gate wide open, so every rendered track on that material
+    # stays at or below one for any alpha. A fresh forest has z = 1.
+    raw = {label: [DetectConfig(alpha=0.0, smooth_window=1)] for label in classes}
+    peaks = {label: np.zeros(2) for label in classes}
+    for fold in folds:
+        if fold.features.n_segments:  # an empty fold has no peaks
+            scored = score_tracks([fold.features], fold.features.n_segments,
+                                  forests, raw)
+            for label, [track] in scored.items():
+                np.maximum(peaks[label], [track.f_plus.max(), track.f_minus.max()],
+                           out=peaks[label])
+    for forest, count in zip(forests, counts):
+        label = forest.class_label
+        forest.z_plus, forest.z_minus = (float(z) if z > 0 else 1.0
+                                         for z in peaks[label])
         path = out / f"model_{label}.json"
         save_forest(forest, path)
-        print(
-            f"{label}: {len(segments)} segments ({segments.n_positive} positive), "
-            f"{forest.n_trees} trees -> {path}"
-        )
+        print(f"{label}: {count}, {forest.n_trees} trees -> {path}")
     return 0
 
 
@@ -358,16 +359,9 @@ def cmd_tune(args) -> int:
     manifest = _load_manifest(args.manifest)
     forests = [load_forest(p) for p in args.models]
     feature_config = shared_feature_config(forests)
-    dev_entries = _dev_entries(manifest)
-    if not dev_entries:
+    folds = _dev_folds(manifest, feature_config)
+    if not folds:
         raise ValueError("manifest has no development entries to tune on")
-    folds = [
-        TuneFold(
-            features=stream_features(entry["audio"], feature_config).matrix(),
-            reference=parse_annotations(entry["annotations"]),
-        )
-        for entry in dev_entries
-    ]
     tuned = tune_thresholds(
         folds,
         forests,

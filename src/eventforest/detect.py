@@ -280,7 +280,8 @@ def score_tracks(blocks, n_segments: int, forests, configs) -> dict:
     the blocks. The sums are then divided by the forest's normalization
     constants and smoothed, and each gate's sums are freed once its last
     track is smoothed. Returns a mapping from class label to the list of
-    tracks, one per config and in the same order.
+    tracks, one per config and in the same order; a class with no configs
+    gets an empty list, and its forest is not routed.
     """
     sums = {
         f.class_label: {c.alpha: (np.zeros(n_segments), np.zeros(n_segments))
@@ -291,7 +292,8 @@ def score_tracks(blocks, n_segments: int, forests, configs) -> dict:
     for block in blocks:
         for forest in forests:
             gates = sums[forest.class_label]
-            render_tracks(collect_votes(block, forest), min(gates), gates, first)
+            if gates:
+                render_tracks(collect_votes(block, forest), min(gates), gates, first)
         first += block.n_segments
     block = None  # the last block's rows are not kept while smoothing
     tracks = {}

@@ -102,6 +102,15 @@ def oracle_label_segments(features, annotations, target_class):
     return labels, dists
 
 
+def oracle_event_free_rows(features, annotations):
+    """Reference background rows: per event, one mask over every center."""
+    centers = features.segment_centers()
+    keep = np.ones(features.n_segments, dtype=bool)
+    for a in annotations:
+        keep[(centers >= a.onset) & (centers < a.offset)] = False
+    return features.rows[keep]
+
+
 def random_segments(rng, n, dim=FEATURE_DIM, d_span=12, class_shift=0.0):
     """Random labeled segments with integer distance vectors on positives.
 

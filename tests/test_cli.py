@@ -20,13 +20,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eventforest
-from conftest import score_matrix
+from conftest import oracle_event_free_rows, score_matrix
 from eventforest import cli as cli_module
 from eventforest import detect as detect_module
 from eventforest import features as features_module
 from eventforest import forest as forest_module
-from eventforest.cli import main
-from eventforest.dataset import parse_annotations, write_annotations
+from eventforest.cli import DETECT_DEFAULTS, main
+from eventforest.dataset import (
+    EventAnnotation,
+    parse_annotations,
+    write_annotations,
+)
 from eventforest.detect import (
     DetectConfig,
     ScoreTrack,
@@ -42,6 +46,8 @@ from eventforest.evaluate import (
     per_class_segment_metrics,
 )
 from eventforest.features import (
+    FeatureConfig,
+    FeatureMatrix,
     Waveform,
     featurize,
     gammatone_cepstra,
@@ -116,6 +122,26 @@ def models(tmp_path_factory, corpus):
     paths = sorted(outdir.glob("model_*.json"))
     assert len(paths) == 2
     return paths
+
+
+@pytest.fixture(scope="session")
+def corpus3(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("corpus3")
+    assert main(["synth", str(outdir)] + SYNTH_ARGS + ["--classes", "3"]) == 0
+    return outdir
+
+
+def edited_manifest(corpus, directory, edit):
+    """A copy of the corpus manifest in ``directory``, with absolute paths,
+    after ``edit(entries)`` changed its entries in place."""
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    for entry in manifest["entries"]:
+        for key in ("audio", "annotations"):
+            entry[key] = str(corpus / entry[key])
+    edit(manifest["entries"])
+    path = directory / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return path
 
 
 @pytest.fixture(scope="session")
@@ -457,6 +483,90 @@ class TestTrain:
         assert list(out.iterdir()) == []
 
 
+    def test_manifest_without_train_entries_errors(self, corpus, tmp_path,
+                                                   capsys):
+        def drop_train(entries):
+            entries[:] = [e for e in entries if e["fold"] != "train"]
+
+        manifest = edited_manifest(corpus, tmp_path, drop_train)
+        out = tmp_path / "models"
+        code = main(["train", str(manifest), "--out-dir", str(out)] + TRAIN_ARGS)
+        assert code == 1
+        assert capsys.readouterr().err == "error: manifest has no train entries\n"
+        assert not out.exists()
+
+    def test_instance_with_two_classes_errors(self, corpus, tmp_path, capsys):
+        def mix_first_instance(entries):
+            entry = next(e for e in entries if e["fold"] == "train")
+            mixed = tmp_path / "mixed.txt"
+            mixed.write_text(Path(entry["annotations"]).read_text()
+                             + "0.0\t0.1\ttone600\n")
+            entry["annotations"] = str(mixed)
+
+        manifest = edited_manifest(corpus, tmp_path, mix_first_instance)
+        code = main(["train", str(manifest), "--out-dir", str(tmp_path / "models")]
+                    + TRAIN_ARGS)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "tone300_i00.wav" in err and "exactly one event class" in err
+
+    def test_without_dev_entries_scores_stay_unnormalized(self, corpus, tmp_path,
+                                                          capsys):
+        def drop_dev(entries):
+            entries[:] = [e for e in entries if e["fold"] in ("train", "test")]
+
+        manifest = edited_manifest(corpus, tmp_path, drop_dev)
+        out = tmp_path / "models"
+        code = main(["train", str(manifest), "--out-dir", str(out),
+                     "--event-class", "tone300"] + TRAIN_ARGS)
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: no dev entries; scores stay unnormalized\n"
+        )
+        forest = load_forest(out / "model_tone300.json")
+        assert forest.z_plus == forest.z_minus == 1.0
+
+    def test_failing_later_class_writes_no_model(self, corpus3, tmp_path, capsys,
+                                                 monkeypatch):
+        train_forest, trained = cli_module.train_forest, []
+
+        def fail_tone600(segments, config, class_label, **kwargs):
+            if class_label == "tone600":
+                raise ValueError("cannot train class 'tone600': injected")
+            trained.append(class_label)
+            return train_forest(segments, config, class_label=class_label, **kwargs)
+
+        monkeypatch.setattr(cli_module, "train_forest", fail_tone600)
+        out = tmp_path / "models"
+        code = main(["train", str(corpus3 / "manifest.json"), "--out-dir",
+                     str(out)] + TRAIN_ARGS)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert trained == ["tone300"]
+        assert captured.err == "error: cannot train class 'tone600': injected\n"
+        assert list(out.iterdir()) == []
+        assert captured.out == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_segments=st.integers(0, 80), data=st.data())
+def test_event_free_rows_match_the_mask_oracle(n_segments, data):
+    config = FeatureConfig()
+    features = FeatureMatrix(np.arange(n_segments, dtype=float)[:, None],
+                             np.arange(n_segments) * config.hop_len, config)
+    # times exactly on a segment center test both ends of [onset, offset)
+    time = st.floats(0.0, (n_segments + 3) * config.hop_len)
+    if n_segments:
+        time |= st.sampled_from(features.segment_centers().tolist())
+    events = []
+    for a, b in data.draw(st.lists(st.tuples(time, time), max_size=6)):
+        if a != b:
+            events.append(EventAnnotation(min(a, b), max(a, b), "x"))
+    assert np.array_equal(cli_module._event_free_rows(features, events),
+                          oracle_event_free_rows(features, events))
+
+
 # ---------------------------------------------------------------------------
 # tune
 # ---------------------------------------------------------------------------
@@ -495,6 +605,23 @@ class TestTune:
         )
         assert code == 1
         assert "development" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tune", "detect"])
+def test_print_config_prints_the_merged_config_and_writes_nothing(command,
+                                                                  tmp_path,
+                                                                  capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"beta": 0.3, "smooth_window": 7}))
+    out = tmp_path / "out.json"
+    inputs = {"tune": ["missing.json", "missing_model.json"],
+              "detect": ["missing.wav", "--model", "missing_model.json"]}
+    code = main([command, *inputs[command], "--out", str(out), "--config",
+                 str(config), "--print-config", "--smooth-window", "5"])
+    assert code == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {**DETECT_DEFAULTS, "beta": 0.3, "smooth_window": 5}
+    assert list(tmp_path.iterdir()) == [config]
 
 
 # ---------------------------------------------------------------------------
@@ -1372,6 +1499,10 @@ MALFORMED_MANIFESTS = {
     "fold_not_a_string": (set_dev_key("fold", 1.5), "'fold' must be a string"),
     "classes_not_strings": (
         lambda m: m.update(classes=[0]), "classes must be a list of strings or null"
+    ),
+    "classes_repeated": (
+        lambda m: m.update(classes=["tone300", "tone600", "tone300"]),
+        "classes must be distinct",
     ),
     "sample_rate_not_an_integer": (
         lambda m: m.update(sample_rate=16000.0), "sample_rate must be an integer"

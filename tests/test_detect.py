@@ -542,6 +542,24 @@ def test_configs_of_one_class_score_as_separate_calls(blob_model, alphas,
         assert_tracks_identical(track, alone)
 
 
+def test_class_without_configs_gets_no_tracks_and_is_not_routed(blob_model,
+                                                               monkeypatch):
+    features = blob_model.dev_features
+    other = single_leaf_forest(leaf(), label="x")
+    routed = []
+
+    def counting(block, forest):
+        routed.append(forest.class_label)
+        return collect_votes(block, forest)
+
+    monkeypatch.setattr(detect_module, "collect_votes", counting)
+    tracks = score_tracks([features], features.n_segments,
+                          [blob_model.forest, other],
+                          {"blob": [], "x": [DetectConfig()]})
+    assert tracks["blob"] == [] and len(tracks["x"]) == 1
+    assert routed == ["x"]
+
+
 def test_render_memory_stays_within_a_few_blocks():
     n_votes, n_segments = 200_000, 50_000
     rng = np.random.default_rng(3)
