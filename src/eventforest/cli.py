@@ -340,14 +340,38 @@ def cmd_train(args) -> int:
             for label, [track] in scored.items():
                 np.maximum(peaks[label], [track.f_plus.max(), track.f_minus.max()],
                            out=peaks[label])
-    for forest, count in zip(forests, counts):
+    paths = []
+    for forest in forests:
         label = forest.class_label
         forest.z_plus, forest.z_minus = (float(z) if z > 0 else 1.0
                                          for z in peaks[label])
-        path = out / f"model_{label}.json"
-        save_forest(forest, path)
-        print(f"{label}: {count}, {forest.n_trees} trees -> {path}")
+        paths.append(out / f"model_{label}.json")
+    _save_all(forests, paths)
+    for forest, count, path in zip(forests, counts, paths):
+        print(f"{forest.class_label}: {count}, {forest.n_trees} trees -> {path}")
     return 0
+
+
+def _save_all(forests, paths) -> None:
+    """Write every forest to its path, or leave none of them behind.
+
+    Each forest is written to a temporary file beside its path, and the files
+    are renamed into place only once every write has succeeded. If a write or
+    a rename fails, the temporary files and the models already renamed are
+    removed before the error propagates.
+    """
+    temps = [path.with_name(f".{path.name}.tmp") for path in paths]
+    placed = 0
+    try:
+        for forest, temp in zip(forests, temps):
+            save_forest(forest, temp)
+        for temp, path in zip(temps, paths):
+            temp.replace(path)
+            placed += 1
+    except BaseException:
+        for leftover in paths[:placed] + temps[placed:]:
+            leftover.unlink(missing_ok=True)
+        raise
 
 
 def cmd_tune(args) -> int:

@@ -183,14 +183,17 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
 
     The pool's differences are formed in blocks of about ``_BLOCK_CELLS``
     cells (``max(1, _BLOCK_CELLS // rows)`` candidates), small enough to stay
-    in cache. Each block records only its candidates' threshold, child counts
-    and, for regression, right-side positive distance sums, in arrays of
-    length ``n_candidates``. The whole pool is then scored at once, and ties
-    keep the earliest-drawn candidate (the first maximum). Memory therefore
-    grows with one block plus O(n_candidates), and the result does not
-    depend on the block size: child and positive counts are integers, and
-    distance vectors are integer frame offsets, so every sum is exact in
-    float64 in any order.
+    in cache. A block's right-child counts are byte sums of its bool mask over
+    the positive and the negative columns (rows are ordered positives first),
+    accumulated as ``uint32``, which no node can overflow: 2**32 rows would be
+    2 TB of features at the default 64 channels. Each block records only its
+    candidates' threshold, child counts and, for regression, right-side
+    positive distance sums, in arrays of length ``n_candidates``. The whole
+    pool is then scored at once, and ties keep the earliest-drawn candidate
+    (the first maximum). Memory therefore grows with one block plus
+    O(n_candidates), and the result does not depend on the block size: child
+    and positive counts are integers, and distance vectors are integer frame
+    offsets, so every sum is exact in float64 in any order.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -216,12 +219,16 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     for start, diffs, block_tau in _candidate_blocks(segments.x[order], r, q, u):
         stop = start + len(block_tau)
         mask = diffs > block_tau[:, np.newaxis]
-        pos_mask = mask[:, :n_pos_rows]
+        # a bool is one byte of 0 or 1, so its row sum is the child count;
+        # uint32 holds any count: 2**32 rows are 2 TB of 64-channel features
+        cells = mask.view(np.uint8)
+        pos = np.add.reduce(cells[:, :n_pos_rows], axis=1, dtype=np.uint32)
+        neg = np.add.reduce(cells[:, n_pos_rows:], axis=1, dtype=np.uint32)
         tau[start:stop] = block_tau
-        n_right[start:stop] = np.count_nonzero(mask, axis=1)
-        n_pos_right[start:stop] = np.count_nonzero(pos_mask, axis=1)
+        n_right[start:stop] = pos + neg
+        n_pos_right[start:stop] = pos
         if regression:
-            sums[start:stop] = pos_mask @ pos_stats
+            sums[start:stop] = mask[:, :n_pos_rows] @ pos_stats
 
     n_left = n - n_right
     valid = (n_right > 0) & (n_left > 0)

@@ -548,6 +548,33 @@ class TestTrain:
         assert list(out.iterdir()) == []
         assert captured.out == ""
 
+    @pytest.mark.parametrize("failure", ["rename", "write"])
+    def test_failing_model_write_leaves_no_model(self, failure, corpus3, tmp_path,
+                                                 capsys, monkeypatch):
+        out = tmp_path / "models"
+        if failure == "rename":
+            # every write succeeds, and moving tone600 into place fails after
+            # tone300 is already in place
+            (out / "model_tone600.json").mkdir(parents=True)
+        else:
+            save_forest = cli_module.save_forest
+
+            def fail_tone600(forest, path):
+                if forest.class_label == "tone600":
+                    raise OSError("injected write failure")
+                save_forest(forest, path)
+
+            monkeypatch.setattr(cli_module, "save_forest", fail_tone600)
+        code = main(["train", str(corpus3 / "manifest.json"), "--out-dir",
+                     str(out)] + TRAIN_ARGS + ["--trees", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        left = sorted(p.name for p in out.iterdir())
+        assert left == (["model_tone600.json"] if failure == "rename" else [])
+        assert captured.out == ""
+
 
 @settings(max_examples=60, deadline=None)
 @given(n_segments=st.integers(0, 80), data=st.data())

@@ -284,11 +284,24 @@ def assert_matches_oracle(segments, n_candidates, objective, seed):
     return expected
 
 
-def test_select_best_test_agrees_with_scalar_oracle():
+def test_select_best_test_agrees_with_scalar_oracle(monkeypatch):
     rng = np.random.default_rng(53)
+    cases = []  # (segments, seed, candidates per block or None for default)
     for trial in range(10):
         segments = random_segments(rng, int(rng.integers(6, 40)), dim=FEATURE_DIM)
-        seed = int(rng.integers(0, 2**31))
+        cases.append((segments, int(rng.integers(0, 2**31)), None))
+    # one class only, so the positive or the negative columns are empty
+    mixed = random_segments(rng, 30, dim=FEATURE_DIM)
+    for label in (0, 1):
+        cases.append((mixed.take(mixed.labels == label), 7, None))
+    # more than 255 rows of each class, past what a byte can count, over
+    # four blocks of 32 candidates
+    large = random_segments(rng, 600, dim=FEATURE_DIM, class_shift=0.5)
+    assert min(large.n_positive, len(large) - large.n_positive) > 255
+    cases.append((large, 11, 32))
+    for segments, seed, block in cases:
+        if block is not None:
+            use_block(monkeypatch, segments, block)
         for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
             assert_matches_oracle(segments, 128, objective, seed)
 
