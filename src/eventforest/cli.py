@@ -15,6 +15,7 @@ from .dataset import (
     EventAnnotation,
     MixtureSpec,
     build_training_segments,
+    event_free_rows,
     parse_annotations,
     synth_benchmark,
     write_annotations,
@@ -139,9 +140,11 @@ def _load_manifest(path):
         raise must_be("classes", "a list of strings or null")
     if classes is not None and len(set(classes)) < len(classes):
         raise must_be("classes", "distinct")
-    for key in ("background_rms", "snr_db"):
-        if payload.get(key) is not None and expected_type(payload[key], 0.0):
-            raise must_be(key, "a finite number or null")
+    level = payload.get("background_rms")
+    if level is not None and (expected_type(level, 0.0) or not level > 0):
+        raise must_be("background_rms", "a positive number or null")
+    if payload.get("snr_db") is not None and expected_type(payload["snr_db"], 0.0):
+        raise must_be("snr_db", "a finite number or null")
     base = Path(path).parent
     entries = []
     for i, entry in enumerate(payload["entries"]):
@@ -196,17 +199,6 @@ def _load_instances(entries, sample_rate):
         label = labels.pop()
         instances.setdefault(label, []).append((wave, annotations))
     return instances
-
-
-def _event_free_rows(features, annotations):
-    """Feature rows whose segment centers fall outside every annotated event,
-    each event spanning [onset, offset) as in ``dataset.label_segments``."""
-    centers = features.segment_centers()
-    keep = np.ones(features.n_segments, dtype=bool)
-    for a in annotations:
-        keep[np.searchsorted(centers, a.onset):
-             np.searchsorted(centers, a.offset)] = False
-    return features.rows[keep]
 
 
 def cmd_synth(args) -> int:
@@ -288,7 +280,7 @@ def cmd_train(args) -> int:
     if not folds:
         print("warning: no dev entries; scores stay unnormalized", file=sys.stderr)
     background = np.concatenate(
-        [_event_free_rows(f.features, f.reference) for f in folds]
+        [event_free_rows(f.features, f.reference) for f in folds]
     ) if folds else None
 
     if merged["snr_levels"] is not None:

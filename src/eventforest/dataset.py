@@ -106,6 +106,13 @@ def write_annotations(events, out) -> None:
         handle.writelines(lines)
 
 
+def _covered(features: FeatureMatrix, events) -> np.ndarray:
+    """One ``(first, stop)`` row per event: the segments ``[first, stop)`` whose
+    center times fall inside its half-open span [onset, offset)."""
+    bounds = [(e.onset, e.offset) for e in events]
+    return np.searchsorted(features.segment_centers(), bounds).reshape(-1, 2)
+
+
 def label_segments(
     features: FeatureMatrix,
     annotations,
@@ -119,21 +126,27 @@ def label_segments(
     NaN on negatives; when same-class events overlap, the earlier event
     claims the shared segments.
     """
-    centers = features.segment_centers()
     labels = np.zeros(features.n_segments, dtype=np.int8)
     dists = np.full((features.n_segments, 2), np.nan)
     targets = sorted(
         (a for a in annotations if a.label == target_class),
         key=lambda e: (e.onset, e.offset),
     )
-    for event in targets:
-        first = int(np.searchsorted(centers, event.onset, side="left"))
-        last = int(np.searchsorted(centers, event.offset, side="left")) - 1
-        m = np.arange(first, last + 1)  # empty when no center falls inside
+    for first, stop in _covered(features, targets):
+        m = np.arange(first, stop)  # empty when no center falls inside
         m = m[labels[m] == 0]
         labels[m] = 1
-        dists[m] = np.column_stack([m - first, last - m])
+        dists[m] = np.column_stack([m - first, stop - 1 - m])
     return labels, dists
+
+
+def event_free_rows(features: FeatureMatrix, annotations) -> np.ndarray:
+    """The rows of the segments that no event of any class covers, as
+    ``label_segments`` places events: background for ``build_training_segments``."""
+    keep = np.ones(features.n_segments, dtype=bool)
+    for first, stop in _covered(features, annotations):
+        keep[first:stop] = False
+    return features.rows[keep]
 
 
 def scale_to_snr(event: Waveform, background_rms: float, snr_db: float) -> Waveform:
@@ -264,7 +277,7 @@ def build_training_segments(
         [mixture.rng_seed, zlib.crc32(target_class.encode())]
     )
     def _scaled(wave, snr_db):
-        if background_rms is None or background_rms <= 0:
+        if background_rms is None:
             return wave
         return scale_to_snr(wave, background_rms, snr_db)
 

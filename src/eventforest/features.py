@@ -79,7 +79,12 @@ class Waveform:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Extraction parameters; equality of these fields defines feature-space compatibility."""
+    """Extraction parameters; equality of these fields defines feature-space compatibility.
+
+    ``hop_len`` and ``window_len`` hold the whole samples applied at ``sample_rate``
+    (10 ms at 22,050 Hz is ``220 / 22050`` s); segment times and the model
+    fingerprint use these values.
+    """
 
     sample_rate: int = 16000
     n_channels: int = 64
@@ -102,12 +107,12 @@ class FeatureConfig:
             raise ValueError(
                 f"need 0 < hop_len <= window_len, got {self.hop_len}, {self.window_len}"
             )
-        # the window is at least the hop, so it spans a sample too
-        if round(self.hop_len * self.sample_rate) < 1:
-            raise ValueError(
-                f"hop_len {self.hop_len} is shorter than one sample "
-                f"at rate {self.sample_rate}"
-            )
+        for name in ("hop_len", "window_len"):  # only the hop can round to 0
+            samples = int(round(getattr(self, name) * self.sample_rate))
+            if samples < 1:
+                raise ValueError(f"hop_len {self.hop_len} is shorter than one sample "
+                                 f"at rate {self.sample_rate}")
+            object.__setattr__(self, name, samples / self.sample_rate)
 
 
 @dataclass(eq=False)

@@ -28,6 +28,7 @@ from eventforest import forest as forest_module
 from eventforest.cli import DETECT_DEFAULTS, main
 from eventforest.dataset import (
     EventAnnotation,
+    event_free_rows,
     parse_annotations,
     write_annotations,
 )
@@ -590,7 +591,7 @@ def test_event_free_rows_match_the_mask_oracle(n_segments, data):
     for a, b in data.draw(st.lists(st.tuples(time, time), max_size=6)):
         if a != b:
             events.append(EventAnnotation(min(a, b), max(a, b), "x"))
-    assert np.array_equal(cli_module._event_free_rows(features, events),
+    assert np.array_equal(event_free_rows(features, events),
                           oracle_event_free_rows(features, events))
 
 
@@ -1533,6 +1534,10 @@ MALFORMED_MANIFESTS = {
     ),
     "sample_rate_not_an_integer": (
         lambda m: m.update(sample_rate=16000.0), "sample_rate must be an integer"
+    ),
+    "background_rms_not_positive": (
+        lambda m: m.update(background_rms=0),
+        "background_rms must be a positive number or null",
     ),
 }
 

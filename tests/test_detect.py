@@ -48,7 +48,7 @@ from eventforest.detect import (
 )
 from eventforest.dataset import write_annotations
 from eventforest.evaluate import default_alpha_grid
-from eventforest.features import FeatureConfig, FeatureMatrix, Waveform
+from eventforest.features import FeatureConfig, FeatureMatrix, Waveform, featurize
 from eventforest.forest import (
     Forest,
     ForestConfig,
@@ -830,6 +830,21 @@ def test_forest_events_filters_by_the_training_duration():
     assert [(e.onset, e.offset, e.label) for e in got] == [
         (paired[0].onset, paired[0].offset, "x")
     ]
+
+
+def test_forest_events_place_segments_at_the_stream_s_centers():
+    # a 10 ms hop is 220 samples at 22.05 kHz: placing peaks with 10 ms hops
+    # drifted 2.27e-5 s per segment from the segments the stream cut
+    fc = FeatureConfig(sample_rate=22050)
+    matrix = featurize(Waveform(np.zeros(5 * 22050), 22050), fc).matrix()
+    centers = matrix.segment_centers()
+    n = len(centers)
+    track = spiky_track(n, [(10, 0.9), (n - 40, 0.9)], [(30, 0.8), (n - 1, 0.8)])
+    forest = single_leaf_forest(leaf(), fc=fc, duration=5.0)
+    events = forest_events(track, forest, 0.5, 3.0)
+    onsets, offsets = centers[[10, n - 40]].tolist(), centers[[30, n - 1]].tolist()
+    assert [e.onset for e in events] == pytest.approx(onsets, rel=0, abs=1e-12)
+    assert [e.offset for e in events] == pytest.approx(offsets, rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- pipelines

@@ -6,6 +6,7 @@ import subprocess
 import tracemalloc
 import warnings
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,25 @@ def test_feature_config_validation():
         FeatureConfig(n_channels=1)
     with pytest.raises(ValueError, match="shorter than one sample"):
         FeatureConfig(hop_len=1e-5, window_len=1e-5)
+
+
+def test_feature_config_holds_the_applied_whole_sample_hop():
+    # 10 ms is 220.5 samples at 22.05 kHz; the stream hops 220 (9.977 ms)
+    config = FeatureConfig(sample_rate=22050)
+    assert config.hop_len == 220 / 22050
+    assert config.window_len == 2205 / 22050
+    assert FeatureConfig(**asdict(config)) == config
+    assert FeatureConfig(sample_rate=22050, hop_len=220 / 22050) == config
+    times = featurize(Waveform(np.zeros(4410), 22050), config).matrix().segment_times
+    assert times[1:].tolist() == [i * 220 / 22050 for i in range(1, len(times))]
+
+
+@pytest.mark.parametrize("rate", [16000, 32000, 44100, 48000])
+def test_whole_sample_defaults_keep_their_literals(rate):
+    config = FeatureConfig(sample_rate=rate)
+    assert config.hop_len.hex() == (0.01).hex()
+    assert config.window_len.hex() == (0.1).hex()
+    assert FeatureConfig(**asdict(config)) == config
 
 
 def test_noise_subtraction_is_part_of_the_feature_space():

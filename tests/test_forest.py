@@ -682,6 +682,38 @@ def test_calibration_is_a_fixed_point_on_full_sample():
     assert before == after
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_calibration_reaches_every_grown_leaf(seed):
+    # each leaf grows from at least one subsample row, and route applies the
+    # same x[r] - x[q] > tau test, so every leaf is re-estimated
+    segments = small_training_set(seed=seed)
+    config = small_config(n_trees=3, subsample_ratio=0.3, max_depth=8,
+                          min_segments=2, rng_seed=seed)
+    table = train_forest(segments, config, "x", feature_config(4)).table
+    assert table.n_train[table.right < 0].min() >= 1
+
+
+def test_training_duration_counts_whole_sample_hops():
+    # at 22.05 kHz a hop is 220 samples, not 10 ms
+    segments = small_training_set()
+    fc = FeatureConfig(sample_rate=22050, n_channels=4)
+    forest = train_forest(segments, small_config(), "x", fc)
+    longest = segments.dists[segments.labels == 1].sum(axis=1).max() + 1.0
+    assert forest.max_train_event_duration == longest * (220 / 22050)
+
+
+def test_fingerprint_of_a_nominal_hop_loads_as_the_applied_hop():
+    fc = FeatureConfig(sample_rate=22050, n_channels=4)
+    forest = train_forest(small_training_set(), small_config(n_trees=1), "x", fc)
+    payload = forest_to_dict(forest)
+    assert payload["feature_fingerprint"]["hop_len"] == 220 / 22050
+    # the nominal 10 ms, as models trained before whole-sample hops hold it
+    payload["feature_fingerprint"]["hop_len"] = 0.01
+    loaded = forest_from_dict(payload).feature_config
+    assert loaded == fc
+    assert loaded.hop_len == 220 / 22050
+
+
 def test_calibration_counts_and_posteriors(blob_model):
     total = len(blob_model.train_segments)
     table = blob_model.forest.table
