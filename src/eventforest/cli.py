@@ -23,6 +23,7 @@ from .dataset import (
 from .detect import (
     DetectConfig,
     detect_on_features,
+    normalize,
     score_tracks,
     write_scores_csv,
 )
@@ -320,24 +321,8 @@ def cmd_train(args) -> int:
         ))
         counts.append(f"{len(segments)} segments ({segments.n_positive} positive)")
 
-    # z constants: the largest raw scores over the dev folds, before smoothing
-    # and with the gate wide open, so every rendered track on that material
-    # stays at or below one for any alpha. A fresh forest has z = 1.
-    raw = {label: [DetectConfig(alpha=0.0, smooth_window=1)] for label in classes}
-    peaks = {label: np.zeros(2) for label in classes}
-    for fold in folds:
-        if fold.features.n_segments:  # an empty fold has no peaks
-            scored = score_tracks([fold.features], fold.features.n_segments,
-                                  forests, raw)
-            for label, [track] in scored.items():
-                np.maximum(peaks[label], [track.f_plus.max(), track.f_minus.max()],
-                           out=peaks[label])
-    paths = []
-    for forest in forests:
-        label = forest.class_label
-        forest.z_plus, forest.z_minus = (float(z) if z > 0 else 1.0
-                                         for z in peaks[label])
-        paths.append(out / f"model_{label}.json")
+    normalize(forests, [fold.features for fold in folds])
+    paths = [out / f"model_{forest.class_label}.json" for forest in forests]
     _save_all(forests, paths)
     for forest, count, path in zip(forests, counts, paths):
         print(f"{forest.class_label}: {count}, {forest.n_trees} trees -> {path}")

@@ -312,6 +312,28 @@ def score_tracks(blocks, n_segments: int, forests, configs) -> dict:
     return tracks
 
 
+def normalize(forests, features) -> None:
+    """Fit each forest's ``z_plus``/``z_minus`` on development streams, one
+    FeatureMatrix each: the largest raw scores over the streams, with the gate
+    wide open and no smoothing, so every track on that material stays at or
+    below one; 1.0 with no stream or a zero maximum. All forests are scored in
+    one ``score_tracks`` call per stream, which gives each the bits of scoring
+    it alone."""
+    raw = {f.class_label: [DetectConfig(alpha=0.0, smooth_window=1)] for f in forests}
+    peaks = {label: np.zeros(2) for label in raw}
+    for forest in forests:
+        forest.z_plus = forest.z_minus = 1.0  # sums divided by the trees only
+    for matrix in features:
+        if matrix.n_segments:  # an empty stream has no peaks
+            for label, [track] in score_tracks([matrix], matrix.n_segments,
+                                               forests, raw).items():
+                np.maximum(peaks[label], [track.f_plus.max(), track.f_minus.max()],
+                           out=peaks[label])
+    for forest in forests:
+        forest.z_plus, forest.z_minus = (float(z) if z > 0 else 1.0
+                                         for z in peaks[forest.class_label])
+
+
 def forest_events(
     track: ScoreTrack, forest: Forest, beta: float, duration_factor: float
 ) -> list:

@@ -108,7 +108,10 @@ class FeatureConfig:
                 f"need 0 < hop_len <= window_len, got {self.hop_len}, {self.window_len}"
             )
         for name in ("hop_len", "window_len"):  # only the hop can round to 0
-            samples = int(round(getattr(self, name) * self.sample_rate))
+            value = getattr(self, name)
+            if not math.isfinite(value * self.sample_rate):
+                raise ValueError(f"{name} {value} is too long at {self.sample_rate} Hz")
+            samples = int(round(value * self.sample_rate))
             if samples < 1:
                 raise ValueError(f"hop_len {self.hop_len} is shorter than one sample "
                                  f"at rate {self.sample_rate}")

@@ -13,10 +13,10 @@ from scipy.fft import dct
 
 from eventforest.dataset import EventAnnotation
 from eventforest.detect import (
-    DetectConfig,
     ScoreTrack,
     StreamVotes,
     detect_on_features,
+    normalize,
     score_tracks,
 )
 from eventforest.features import (
@@ -617,10 +617,7 @@ def blob_model():
     dev_features, dev_reference, _ = blob_stream(
         np.random.default_rng(12), n_events=6
     )
-    raw = score_matrix(dev_features, [forest],
-                       {"blob": DetectConfig(alpha=0.0, smooth_window=1)})["blob"]
-    forest.z_plus = max(float(raw.f_plus.max()), 1e-12)
-    forest.z_minus = max(float(raw.f_minus.max()), 1e-12)
+    normalize([forest], [dev_features])
     test_features, test_reference, _ = blob_stream(
         np.random.default_rng(13), n_events=6
     )

@@ -38,6 +38,7 @@ from eventforest.detect import (
     detect_on_features,
     detect_stream,
     forest_events,
+    normalize,
 )
 from eventforest.evaluate import (
     default_alpha_grid,
@@ -54,6 +55,7 @@ from eventforest.features import (
     gammatone_cepstra,
     load_audio,
     save_audio,
+    stream_features,
 )
 from eventforest.forest import load_forest, shared_feature_config
 
@@ -527,6 +529,20 @@ class TestTrain:
         )
         forest = load_forest(out / "model_tone300.json")
         assert forest.z_plus == forest.z_minus == 1.0
+
+    def test_models_carry_the_z_that_normalize_fits(self, corpus, models):
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        dev = [e["audio"] for e in manifest["entries"]
+               if e["fold"] not in ("train", "test")]
+        assert dev
+        forests = [load_forest(path) for path in models]
+        refit = [load_forest(path) for path in models]
+        fc = shared_feature_config(refit)
+        normalize(refit, [stream_features(corpus / audio, fc).matrix()
+                          for audio in dev])
+        for forest, fitted in zip(forests, refit):
+            assert forest.z_plus.hex() == fitted.z_plus.hex()
+            assert forest.z_minus.hex() == fitted.z_minus.hex()
 
     def test_failing_later_class_writes_no_model(self, corpus3, tmp_path, capsys,
                                                  monkeypatch):
@@ -1272,6 +1288,10 @@ MALFORMED_MODELS = {
     "hop_below_one_sample": (
         lambda p: p["feature_fingerprint"].update(hop_len=1e-5, window_len=1e-5),
         "hop_len 1e-05 is shorter than one sample at rate 16000",
+    ),
+    "huge_hop": (
+        lambda p: p["feature_fingerprint"].update(hop_len=1e308, window_len=1e308),
+        "hop_len 1e+308 is too long at 16000 Hz",
     ),
     "infinite_variance": (
         lambda p: first_node(p, "leaf", gaussian=True)["offset"].__setitem__(

@@ -38,6 +38,7 @@ from eventforest.detect import (
     extract_events,
     filter_duration,
     forest_events,
+    normalize,
     StreamVotes,
     _local_maxima,
     _peak_indices,
@@ -55,6 +56,7 @@ from eventforest.forest import (
     NodeTable,
     gaussian_pdf,
     route,
+    train_forest,
 )
 
 PEAK_VARIANCE = 1.0 / (2.0 * math.pi)  # unit peak density
@@ -284,6 +286,59 @@ def test_score_tracks_divide_by_normalization():
     halved = score_matrix(flat_features(5), [forest], configs)["x"]
     assert np.allclose(halved.f_plus, base.f_plus / 2.0, rtol=1e-12)
     assert np.allclose(halved.f_minus, base.f_minus / 4.0, rtol=1e-12)
+
+
+def raw_peaks(forest, streams):
+    """The largest raw onset and offset scores of ``forest`` over ``streams``,
+    scored with z = 1, the gate wide open and no smoothing."""
+    forest = copy.deepcopy(forest)
+    forest.z_plus = forest.z_minus = 1.0
+    raw = {forest.class_label: DetectConfig(alpha=0.0, smooth_window=1)}
+    tracks = [score_matrix(m, [forest], raw)[forest.class_label] for m in streams]
+    return (max(float(t.f_plus.max()) for t in tracks),
+            max(float(t.f_minus.max()) for t in tracks))
+
+
+def test_normalize_gives_each_forest_the_bits_of_normalizing_it_alone(blob_model):
+    other = train_forest(blob_model.train_segments,
+                         replace(blob_model.forest.config, n_trees=2, rng_seed=8),
+                         class_label="other", feature_config=blob_model.feature_config)
+    forests = [blob_model.forest, other]
+    dim = blob_model.dev_features.rows.shape[1]
+    empty = FeatureMatrix(np.empty((0, dim)), np.empty(0), blob_model.feature_config)
+    streams = [blob_model.dev_features, empty, blob_model.test_features]
+    together = copy.deepcopy(forests)
+    normalize(together, streams)
+    for joint, forest in zip(together, forests):
+        alone = copy.deepcopy(forest)
+        normalize([alone], streams)
+        peaks = raw_peaks(forest, [blob_model.dev_features, blob_model.test_features])
+        assert 0.0 < peaks[0] and 0.0 < peaks[1]
+        assert (joint.z_plus, joint.z_minus) == (alone.z_plus, alone.z_minus) == peaks
+    assert (together[0].z_plus, together[0].z_minus) != (together[1].z_plus,
+                                                         together[1].z_minus)
+
+
+def test_normalize_ignores_the_forest_s_previous_constants(blob_model):
+    fresh = copy.deepcopy(blob_model.forest)
+    rescaled = copy.deepcopy(blob_model.forest)
+    rescaled.z_plus, rescaled.z_minus = 2.0, 4.0
+    normalize([fresh], [blob_model.dev_features])
+    normalize([rescaled], [blob_model.dev_features])
+    assert (rescaled.z_plus, rescaled.z_minus) == (fresh.z_plus, fresh.z_minus)
+    assert (fresh.z_plus, fresh.z_minus) == (blob_model.forest.z_plus,
+                                             blob_model.forest.z_minus)
+
+
+def test_normalize_without_streams_or_peaks_gives_one():
+    silent = single_leaf_forest(leaf(onset=None, offset=None))
+    silent.z_plus, silent.z_minus = 2.0, 4.0
+    normalize([silent], [flat_features(5)])
+    assert silent.z_plus == silent.z_minus == 1.0
+    voting = single_leaf_forest(leaf(), label="y")
+    voting.z_plus, voting.z_minus = 2.0, 4.0
+    normalize([voting], [])
+    assert voting.z_plus == voting.z_minus == 1.0
 
 
 def assert_votes_equal(got, expected):

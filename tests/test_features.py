@@ -386,6 +386,17 @@ def test_feature_config_validation():
         FeatureConfig(hop_len=1e-5, window_len=1e-5)
 
 
+@pytest.mark.parametrize("hop_len, window_len, field", [
+    (1e308, 1e308, "hop_len"),
+    (0.01, 1e308, "window_len"),
+    (float("inf"), float("inf"), "hop_len"),
+])
+def test_feature_config_rejects_lengths_beyond_a_sample_count(hop_len, window_len,
+                                                              field):
+    with pytest.raises(ValueError, match=f"^{field} .* is too long at 16000 Hz"):
+        FeatureConfig(hop_len=hop_len, window_len=window_len)
+
+
 def test_feature_config_holds_the_applied_whole_sample_hop():
     # 10 ms is 220.5 samples at 22.05 kHz; the stream hops 220 (9.977 ms)
     config = FeatureConfig(sample_rate=22050)
