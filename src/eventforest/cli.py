@@ -50,7 +50,7 @@ from .forest import (
     load_forest,
     save_forest,
     shared_feature_config,
-    train_forest,
+    train_forests,
 )
 
 # train's names for ForestConfig fields, whose defaults are train's defaults
@@ -132,8 +132,9 @@ def _load_manifest(path):
     def must_be(what, kind):
         return ValueError(f"{path}: manifest {what} must be {kind}")
 
-    if expected_type(payload.get("sample_rate", 16000), 16000):
-        raise must_be("sample_rate", "an integer")
+    rate = payload.get("sample_rate", 16000)
+    if expected_type(rate, 16000) or expected_type(rate, 0.0):
+        raise must_be("sample_rate", "an integer in the float range")
     classes = payload.get("classes")
     if classes is not None and not (
         isinstance(classes, list) and all(isinstance(c, str) for c in classes)
@@ -164,7 +165,7 @@ def _load_manifest(path):
             }
         )
     return {
-        "sample_rate": payload.get("sample_rate", 16000),
+        "sample_rate": rate,
         "classes": classes,
         "background_rms": payload.get("background_rms"),
         "snr_db": payload.get("snr_db"),
@@ -302,24 +303,27 @@ def cmd_train(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    forests, counts = [], []  # no model is written until every class trains
-    for label in classes:
-        segments = build_training_segments(
+    # Every class's set is built before the one worker pool forks, sharing
+    # each isolated instance's features, and the fork copies only the sets.
+    # No model is written until every class trains.
+    instance_features: dict = {}
+    training = {
+        label: build_training_segments(
             label,
             instances,
             feature_config,
             mixture,
             background=background,
             background_rms=manifest["background_rms"],
+            instance_features=instance_features,
         )
-        forests.append(train_forest(
-            segments,
-            forest_config,
-            class_label=label,
-            feature_config=feature_config,
-            n_workers=merged["threads"],
-        ))
-        counts.append(f"{len(segments)} segments ({segments.n_positive} positive)")
+        for label in classes
+    }
+    del instances, background, instance_features
+    counts = [f"{len(s)} segments ({s.n_positive} positive)" for s in training.values()]
+    forests = list(train_forests(training, forest_config, feature_config,
+                                 merged["threads"]))
+    del training  # before normalize adds its scores to the peak
 
     normalize(forests, [fold.features for fold in folds])
     paths = [out / f"model_{forest.class_label}.json" for forest in forests]

@@ -254,6 +254,7 @@ def build_training_segments(
     mixture: MixtureSpec,
     background: np.ndarray | None = None,
     background_rms: float | None = None,
+    instance_features: dict | None = None,
 ) -> SegmentSet:
     """Assemble the per-class training set from isolated event instances.
 
@@ -268,6 +269,13 @@ def build_training_segments(
     When background feature rows are given, one of them is injected as an
     extra negative per positive segment. The sets of all mixtures are joined
     in the order they were made.
+
+    ``instance_features`` maps ``(class, index, snr_db)`` to the features of
+    that isolated instance at that level. Features found there are used, and
+    the missing ones are added, so calls for several target classes that
+    share one dict featurize each instance once per level; only the labels
+    depend on the target class. Share a dict only between calls with the same
+    ``instances``, ``feature_config`` and ``background_rms``.
     """
     if target_class not in instances:
         raise ValueError(f"no instances for target class {target_class}")
@@ -281,9 +289,20 @@ def build_training_segments(
             return wave
         return scale_to_snr(wave, background_rms, snr_db)
 
-    def _collect(wave, annotations):
-        feats = gammatone_cepstra(wave, clean_config)
+    def _labeled(feats, annotations):
         return SegmentSet(feats.rows, *label_segments(feats, annotations, target_class))
+
+    def _collect(wave, annotations):
+        return _labeled(gammatone_cepstra(wave, clean_config), annotations)
+
+    features = {} if instance_features is None else instance_features
+
+    def _isolated(cls, index, snr_db):
+        wave, annotations = instances[cls][index]
+        key = (cls, index, snr_db)
+        if key not in features:
+            features[key] = gammatone_cepstra(_scaled(wave, snr_db), clean_config)
+        return _labeled(features[key], annotations)
 
     def _long_enough(candidates, n_lead):
         required = ceil(mixture.min_overlap_fraction * n_lead)
@@ -291,9 +310,9 @@ def build_training_segments(
 
     segments: list[SegmentSet] = []
     for snr_db in mixture.snr_levels:
-        for wave, annotations in instances[target_class]:
+        for index, (wave, _) in enumerate(instances[target_class]):
+            segments.append(_isolated(target_class, index, snr_db))
             scaled = _scaled(wave, snr_db)
-            segments.append(_collect(scaled, annotations))
             negatives = []
             for cls in other_classes:
                 # only instances long enough to reach the overlap target
@@ -307,8 +326,8 @@ def build_training_segments(
                                                negatives, mixture, rng)
                 segments.append(_collect(mixed, mixed_ann))
         for cls in other_classes:
-            for wave, annotations in instances[cls]:
-                segments.append(_collect(_scaled(wave, snr_db), annotations))
+            for index in range(len(instances[cls])):
+                segments.append(_isolated(cls, index, snr_db))
         if len(other_classes) >= 2:
             for _ in range(len(instances[target_class])):
                 first_cls, second_cls = rng.choice(

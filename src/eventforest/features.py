@@ -83,7 +83,8 @@ class FeatureConfig:
 
     ``hop_len`` and ``window_len`` hold the whole samples applied at ``sample_rate``
     (10 ms at 22,050 Hz is ``220 / 22050`` s); segment times and the model
-    fingerprint use these values.
+    fingerprint use these values. The rate must convert to a float, and there
+    are at most as many channels as the window's spectrum has bins.
     """
 
     sample_rate: int = 16000
@@ -95,6 +96,10 @@ class FeatureConfig:
     noise_subtraction: bool = False
 
     def __post_init__(self):
+        try:
+            float(self.sample_rate)
+        except OverflowError:
+            raise ValueError("sample rate is beyond the float range") from None
         if self.n_channels < 2:
             raise ValueError(f"need at least 2 channels, got {self.n_channels}")
         if not 0.0 < self.f_min < self.f_max:
@@ -116,6 +121,11 @@ class FeatureConfig:
                 raise ValueError(f"hop_len {self.hop_len} is shorter than one sample "
                                  f"at rate {self.sample_rate}")
             object.__setattr__(self, name, samples / self.sample_rate)
+        # the loop ends on the window, whose rfft gives each channel its bins
+        bins = samples // 2 + 1
+        if self.n_channels > bins:
+            raise ValueError(f"{self.n_channels} channels exceed the {bins} "
+                             f"spectral bins of a {samples}-sample window")
 
 
 @dataclass(eq=False)

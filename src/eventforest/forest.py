@@ -8,6 +8,8 @@ inside an event their segments tend to sit.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -542,26 +544,28 @@ def _grow_one(segs: SegmentSet, config: ForestConfig, tree_index: int):
     return _grow(segs.take(indices), config, rng, 1, [])
 
 
-# (segments, config) in a worker process, set by the pool initializer
+# (training sets, config) in a worker process, set by the pool initializer
 _worker_job = None
 
 
-def _init_worker(segments: SegmentSet, config: ForestConfig) -> None:
+def _init_worker(training_sets: list, config: ForestConfig) -> None:
     global _worker_job
-    _worker_job = (segments, config)
+    _worker_job = (training_sets, config)
 
 
-def _grow_in_worker(tree_index: int) -> list:
-    return _grow_one(*_worker_job, tree_index)
+def _grow_in_worker(job: tuple) -> list:
+    training_sets, config = _worker_job
+    k, tree_index = job
+    return _grow_one(training_sets[k], config, tree_index)
 
 
 def _start_method() -> str | None:
     """Fork where the platform has it, else None: the default, spawn.
 
-    A forked child shares the training set's pages with its parent and
+    A forked child shares the training sets' pages with its parent and
     nothing is pickled. The pool forks all its children before it starts its
     manager thread, and the package runs BLAS on one thread, so no lock is
-    held by a thread the child lacks. A spawned child gets the set pickled,
+    held by a thread the child lacks. A spawned child gets the sets pickled,
     and its import of this package pins BLAS to one thread before numpy
     loads.
     """
@@ -570,16 +574,20 @@ def _start_method() -> str | None:
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
 
-def _grow_trees(segments: SegmentSet, config: ForestConfig, n_workers: int) -> list:
-    """Each tree's node records, in index order, grown on ``min(n_workers, n_trees)``.
+def _grow_trees(training_sets: list, config: ForestConfig, n_workers: int):
+    """Yield the node records of every (set, tree) job, set by set, trees in index order.
 
-    With one worker this process grows every tree itself and starts no
-    process. Otherwise that many child processes grow the trees, and this
-    process only waits for them.
+    The jobs grow on ``min(n_workers, jobs)`` processes. With one, this
+    process grows every tree itself and starts no process. Otherwise one pool
+    of that many child processes, started once, grows all the jobs in order,
+    and this process only collects them.
     """
-    n_processes = min(n_workers, config.n_trees)
-    if n_processes == 1:
-        return [_grow_one(segments, config, i) for i in range(config.n_trees)]
+    jobs = [(k, t) for k in range(len(training_sets)) for t in range(config.n_trees)]
+    n_processes = min(n_workers, len(jobs))
+    if n_processes <= 1:  # no job, or one process for all of them
+        for k, t in jobs:
+            yield _grow_one(training_sets[k], config, t)
+        return
     # imported here, so that only a run with workers loads multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -588,12 +596,57 @@ def _grow_trees(segments: SegmentSet, config: ForestConfig, n_workers: int) -> l
         n_processes,
         mp_context=multiprocessing.get_context(_start_method()),
         initializer=_init_worker,
-        initargs=(segments, config),
+        initargs=(training_sets, config),
     )
     try:
-        return list(pool.map(_grow_in_worker, range(config.n_trees)))
+        yield from pool.map(_grow_in_worker, jobs)
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def train_forests(
+    training_sets: dict,
+    config: ForestConfig,
+    feature_config: FeatureConfig,
+    n_workers: int = 1,
+):
+    """Train and calibrate one forest per class, yielding them in the given order.
+
+    ``training_sets`` maps each class label to its ``SegmentSet`` in the
+    feature space ``feature_config``; each forest keeps that, and the longest
+    positive event of its set converted to seconds. Each tree grows on its
+    own subsample drawn without replacement and with its own seed stream, so
+    results do not depend on worker count. When ``min(n_workers, classes ×
+    n_trees)`` is above one, one pool of that many child processes, started
+    before the first forest is yielded, grows every class's trees in order;
+    a child that dies raises ``BrokenExecutor``. As soon as a class's trees
+    are in, this process re-estimates every leaf from the class's full
+    training set and yields the forest, while the children grow the trees of
+    the classes after it.
+    """
+    if n_workers < 1:
+        raise ValueError(f"need at least one worker, got {n_workers}")
+    for label, segments in training_sets.items():
+        if segments.n_positive in (0, len(segments)):
+            kind = "positive" if segments.n_positive == 0 else "negative"
+            raise ValueError(f"cannot train class {label!r}: no {kind} segments")
+    trees = _grow_trees(list(training_sets.values()), config, n_workers)
+    with contextlib.closing(trees):
+        for label, segments in training_sets.items():
+            try:
+                grown = list(itertools.islice(trees, config.n_trees))
+            except BrokenExecutor as exc:
+                raise BrokenExecutor(f"cannot train class {label!r}: {exc}") from None
+            lengths = segments.dists[segments.labels == 1].sum(axis=1) + 1.0
+            forest = Forest(
+                class_label=label,
+                table=NodeTable.from_trees(grown, segments.x.shape[1]),
+                config=config,
+                feature_config=feature_config,
+                max_train_event_duration=float(lengths.max()) * feature_config.hop_len,
+            )
+            calibrate(forest, segments)
+            yield forest
 
 
 def train_forest(
@@ -603,41 +656,8 @@ def train_forest(
     feature_config: FeatureConfig,
     n_workers: int = 1,
 ) -> Forest:
-    """Train and calibrate a forest for one event class.
-
-    ``feature_config`` is the feature space of ``segments``; the forest
-    keeps it, and the longest positive event in it converted to seconds.
-    Each tree grows on its own subsample drawn without replacement and with
-    its own seed stream, so results do not depend on worker count. When
-    ``min(n_workers, n_trees)`` is above one, that many child processes grow
-    the trees at once while this process waits; a child that dies raises
-    ``BrokenExecutor``. After growing, every leaf is re-estimated from the
-    full training set.
-    """
-    if n_workers < 1:
-        raise ValueError(f"need at least one worker, got {n_workers}")
-    if segments.n_positive == 0:
-        raise ValueError(
-            f"cannot train class {class_label!r}: no positive segments"
-        )
-    if segments.n_positive == len(segments):
-        raise ValueError(
-            f"cannot train class {class_label!r}: no negative segments"
-        )
-    try:
-        trees = _grow_trees(segments, config, n_workers)
-    except BrokenExecutor as exc:
-        raise BrokenExecutor(f"cannot train class {class_label!r}: {exc}") from None
-
-    lengths = segments.dists[segments.labels == 1].sum(axis=1) + 1.0
-    forest = Forest(
-        class_label=class_label,
-        table=NodeTable.from_trees(trees, segments.x.shape[1]),
-        config=config,
-        feature_config=feature_config,
-        max_train_event_duration=float(lengths.max()) * feature_config.hop_len,
-    )
-    calibrate(forest, segments)
+    """Train and calibrate a forest for one event class: ``train_forests`` of one set."""
+    [forest] = train_forests({class_label: segments}, config, feature_config, n_workers)
     return forest
 
 

@@ -1,6 +1,7 @@
 """Shared builders and fixtures for the test suite."""
 
 import math
+import os
 from math import ceil, floor, sqrt
 from types import SimpleNamespace
 
@@ -42,6 +43,22 @@ from eventforest.forest import (
 )
 
 FEATURE_DIM = 8
+
+# Where the pinned digests and bit-for-bit checks were recorded. A matrix
+# product, log or exp on other code paths can round differently.
+RECORDED_PLATFORM = ("numpy 2.4.6 dispatching to X86_V3, X86_V4, AVX512_ICL, "
+                     "AVX512_SPR, OPENBLAS_CORETYPE unset (OpenBLAS picks SkylakeX)")
+
+
+def byte_platform() -> str:
+    """A byte check's failure message: the recorded platform and this one's."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    active = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    coretype = os.environ.get("OPENBLAS_CORETYPE", "unset")
+    return (f"bytes recorded on {RECORDED_PLATFORM}; this run has numpy "
+            f"{np.__version__} dispatching to {', '.join(active) or 'baseline only'}"
+            f", OPENBLAS_CORETYPE {coretype}")
 
 
 def feature_config(n_channels: int = FEATURE_DIM) -> FeatureConfig:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import concurrent.futures
 import contextlib
 import csv
 import filecmp
@@ -20,8 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eventforest
-from conftest import oracle_event_free_rows, score_matrix
+from conftest import byte_platform, oracle_event_free_rows, score_matrix
 from eventforest import cli as cli_module
+from eventforest import dataset as dataset_module
 from eventforest import detect as detect_module
 from eventforest import features as features_module
 from eventforest import forest as forest_module
@@ -485,6 +487,91 @@ class TestTrain:
         assert err.count("\n") == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.skipif(forest_module._start_method() != "fork",
+                        reason="only a forked child inherits the patch")
+    def test_worker_dying_on_a_later_class_writes_no_model(self, corpus3, tmp_path,
+                                                           capsys, monkeypatch):
+        build, built = cli_module.build_training_segments, []
+        grow_one, test_pid = forest_module._grow_one, os.getpid()
+
+        def recorded(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def die_on_the_last_class(segments, *args):
+            # a forked child holds the very sets this process built
+            if os.getpid() != test_pid and segments is built[-1]:
+                os._exit(3)
+            return grow_one(segments, *args)
+
+        monkeypatch.setattr(cli_module, "build_training_segments", recorded)
+        monkeypatch.setattr(forest_module, "_grow_one", die_on_the_last_class)
+        out = tmp_path / "models"
+        code = main(["train", str(corpus3 / "manifest.json"), "--out-dir",
+                     str(out)] + TRAIN_ARGS)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert len(built) == 3
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: cannot train class '")
+        assert list(out.iterdir()) == []
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("threads, pools", [("1", []), ("2", [2]), ("64", [9])])
+    def test_one_pool_per_run(self, threads, pools, corpus3, tmp_path, monkeypatch):
+        # 3 classes of 3 trees: one pool of min(threads, 9) processes for the
+        # run, and none with one thread
+        sizes = []
+
+        class PoolRecorder:
+            """Records the pool size and starts no process: ``map`` runs the
+            initializer and then every job in this process."""
+
+            def __init__(self, max_workers, initializer, initargs, **kwargs):
+                sizes.append(max_workers)
+                self.init = initializer, initargs
+
+            def map(self, fn, iterable):
+                initializer, initargs = self.init
+                initializer(*initargs)
+                return map(fn, iterable)
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
+        # map sets the worker job in this process; it is reset after the test
+        monkeypatch.setattr(forest_module, "_worker_job", None)
+        code = main(["train", str(corpus3 / "manifest.json"), "--out-dir",
+                     str(tmp_path)] + TRAIN_ARGS + ["--threads", threads])
+        assert code == 0
+        assert sizes == pools
+
+    def test_each_instance_is_featurized_once_per_level(self, corpus3, tmp_path,
+                                                        monkeypatch):
+        calls = {"gammatone_cepstra": 0, "mix_overlap": 0}
+
+        def counted(name):
+            function = getattr(dataset_module, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(dataset_module, name, call)
+
+        counted("gammatone_cepstra")
+        counted("mix_overlap")
+        code = main(["train", str(corpus3 / "manifest.json"), "--out-dir",
+                     str(tmp_path), "--snr-levels=-6,0"]
+                    + TRAIN_ARGS + ["--threads", "1", "--trees", "1"])
+        assert code == 0
+        manifest = json.loads((corpus3 / "manifest.json").read_text())
+        n_instances = sum(e["fold"] == "train" for e in manifest["entries"])
+        assert n_instances == 12 and calls["mix_overlap"] > 0
+        # 3 classes, 2 levels: each instance once per level, each mixture once
+        assert calls["gammatone_cepstra"] == 2 * n_instances + calls["mix_overlap"]
+
 
     def test_manifest_without_train_entries_errors(self, corpus, tmp_path,
                                                    capsys):
@@ -546,15 +633,16 @@ class TestTrain:
 
     def test_failing_later_class_writes_no_model(self, corpus3, tmp_path, capsys,
                                                  monkeypatch):
-        train_forest, trained = cli_module.train_forest, []
+        train_forests, trained = cli_module.train_forests, []
 
-        def fail_tone600(segments, config, class_label, **kwargs):
-            if class_label == "tone600":
-                raise ValueError("cannot train class 'tone600': injected")
-            trained.append(class_label)
-            return train_forest(segments, config, class_label=class_label, **kwargs)
+        def fail_tone600(*args, **kwargs):
+            for forest in train_forests(*args, **kwargs):
+                if forest.class_label == "tone600":
+                    raise ValueError("cannot train class 'tone600': injected")
+                trained.append(forest.class_label)
+                yield forest
 
-        monkeypatch.setattr(cli_module, "train_forest", fail_tone600)
+        monkeypatch.setattr(cli_module, "train_forests", fail_tone600)
         out = tmp_path / "models"
         code = main(["train", str(corpus3 / "manifest.json"), "--out-dir",
                      str(out)] + TRAIN_ARGS)
@@ -1229,7 +1317,7 @@ def test_pipeline_output_bytes_pinned(tmp_path):
             hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.rglob("*")) if path.is_file()
     }
-    assert digests == PIPELINE_DIGESTS
+    assert digests == PIPELINE_DIGESTS, byte_platform()
 
 
 # ---------------------------------------------------------------------------
@@ -1298,6 +1386,18 @@ MALFORMED_MODELS = {
             1, float("inf")
         ),
         "non-finite offset variance",
+    ),
+    "sample_rate_overflow": (
+        lambda p: p["feature_fingerprint"].update(sample_rate=10**400),
+        "sample rate is beyond the float range",
+    ),
+    "channels_overflow": (
+        lambda p: p["feature_fingerprint"].update(n_channels=2**63),
+        "9223372036854775808 channels exceed the 801 spectral bins",
+    ),
+    "channels_beyond_the_bins": (
+        lambda p: p["feature_fingerprint"].update(n_channels=10**7),
+        "10000000 channels exceed the 801 spectral bins of a 1600-sample window",
     ),
 }
 
@@ -1558,6 +1658,10 @@ MALFORMED_MANIFESTS = {
     "background_rms_not_positive": (
         lambda m: m.update(background_rms=0),
         "background_rms must be a positive number or null",
+    ),
+    "sample_rate_overflow": (
+        lambda m: m.update(sample_rate=10**400),
+        "sample_rate must be an integer in the float range",
     ),
 }
 

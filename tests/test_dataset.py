@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import feature_config, oracle_label_segments, segment_set
+from conftest import byte_platform, feature_config, oracle_label_segments, segment_set
 from eventforest.dataset import (
     EventAnnotation,
     MixtureSpec,
@@ -565,7 +565,9 @@ TRAINING_SET_DIGESTS = (
 )
 
 
-def test_build_training_segments_bytes_are_pinned():
+def pinned_training_set(instance_features=None, before=()):
+    """The pinned class's training set, built after the classes ``before``
+    with the same ``instance_features``."""
     bench = synth_benchmark(n_classes=3, instances_per_class=2, scene_len=4.0,
                             events_per_scene=6, seed=6)
     config = feature_config(16)
@@ -573,15 +575,36 @@ def test_build_training_segments_bytes_are_pinned():
         label: [(w, [EventAnnotation(0.0, w.duration, label)]) for w in waves]
         for label, waves in bench.train_instances.items()
     }
-    train = build_training_segments(
-        bench.class_names[1], instances, config,
-        MixtureSpec(snr_levels=(-6.0, 0.0), rng_seed=2),
-        background=gammatone_cepstra(bench.dev_scene, config).rows,
-        background_rms=bench.background_rms,
-    )
+    background = gammatone_cepstra(bench.dev_scene, config).rows
+    for label in (*(bench.class_names[k] for k in before), bench.class_names[1]):
+        train = build_training_segments(
+            label, instances, config,
+            MixtureSpec(snr_levels=(-6.0, 0.0), rng_seed=2),
+            background=background,
+            background_rms=bench.background_rms,
+            instance_features=instance_features,
+        )
+    return train
+
+
+def test_build_training_segments_bytes_are_pinned():
+    train = pinned_training_set()
     assert (train.x.shape, train.n_positive) == ((1760, 16), 446)
     digests = tuple(
         hashlib.sha256(a.tobytes()).hexdigest()
         for a in (train.x, train.labels, train.dists)
     )
-    assert digests == TRAINING_SET_DIGESTS
+    assert digests == TRAINING_SET_DIGESTS, byte_platform()
+
+
+def test_shared_instance_features_keep_the_pinned_bytes():
+    # the pinned class reuses every isolated instance's features that another
+    # class's set made first: 6 instances at 2 levels
+    shared = {}
+    train = pinned_training_set(shared, before=(0, 2))
+    assert len(shared) == 12
+    digests = tuple(
+        hashlib.sha256(a.tobytes()).hexdigest()
+        for a in (train.x, train.labels, train.dists)
+    )
+    assert digests == TRAINING_SET_DIGESTS, byte_platform()

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_gammatone_cepstra
+from conftest import byte_platform, oracle_gammatone_cepstra
 from eventforest import features as features_module
 from eventforest.features import (
     FeatureConfig,
@@ -520,7 +520,7 @@ def test_blocked_cepstra_equal_oracle_bit_for_bit(n_segments, hop_len,
     feats = gammatone_cepstra(wave, config)
     expected = oracle_gammatone_cepstra(wave, config)
     assert feats.rows.shape == (n_segments, config.n_channels)
-    assert feats.rows.tobytes() == expected.rows.tobytes()
+    assert feats.rows.tobytes() == expected.rows.tobytes(), byte_platform()
     assert feats.segment_times.tobytes() == expected.segment_times.tobytes()
 
 

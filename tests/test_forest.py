@@ -46,6 +46,7 @@ from eventforest.forest import (
     save_forest,
     select_best_test,
     train_forest,
+    train_forests,
 )
 
 
@@ -588,14 +589,46 @@ def test_threaded_training_matches_serial():
         assert model_bytes(pooled) == model_bytes(serial), (n_trees, n_workers)
 
 
+def class_sets(n_classes):
+    """A small training set per class label, each drawn from its own seed."""
+    return {f"c{k}": small_training_set(seed=83 + k) for k in range(n_classes)}
+
+
+def serial_bytes(training_sets, config):
+    """Each class's model bytes, trained on its own in this process."""
+    return [model_bytes(train_forest(segments, config, label, feature_config(4)))
+            for label, segments in training_sets.items()]
+
+
+@pytest.mark.parametrize("n_classes, n_trees, n_workers",
+                         [(3, 2, 2), (2, 1, 3), (3, 4, 10**9), (1, 1, 3)])
+def test_one_pool_for_all_classes_matches_serial(n_classes, n_trees, n_workers):
+    # a billion workers is capped at classes x trees processes
+    training_sets = class_sets(n_classes)
+    config = small_config(n_trees=n_trees)
+    pooled = train_forests(training_sets, config, feature_config(4), n_workers)
+    assert [model_bytes(f) for f in pooled] == serial_bytes(training_sets, config)
+
+
 def test_spawned_workers_match_serial(monkeypatch):
-    # spawn pickles the training set and config into each child
-    segments = small_training_set()
-    config = small_config(n_trees=4)
-    serial = train_forest(segments, config, "x", feature_config(4))
+    # spawn pickles every class's training set and the config into each child
+    training_sets = class_sets(2)
+    config = small_config(n_trees=2)
+    serial = serial_bytes(training_sets, config)
     monkeypatch.setattr(forest_module, "_start_method", lambda: "spawn")
-    spawned = train_forest(segments, config, "x", feature_config(4), n_workers=2)
-    assert model_bytes(spawned) == model_bytes(serial)
+    spawned = train_forests(training_sets, config, feature_config(4), n_workers=2)
+    assert [model_bytes(f) for f in spawned] == serial
+
+
+def test_every_class_is_checked_before_any_tree_grows(monkeypatch):
+    def no_growth(*args):
+        raise AssertionError("a tree grew before every class was checked")
+
+    monkeypatch.setattr(forest_module, "_grow_one", no_growth)
+    only_neg = segment_set([([0.0, 0.0, 0.0, 0.0], 0, None)] * 5)
+    training_sets = {"a": small_training_set(), "b": only_neg}
+    with pytest.raises(ValueError, match="cannot train class 'b': no positive"):
+        list(train_forests(training_sets, small_config(), feature_config(4)))
 
 
 def test_worker_processes_capped_at_trees(monkeypatch):
@@ -620,18 +653,20 @@ def test_worker_processes_capped_at_trees(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
     # map sets the worker job in this process; it is reset after the test
     monkeypatch.setattr(forest_module, "_worker_job", None)
-    segments = small_training_set()
-    # a broken cap would ask for a billion processes, so none is ever started
-    for n_trees, n_workers, expected in (
-        (4, 1, []), (4, 2, [2]), (4, 10**9, [4]), (1, 10**9, []),
+    # a broken cap would ask for a billion processes, so none is ever started;
+    # one pool of min(workers, classes x trees) serves every class
+    for n_classes, n_trees, n_workers, expected in (
+        (1, 4, 1, []), (1, 4, 2, [2]), (1, 4, 10**9, [4]), (1, 1, 10**9, []),
+        (3, 2, 1, []), (3, 2, 4, [4]), (3, 2, 10**9, [6]), (2, 1, 10**9, [2]),
+        (0, 2, 10**9, []),
     ):
+        training_sets = class_sets(n_classes)
         config = small_config(n_trees=n_trees)
         sizes.clear()
-        forest = train_forest(segments, config, "x", feature_config(4),
-                              n_workers=n_workers)
-        assert sizes == expected, (n_trees, n_workers)
-        serial = train_forest(segments, config, "x", feature_config(4))
-        assert model_bytes(forest) == model_bytes(serial)
+        pooled = [model_bytes(f) for f in
+                  train_forests(training_sets, config, feature_config(4), n_workers)]
+        assert sizes == expected, (n_classes, n_trees, n_workers)
+        assert pooled == serial_bytes(training_sets, config)
 
 
 @pytest.mark.parametrize("n_workers", [0, -2])
