@@ -38,11 +38,11 @@ from .evaluate import (
 )
 from .features import (
     FeatureConfig,
-    dumped_blocks,
     load_audio,
     resample,
     save_audio,
     stream_features,
+    write_features_csv,
 )
 from .forest import (
     ForestConfig,
@@ -405,10 +405,10 @@ def cmd_detect(args) -> int:
     stream = stream_features(args.audio, feature_config)
     enabled = enabled_forests(forests, tuned)
     scored = forests if args.dump_scores else enabled
-    blocks = stream.blocks()
-    if args.dump_features:
-        blocks = dumped_blocks(blocks, args.dump_features, feature_config.n_channels)
-    tracks = score_tracks(blocks, stream.n_segments, scored,
+    if args.dump_features:  # its own ordered pass; scoring may split the stream
+        write_features_csv(stream.blocks(), args.dump_features,
+                           feature_config.n_channels)
+    tracks = score_tracks(stream, scored,
                           {label: [config] for label, config in configs.items()})
     tracks = {label: track for label, [track] in tracks.items()}
     if args.dump_scores:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import features as _features
 from .features import FeatureMatrix, Waveform, featurize
 from .forest import Forest, gaussian_pdf, route, shared_feature_config
 
@@ -142,7 +145,8 @@ def _kernel_pairs(weight, mean, var, n_segments: int):
     return owner, positions, values
 
 
-def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0) -> None:
+def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0,
+                  floor: int = 0) -> list:
     """Add one block's cached votes to a stream's raw onset and offset sums.
 
     ``sums`` maps each gate to the (onset, offset) pair of whole-stream sums
@@ -157,8 +161,13 @@ def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0) -> Non
     exactly the additions of rendering one vote at a time, for any block
     size and any set of gates. The sums are normalized once the stream ends
     (see ``score_tracks``).
+
+    Pairs at positions below ``floor`` are not added. They are returned as
+    ``(sum, positions, values)`` triples in vote order, and adding each with
+    ``np.add.at``, in order, completes the sums.
     """
     n = len(next(iter(sums.values()))[0])
+    held = []
     for start in range(0, len(votes.p_pos), _VOTE_BLOCK):
         block = np.arange(start, min(start + _VOTE_BLOCK, len(votes.p_pos)))
         block = block[~(votes.p_pos[block] < alpha)]
@@ -171,10 +180,16 @@ def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0) -> Non
         for side, mean, var in kernels:
             owner, positions, values = _kernel_pairs(p, mean, var, n)
             pair_p = p[owner]
+            below = positions < floor
             for gate, pair in sums.items():
                 keep = ~(pair_p < gate)
+                late = keep & below
+                if late.any():
+                    held.append((pair[side], positions[late], values[late]))
+                    keep &= ~below
                 if keep.any():
                     np.add.at(pair[side], positions[keep], values[keep])
+    return held
 
 
 def smooth(track: ScoreTrack, window: int) -> ScoreTrack:
@@ -184,10 +199,18 @@ def smooth(track: ScoreTrack, window: int) -> ScoreTrack:
     if window == 1 or track.n_segments == 0:
         return ScoreTrack(track.f_plus.copy(), track.f_minus.copy())
     kernel = np.ones(window)
+    n, half = track.n_segments, window // 2
     # the centre of the full convolution: mode="same" gives max(n, window)
     # values, and these n are its values whenever n >= window
-    centre = slice(window // 2, window // 2 + track.n_segments)
-    counts = np.convolve(np.ones(track.n_segments), kernel)[centre]
+    centre = slice(half, half + n)
+    # samples under each window, min(i + half, n - 1) - max(i - half, 0) + 1:
+    # whole numbers, so the same floats as convolving ones with the kernel
+    counts = np.arange(n, dtype=np.float64)
+    starts = counts - half
+    counts += half
+    np.minimum(counts, n - 1, out=counts)
+    counts -= np.maximum(starts, 0.0, out=starts)
+    counts += 1.0
     return ScoreTrack(
         np.convolve(track.f_plus, kernel)[centre] / counts,
         np.convolve(track.f_minus, kernel)[centre] / counts,
@@ -266,36 +289,90 @@ def filter_duration(detections, max_train_duration: float, factor: float = 3.0):
     return [d for d in detections if d.offset - d.onset <= limit]
 
 
-def score_tracks(blocks, n_segments: int, forests, configs) -> dict:
+def _reach(forests) -> int:
+    """One more than the furthest, in whole segments, that a Gaussian leaf of
+    ``forests`` reaches from its vote's segment: ``|mean|`` plus six standard
+    deviations, onset or offset. Every kernel position lies closer than this
+    to its vote's segment."""
+    furthest = 0.0
+    for forest in forests:
+        for leaves in (forest.table.onset, forest.table.offset):
+            gaussian = leaves[~np.isnan(leaves[:, 0])]
+            if len(gaussian):
+                furthest = max(furthest, float(np.max(
+                    np.abs(gaussian[:, 0]) + 6.0 * np.sqrt(gaussian[:, 1]))))
+    return 1 + math.ceil(furthest)
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on; all of them where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def score_tracks(source, forests, configs) -> dict:
     """Each class's smoothed onset and offset scores, from one pass over a stream.
 
-    ``blocks`` yields the stream's feature rows in order, as
-    ``FeatureStream.blocks`` does, and ``n_segments`` counts them all.
-    ``configs`` maps each class label to a list of DetectConfigs. Each
-    block's rows are routed once through every forest, and each vote's
-    kernels are evaluated once and added to the whole-stream sums of every
-    distinct alpha of its class that it passes. Votes arrive segment-major,
-    then in tree order, as in one batch over the stream, so every sum takes
-    the same additions in the same order and the tracks are exact whatever
-    the blocks. The sums are then divided by the forest's normalization
-    constants and smoothed, and each gate's sums are freed once its last
-    track is smoothed. Returns a mapping from class label to the list of
-    tracks, one per config and in the same order; a class with no configs
-    gets an empty list, and its forest is not routed.
+    ``source`` has ``n_segments`` rows and gives rows ``[lo, hi)`` as a
+    FeatureMatrix from ``block(lo, hi)``, as a ``FeatureStream`` or a
+    ``FeatureMatrix`` does. ``configs`` maps each class label to a list of
+    DetectConfigs. Each block's rows are routed once through every forest,
+    and each vote's kernels are evaluated once and added to the whole-stream
+    sums of every distinct alpha of its class that it passes.
+
+    The n segments are cut into W = min(usable cores, blocks of
+    ``_SEGMENT_BLOCK``) contiguous ranges. The calling thread scores the
+    first and a thread pool the others, each range block by block; a stream
+    of one block starts no thread. The tracks are exact whatever W and the
+    blocks. No vote of an earlier range reaches R (``_reach``) segments past
+    a range's start, so each range adds its pairs from there on straight into
+    the shared sums, where no other thread writes, in vote order. It holds
+    back the pairs below, and after the join they are added range after
+    range, so every sum takes the additions of one pass, in the same order.
+
+    The sums are then divided by the forest's normalization constants and
+    smoothed, and each gate's sums are freed once its last track is smoothed.
+    Returns a mapping from class label to the list of tracks, one per config
+    and in the same order; a class with no configs gets an empty list, and
+    its forest is not routed.
     """
+    n = source.n_segments
     sums = {
-        f.class_label: {c.alpha: (np.zeros(n_segments), np.zeros(n_segments))
+        f.class_label: {c.alpha: (np.zeros(n), np.zeros(n))
                         for c in configs[f.class_label]}
         for f in forests
     }
-    first = 0
-    for block in blocks:
-        for forest in forests:
-            gates = sums[forest.class_label]
-            if gates:
-                render_tracks(collect_votes(block, forest), min(gates), gates, first)
-        first += block.n_segments
-    block = None  # the last block's rows are not kept while smoothing
+    scored = [f for f in forests if sums[f.class_label]]
+    size = _features._SEGMENT_BLOCK
+    width = max(1, min(_usable_cores(), -(-n // size)))
+    bounds = [k * n // width for k in range(width + 1)]
+    reach = _reach(scored)
+
+    def score_range(lo: int, hi: int) -> list:
+        floor = lo + reach if lo else 0
+        held = []
+        for start in range(lo, hi, size):
+            block = source.block(start, min(start + size, hi))
+            for forest in scored:
+                gates = sums[forest.class_label]
+                held += render_tracks(collect_votes(block, forest), min(gates),
+                                      gates, start, floor)
+            block = None  # its rows are not held while the next block is made
+        return held
+
+    if width == 1:
+        held = [score_range(0, n)]
+    else:  # the first use imports the pool's module, which one block never needs
+        with concurrent.futures.ThreadPoolExecutor(width - 1) as pool:
+            later = [pool.submit(score_range, lo, hi)
+                     for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            held = [score_range(bounds[0], bounds[1])]
+            held += [future.result() for future in later]
+    for pairs in held:
+        for total, positions, values in pairs:
+            np.add.at(total, positions, values)
+    del held
     tracks = {}
     for forest in forests:
         label = forest.class_label
@@ -325,8 +402,7 @@ def normalize(forests, features) -> None:
         forest.z_plus = forest.z_minus = 1.0  # sums divided by the trees only
     for matrix in features:
         if matrix.n_segments:  # an empty stream has no peaks
-            for label, [track] in score_tracks([matrix], matrix.n_segments,
-                                               forests, raw).items():
+            for label, [track] in score_tracks(matrix, forests, raw).items():
                 np.maximum(peaks[label], [track.f_plus.max(), track.f_minus.max()],
                            out=peaks[label])
     for forest in forests:
@@ -370,8 +446,8 @@ def detect_stream(waveform: Waveform, forests, configs) -> list:
     ``configs`` maps each class label to its DetectConfig. All forests must
     share one feature configuration and name distinct classes (see
     ``forest.shared_feature_config``); the stream is resampled to the training
-    rate, and its features are scored block by block in one pass (see
-    ``score_tracks``), so the whole feature matrix is never held. Every given
+    rate, and its features are scored block by block, on every usable core
+    (see ``score_tracks``), so the whole feature matrix is never held. Every given
     forest is scored: drop the classes that tuned thresholds disable with
     ``evaluate.enabled_forests`` first.
     """
@@ -379,7 +455,7 @@ def detect_stream(waveform: Waveform, forests, configs) -> list:
     if not forests:
         return []
     stream = featurize(waveform, shared_feature_config(forests))
-    tracks = score_tracks(stream.blocks(), stream.n_segments, forests,
+    tracks = score_tracks(stream, forests,
                           {label: [config] for label, config in configs.items()})
     return detect_on_features({label: t for label, [t] in tracks.items()},
                               forests, configs)

@@ -268,8 +268,7 @@ def tune_thresholds(
         label = forest.class_label
         grid = {label: [replace(detect_config, alpha=a) for a in alphas]}
         per_fold = [
-            score_tracks([fold.features], fold.features.n_segments, [forest],
-                         grid)[label]
+            score_tracks(fold.features, [forest], grid)[label]
             for fold in folds
         ]
         best = None  # (rank, alpha, beta, error_rate)

@@ -7,6 +7,7 @@ import functools
 import math
 import os
 import struct
+import threading
 import wave
 from dataclasses import dataclass
 
@@ -32,7 +33,8 @@ _WINDOW_BLOCK = 512
 _FFT_BATCH = 64
 
 # Segments whose features a FeatureStream yields at once, and which detection
-# routes and renders together. A 60 s stream (5,991 segments at 10 ms hops)
+# routes and renders together; detection scores at most one range of a stream
+# per block on its own thread. A 60 s stream (5,991 segments at 10 ms hops)
 # is one block, so it takes the numpy calls of a whole-stream transform.
 _SEGMENT_BLOCK = 8192
 
@@ -147,6 +149,10 @@ class FeatureMatrix:
     @property
     def n_segments(self) -> int:
         return self.rows.shape[0]
+
+    def block(self, lo: int, hi: int) -> "FeatureMatrix":
+        """Rows ``[lo, hi)``, as views of this matrix's arrays."""
+        return FeatureMatrix(self.rows[lo:hi], self.segment_times[lo:hi], self.config)
 
     def segment_centers(self) -> np.ndarray:
         """Center time of each segment in seconds."""
@@ -593,13 +599,15 @@ class FeatureStream:
     power spectrum is pooled by the gammatone filterbank, and a DCT-II of the
     log energies yields one cepstral row per segment.
 
-    ``blocks`` yields the rows ``_SEGMENT_BLOCK`` segments at a time, so
-    memory is one block of samples, windows and rows however long the stream
-    is. The rows equal those of one transform over all windows bit for bit:
+    ``block(lo, hi)`` makes the rows of any range of segments, and
+    ``blocks`` yields them ``_SEGMENT_BLOCK`` segments at a time, so memory
+    is one block of samples, windows and rows however long the stream is.
+    The rows equal those of one transform over all windows bit for bit:
     windows are transformed in fixed blocks (see ``_energies``), and the log
     and the DCT act on each row alone. Noise subtraction takes a percentile
-    over the whole stream, so it keeps the n x channels filterbank energies
-    of the whole stream and yields slices of them.
+    over the whole stream, so the first block read keeps the n x channels
+    filterbank energies of the whole stream, and every block is a slice of
+    them.
     """
 
     def __init__(self, read, n_samples: int, config: FeatureConfig):
@@ -611,6 +619,8 @@ class FeatureStream:
         self.n_segments = (
             0 if n_samples < self._win else (n_samples - self._win) // self._hop + 1
         )
+        self._floored = None
+        self._lock = threading.Lock()
 
     @classmethod
     def of_samples(cls, samples: np.ndarray, config: FeatureConfig) -> "FeatureStream":
@@ -635,12 +645,13 @@ class FeatureStream:
         hann = periodic_hann(win)
         weights_t = gammatone_weights(self.config, win).T
         out = np.empty((hi - lo, self.config.n_channels))
+        # every block has min(width, n) windows, so one buffer serves them all
+        power = np.empty((min(width, n), weights_t.shape[0]))
         for start in starts:
             stop = min(start + width, n)
             owned = stop if start == last else min(stop, last)
             samples = self._read(start * hop, (stop - 1) * hop + win)
             windows = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
-            power = np.empty((stop - start, weights_t.shape[0]))
             for i in range(0, stop - start, _FFT_BATCH):
                 batch = windows[i:i + _FFT_BATCH]
                 np.abs(np.fft.rfft(batch * hann, axis=1), out=power[i:i + len(batch)])
@@ -650,20 +661,35 @@ class FeatureStream:
             out[a - lo:b - lo] = energies[a - start:b - start]
         return out
 
+    def block(self, lo: int, hi: int) -> FeatureMatrix:
+        """The rows of segments ``[lo, hi)``, equal bit for bit to those rows
+        of the whole stream's transform, for any ``lo`` and ``hi``."""
+        config = self.config
+        if config.noise_subtraction:
+            energies = self._subtracted()[lo:hi] + LOG_FLOOR
+        else:
+            energies = self._energies(lo, hi)
+            energies += LOG_FLOOR
+        np.log(energies, out=energies)
+        rows = _dct_ortho(energies)
+        times = np.arange(lo, hi) * self._hop / config.sample_rate
+        return FeatureMatrix(rows, times, config)
+
+    def _subtracted(self) -> np.ndarray:
+        """The whole stream's energies less their noise floor, made once.
+
+        The lock lets threads that read blocks at once wait for the one that
+        makes them, so the floor is taken once however many threads ask.
+        """
+        with self._lock:
+            if self._floored is None:
+                self._floored = subtract_noise_floor(self._energies(0, self.n_segments))
+        return self._floored
+
     def blocks(self):
         """``FeatureMatrix`` blocks of ``_SEGMENT_BLOCK`` rows, in stream order."""
-        n, config = self.n_segments, self.config
-        whole = None
-        if config.noise_subtraction:
-            whole = subtract_noise_floor(self._energies(0, n))
-        for lo in range(0, n, _SEGMENT_BLOCK):
-            hi = min(lo + _SEGMENT_BLOCK, n)
-            energies = self._energies(lo, hi) if whole is None else whole[lo:hi]
-            energies += LOG_FLOOR
-            np.log(energies, out=energies)
-            rows = _dct_ortho(energies)
-            times = np.arange(lo, hi) * self._hop / config.sample_rate
-            yield FeatureMatrix(rows, times, config)
+        for lo in range(0, self.n_segments, _SEGMENT_BLOCK):
+            yield self.block(lo, min(lo + _SEGMENT_BLOCK, self.n_segments))
 
     def matrix(self) -> FeatureMatrix:
         """All rows of the stream in one matrix."""
@@ -676,11 +702,11 @@ class FeatureStream:
         return FeatureMatrix(rows, times, self.config)
 
 
-def dumped_blocks(blocks, path, n_channels: int):
-    """Pass feature blocks on, after writing each one's rows to a CSV at ``path``.
+def write_features_csv(blocks, path, n_channels: int) -> None:
+    """Write the rows of feature blocks, in order, to a CSV at ``path``.
 
     The file holds a header and one line per segment: its onset time and its
-    coefficients. It is complete once ``blocks`` is exhausted.
+    coefficients.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -688,4 +714,3 @@ def dumped_blocks(blocks, path, n_channels: int):
         for block in blocks:
             for t, row in zip(block.segment_times, block.rows):
                 writer.writerow([f"{t:.6f}"] + [repr(float(v)) for v in row])
-            yield block

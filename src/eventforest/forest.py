@@ -772,8 +772,9 @@ def forest_from_dict(payload: dict) -> Forest:
 def save_forest(forest: Forest, path) -> None:
     """Serialize a forest to JSON with deterministic byte layout."""
     with open(path, "w") as handle:
-        json.dump(forest_to_dict(forest), handle, sort_keys=True,
-                  separators=(",", ":"))
+        # dumps takes the C encoder, which json.dump never uses
+        handle.write(json.dumps(forest_to_dict(forest), sort_keys=True,
+                                separators=(",", ":")))
         handle.write("\n")
 
 

@@ -474,7 +474,7 @@ def oracle_render_tracks(votes, alpha, z_plus=1.0, z_minus=1.0):
 def score_matrix(features, forests, configs):
     """Each class's track for its one DetectConfig in ``configs``, scored from
     a whole feature matrix as one block."""
-    tracks = score_tracks([features], features.n_segments, forests,
+    tracks = score_tracks(features, forests,
                           {label: [config] for label, config in configs.items()})
     return {label: track for label, [track] in tracks.items()}
 

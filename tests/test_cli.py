@@ -1106,6 +1106,68 @@ def test_detect_memory_does_not_grow_with_the_stream(
     assert peaks[1] - peaks[0] < extra_audio
 
 
+def test_detect_bytes_do_not_depend_on_the_usable_cores(corpus, models, thresholds,
+                                                        tmp_path):
+    cores = sorted(os.sched_getaffinity(0))
+    if len(cores) < 2:
+        pytest.skip("one usable core: every stream is scored in one range")
+    # blocks of BLOCK segments cut the test scene into more than two
+    code = (
+        "import os, sys\n"
+        "from eventforest import features\n"
+        f"features._SEGMENT_BLOCK = {BLOCK}\n"
+        "from eventforest.cli import main\n"
+        "print(len(os.sched_getaffinity(0)))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    outputs, usable = [], []
+    for name, pinned in (("all", None), ("one", cores[:1])):
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", code, "detect", str(corpus / "test.wav"),
+             *model_args(models), "--thresholds", str(thresholds),
+             "--out", str(out_dir / "detections.txt"),
+             "--dump-scores", str(out_dir / "scores"),
+             "--dump-features", str(out_dir / "features.csv")],
+            env=_package_env(), capture_output=True, text=True, check=True,
+            timeout=300,
+            preexec_fn=None if pinned is None else (
+                lambda: os.sched_setaffinity(0, pinned)),
+        )
+        usable.append(int(result.stdout.split()[0]))
+        outputs.append({str(p.relative_to(out_dir)): p.read_bytes()
+                        for p in sorted(out_dir.rglob("*")) if p.is_file()})
+    assert usable == [len(cores), 1]
+    assert outputs[0]["features.csv"].count(b"\n") > 1 + 2 * BLOCK
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
+
+
+def test_error_in_a_later_range_gives_one_error_line(corpus, models, thresholds,
+                                                     tmp_path, monkeypatch):
+    import threading
+
+    routing = detect_module.collect_votes
+
+    def failing(features, forest):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("routing failed")
+        return routing(features, forest)
+
+    monkeypatch.setattr(detect_module, "collect_votes", failing)
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", BLOCK)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "detections.txt"
+    before = threading.active_count()
+    code, err = run_main(["detect", str(corpus / "test.wav")] + model_args(models)
+                         + ["--thresholds", str(thresholds), "--out", str(out)])
+    assert code == 1
+    assert err == "error: routing failed\n"
+    assert threading.active_count() == before
+    assert not out.exists()
+
+
 def library_detection(models):
     """The forests of ``models`` and a config per class that fires on the test scene."""
     forests = [load_forest(p) for p in models]

@@ -3,8 +3,12 @@
 import copy
 import io
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from conftest import (
     vote_tree,
 )
 from eventforest import detect as detect_module
+from eventforest import features as features_module
 from eventforest.detect import (
     _VOTE_BLOCK,
     Detection,
@@ -380,16 +385,16 @@ def test_collect_votes_matches_oracle_on_random_trees(seed, n_segments, n_trees)
     )
 
 
-def score_configs(blocks, n_segments, forest, configs):
+def score_configs(source, forest, configs):
     """The tracks ``score_tracks`` gives one class's ``configs`` in one call."""
     label = forest.class_label
-    return score_tracks(blocks, n_segments, [forest], {label: configs})[label]
+    return score_tracks(source, [forest], {label: configs})[label]
 
 
 def score_alphas(features, forest, alphas, window=1):
     """One class's tracks of a whole matrix, one per alpha, in one call."""
     configs = [DetectConfig(alpha=a, smooth_window=window) for a in alphas]
-    return score_configs([features], features.n_segments, forest, configs)
+    return score_configs(features, forest, configs)
 
 
 def test_raising_alpha_never_raises_scores(blob_model):
@@ -586,14 +591,15 @@ def test_configs_of_one_class_score_as_separate_calls(blob_model, alphas,
     if configs[-1].smooth_window == configs[0].smooth_window:
         configs[-1] = replace(configs[-1],
                               smooth_window=configs[0].smooth_window + 2)
-    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, n), max_size=4))), n]
-    blocks = [FeatureMatrix(features.rows[a:b], features.segment_times[a:b],
-                            features.config)
-              for a, b in zip(bounds, bounds[1:])]
-    together = score_configs(blocks, n, forest, configs)
+    # blocks of any size, in as many ranges as there are blocks or cores
+    size = data.draw(st.integers(1, n + 1))
+    cores = data.draw(st.integers(1, 3))
+    with mock.patch.object(features_module, "_SEGMENT_BLOCK", size), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))):
+        together = score_configs(features, forest, configs)
     assert len(together) == len(configs)
     for config, track in zip(configs, together):
-        [alone] = score_configs([features], n, forest, [config])
+        [alone] = score_configs(features, forest, [config])
         assert_tracks_identical(track, alone)
 
 
@@ -608,11 +614,108 @@ def test_class_without_configs_gets_no_tracks_and_is_not_routed(blob_model,
         return collect_votes(block, forest)
 
     monkeypatch.setattr(detect_module, "collect_votes", counting)
-    tracks = score_tracks([features], features.n_segments,
-                          [blob_model.forest, other],
+    tracks = score_tracks(features, [blob_model.forest, other],
                           {"blob": [], "x": [DetectConfig()]})
     assert tracks["blob"] == [] and len(tracks["x"]) == 1
     assert routed == ["x"]
+
+
+# ---------------------------------------------------- scoring in ranges
+
+
+def wide_forest(rng, label, n_trees=3):
+    """A forest of random trees whose Gaussian leaves reach up to about 70
+    segments from their votes."""
+    trees = [random_tree(rng, feature_config().n_channels, 4) for _ in range(n_trees)]
+    for node in (node for tree in trees for node in tree):
+        if node["kind"] == "leaf" and node["onset"] is not None:
+            node["onset"] = [float(rng.uniform(0, 40)), float(rng.uniform(1, 25))]
+            node["offset"] = [float(rng.uniform(0, 40)), float(rng.uniform(1, 25))]
+    return Forest(
+        class_label=label,
+        table=NodeTable.from_trees(trees),
+        config=ForestConfig(n_trees=n_trees),
+        feature_config=feature_config(),
+        max_train_event_duration=1.0,
+    )
+
+
+def usable_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+@pytest.mark.parametrize("noise_subtraction", [False, True])
+@pytest.mark.parametrize("n_segments, size", [(150, 16), (3, 1), (0, 16)])
+def test_ranges_cannot_change_any_track(n_segments, size, noise_subtraction,
+                                        monkeypatch):
+    rng = np.random.default_rng(n_segments)
+    forests = [wide_forest(rng, label) for label in ("a", "b", "c")]
+    configs = {
+        "a": [DetectConfig(alpha=a) for a in default_alpha_grid()],
+        "b": [DetectConfig(alpha=0.3), DetectConfig(alpha=0.0, smooth_window=1)],
+        "c": [DetectConfig(alpha=0.0, smooth_window=3)],
+    }
+    samples = 1599 if n_segments == 0 else 1600 + (n_segments - 1) * 160
+    wave = Waveform(rng.normal(size=samples) * 0.1, 16000)
+    config = FeatureConfig(n_channels=feature_config().n_channels,
+                           noise_subtraction=noise_subtraction)
+    usable_cores(monkeypatch, 1)
+    expected = score_tracks(featurize(wave, config), forests, configs)
+
+    routed = []
+
+    def recording(block, forest):
+        start = int(round(block.segment_times[0] / config.hop_len))
+        routed.append((threading.get_ident(), start))
+        return collect_votes(block, forest)
+
+    monkeypatch.setattr(detect_module, "collect_votes", recording)
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", size)
+    # more threads than cores, switching often: two threads adding to one
+    # element would lose or reorder an addition
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cores in (1, 2, 3, 7):
+            usable_cores(monkeypatch, cores)
+            routed.clear()
+            tracks = score_tracks(featurize(wave, config), forests, configs)
+            width = max(1, min(cores, -(-n_segments // size)))
+            bounds = [k * n_segments // width for k in range(width + 1)]
+            starts = [s for lo, hi in zip(bounds, bounds[1:])
+                      for s in range(lo, hi, size)]
+            assert sorted(start for _, start in routed) == sorted(starts * len(forests))
+            assert (len({thread for thread, _ in routed}) > 1) == (width > 1)
+            assert tracks.keys() == expected.keys()
+            for label, want in expected.items():
+                assert len(tracks[label]) == len(want)
+                for track, track_want in zip(tracks[label], want):
+                    assert_tracks_identical(track, track_want)
+    finally:
+        sys.setswitchinterval(interval)
+    if n_segments == 150:
+        # at 7 ranges of 21 or 22 segments, held pairs span several ranges
+        assert detect_module._reach(forests) > 2 * 22
+
+
+def test_error_in_a_later_range_leaves_score_tracks(monkeypatch):
+    rng = np.random.default_rng(4)
+    config = feature_config()
+    features = FeatureMatrix(rng.normal(size=(150, config.n_channels)),
+                             np.arange(150) * config.hop_len, config)
+
+    def failing(block, forest):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("routing failed")
+        return collect_votes(block, forest)
+
+    monkeypatch.setattr(detect_module, "collect_votes", failing)
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 16)
+    usable_cores(monkeypatch, 3)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="routing failed"):
+        score_tracks(features, [wide_forest(rng, "a")], {"a": [DetectConfig()]})
+    assert threading.active_count() == before
 
 
 def test_render_memory_stays_within_a_few_blocks():
@@ -644,6 +747,25 @@ def test_render_memory_stays_within_a_few_blocks():
 
 
 # ---------------------------------------------------------------- smoothing
+
+
+def convolved_smooth(track, window):
+    """``smooth`` with its edge counts taken from convolving ones with the kernel."""
+    if window == 1 or track.n_segments == 0:
+        return ScoreTrack(track.f_plus.copy(), track.f_minus.copy())
+    kernel = np.ones(window)
+    centre = slice(window // 2, window // 2 + track.n_segments)
+    counts = np.convolve(np.ones(track.n_segments), kernel)[centre]
+    return ScoreTrack(np.convolve(track.f_plus, kernel)[centre] / counts,
+                      np.convolve(track.f_minus, kernel)[centre] / counts)
+
+
+@pytest.mark.parametrize("window", [1, 3, 11])
+def test_smooth_edge_counts_equal_the_convolution(window):
+    rng = np.random.default_rng(window)
+    for n in range(3 * window + 1):
+        track = ScoreTrack(rng.random(n), rng.random(n))
+        assert_tracks_identical(smooth(track, window), convolved_smooth(track, window))
 
 
 def test_smooth_keeps_constant_track():

@@ -19,7 +19,6 @@ from eventforest import features as features_module
 from eventforest.features import (
     FeatureConfig,
     Waveform,
-    dumped_blocks,
     erb_bandwidth,
     erb_space,
     featurize,
@@ -33,6 +32,7 @@ from eventforest.features import (
     save_audio,
     stream_features,
     subtract_noise_floor,
+    write_features_csv,
 )
 
 
@@ -434,8 +434,7 @@ def test_noise_subtraction_is_part_of_the_feature_space():
 
 def dump_features_csv(stream, path) -> None:
     """Write one row per segment of a FeatureStream: onset time, then coefficients."""
-    for _ in dumped_blocks(stream.blocks(), path, stream.config.n_channels):
-        pass
+    write_features_csv(stream.blocks(), path, stream.config.n_channels)
 
 
 def test_feature_csv_round_trips_exactly(tmp_path):
