@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import features as _features
 from .dataset import (
     EventAnnotation,
     MixtureSpec,
@@ -405,11 +406,18 @@ def cmd_detect(args) -> int:
     stream = stream_features(args.audio, feature_config)
     enabled = enabled_forests(forests, tuned)
     scored = forests if args.dump_scores else enabled
-    if args.dump_features:  # its own ordered pass; scoring may split the stream
-        write_features_csv(stream.blocks(), args.dump_features,
-                           feature_config.n_channels)
-    tracks = score_tracks(stream, scored,
+    source = stream
+    if args.dump_features:
+        # A stream of one block is featurized once. A longer one is read
+        # again in order, since scoring may split it into ranges.
+        blocks = stream.blocks()
+        if stream.n_segments <= _features._SEGMENT_BLOCK:
+            source = stream.block(0, stream.n_segments)
+            blocks = [source]
+        write_features_csv(blocks, args.dump_features, feature_config.n_channels)
+    tracks = score_tracks(source, scored,
                           {label: [config] for label, config in configs.items()})
+    del stream, source  # a noise floor's whole-stream energies go with them
     tracks = {label: track for label, [track] in tracks.items()}
     if args.dump_scores:
         score_dir = Path(args.dump_scores)

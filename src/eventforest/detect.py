@@ -124,6 +124,12 @@ def collect_votes(features: FeatureMatrix, forest: Forest) -> StreamVotes:
 # 2048, 512 rendered the ~100-segment kernels of 240 s streams fastest.
 _VOTE_BLOCK = 512
 
+# Ranges of one stream that score_tracks scores at once, one thread each.
+# Two threads ran detect on a 240 s stream 1.6x as fast on an idle 2-CPU
+# host. More were never measured, np.fft.rfft and np.add.at hold the GIL,
+# and each range holds a block in flight, so the cap stays at what was.
+_SCORE_RANGES = 2
+
 
 def _kernel_pairs(weight, mean, var, n_segments: int):
     """Flat (vote, position, value) triples of weighted truncated Gaussians.
@@ -180,13 +186,14 @@ def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0,
         for side, mean, var in kernels:
             owner, positions, values = _kernel_pairs(p, mean, var, n)
             pair_p = p[owner]
-            below = positions < floor
+            below = positions < floor if floor else None
             for gate, pair in sums.items():
                 keep = ~(pair_p < gate)
-                late = keep & below
-                if late.any():
-                    held.append((pair[side], positions[late], values[late]))
-                    keep &= ~below
+                if below is not None:
+                    late = keep & below
+                    if late.any():
+                        held.append((pair[side], positions[late], values[late]))
+                        keep &= ~below
                 if keep.any():
                     np.add.at(pair[side], positions[keep], values[keep])
     return held
@@ -304,6 +311,14 @@ def _reach(forests) -> int:
     return 1 + math.ceil(furthest)
 
 
+def _add_held(held) -> None:
+    """Add each range's held ``(sum, positions, values)`` triples, range
+    after range and in vote order, with ``np.add.at``."""
+    for pairs in held:
+        for total, positions, values in pairs:
+            np.add.at(total, positions, values)
+
+
 def _usable_cores() -> int:
     """The CPUs this process may run on; all of them where the OS cannot say."""
     if hasattr(os, "sched_getaffinity"):
@@ -321,15 +336,16 @@ def score_tracks(source, forests, configs) -> dict:
     and each vote's kernels are evaluated once and added to the whole-stream
     sums of every distinct alpha of its class that it passes.
 
-    The n segments are cut into W = min(usable cores, blocks of
-    ``_SEGMENT_BLOCK``) contiguous ranges. The calling thread scores the
-    first and a thread pool the others, each range block by block; a stream
-    of one block starts no thread. The tracks are exact whatever W and the
-    blocks. No vote of an earlier range reaches R (``_reach``) segments past
-    a range's start, so each range adds its pairs from there on straight into
-    the shared sums, where no other thread writes, in vote order. It holds
-    back the pairs below, and after the join they are added range after
-    range, so every sum takes the additions of one pass, in the same order.
+    The n segments are cut into W = min(``_SCORE_RANGES``, usable cores,
+    blocks of ``_SEGMENT_BLOCK``) contiguous ranges. The calling thread
+    scores the first and a thread pool the others, each range block by
+    block; a stream of one block starts no thread. The tracks are exact
+    whatever W and the blocks. No vote of an earlier range reaches R
+    (``_reach``) segments past a range's start, so each range adds its pairs
+    from there on straight into the shared sums, where no other thread
+    writes, in vote order. It holds back the pairs below, and after the join
+    they are added range after range, so every sum takes the additions of
+    one pass, in the same order.
 
     The sums are then divided by the forest's normalization constants and
     smoothed, and each gate's sums are freed once its last track is smoothed.
@@ -345,9 +361,9 @@ def score_tracks(source, forests, configs) -> dict:
     }
     scored = [f for f in forests if sums[f.class_label]]
     size = _features._SEGMENT_BLOCK
-    width = max(1, min(_usable_cores(), -(-n // size)))
+    width = max(1, min(_SCORE_RANGES, _usable_cores(), -(-n // size)))
     bounds = [k * n // width for k in range(width + 1)]
-    reach = _reach(scored)
+    reach = _reach(scored) if width > 1 else 0
 
     def score_range(lo: int, hi: int) -> list:
         floor = lo + reach if lo else 0
@@ -365,14 +381,12 @@ def score_tracks(source, forests, configs) -> dict:
         held = [score_range(0, n)]
     else:  # the first use imports the pool's module, which one block never needs
         with concurrent.futures.ThreadPoolExecutor(width - 1) as pool:
-            later = [pool.submit(score_range, lo, hi)
-                     for lo, hi in zip(bounds[1:-1], bounds[2:])]
-            held = [score_range(bounds[0], bounds[1])]
-            held += [future.result() for future in later]
-    for pairs in held:
-        for total, positions, values in pairs:
-            np.add.at(total, positions, values)
-    del held
+            # map drops each future once its result is taken, so no future
+            # keeps a held triple, or through it a gate's sums, alive
+            later = pool.map(score_range, bounds[1:-1], bounds[2:])
+            held = [score_range(bounds[0], bounds[1]), *later]
+    _add_held(held)
+    del held  # each gate's sums are freed once its tracks are smoothed
     tracks = {}
     for forest in forests:
         label = forest.class_label
@@ -446,10 +460,10 @@ def detect_stream(waveform: Waveform, forests, configs) -> list:
     ``configs`` maps each class label to its DetectConfig. All forests must
     share one feature configuration and name distinct classes (see
     ``forest.shared_feature_config``); the stream is resampled to the training
-    rate, and its features are scored block by block, on every usable core
-    (see ``score_tracks``), so the whole feature matrix is never held. Every given
-    forest is scored: drop the classes that tuned thresholds disable with
-    ``evaluate.enabled_forests`` first.
+    rate, and its features are scored block by block, on up to two threads
+    (see ``score_tracks``), so the whole feature matrix is never held. Every
+    given forest is scored: drop the classes that tuned thresholds disable
+    with ``evaluate.enabled_forests`` first.
     """
     forests = list(forests)
     if not forests:
@@ -457,6 +471,7 @@ def detect_stream(waveform: Waveform, forests, configs) -> list:
     stream = featurize(waveform, shared_feature_config(forests))
     tracks = score_tracks(stream, forests,
                           {label: [config] for label, config in configs.items()})
+    del stream  # a noise floor's whole-stream energies go with it
     return detect_on_features({label: t for label, [t] in tracks.items()},
                               forests, configs)
 

@@ -1051,6 +1051,26 @@ def test_streamed_detect_equals_batch_at_block_boundaries(
     assert streamed == batch
 
 
+@pytest.mark.parametrize("block, reads", [(10**9, 1), (BLOCK, 2)])
+def test_dump_features_reads_a_longer_stream_twice(block, reads, corpus, models,
+                                                   thresholds, tmp_path,
+                                                   monkeypatch):
+    # a one-block stream is featurized once, for the CSV and for scoring
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", block)
+    made = []
+    featurizing = features_module.FeatureStream.block
+
+    def counting(stream, lo, hi):
+        made.append(hi - lo)
+        return featurizing(stream, lo, hi)
+
+    monkeypatch.setattr(features_module.FeatureStream, "block", counting)
+    outputs = detect_outputs(corpus / "test.wav", models, thresholds, tmp_path / "out")
+    n_segments = outputs["features.csv"].count(b"\n") - 1
+    assert n_segments > 2 * BLOCK
+    assert sum(made) == reads * n_segments
+
+
 @pytest.mark.parametrize("fault", ["nan", "truncated"])
 def test_faulty_stream_gives_one_error_line_and_no_output(
     fault, corpus, models, tmp_path, monkeypatch

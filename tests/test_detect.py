@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -671,8 +672,9 @@ def test_ranges_cannot_change_any_track(n_segments, size, noise_subtraction,
 
     monkeypatch.setattr(detect_module, "collect_votes", recording)
     monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", size)
-    # more threads than cores, switching often: two threads adding to one
-    # element would lose or reorder an addition
+    # ranges past the cap, and more threads than cores, switching often: two
+    # threads adding to one element would lose or reorder an addition
+    monkeypatch.setattr(detect_module, "_SCORE_RANGES", 7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -716,6 +718,52 @@ def test_error_in_a_later_range_leaves_score_tracks(monkeypatch):
     with pytest.raises(ValueError, match="routing failed"):
         score_tracks(features, [wide_forest(rng, "a")], {"a": [DetectConfig()]})
     assert threading.active_count() == before
+
+
+def test_each_class_sums_are_freed_once_smoothed(monkeypatch):
+    # a later range's held pairs point into the sums: once added, nothing
+    # may keep them, or every class's sums outlive its smoothing
+    rng = np.random.default_rng(6)
+    labels = ("a", "b", "c")
+    forests = [wide_forest(rng, label) for label in labels]
+    configs = {label: [DetectConfig(alpha=0.0, smooth_window=3)] for label in labels}
+    config = feature_config()
+    features = FeatureMatrix(rng.normal(size=(150, config.n_channels)),
+                             np.arange(150) * config.hop_len, config)
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 16)
+    usable_cores(monkeypatch, 2)
+    smoothed, alive = [], []
+    smoothing = detect_module.smooth
+
+    def recording(track, window):
+        alive.append(sum(ref() is not None for ref in smoothed))
+        smoothed.append(weakref.ref(track.f_plus))
+        return smoothing(track, window)
+
+    monkeypatch.setattr(detect_module, "smooth", recording)
+    score_tracks(features, forests, configs)
+    assert alive == [0, 0, 0]
+
+
+def test_score_memory_does_not_grow_with_the_cores(monkeypatch):
+    rng = np.random.default_rng(5)
+    forests = [wide_forest(rng, label) for label in ("a", "b")]
+    configs = {label: [DetectConfig(alpha=0.0)] for label in ("a", "b")}
+    n_segments = 8 * 512
+    wave = Waveform(rng.normal(size=1600 + (n_segments - 1) * 160) * 0.1, 16000)
+    monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 512)
+    peaks = {}
+    for cores in (2, 2, 8):  # the first run's caches and imports are not counted
+        usable_cores(monkeypatch, cores)
+        stream = featurize(wave, feature_config())
+        tracemalloc.start()
+        try:
+            score_tracks(stream, forests, configs)
+            peaks[cores] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # eight ranges would hold eight blocks in flight, four times two's
+    assert peaks[8] < 1.25 * peaks[2]
 
 
 def test_render_memory_stays_within_a_few_blocks():
