@@ -234,17 +234,20 @@ def inject_background_segments(
     Rows are drawn from ``background_rows`` without replacement when there
     are enough of them, with replacement otherwise.
     """
+    extra = _background_negatives(train.n_positive, background_rows, rng_seed)
+    return SegmentSet.concatenate([train, extra]) if len(extra) else train
+
+
+def _background_negatives(n_pos: int, background_rows: np.ndarray,
+                          rng_seed: int) -> SegmentSet:
+    """The ``n_pos`` negatives that ``inject_background_segments`` appends."""
     n_rows = len(background_rows)
     if n_rows == 0:
         raise ValueError("background stream contains no segments")
-    n_pos = train.n_positive
-    if n_pos == 0:
-        return train
     rng = np.random.default_rng(rng_seed)
     indices = rng.choice(n_rows, size=n_pos, replace=n_rows < n_pos)
-    extra = SegmentSet(background_rows[indices], np.zeros(n_pos),
-                       np.full((n_pos, 2), np.nan))
-    return SegmentSet.concatenate([train, extra])
+    return SegmentSet(background_rows[indices], np.zeros(n_pos),
+                      np.full((n_pos, 2), np.nan))
 
 
 def build_training_segments(
@@ -351,10 +354,10 @@ def build_training_segments(
                 )
                 segments.append(_collect(mixed, mixed_ann))
 
-    train = SegmentSet.concatenate(segments)
-    if background is not None:
-        train = inject_background_segments(train, background, mixture.rng_seed)
-    return train
+    if background is not None:  # inject_background_segments, in one concatenation
+        n_pos = sum(s.n_positive for s in segments)
+        segments.append(_background_negatives(n_pos, background, mixture.rng_seed))
+    return SegmentSet.concatenate(segments)
 
 
 @dataclass

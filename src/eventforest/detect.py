@@ -188,13 +188,16 @@ def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0,
             pair_p = p[owner]
             below = positions < floor if floor else None
             for gate, pair in sums.items():
-                keep = ~(pair_p < gate)
+                # None: every pair passes, as all do at the lowest gate
+                keep = None if gate <= alpha else ~(pair_p < gate)
                 if below is not None:
-                    late = keep & below
+                    late = below if keep is None else keep & below
                     if late.any():
                         held.append((pair[side], positions[late], values[late]))
-                        keep &= ~below
-                if keep.any():
+                        keep = ~below if keep is None else keep & ~below
+                if keep is None:
+                    np.add.at(pair[side], positions, values)
+                elif keep.any():
                     np.add.at(pair[side], positions[keep], values[keep])
     return held
 

@@ -139,32 +139,79 @@ def _draw_pool(n_dims: int, n_candidates: int, rng):
     return r, q, u
 
 
-def _candidate_blocks(x, r, q, u):
-    """Yield ``(start, diffs, tau)`` for consecutive blocks of a candidate pool.
+def _group_pairs(n_dims: int, n_candidates: int) -> bool:
+    """Whether a pool forms each channel pair's differences once, not per candidate.
 
-    ``diffs`` is the block's (B, n) matrix of x_r - x_q and ``tau`` its
-    thresholds, each uniform over that candidate's observed range. A block
-    has ``max(1, _BLOCK_CELLS // n)`` candidates, and ``diffs`` is
-    overwritten by the next block.
+    A pool of at least ``n_dims**2`` candidates, the number of ordered (r, q)
+    pairs, must repeat pairs; the CLI default of 20,000 does at 64 channels.
     """
+    return n_candidates >= n_dims**2
+
+
+def _pair_order(r, q, n_dims: int) -> np.ndarray:
+    """The draw indices of a pool sorted by (r, q), ties in draw order."""
+    if n_dims <= 256:  # r * n_dims + q fits a 16-bit key, which numpy radix sorts
+        return np.argsort((r * n_dims + q).astype(np.uint16), kind="stable")
+    key = np.min_scalar_type(n_dims - 1)
+    order = np.argsort(q.astype(key), kind="stable")
+    return order[np.argsort(r[order].astype(key), kind="stable")]
+
+
+def _differences(xt, r, q, out, spare):
+    """Rows x_r - x_q of each (r, q) in ``out``, with each row's min and max."""
+    diffs, other = out[: len(r)], spare[: len(r)]
+    # indices are in range, and "clip" lets take write straight into out
+    np.take(xt, r, axis=0, out=diffs, mode="clip")
+    np.take(xt, q, axis=0, out=other, mode="clip")
+    diffs -= other
+    return diffs, diffs.min(axis=1), diffs.max(axis=1)
+
+
+def _candidate_blocks(x, r, q, u):
+    """Yield ``(index, diffs, tau)`` for the blocks of a candidate pool.
+
+    ``index`` picks the block's candidates out of the pool, a slice or an
+    array of draw indices; ``diffs`` is their (B, n) matrix of x_r - x_q and
+    ``tau`` their thresholds, each uniform over that candidate's observed
+    range. A block has ``max(1, _BLOCK_CELLS // n)`` candidates, and
+    ``diffs`` is overwritten by the next block.
+
+    A pool that ``_group_pairs`` takes is visited in (r, q) order. Each
+    distinct pair of a block has its differences, minimum and maximum formed
+    once and copied out to the pair's candidates, so the values are the same
+    as candidate by candidate.
+    """
+    n_dims = x.shape[1]
     # transposed, each candidate's differences are two contiguous row reads
     xt = np.ascontiguousarray(x.T)
     block = max(1, _BLOCK_CELLS // max(1, len(x)))
     # reused across blocks: a fresh array this large faults in every page
     size = min(len(r), block)
-    minuend = np.empty((size, len(x)))
-    subtrahend = np.empty_like(minuend)
+    out = np.empty((size, len(x)))
+    spare = np.empty_like(out)
+    if not _group_pairs(n_dims, len(r)):
+        for start in range(0, len(r), block):
+            stop = min(start + block, len(r))
+            diffs, lo, hi = _differences(xt, r[start:stop], q[start:stop], out, spare)
+            yield slice(start, stop), diffs, lo + u[start:stop] * (hi - lo)
+        return
+    order = _pair_order(r, q, n_dims)
+    r, q, u = r[order], q[order], u[order]
+    # where the sorted pool opens a pair, and each block forms its first pair
+    opens = np.empty(len(r), dtype=bool)
+    opens[1:] = (r[1:] != r[:-1]) | (q[1:] != q[:-1])
+    opens[::block] = True
+    heads = np.flatnonzero(opens)
+    pair_of = np.cumsum(opens) - 1
     for start in range(0, len(r), block):
         stop = min(start + block, len(r))
-        diffs = minuend[: stop - start]
-        other = subtrahend[: stop - start]
-        # indices are in range, and "clip" lets take write straight into out
-        np.take(xt, r[start:stop], axis=0, out=diffs, mode="clip")
-        np.take(xt, q[start:stop], axis=0, out=other, mode="clip")
-        diffs -= other
-        lo = diffs.min(axis=1)
-        hi = diffs.max(axis=1)
-        yield start, diffs, lo + u[start:stop] * (hi - lo)
+        first_pair = pair_of[start]
+        at = heads[first_pair:pair_of[stop - 1] + 1]
+        pairs, lo, hi = _differences(xt, r[at], q[at], out, spare)
+        local = pair_of[start:stop] - first_pair
+        lo, hi = lo[local], hi[local]
+        diffs = np.take(pairs, local, axis=0, out=spare[: stop - start], mode="clip")
+        yield order[start:stop], diffs, lo + u[start:stop] * (hi - lo)
 
 
 @dataclass(eq=False)
@@ -190,10 +237,12 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     accumulated as ``uint32``, which no node can overflow: 2**32 rows would be
     2 TB of features at the default 64 channels. Each block records only its
     candidates' threshold, child counts and, for regression, right-side
-    positive distance sums, in arrays of length ``n_candidates``. The whole
-    pool is then scored at once, and ties keep the earliest-drawn candidate
-    (the first maximum). Memory therefore grows with one block plus
-    O(n_candidates), and the result does not depend on the block size: child
+    positive distance sums, at their draw indices in arrays of length
+    ``n_candidates``, also where ``_candidate_blocks`` visits the pool in
+    channel pair order. The whole pool is then scored at once, and ties keep
+    the earliest-drawn candidate (the first maximum). Memory therefore grows
+    with one block plus O(n_candidates), and the result does not depend on
+    the block size or the visiting order: child
     and positive counts are integers, and distance vectors are integer frame
     offsets, so every sum is exact in float64 in any order.
     """
@@ -218,19 +267,18 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     n_right = np.empty(n_candidates)
     n_pos_right = np.empty(n_candidates)
     sums = np.empty((n_candidates, pos_stats.shape[1])) if regression else None
-    for start, diffs, block_tau in _candidate_blocks(segments.x[order], r, q, u):
-        stop = start + len(block_tau)
+    for index, diffs, block_tau in _candidate_blocks(segments.x[order], r, q, u):
         mask = diffs > block_tau[:, np.newaxis]
         # a bool is one byte of 0 or 1, so its row sum is the child count;
         # uint32 holds any count: 2**32 rows are 2 TB of 64-channel features
         cells = mask.view(np.uint8)
         pos = np.add.reduce(cells[:, :n_pos_rows], axis=1, dtype=np.uint32)
         neg = np.add.reduce(cells[:, n_pos_rows:], axis=1, dtype=np.uint32)
-        tau[start:stop] = block_tau
-        n_right[start:stop] = pos + neg
-        n_pos_right[start:stop] = pos
+        tau[index] = block_tau
+        n_right[index] = pos + neg
+        n_pos_right[index] = pos
         if regression:
-            sums[start:stop] = mask[:, :n_pos_rows] @ pos_stats
+            sums[index] = mask[:, :n_pos_rows] @ pos_stats
 
     n_left = n - n_right
     valid = (n_right > 0) & (n_left > 0)
@@ -314,71 +362,41 @@ class NodeTable:
         both null. Each record is checked, with channels below ``n_features``
         if given.
         """
-        n = sum(len(nodes) for nodes in trees if isinstance(nodes, list))
-        table = cls(
-            roots=np.zeros(len(trees), dtype=np.int64),
-            right=np.full(n, -1, dtype=np.int64),
-            objective=np.full(n, "", dtype="<U14"),
-            **{key: np.zeros(n, dtype=np.int64) for key in ("r", "q", "n_train")},
-            **{key: np.full(n, np.nan) for key in ("tau", "p_pos", "p_neg")},
-            **{key: np.full((n, 2), np.nan) for key in ("onset", "offset")},
-        )
-        waiting, at = [], 0  # splits whose right subtree starts after the open one
+        roots, right, records = [], [], []  # records: see _node_fields
+        waiting = []  # splits whose right subtree starts after the open one
         for t, nodes in enumerate(trees):
-            table.roots[t] = at
+            roots.append(len(records))
             if not isinstance(nodes, list):
                 raise ValueError(f"model tree {t}, tree is not a list of nodes")
             for i, node in enumerate(nodes):
-                if i > 0 and table.objective[at - 1] == "":  # a subtree just closed
+                if i > 0 and records[-1][3] == "":  # a leaf just closed a subtree
                     if not waiting:
                         raise ValueError(f"model tree {t}, trailing nodes from node {i}")
-                    table.right[waiting.pop()] = at
+                    right[waiting.pop()] = len(records)
                 try:
-                    if not isinstance(node, dict):
-                        raise ValueError("not an object")
-                    kind = _get(node, "kind")
-                    if kind == "split":
-                        table.r[at] = _integer(_get(node, "r"), "r", n_features)
-                        table.q[at] = _integer(_get(node, "q"), "q", n_features)
-                        table.tau[at] = _finite_float(_get(node, "tau"), "tau")
-                        objective = _get(node, "objective")
-                        if objective not in _OBJECTIVES:
-                            raise ValueError(f"unknown objective {objective!r}")
-                        table.objective[at] = objective
-                        waiting.append(at)
-                    elif kind == "leaf":
-                        table.set_leaf(at, node)
-                    else:
-                        raise ValueError(f"unknown node kind {kind!r}")
+                    records.append(_node_fields(node, n_features))
                 except ValueError as exc:
                     raise ValueError(f"model tree {t}, node {i}: {exc}") from None
-                at += 1
+                if records[-1][3]:  # a split, whose right subtree comes later
+                    waiting.append(len(records) - 1)
+                right.append(-1)
             if waiting or not nodes:
                 raise ValueError(f"model tree {t}, tree is truncated")
-        return table
-
-    def set_leaf(self, i: int, node: dict) -> None:
-        """Write leaf record ``node`` to node ``i``, checking its values."""
-        for key in ("p_pos", "p_neg"):
-            p = _finite_float(_get(node, key), key)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{key} {p} outside [0, 1]")
-            getattr(self, key)[i] = p
-        self.n_train[i] = _integer(_get(node, "n_train"), "n_train")
-        onset, offset = _get(node, "onset"), _get(node, "offset")
-        if (onset is None) != (offset is None):
-            raise ValueError("onset and offset must both be given or both null")
-        for key, pair in (("onset", onset), ("offset", offset)):
-            if pair is None:
-                getattr(self, key)[i] = np.nan
-                continue
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError(f"{key} is not a [mean, variance] pair")
-            mean = _finite_float(pair[0], f"{key} mean")
-            var = _finite_float(pair[1], f"{key} variance")
-            if var <= 0.0:
-                raise ValueError(f"{key} variance {var} is not positive")
-            getattr(self, key)[i] = (mean, var)
+        r, q, tau, objective, p_pos, p_neg, n_train, onset, offset = (
+            zip(*records) if records else [()] * 9)
+        return cls(
+            roots=np.array(roots, dtype=np.int64),
+            right=np.array(right, dtype=np.int64),
+            r=np.array(r, dtype=np.int64),
+            q=np.array(q, dtype=np.int64),
+            tau=np.array(tau, dtype=np.float64),
+            objective=np.array(objective, dtype="<U14"),
+            p_pos=np.array(p_pos, dtype=np.float64),
+            p_neg=np.array(p_neg, dtype=np.float64),
+            n_train=np.array(n_train, dtype=np.int64),
+            onset=np.array(onset, dtype=np.float64).reshape(-1, 2),
+            offset=np.array(offset, dtype=np.float64).reshape(-1, 2),
+        )
 
     def to_trees(self) -> list:
         """The per-tree lists of pre-order node records that ``from_trees`` reads."""
@@ -396,6 +414,50 @@ class NodeTable:
                               "offset": _pair(self.offset[i])})
         bounds = [*self.roots.tolist(), len(self)]
         return [nodes[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+_NO_GAUSSIAN = (math.nan, math.nan)
+
+
+def _node_fields(node, n_features: int | None) -> tuple:
+    """A node record's checked (r, q, tau, objective, p_pos, p_neg, n_train,
+    onset, offset), with 0, NaN or "" in the fields of the other node kind."""
+    if not isinstance(node, dict):
+        raise ValueError("not an object")
+    kind = _get(node, "kind")
+    if kind == "split":
+        r = _integer(_get(node, "r"), "r", n_features)
+        q = _integer(_get(node, "q"), "q", n_features)
+        tau = _finite_float(_get(node, "tau"), "tau")
+        objective = _get(node, "objective")
+        if objective not in _OBJECTIVES:
+            raise ValueError(f"unknown objective {objective!r}")
+        return r, q, tau, objective, math.nan, math.nan, 0, _NO_GAUSSIAN, _NO_GAUSSIAN
+    if kind != "leaf":
+        raise ValueError(f"unknown node kind {kind!r}")
+    posterior = []
+    for key in ("p_pos", "p_neg"):
+        p = _finite_float(_get(node, key), key)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{key} {p} outside [0, 1]")
+        posterior.append(p)
+    n_train = _integer(_get(node, "n_train"), "n_train")
+    onset, offset = _get(node, "onset"), _get(node, "offset")
+    if (onset is None) != (offset is None):
+        raise ValueError("onset and offset must both be given or both null")
+    gaussians = []
+    for key, pair in (("onset", onset), ("offset", offset)):
+        if pair is None:
+            gaussians.append(_NO_GAUSSIAN)
+            continue
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"{key} is not a [mean, variance] pair")
+        mean = _finite_float(pair[0], f"{key} mean")
+        var = _finite_float(pair[1], f"{key} variance")
+        if var <= 0.0:
+            raise ValueError(f"{key} variance {var} is not positive")
+        gaussians.append((mean, var))
+    return 0, 0, math.nan, "", *posterior, n_train, *gaussians
 
 
 def _pair(gaussian) -> list | None:
@@ -420,6 +482,8 @@ def _integer(value, what: str, upper: int | None = None) -> int:
 
 
 def _finite_float(value, what: str = "value") -> float:
+    if type(value) is float and math.isfinite(value):  # most of a model file
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
         raise ValueError(f"{what} is not a number: {value!r}")
     try:
@@ -665,22 +729,40 @@ def calibrate(forest: Forest, segments: SegmentSet) -> None:
     """Re-estimate all leaf models by routing the full training set.
 
     Every reached leaf gets its posterior and Gaussians recomputed from the
-    arriving segments, taken in ascending row order, and records how many
-    arrived. Leaves nothing reaches keep their grown statistics but record
-    zero, so the arrival counts of a tree's leaves always sum to the
-    calibration set size.
+    arriving segments, as ``make_leaf`` would from them in ascending row
+    order, and records how many arrived. Leaves nothing reaches keep their
+    grown statistics but record zero, so the arrival counts of a tree's
+    leaves always sum to the calibration set size.
+
+    Each statistic is a ``np.bincount`` over the routed (row, tree) pairs,
+    which adds a leaf's rows in ascending order. Distances are integers, so
+    the sums behind the means are exact, and the squared deviations are
+    added in the order in which ``make_leaf``'s variance adds them.
     """
-    table, n_trees = forest.table, forest.n_trees
+    table, n_trees, size = forest.table, forest.n_trees, len(forest.table)
     leaf_of = route(table, segments.x)
-    counts = np.bincount(leaf_of, minlength=len(table))
-    # rows grouped by leaf: a leaf's pairs are all in its tree, so the stable
-    # order of the (row, tree) pairs keeps its rows ascending
-    pairs = np.argsort(leaf_of, kind="stable")
-    rows = np.split(pairs // n_trees, np.cumsum(counts)[:-1])
+    counts = np.bincount(leaf_of, minlength=size)
+    positive = np.flatnonzero(np.repeat(segments.labels == 1, n_trees))
+    pos_leaf = leaf_of[positive]
+    n_pos = np.bincount(pos_leaf, minlength=size)
+    reached = counts > 0
     table.n_train[table.right < 0] = 0
-    for leaf in np.flatnonzero(counts):
-        table.set_leaf(leaf, make_leaf(segments.take(rows[leaf]),
-                                       forest.config.variance_floor))
+    table.n_train[reached] = counts[reached]
+    p_pos = n_pos[reached] / counts[reached]
+    table.p_pos[reached] = p_pos
+    table.p_neg[reached] = 1.0 - p_pos
+    gaussian = n_pos > 0
+    d = segments.dists[positive // n_trees]
+    for key, column in (("onset", d[:, 0]), ("offset", d[:, 1])):
+        mean = np.bincount(pos_leaf, weights=column, minlength=size)
+        mean[gaussian] = mean[gaussian] / n_pos[gaussian]
+        dev = column - mean[pos_leaf]
+        var = np.bincount(pos_leaf, weights=dev * dev, minlength=size)
+        var = var[gaussian] / n_pos[gaussian]
+        stats = getattr(table, key)
+        stats[reached] = np.nan
+        stats[gaussian] = np.column_stack(
+            [mean[gaussian], np.maximum(var, forest.config.variance_floor)])
 
 
 def expected_type(value, default) -> str | None:

@@ -388,8 +388,8 @@ def draw_candidates(segments: SegmentSet, n_candidates: int, rng):
     """
     r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
     tau = np.empty(n_candidates)
-    for start, _, block_tau in _candidate_blocks(segments.x, r, q, u):
-        tau[start:start + len(block_tau)] = block_tau
+    for index, _, block_tau in _candidate_blocks(segments.x, r, q, u):
+        tau[index] = block_tau
     return r, q, tau
 
 

@@ -540,6 +540,28 @@ def test_build_training_segments_small_run():
     assert len(with_bg) == len(segments) + int(labels.sum())
 
 
+def test_background_negatives_are_injected_after_the_mixtures():
+    bench = synth_benchmark(n_classes=2, instances_per_class=2, scene_len=4.0,
+                            events_per_scene=6, seed=4)
+    config = feature_config(16)
+    instances = {
+        label: [(w, [EventAnnotation(0.0, w.duration, label)]) for w in waves]
+        for label, waves in bench.train_instances.items()
+    }
+    mixture = MixtureSpec(snr_levels=(0.0,), rng_seed=3)
+    background = gammatone_cepstra(bench.dev_scene, config).rows
+    target = bench.class_names[0]
+    built = build_training_segments(target, instances, config, mixture,
+                                    background=background)
+    injected = inject_background_segments(
+        build_training_segments(target, instances, config, mixture),
+        background, mixture.rng_seed,
+    )
+    for key in ("x", "labels", "dists"):
+        a, b = getattr(built, key), getattr(injected, key)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_build_training_segments_deterministic():
     bench = synth_benchmark(n_classes=2, instances_per_class=2, scene_len=4.0,
                             events_per_scene=6, seed=9)

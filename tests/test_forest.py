@@ -285,6 +285,22 @@ def assert_matches_oracle(segments, n_candidates, objective, seed):
     return expected
 
 
+def use_grouping(monkeypatch, grouped):
+    """Make every pool take the grouped path, or none of them."""
+    monkeypatch.setattr(forest_module, "_group_pairs", lambda *_: grouped)
+
+
+# Pools below and above FEATURE_DIM**2 = 64 ordered channel pairs, so the
+# oracle tests run on both sides of the grouping rule.
+POOLS = (40, 128)
+
+
+def test_grouping_rule_at_the_cli_default():
+    assert forest_module._group_pairs(64, ForestConfig().n_candidate_tests)
+    assert not forest_module._group_pairs(64, 2000)
+    assert [forest_module._group_pairs(FEATURE_DIM, k) for k in POOLS] == [False, True]
+
+
 def test_select_best_test_agrees_with_scalar_oracle(monkeypatch):
     rng = np.random.default_rng(53)
     cases = []  # (segments, seed, candidates per block or None for default)
@@ -303,8 +319,9 @@ def test_select_best_test_agrees_with_scalar_oracle(monkeypatch):
     for segments, seed, block in cases:
         if block is not None:
             use_block(monkeypatch, segments, block)
-        for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
-            assert_matches_oracle(segments, 128, objective, seed)
+        for n_candidates in POOLS:
+            for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
+                assert_matches_oracle(segments, n_candidates, objective, seed)
 
 
 def test_select_best_test_partition_is_exact():
@@ -319,6 +336,14 @@ def test_select_best_test_partition_is_exact():
         assert (s.x[choice.r] - s.x[choice.q] > choice.tau) == went_right
 
 
+def assert_block_boundary_matches_oracle(n_candidates, block, objective, monkeypatch):
+    rng = np.random.default_rng(n_candidates)
+    segments = random_segments(rng, 24, dim=FEATURE_DIM, class_shift=0.5)
+    use_block(monkeypatch, segments, block)
+    assert assert_matches_oracle(segments, n_candidates, objective, 17)
+
+
+# every pool around a block of BLOCK candidates takes the grouped path
 @pytest.mark.parametrize(
     "n_candidates", [BLOCK // 3, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK // 2]
 )
@@ -328,10 +353,30 @@ def test_select_best_test_partition_is_exact():
 def test_select_best_test_block_boundaries_match_oracle(
     n_candidates, objective, monkeypatch
 ):
-    rng = np.random.default_rng(n_candidates)
-    segments = random_segments(rng, 24, dim=FEATURE_DIM, class_shift=0.5)
-    use_block(monkeypatch, segments, BLOCK)
-    assert assert_matches_oracle(segments, n_candidates, objective, 17)
+    assert forest_module._group_pairs(FEATURE_DIM, n_candidates)
+    assert_block_boundary_matches_oracle(n_candidates, BLOCK, objective, monkeypatch)
+
+
+# and every pool around a block of SMALL_BLOCK candidates stays below
+# FEATURE_DIM**2 pairs
+SMALL_BLOCK = 24
+
+
+@pytest.mark.parametrize(
+    "n_candidates",
+    [SMALL_BLOCK // 3, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
+     5 * SMALL_BLOCK // 2],
+)
+@pytest.mark.parametrize(
+    "objective", [OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION]
+)
+def test_ungrouped_block_boundaries_match_oracle(
+    n_candidates, objective, monkeypatch
+):
+    assert not forest_module._group_pairs(FEATURE_DIM, n_candidates)
+    assert_block_boundary_matches_oracle(
+        n_candidates, SMALL_BLOCK, objective, monkeypatch
+    )
 
 
 @pytest.mark.parametrize(
@@ -340,20 +385,26 @@ def test_select_best_test_block_boundaries_match_oracle(
 def test_select_best_test_does_not_depend_on_the_block_size(objective, monkeypatch):
     rng = np.random.default_rng(89)
     segments = random_segments(rng, 300, dim=FEATURE_DIM, class_shift=0.5)
+    default_cells = forest_module._BLOCK_CELLS
+    # the first pool stays below FEATURE_DIM**2, the second is grouped
+    for n_candidates in (40, 500):
+        monkeypatch.setattr(forest_module, "_BLOCK_CELLS", default_cells)
 
-    def search():
-        return select_best_test(segments, 500, objective, np.random.default_rng(9))
+        def search():
+            return select_best_test(
+                segments, n_candidates, objective, np.random.default_rng(9)
+            )
 
-    default = search()  # 218 candidates a block at 300 rows
-    assert default is not None
-    # one candidate per block, then the whole pool in one block
-    for cells in (1, 1 << 40):
-        monkeypatch.setattr(forest_module, "_BLOCK_CELLS", cells)
-        choice = search()
-        assert (choice.r, choice.q, choice.tau) == (
-            default.r, default.q, default.tau
-        )
-        assert np.array_equal(choice.mask, default.mask)
+        default = search()  # 218 candidates a block at 300 rows
+        assert default is not None
+        # one candidate per block, then the whole pool in one block
+        for cells in (1, 1 << 40):
+            monkeypatch.setattr(forest_module, "_BLOCK_CELLS", cells)
+            choice = search()
+            assert (choice.r, choice.q, choice.tau) == (
+                default.r, default.q, default.tau
+            )
+            assert np.array_equal(choice.mask, default.mask)
 
 
 def two_cluster_set():
@@ -388,6 +439,75 @@ def test_select_best_test_tie_across_blocks_keeps_earliest(objective, monkeypatc
         == score((r, q, tau), segments)
     ]
     assert tied_later  # equal-scoring candidates sit in later blocks
+
+
+def axis_cluster_set():
+    """Rows at +e0 and -e0 in FEATURE_DIM channels.
+
+    Every candidate with channel 0 on exactly one side splits the two
+    clusters, and all such candidates tie under both objectives; every other
+    candidate sees differences of 0 and splits nothing.
+    """
+    plus, minus = np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM)
+    plus[0], minus[0] = 1.0, -1.0
+    return segment_set(
+        [(plus, 1, [0.0, 3.0]), (minus, 1, [5.0, 1.0]), (minus, 0, None)] * 4
+    )
+
+
+@pytest.mark.parametrize(
+    "objective", [OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION]
+)
+def test_grouped_pool_tie_keeps_the_first_drawn(objective, monkeypatch):
+    segments = axis_cluster_set()
+    n_candidates = 200
+    assert forest_module._group_pairs(FEATURE_DIM, n_candidates)
+    use_block(monkeypatch, segments, 16)
+    index, r, q, tau = assert_matches_oracle(segments, n_candidates, objective, 4)
+    r_all, q_all, _ = draw_candidates(segments, n_candidates, np.random.default_rng(4))
+    splits = (r_all == 0) != (q_all == 0)
+    assert index == np.flatnonzero(splits)[0]
+    # its pair repeats later in the draw, and the pair order visits another
+    # tied pair before it, in an earlier block
+    assert any((r_all[index + 1:] == r) & (q_all[index + 1:] == q))
+    before = splits & ((r_all < r) | ((r_all == r) & (q_all < q)))
+    assert before.any()
+
+
+def test_grouped_pool_draws_the_same_thresholds(monkeypatch):
+    rng = np.random.default_rng(71)
+    segments = random_segments(rng, 50, dim=FEATURE_DIM)
+    pools = {}
+    for grouped in (False, True):
+        use_grouping(monkeypatch, grouped)
+        use_block(monkeypatch, segments, 37)
+        pools[grouped] = draw_candidates(segments, 300, np.random.default_rng(2))
+    for ungrouped, grouped in zip(pools[False], pools[True]):
+        assert ungrouped.tobytes() == grouped.tobytes()
+
+
+def test_pair_order_above_256_channels():
+    rng = np.random.default_rng(3)
+    for n_dims in (2, 256, 257, 1000):
+        r, q, _ = forest_module._draw_pool(n_dims, 5000, rng)
+        order = forest_module._pair_order(r, q, n_dims)
+        assert np.array_equal(order, np.lexsort((q, r)))
+
+
+def test_grouped_search_above_256_channels(monkeypatch):
+    rng = np.random.default_rng(5)
+    n_dims = 257
+    segments = random_segments(rng, 6, dim=n_dims)
+    n_candidates = n_dims**2
+    choices = []
+    for grouped in (False, True):
+        use_grouping(monkeypatch, grouped)
+        for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
+            choice = select_best_test(
+                segments, n_candidates, objective, np.random.default_rng(8)
+            )
+            choices.append((choice.r, choice.q, choice.tau, choice.mask.tolist()))
+    assert choices[:2] == choices[2:]
 
 
 def test_select_best_test_memory_is_bounded_in_candidates():
@@ -548,6 +668,17 @@ def test_single_full_sample_tree_matches_direct_growth():
         )
 
     assert node_key(forest.table) == node_key(manual)
+
+
+def test_grouping_keeps_the_grown_trees(monkeypatch):
+    rng = np.random.default_rng(19)
+    segments = random_segments(rng, 400, dim=FEATURE_DIM, class_shift=0.8)
+    config = small_config(n_candidate_tests=150, max_depth=6, steer_depth=3)
+    assert forest_module._group_pairs(FEATURE_DIM, config.n_candidate_tests)
+    fc = feature_config(FEATURE_DIM)
+    grouped = train_forest(segments, config, "x", fc).table.to_trees()
+    use_grouping(monkeypatch, False)
+    assert train_forest(segments, config, "x", fc).table.to_trees() == grouped
 
 
 def test_train_forest_requires_both_classes():
