@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import features as _features
 from .dataset import (
     EventAnnotation,
     MixtureSpec,
@@ -406,18 +405,13 @@ def cmd_detect(args) -> int:
     stream = stream_features(args.audio, feature_config)
     enabled = enabled_forests(forests, tuned)
     scored = forests if args.dump_scores else enabled
-    source = stream
     if args.dump_features:
-        # A stream of one block is featurized once. A longer one is read
-        # again in order, since scoring may split it into ranges.
-        blocks = stream.blocks()
-        if stream.n_segments <= _features._SEGMENT_BLOCK:
-            source = stream.block(0, stream.n_segments)
-            blocks = [source]
-        write_features_csv(blocks, args.dump_features, feature_config.n_channels)
-    tracks = score_tracks(source, scored,
+        # a pass of its own, since scoring may split the stream into ranges
+        write_features_csv(stream.blocks(), args.dump_features,
+                           feature_config.n_channels)
+    tracks = score_tracks(stream, scored,
                           {label: [config] for label, config in configs.items()})
-    del stream, source  # a noise floor's whole-stream energies go with them
+    del stream  # a noise floor's whole-stream energies go with it
     tracks = {label: track for label, [track] in tracks.items()}
     if args.dump_scores:
         score_dir = Path(args.dump_scores)
@@ -581,7 +575,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, BrokenExecutor) as exc:
+    except (ValueError, OSError, MemoryError, json.JSONDecodeError,
+            BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -354,7 +354,7 @@ def score_tracks(source, forests, configs) -> dict:
     smoothed, and each gate's sums are freed once its last track is smoothed.
     Returns a mapping from class label to the list of tracks, one per config
     and in the same order; a class with no configs gets an empty list, and
-    its forest is not routed.
+    its forest is not routed. With no forest to route, no block is read.
     """
     n = source.n_segments
     sums = {
@@ -380,7 +380,9 @@ def score_tracks(source, forests, configs) -> dict:
             block = None  # its rows are not held while the next block is made
         return held
 
-    if width == 1:
+    if not scored:
+        held = []
+    elif width == 1:
         held = [score_range(0, n)]
     else:  # the first use imports the pool's module, which one block never needs
         with concurrent.futures.ThreadPoolExecutor(width - 1) as pool:

@@ -7,7 +7,6 @@ import functools
 import math
 import os
 import struct
-import threading
 import wave
 from dataclasses import dataclass
 
@@ -605,9 +604,9 @@ class FeatureStream:
     The rows equal those of one transform over all windows bit for bit:
     windows are transformed in fixed blocks (see ``_energies``), and the log
     and the DCT act on each row alone. Noise subtraction takes a percentile
-    over the whole stream, so the first block read keeps the n x channels
-    filterbank energies of the whole stream, and every block is a slice of
-    them.
+    over the whole stream, so a stream made with it computes and keeps the
+    n x channels filterbank energies of the whole stream, less their floor,
+    and every block is a slice of them.
     """
 
     def __init__(self, read, n_samples: int, config: FeatureConfig):
@@ -619,8 +618,8 @@ class FeatureStream:
         self.n_segments = (
             0 if n_samples < self._win else (n_samples - self._win) // self._hop + 1
         )
-        self._floored = None
-        self._lock = threading.Lock()
+        if config.noise_subtraction:
+            self._floored = subtract_noise_floor(self._energies(0, self.n_segments))
 
     @classmethod
     def of_samples(cls, samples: np.ndarray, config: FeatureConfig) -> "FeatureStream":
@@ -631,33 +630,28 @@ class FeatureStream:
         """Filterbank energies of segments ``[lo, hi)``.
 
         Windows are transformed in blocks of ``_WINDOW_BLOCK`` that start at
-        its multiples, the last block moved back to end with the stream, so
-        every product has the same shape: BLAS takes other kernels, which
-        round differently, for small products. A row is taken from the last
-        block that covers it, so its value does not depend on ``lo`` and
+        its multiples, each in one buffer of ``min(_WINDOW_BLOCK, n)`` rows,
+        whose rows past a short last block are zero. So every product has
+        the same shape: BLAS takes other kernels, which round differently,
+        for small products. A row's value then does not depend on ``lo`` and
         ``hi``.
         """
         n, width, win, hop = self.n_segments, _WINDOW_BLOCK, self._win, self._hop
-        last = max(n - width, 0)
-        starts = list(range(lo - lo % width, min(hi, last), width)) if lo < last else []
-        if hi > last:
-            starts.append(last)
         hann = periodic_hann(win)
         weights_t = gammatone_weights(self.config, win).T
         out = np.empty((hi - lo, self.config.n_channels))
-        # every block has min(width, n) windows, so one buffer serves them all
         power = np.empty((min(width, n), weights_t.shape[0]))
-        for start in starts:
+        for start in range(lo - lo % width, hi, width):
             stop = min(start + width, n)
-            owned = stop if start == last else min(stop, last)
             samples = self._read(start * hop, (stop - 1) * hop + win)
             windows = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
             for i in range(0, stop - start, _FFT_BATCH):
                 batch = windows[i:i + _FFT_BATCH]
                 np.abs(np.fft.rfft(batch * hann, axis=1), out=power[i:i + len(batch)])
+            power[stop - start:] = 0.0
             np.square(power, out=power)
             energies = np.matmul(power, weights_t)
-            a, b = max(start, lo), min(owned, hi)
+            a, b = max(start, lo), min(stop, hi)
             out[a - lo:b - lo] = energies[a - start:b - start]
         return out
 
@@ -666,7 +660,7 @@ class FeatureStream:
         of the whole stream's transform, for any ``lo`` and ``hi``."""
         config = self.config
         if config.noise_subtraction:
-            energies = self._subtracted()[lo:hi] + LOG_FLOOR
+            energies = self._floored[lo:hi] + LOG_FLOOR
         else:
             energies = self._energies(lo, hi)
             energies += LOG_FLOOR
@@ -675,17 +669,6 @@ class FeatureStream:
         times = np.arange(lo, hi) * self._hop / config.sample_rate
         return FeatureMatrix(rows, times, config)
 
-    def _subtracted(self) -> np.ndarray:
-        """The whole stream's energies less their noise floor, made once.
-
-        The lock lets threads that read blocks at once wait for the one that
-        makes them, so the floor is taken once however many threads ask.
-        """
-        with self._lock:
-            if self._floored is None:
-                self._floored = subtract_noise_floor(self._energies(0, self.n_segments))
-        return self._floored
-
     def blocks(self):
         """``FeatureMatrix`` blocks of ``_SEGMENT_BLOCK`` rows, in stream order."""
         for lo in range(0, self.n_segments, _SEGMENT_BLOCK):
@@ -693,13 +676,7 @@ class FeatureStream:
 
     def matrix(self) -> FeatureMatrix:
         """All rows of the stream in one matrix."""
-        rows = np.empty((self.n_segments, self.config.n_channels))
-        lo = 0
-        for block in self.blocks():
-            rows[lo:lo + block.n_segments] = block.rows
-            lo += block.n_segments
-        times = np.arange(self.n_segments) * self._hop / self.config.sample_rate
-        return FeatureMatrix(rows, times, self.config)
+        return self.block(0, self.n_segments)
 
 
 def write_features_csv(blocks, path, n_channels: int) -> None:

@@ -1051,11 +1051,11 @@ def test_streamed_detect_equals_batch_at_block_boundaries(
     assert streamed == batch
 
 
-@pytest.mark.parametrize("block, reads", [(10**9, 1), (BLOCK, 2)])
+@pytest.mark.parametrize("block, reads", [(10**9, 2), (BLOCK, 2)])
 def test_dump_features_reads_a_longer_stream_twice(block, reads, corpus, models,
                                                    thresholds, tmp_path,
                                                    monkeypatch):
-    # a one-block stream is featurized once, for the CSV and for scoring
+    # the CSV is written in a pass of its own, before scoring
     monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", block)
     made = []
     featurizing = features_module.FeatureStream.block
@@ -1069,6 +1069,25 @@ def test_dump_features_reads_a_longer_stream_twice(block, reads, corpus, models,
     n_segments = outputs["features.csv"].count(b"\n") - 1
     assert n_segments > 2 * BLOCK
     assert sum(made) == reads * n_segments
+
+
+def test_detect_reads_no_block_when_every_class_is_disabled(corpus, models,
+                                                           tmp_path, monkeypatch):
+    off = tmp_path / "off.json"
+    off.write_text(json.dumps({
+        load_forest(path).class_label: {"alpha": 0.0, "beta": 1.01,
+                                        "error_rate": 1.0}
+        for path in models
+    }))
+
+    def no_block(stream, lo, hi):
+        raise AssertionError(f"rows [{lo}, {hi}) featurized, none scored")
+
+    monkeypatch.setattr(features_module.FeatureStream, "block", no_block)
+    out = tmp_path / "detections.txt"
+    assert main(["detect", str(corpus / "test.wav")] + model_args(models)
+                + ["--thresholds", str(off), "--out", str(out)]) == 0
+    assert out.read_text() == ""
 
 
 @pytest.mark.parametrize("fault", ["nan", "truncated"])
@@ -1232,14 +1251,19 @@ def test_detect_stream_memory_does_not_grow_with_the_features(
     waves = [Waveform(np.tile(wave.samples, tiles), wave.sample_rate)
              for tiles in (1, 4)]
     detect_stream(waves[0], forests, configs)  # caches are not counted
+    # The two scorer threads reach their joint peak only when their feature
+    # blocks overlap in time, so each length's peak is the largest of a few runs.
     peaks = []
     for tiled in waves:
-        tracemalloc.start()
-        try:
-            assert detect_stream(tiled, forests, configs)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        runs = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                assert detect_stream(tiled, forests, configs)
+                runs.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks.append(max(runs))
     # the rows of the three added tiles: a whole feature matrix holds them,
     # at 512 bytes a segment
     fc = shared_feature_config(forests)
@@ -1255,6 +1279,20 @@ def test_detect_stream_memory_does_not_grow_with_the_features(
 
 
 class TestEvaluate:
+    # 1e15 and 2e15 one-byte cells, beyond what a 47-bit address space can
+    # map, so the grid cannot be allocated whatever the overcommit setting
+    @pytest.mark.parametrize("offset, resolution", [("1e15", "1.0"),
+                                                    ("200.0", "1e-13")])
+    def test_absurd_span_gives_one_error_line(self, offset, resolution,
+                                              tmp_path):
+        events = tmp_path / "events.txt"
+        events.write_text(f"0.0\t{offset}\ttone300\n")
+        code, err = run_main(["evaluate", str(events), str(events),
+                              "--resolution", resolution])
+        assert code == 1
+        assert err.startswith("error: Unable to allocate"), err
+        assert err.count("\n") == 1, err
+
     def test_reference_against_itself(self, corpus, capsys):
         code = main(
             ["evaluate", str(corpus / "test.txt"), str(corpus / "test.txt")]
@@ -1952,6 +1990,80 @@ def test_every_checked_wav_byte_flipped_gives_one_error_line(mask, corpus, model
         if code != 1 or not err.startswith("error: ") or err.count("\n") != 1:
             accepted.append((at, code, err))
     assert accepted == []
+
+
+# Values put in place of one scalar leaf of a valid file: extremes, the
+# wrong sign, integers beyond int64 and the float range, and every other
+# JSON kind. Each must be accepted, or refused in one line.
+MUTANTS = (1e308, -1e308, -1, 0, 2**63, 10**400, "?", None, [], {}, True, 0.5)
+
+
+def scalar_leaves(value, path=()):
+    """The paths to every scalar leaf of a parsed JSON document."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else None)
+    if items is None:
+        yield path
+        return
+    for key, item in items:
+        yield from scalar_leaves(item, path + (key,))
+
+
+def with_leaf(payload, path, value) -> str:
+    """``payload`` as JSON text with the leaf at ``path`` set to ``value``."""
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    old, parent[path[-1]] = parent[path[-1]], value
+    try:
+        return json.dumps(payload)
+    finally:
+        parent[path[-1]] = old
+
+
+@pytest.mark.parametrize("kind", ["model", "thresholds", "detect_config",
+                                  "tune_config"])
+def test_every_mutated_leaf_is_accepted_or_refused_in_one_line(
+    kind, corpus, models, thresholds, tmp_path
+):
+    audio = tmp_path / "short.wav"
+    cut_scene(corpus, audio, 150)  # 1.59 s
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [{
+        "audio": str(audio), "annotations": str(corpus / "test.txt"),
+        "fold": "dev"}]}))
+    bad = tmp_path / "mutated.json"
+    out = tmp_path / "out.txt"
+    detect = ["detect", str(audio), "--out", str(out)]
+    payload, argv = {
+        "model": (json.loads(models[0].read_text()),
+                  detect + ["--model", str(bad)]),
+        "thresholds": (json.loads(thresholds.read_text()),
+                       detect + ["--model", str(models[0]),
+                                 "--thresholds", str(bad)]),
+        "detect_config": (dict(DETECT_DEFAULTS),
+                          detect + ["--model", str(models[0]),
+                                    "--config", str(bad)]),
+        "tune_config": (dict(DETECT_DEFAULTS),
+                        ["tune", str(manifest), str(models[0]),
+                         "--out", str(out), "--config", str(bad)]),
+    }[kind]
+    leaves = [path for path in scalar_leaves(payload) if path[0] != "trees"]
+    assert len(leaves) >= 4
+    wrong = []
+    for path in leaves:
+        for value in MUTANTS:
+            bad.write_text(with_leaf(payload, path, value))
+            try:
+                code, err = run_main(argv)
+            except Exception as exc:  # every escape is a failure
+                wrong.append((path, value, repr(exc)))
+                continue
+            refused = (code == 1 and err.startswith("error: ")
+                       and err.count("\n") == 1)
+            if not (code == 0 or refused):
+                wrong.append((path, value, code, err))
+    assert wrong == []
 
 
 def test_rate_beyond_the_resampling_cap_gives_one_error_line(corpus, models,

@@ -1,5 +1,6 @@
 """Audio loading, resampling, filterbank, and cepstral feature tests."""
 
+import itertools
 import os
 import struct
 import subprocess
@@ -507,7 +508,7 @@ def test_dct_equals_scipy_bit_for_bit(n_rows):
 
 @pytest.mark.parametrize("noise_subtraction", [False, True])
 @pytest.mark.parametrize("hop_len", [0.01, 0.1])
-@pytest.mark.parametrize("n_segments", [0, 1, 511, 512, 513, 1025])
+@pytest.mark.parametrize("n_segments", [0, 1, 511, 512, 513, 1024, 1025])
 def test_blocked_cepstra_equal_oracle_bit_for_bit(n_segments, hop_len,
                                                   noise_subtraction):
     config = FeatureConfig(hop_len=hop_len, noise_subtraction=noise_subtraction)
@@ -521,6 +522,22 @@ def test_blocked_cepstra_equal_oracle_bit_for_bit(n_segments, hop_len,
     assert feats.rows.shape == (n_segments, config.n_channels)
     assert feats.rows.tobytes() == expected.rows.tobytes(), byte_platform()
     assert feats.segment_times.tobytes() == expected.segment_times.tobytes()
+
+
+@pytest.mark.parametrize("noise_subtraction", [False, True])
+def test_block_rows_equal_the_matrix_rows_bit_for_bit(noise_subtraction):
+    # cuts on both sides of the first transform block's end, and at the end
+    config = FeatureConfig(noise_subtraction=noise_subtraction)
+    n_segments = 1100
+    samples = np.random.default_rng(4).normal(size=1600 + (n_segments - 1) * 160)
+    stream = featurize(Waveform(samples * 0.1, 16000), config)
+    whole = stream.matrix()
+    assert whole.rows.shape == (n_segments, config.n_channels)
+    cuts = [0, 511, 512, 513, n_segments - 1, n_segments]
+    for lo, hi in itertools.combinations_with_replacement(cuts, 2):
+        block = stream.block(lo, hi)
+        assert block.rows.tobytes() == whole.rows[lo:hi].tobytes(), (lo, hi)
+        assert block.segment_times.tobytes() == whole.segment_times[lo:hi].tobytes()
 
 
 def traced_peak(seconds):
