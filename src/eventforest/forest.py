@@ -214,6 +214,32 @@ def _candidate_blocks(x, r, q, u):
         yield order[start:stop], diffs, lo + u[start:stop] * (hi - lo)
 
 
+def _earliest_valid(x, r, q, u):
+    """``(index, tau)`` of the earliest-drawn test with two non-empty children, or None.
+
+    The pool is formed in draw order, in blocks of 1, 2, 4, ... candidates up
+    to ``_candidate_blocks``'s block size, so finding test k forms at most
+    2k + 1 of them, and a pool with no valid test still takes few blocks.
+    Each threshold has the bits ``_candidate_blocks`` gives it.
+    """
+    n = len(x)
+    xt = np.ascontiguousarray(x.T)
+    cap = max(1, _BLOCK_CELLS // max(1, n))
+    out = np.empty((min(len(r), cap), n))
+    spare = np.empty_like(out)
+    start, size = 0, 1
+    while start < len(r):
+        stop = min(start + size, len(r))
+        diffs, lo, hi = _differences(xt, r[start:stop], q[start:stop], out, spare)
+        tau = lo + u[start:stop] * (hi - lo)
+        n_right = np.count_nonzero(diffs > tau[:, np.newaxis], axis=1)
+        valid = np.flatnonzero((n_right > 0) & (n_right < n))
+        if len(valid):
+            return start + int(valid[0]), float(tau[valid[0]])
+        start, size = stop, min(2 * size, cap)
+    return None
+
+
 @dataclass(eq=False)
 class SplitChoice:
     r: int
@@ -221,6 +247,12 @@ class SplitChoice:
     tau: float
     objective: str
     mask: np.ndarray
+
+    @classmethod
+    def of(cls, segments: SegmentSet, r: int, q: int, tau: float, objective: str):
+        """The test x_r - x_q > tau, with the rows of ``segments`` it sends right."""
+        mask = segments.x[:, r] - segments.x[:, q] > tau
+        return cls(r=r, q=q, tau=tau, objective=objective, mask=mask)
 
 
 def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rng):
@@ -245,10 +277,24 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     the block size or the visiting order: child
     and positive counts are integers, and distance vectors are integer frame
     offsets, so every sum is exact in float64 in any order.
+
+    A classification node whose rows are all of one class takes its
+    earliest-drawn valid test (``_earliest_valid``) and scores nothing. That
+    is exact: the parent's and both children's entropies are 0.0, so every
+    valid test gains exactly 0.0 and the first maximum is the earliest valid
+    one. The whole pool is still drawn, so the tree's later nodes see the
+    same random stream.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     regression = objective == OBJECTIVE_REGRESSION
+    r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
+    if not regression and segments.n_positive in (0, len(segments)):
+        found = _earliest_valid(segments.x, r, q, u)
+        if found is None:
+            return None
+        best, best_tau = found
+        return SplitChoice.of(segments, int(r[best]), int(q[best]), best_tau, objective)
     # positives first, so a block's positive columns are a contiguous view
     positive = segments.labels == 1
     order = np.argsort(~positive, kind="stable")
@@ -262,7 +308,6 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     s1_total = d.sum(axis=0)
     s2_total = float((d**2).sum())
 
-    r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
     tau = np.empty(n_candidates)
     n_right = np.empty(n_candidates)
     n_pos_right = np.empty(n_candidates)
@@ -306,14 +351,7 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     best = int(np.argmax(scores))
     # information gain is non-negative by concavity of the entropy
     assert regression or scores[best] >= -1e-12
-    r_best, q_best, best_tau = int(r[best]), int(q[best]), float(tau[best])
-    return SplitChoice(
-        r=r_best,
-        q=q_best,
-        tau=best_tau,
-        objective=objective,
-        mask=segments.x[:, r_best] - segments.x[:, q_best] > best_tau,
-    )
+    return SplitChoice.of(segments, int(r[best]), int(q[best]), float(tau[best]), objective)
 
 
 def gaussian_pdf(x, mean: float, variance: float):

@@ -407,6 +407,87 @@ def test_select_best_test_does_not_depend_on_the_block_size(objective, monkeypat
             assert np.array_equal(choice.mask, default.mask)
 
 
+def one_class_set(rng, n, label, dim=FEATURE_DIM):
+    """``n`` random rows, all of class ``label``."""
+    dists = (rng.integers(0, 12, size=(n, 2)).astype(float) if label
+             else np.full((n, 2), np.nan))
+    return SegmentSet(rng.normal(size=(n, dim)), np.full(n, label), dists)
+
+
+def count_differences(monkeypatch):
+    """A list that gets the number of candidates of each _differences call."""
+    formed = []
+    differences = forest_module._differences
+
+    def counting(xt, r, q, out, spare):
+        formed.append(len(r))
+        return differences(xt, r, q, out, spare)
+
+    monkeypatch.setattr(forest_module, "_differences", counting)
+    return formed
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_one_class_node_forms_only_its_first_block(label, monkeypatch):
+    segments = one_class_set(np.random.default_rng(97 + label), 300, label)
+    # one pool on each side of the grouping rule
+    for n_candidates in (40, 500):
+        formed = count_differences(monkeypatch)
+        select_best_test(
+            segments, n_candidates, OBJECTIVE_CLASSIFICATION,
+            np.random.default_rng(13),
+        )
+        monkeypatch.undo()
+        # a one-class search starts with a block of one candidate, and the
+        # first drawn one splits these rows
+        assert formed == [1]
+        expected = assert_matches_oracle(
+            segments, n_candidates, OBJECTIVE_CLASSIFICATION, 13
+        )
+        assert expected[0] == 0
+
+
+def first_draw_repeats_a_channel(n_candidates, dim=FEATURE_DIM):
+    """The first seed whose pool draws r == q first."""
+    for seed in range(1000):
+        r, q, _ = forest_module._draw_pool(
+            dim, n_candidates, np.random.default_rng(seed)
+        )
+        if r[0] == q[0]:
+            return seed
+    raise AssertionError("no seed draws r == q first")
+
+
+def one_class_winner(segments, n_candidates, seed):
+    """Check both objectives against the oracle; the classification winner's index."""
+    for objective in (OBJECTIVE_REGRESSION, OBJECTIVE_CLASSIFICATION):
+        expected = assert_matches_oracle(segments, n_candidates, objective, seed)
+    return None if expected is None else expected[0]
+
+
+def test_one_class_search_agrees_with_scalar_oracle_at_the_edges(monkeypatch):
+    rng = np.random.default_rng(101)
+    for label in (0, 1):
+        segments = one_class_set(rng, 30, label)
+        # channels 1.. are copies of one another, so only a test between
+        # channel 0 and another one splits
+        copies = SegmentSet(segments.x.copy(), segments.labels, segments.dists)
+        copies.x[:, 2:] = copies.x[:, 1:2]
+        # identical rows: no test splits them
+        same = segments.take(np.zeros(len(segments), dtype=int))
+        for n_candidates in POOLS:
+            # the earliest draw has r == q, so x_r - x_q is 0 on every row
+            seed = first_draw_repeats_a_channel(n_candidates)
+            assert one_class_winner(segments, n_candidates, seed) > 0
+            # past the blocks of 1, 2 and 4 candidates; then in blocks of 3
+            for block in (None, 3):
+                if block is not None:
+                    use_block(monkeypatch, copies, block)
+                assert one_class_winner(copies, n_candidates, 18) >= 7
+                monkeypatch.undo()
+            assert one_class_winner(same, n_candidates, 5) is None
+
+
 def two_cluster_set():
     """Rows at [+1, 0] and [-1, 0]: every test with r != q is the same split.
 
