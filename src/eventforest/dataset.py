@@ -166,8 +166,10 @@ def scale_to_snr(event: Waveform, background_rms: float, snr_db: float) -> Wavef
         gain = 10.0 ** (snr_db / 20.0)
     except OverflowError:
         raise ValueError(f"cannot scale an event to an SNR of {snr_db} dB") from None
-    return Waveform(event.samples * (gain * background_rms / event_rms),
-                    event.sample_rate)
+    scale = gain * background_rms / event_rms
+    if not (isfinite(scale) and scale > 0.0):
+        raise ValueError(f"cannot scale an event to {snr_db} dB over level {background_rms}")
+    return Waveform(event.samples * scale, event.sample_rate)
 
 
 def mix_overlap(

@@ -97,7 +97,8 @@ def segment_metrics(
     else:
         classes = list(classes)
     if duration is None:
-        spans = [e.offset for e in reference + hypothesis if e.label in set(classes)]
+        known = set(classes)
+        spans = [e.offset for e in reference + hypothesis if e.label in known]
         duration = max(spans) if spans else 0.0
     n_cells = int(ceil(duration / resolution)) if duration > 0 else 0
 

@@ -150,11 +150,9 @@ def _group_pairs(n_dims: int, n_candidates: int) -> bool:
 
 def _pair_order(r, q, n_dims: int) -> np.ndarray:
     """The draw indices of a pool sorted by (r, q), ties in draw order."""
-    if n_dims <= 256:  # r * n_dims + q fits a 16-bit key, which numpy radix sorts
-        return np.argsort((r * n_dims + q).astype(np.uint16), kind="stable")
-    key = np.min_scalar_type(n_dims - 1)
-    order = np.argsort(q.astype(key), kind="stable")
-    return order[np.argsort(r[order].astype(key), kind="stable")]
+    # up to 256 channels the key fits 16 bits, which numpy radix sorts
+    key = (r * n_dims + q).astype(np.min_scalar_type(n_dims * n_dims - 1))
+    return np.argsort(key, kind="stable")
 
 
 def _differences(xt, r, q, out, spare):
@@ -167,7 +165,7 @@ def _differences(xt, r, q, out, spare):
     return diffs, diffs.min(axis=1), diffs.max(axis=1)
 
 
-def _candidate_blocks(x, r, q, u):
+def _candidate_blocks(x, r, q, u, first=None):
     """Yield ``(index, diffs, tau)`` for the blocks of a candidate pool.
 
     ``index`` picks the block's candidates out of the pool, a slice or an
@@ -176,24 +174,29 @@ def _candidate_blocks(x, r, q, u):
     range. A block has ``max(1, _BLOCK_CELLS // n)`` candidates, and
     ``diffs`` is overwritten by the next block.
 
-    A pool that ``_group_pairs`` takes is visited in (r, q) order. Each
-    distinct pair of a block has its differences, minimum and maximum formed
-    once and copied out to the pair's candidates, so the values are the same
-    as candidate by candidate.
+    With ``first``, the pool is visited in draw order in blocks of ``first``
+    candidates, then twice as many each time up to the usual size, so a
+    caller that stops at its first hit forms few. Otherwise a pool that
+    ``_group_pairs`` takes is visited in (r, q) order, and each distinct
+    pair of a block has its differences, minimum and maximum formed once
+    and copied out to the pair's candidates. A minimum or maximum does not
+    depend on the order of the rows or of the walk, so every walk gives a
+    candidate the same threshold bits.
     """
     n_dims = x.shape[1]
     # transposed, each candidate's differences are two contiguous row reads
     xt = np.ascontiguousarray(x.T)
     block = max(1, _BLOCK_CELLS // max(1, len(x)))
     # reused across blocks: a fresh array this large faults in every page
-    size = min(len(r), block)
-    out = np.empty((size, len(x)))
+    out = np.empty((min(len(r), block), len(x)))
     spare = np.empty_like(out)
-    if not _group_pairs(n_dims, len(r)):
-        for start in range(0, len(r), block):
-            stop = min(start + block, len(r))
+    if first is not None or not _group_pairs(n_dims, len(r)):
+        start, step = 0, first or block
+        while start < len(r):
+            stop = min(start + step, len(r))
             diffs, lo, hi = _differences(xt, r[start:stop], q[start:stop], out, spare)
             yield slice(start, stop), diffs, lo + u[start:stop] * (hi - lo)
+            start, step = stop, min(2 * step, block)
         return
     order = _pair_order(r, q, n_dims)
     r, q, u = r[order], q[order], u[order]
@@ -212,32 +215,6 @@ def _candidate_blocks(x, r, q, u):
         lo, hi = lo[local], hi[local]
         diffs = np.take(pairs, local, axis=0, out=spare[: stop - start], mode="clip")
         yield order[start:stop], diffs, lo + u[start:stop] * (hi - lo)
-
-
-def _earliest_valid(x, r, q, u):
-    """``(index, tau)`` of the earliest-drawn test with two non-empty children, or None.
-
-    The pool is formed in draw order, in blocks of 1, 2, 4, ... candidates up
-    to ``_candidate_blocks``'s block size, so finding test k forms at most
-    2k + 1 of them, and a pool with no valid test still takes few blocks.
-    Each threshold has the bits ``_candidate_blocks`` gives it.
-    """
-    n = len(x)
-    xt = np.ascontiguousarray(x.T)
-    cap = max(1, _BLOCK_CELLS // max(1, n))
-    out = np.empty((min(len(r), cap), n))
-    spare = np.empty_like(out)
-    start, size = 0, 1
-    while start < len(r):
-        stop = min(start + size, len(r))
-        diffs, lo, hi = _differences(xt, r[start:stop], q[start:stop], out, spare)
-        tau = lo + u[start:stop] * (hi - lo)
-        n_right = np.count_nonzero(diffs > tau[:, np.newaxis], axis=1)
-        valid = np.flatnonzero((n_right > 0) & (n_right < n))
-        if len(valid):
-            return start + int(valid[0]), float(tau[valid[0]])
-        start, size = stop, min(2 * size, cap)
-    return None
 
 
 @dataclass(eq=False)
@@ -278,23 +255,27 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     and positive counts are integers, and distance vectors are integer frame
     offsets, so every sum is exact in float64 in any order.
 
-    A classification node whose rows are all of one class takes its
-    earliest-drawn valid test (``_earliest_valid``) and scores nothing. That
-    is exact: the parent's and both children's entropies are 0.0, so every
-    valid test gains exactly 0.0 and the first maximum is the earliest valid
-    one. The whole pool is still drawn, so the tree's later nodes see the
-    same random stream.
+    A classification node whose rows are all of one class scores nothing:
+    it walks the pool in draw order (``_candidate_blocks`` with ``first=1``)
+    and takes the earliest test with two non-empty children, threshold bits
+    and all. That is exact: the parent's and both children's entropies are
+    0.0, so every valid test gains exactly 0.0 and the first maximum is the
+    earliest valid one. The whole pool is still drawn, so the tree's later
+    nodes see the same random stream.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     regression = objective == OBJECTIVE_REGRESSION
     r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
     if not regression and segments.n_positive in (0, len(segments)):
-        found = _earliest_valid(segments.x, r, q, u)
-        if found is None:
-            return None
-        best, best_tau = found
-        return SplitChoice.of(segments, int(r[best]), int(q[best]), best_tau, objective)
+        for index, diffs, block_tau in _candidate_blocks(segments.x, r, q, u, first=1):
+            n_right = np.count_nonzero(diffs > block_tau[:, np.newaxis], axis=1)
+            hits = np.flatnonzero((n_right > 0) & (n_right < len(segments)))
+            if len(hits):
+                k = hits[0]
+                r_k, q_k = int(r[index][k]), int(q[index][k])
+                return SplitChoice.of(segments, r_k, q_k, float(block_tau[k]), objective)
+        return None
     # positives first, so a block's positive columns are a contiguous view
     positive = segments.labels == 1
     order = np.argsort(~positive, kind="stable")

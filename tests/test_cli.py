@@ -1997,6 +1997,12 @@ def test_every_checked_wav_byte_flipped_gives_one_error_line(mask, corpus, model
 # JSON kind. Each must be accepted, or refused in one line.
 MUTANTS = (1e308, -1e308, -1, 0, 2**63, 10**400, "?", None, [], {}, True, 0.5)
 
+# Tokens put in place of one field of an annotation line: extremes, numbers
+# beyond the float range, spellings that float() may or may not take, an
+# empty or blank field and a stray tab.
+BAD_TOKENS = ("1e308", "-1e308", "nan", "inf", "-inf", "2e400", "0x10", "1_0",
+              "-1", "", " ", "\t")
+
 
 def scalar_leaves(value, path=()):
     """The paths to every scalar leaf of a parsed JSON document."""
@@ -2021,48 +2027,102 @@ def with_leaf(payload, path, value) -> str:
         parent[path[-1]] = old
 
 
-@pytest.mark.parametrize("kind", ["model", "thresholds", "detect_config",
-                                  "tune_config"])
+def node_of_each_kind(trees):
+    """The first split, leaf with Gaussians and leaf without them, as
+    ``(path, node)`` pairs."""
+    found = {}
+    for t, tree in enumerate(trees):
+        for i, node in enumerate(tree):
+            kind = (node["kind"], node.get("onset") is None)
+            found.setdefault(kind, (("trees", t, i), node))
+    return list(found.values())
+
+
+def mutated_leaves(payload, leaves):
+    """``(case, text)`` for each leaf set to each of MUTANTS and NaN."""
+    for path in leaves:
+        for value in MUTANTS + (float("nan"),):
+            yield (path, value), with_leaf(payload, path, value)
+
+
+def mutated_fields(text, n_lines=3):
+    """``(case, text)`` for each field of the first lines set to each bad token."""
+    lines = text.splitlines(keepends=True)
+    for i in range(n_lines):
+        fields = lines[i].rstrip("\n").split("\t")
+        for j in range(len(fields)):
+            for token in BAD_TOKENS:
+                line = "\t".join(fields[:j] + [token] + fields[j + 1:]) + "\n"
+                yield (i, j, token), "".join(lines[:i] + [line] + lines[i + 1:])
+
+
+@pytest.mark.parametrize("kind", ["model", "trees", "thresholds", "detect_config",
+                                  "tune_config", "manifest", "reference",
+                                  "hypothesis"])
 def test_every_mutated_leaf_is_accepted_or_refused_in_one_line(
     kind, corpus, models, thresholds, tmp_path
 ):
     audio = tmp_path / "short.wav"
     cut_scene(corpus, audio, 150)  # 1.59 s
-    manifest = tmp_path / "manifest.json"
+    manifest = tmp_path / "dev_manifest.json"
     manifest.write_text(json.dumps({"entries": [{
         "audio": str(audio), "annotations": str(corpus / "test.txt"),
         "fold": "dev"}]}))
-    bad = tmp_path / "mutated.json"
+    bad = tmp_path / "mutated"
     out = tmp_path / "out.txt"
     detect = ["detect", str(audio), "--out", str(out)]
-    payload, argv = {
-        "model": (json.loads(models[0].read_text()),
-                  detect + ["--model", str(bad)]),
-        "thresholds": (json.loads(thresholds.read_text()),
-                       detect + ["--model", str(models[0]),
-                                 "--thresholds", str(bad)]),
-        "detect_config": (dict(DETECT_DEFAULTS),
-                          detect + ["--model", str(models[0]),
-                                    "--config", str(bad)]),
-        "tune_config": (dict(DETECT_DEFAULTS),
-                        ["tune", str(manifest), str(models[0]),
-                         "--out", str(out), "--config", str(bad)]),
-    }[kind]
-    leaves = [path for path in scalar_leaves(payload) if path[0] != "trees"]
-    assert len(leaves) >= 4
+    model = json.loads(models[0].read_text())
+    train_set = json.loads(edited_manifest(corpus, tmp_path, lambda _: None)
+                           .read_text())
+    annotations = corpus / "test.txt"
+    if kind in ("reference", "hypothesis"):
+        files = [str(bad), str(annotations)]
+        argv = ["evaluate"] + (files if kind == "reference" else files[::-1])
+        cases = list(mutated_fields(annotations.read_text()))
+        assert len(cases) == 3 * 3 * len(BAD_TOKENS)
+    else:
+        payload, argv = {
+            "model": (model, detect + ["--model", str(bad)]),
+            "trees": (model, detect + ["--model", str(bad)]),
+            "thresholds": (json.loads(thresholds.read_text()),
+                           detect + ["--model", str(models[0]),
+                                     "--thresholds", str(bad)]),
+            "detect_config": (dict(DETECT_DEFAULTS),
+                              detect + ["--model", str(models[0]),
+                                        "--config", str(bad)]),
+            "tune_config": (dict(DETECT_DEFAULTS),
+                            ["tune", str(manifest), str(models[0]),
+                             "--out", str(out), "--config", str(bad)]),
+            "manifest": (train_set,
+                         ["train", str(bad), "--out-dir", str(tmp_path / "trained"),
+                          "--trees", "1", "--tests-per-node", "5",
+                          "--threads", "1"]),
+        }[kind]
+        if kind == "trees":
+            nodes = node_of_each_kind(model["trees"])
+            assert len(nodes) == 3
+            leaves = [leaf for path, node in nodes
+                      for leaf in scalar_leaves(node, path)]
+        elif kind == "manifest":
+            ends = (0, len(train_set["entries"]) - 1)
+            leaves = [path for path in scalar_leaves(payload)
+                      if path[0] != "entries" or path[1] in ends]
+        else:
+            leaves = [path for path in scalar_leaves(payload) if path[0] != "trees"]
+        assert len(leaves) >= 4
+        cases = mutated_leaves(payload, leaves)
     wrong = []
-    for path in leaves:
-        for value in MUTANTS:
-            bad.write_text(with_leaf(payload, path, value))
-            try:
-                code, err = run_main(argv)
-            except Exception as exc:  # every escape is a failure
-                wrong.append((path, value, repr(exc)))
-                continue
-            refused = (code == 1 and err.startswith("error: ")
-                       and err.count("\n") == 1)
-            if not (code == 0 or refused):
-                wrong.append((path, value, code, err))
+    for case, text in cases:
+        bad.write_text(text)
+        try:
+            code, err = run_main(argv)
+        except Exception as exc:  # every escape is a failure
+            wrong.append((case, repr(exc)))
+            continue
+        refused = (code == 1 and err.startswith("error: ")
+                   and err.count("\n") == 1)
+        if not (code == 0 or refused):
+            wrong.append((case, code, err))
     assert wrong == []
 
 

@@ -260,6 +260,15 @@ def test_scale_to_snr_rejects_an_snr_whose_gain_overflows():
     assert np.all(np.isfinite(scale_to_snr(loud, loud.rms(), 400.0).samples))
 
 
+def test_scale_to_snr_rejects_a_scale_beyond_the_float_range():
+    loud = Waveform(np.full(100, 0.1), 16000)
+    # the gain fits a float, but the scale overflows, or underflows to a
+    # silent event
+    for level, snr_db in ((1e308, 0.0), (loud.rms(), -1e308)):
+        with pytest.raises(ValueError, match="cannot scale an event to"):
+            scale_to_snr(loud, level, snr_db)
+
+
 def test_synth_writes_each_scene_before_composing_the_next():
     corpus_args = dict(n_classes=2, instances_per_class=2, scene_len=4.0,
                     events_per_scene=4, seed=7)
