@@ -61,7 +61,6 @@ from .forest import (
     SegmentSet,
     calibrate,
     load_forest,
-    make_leaf,
     route,
     save_forest,
     select_best_test,

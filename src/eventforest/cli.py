@@ -17,6 +17,7 @@ from .dataset import (
     build_training_segments,
     event_free_rows,
     parse_annotations,
+    parse_number,
     synth_benchmark,
     write_annotations,
 )
@@ -285,18 +286,13 @@ def cmd_train(args) -> int:
         [event_free_rows(f.features, f.reference) for f in folds]
     ) if folds else None
 
-    if merged["snr_levels"] is not None:
-        levels = merged["snr_levels"]
-        if isinstance(levels, str):
-            levels = [float(v) for v in levels.split(",")]
-        snr_levels = tuple(float(v) for v in levels)
-    elif manifest["snr_db"] is not None:
-        snr_levels = (float(manifest["snr_db"]),)
-    else:
-        snr_levels = MixtureSpec().snr_levels
-    mixture = MixtureSpec(
-        snr_levels=snr_levels, rng_seed=merged["seed"]
-    )
+    levels = merged["snr_levels"]
+    if isinstance(levels, str):
+        levels = [parse_number(v, "SNR level") for v in levels.split(",")]
+    elif levels is None:  # the manifest's level, else the default ones
+        snr_db = manifest["snr_db"]
+        levels = MixtureSpec().snr_levels if snr_db is None else [snr_db]
+    mixture = MixtureSpec(snr_levels=tuple(map(float, levels)), rng_seed=merged["seed"])
     forest_config = ForestConfig(
         **{name: merged[key] for key, name in _FOREST_KEYS.items()}
     )

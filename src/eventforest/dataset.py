@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass, replace
 from math import ceil, isfinite
@@ -64,6 +65,18 @@ class MixtureSpec:
             )
 
 
+# ASCII decimal numerals, in any case: float() also reads "1_0" and fullwidth
+# digits. The words it reads as NaN or infinity pass, to be refused by name.
+_NUMBER = re.compile(r"(?ai)[+-]?((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|nan|inf(inity)?)")
+
+
+def parse_number(text: str, what: str = "value") -> float:
+    """``text``, stripped of whitespace, as a float if ``_NUMBER`` spells it."""
+    if not _NUMBER.fullmatch(text := text.strip()):
+        raise ValueError(f"{what} {text!r} is not a decimal number")
+    return float(text)
+
+
 def parse_annotations(path) -> list[EventAnnotation]:
     """Read tab- or comma-separated ``onset offset label`` lines, sorted by onset."""
     events = []
@@ -78,7 +91,7 @@ def parse_annotations(path) -> list[EventAnnotation]:
                     f"{path}: line {lineno}: expected onset, offset, label"
                 )
             try:
-                onset, offset = float(parts[0]), float(parts[1])
+                onset, offset = parse_number(parts[0]), parse_number(parts[1])
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: non-numeric onset or offset"

@@ -539,26 +539,9 @@ def route(table: NodeTable, x) -> np.ndarray:
     return node
 
 
-def make_leaf(segments: SegmentSet, variance_floor: float = 1e-6) -> dict:
-    """Leaf record estimated from the segments that reached the leaf.
-
-    The onset and offset Gaussians are floored, and null without positives.
-    """
-    n = len(segments)
-    if n == 0:
-        raise ValueError("cannot build a leaf from an empty set")
-    positive = segments.labels == 1
-    n_pos = int(np.count_nonzero(positive))
-    p_pos = n_pos / n
-    leaf = {"kind": "leaf", "p_pos": p_pos, "p_neg": 1.0 - p_pos, "n_train": n,
-            "onset": None, "offset": None}
-    if n_pos > 0:
-        d = segments.dists[positive]
-        mean = d.mean(axis=0)
-        var = np.maximum(d.var(axis=0), variance_floor)
-        leaf["onset"] = [float(mean[0]), float(var[0])]
-        leaf["offset"] = [float(mean[1]), float(var[1])]
-    return leaf
+# every leaf a tree grows, until ``calibrate`` gives it its statistics
+_GROWN_LEAF = {"kind": "leaf", "p_pos": 0.0, "p_neg": 1.0, "n_train": 0,
+               "onset": None, "offset": None}
 
 
 def _grow(segs: SegmentSet, config: ForestConfig, rng, depth: int, nodes: list) -> list:
@@ -570,7 +553,7 @@ def _grow(segs: SegmentSet, config: ForestConfig, rng, depth: int, nodes: list) 
         if classify or segs.n_positive >= 2:
             choice = select_best_test(segs, config.n_candidate_tests, objective, rng)
     if choice is None:
-        nodes.append(make_leaf(segs, config.variance_floor))
+        nodes.append(_GROWN_LEAF)
         return nodes
     nodes.append({"kind": "split", "r": choice.r, "q": choice.q,
                   "tau": choice.tau, "objective": objective})
@@ -702,10 +685,10 @@ def train_forests(
     results do not depend on worker count. When ``min(n_workers, classes ×
     n_trees)`` is above one, one pool of that many child processes, started
     before the first forest is yielded, grows every class's trees in order;
-    a child that dies raises ``BrokenExecutor``. As soon as a class's trees
-    are in, this process re-estimates every leaf from the class's full
-    training set and yields the forest, while the children grow the trees of
-    the classes after it.
+    a child that dies raises ``BrokenExecutor``. Growth records only the
+    splits. As soon as a class's trees are in, this process calibrates every
+    leaf on the class's full training set and yields the forest, while the
+    children grow the trees of the classes after it.
     """
     if n_workers < 1:
         raise ValueError(f"need at least one worker, got {n_workers}")
@@ -729,6 +712,8 @@ def train_forests(
                 max_train_event_duration=float(lengths.max()) * feature_config.hop_len,
             )
             calibrate(forest, segments)
+            # each grown leaf holds a subsample row, which routes there again
+            assert forest.table.n_train[forest.table.right < 0].all(), label
             yield forest
 
 
@@ -745,18 +730,15 @@ def train_forest(
 
 
 def calibrate(forest: Forest, segments: SegmentSet) -> None:
-    """Re-estimate all leaf models by routing the full training set.
+    """Estimate every leaf's statistics from the segments routed to it.
 
-    Every reached leaf gets its posterior and Gaussians recomputed from the
-    arriving segments, as ``make_leaf`` would from them in ascending row
-    order, and records how many arrived. Leaves nothing reaches keep their
-    grown statistics but record zero, so the arrival counts of a tree's
-    leaves always sum to the calibration set size.
-
-    Each statistic is a ``np.bincount`` over the routed (row, tree) pairs,
-    which adds a leaf's rows in ascending order. Distances are integers, so
-    the sums behind the means are exact, and the squared deviations are
-    added in the order in which ``make_leaf``'s variance adds them.
+    A leaf that n segments reach, n_pos of them positive, records n and the
+    posterior ``p_pos = n_pos / n``. Its onset and offset Gaussians are the
+    mean and population variance of the positives' distances, the variance
+    floored at ``variance_floor``; without positives it has none. A leaf
+    nothing reaches keeps its statistics and records 0. Each sum is a
+    ``np.bincount`` over the routed (row, tree) pairs, which adds a leaf's rows
+    in ascending order; distances are integers, so the means are exact.
     """
     table, n_trees, size = forest.table, forest.n_trees, len(forest.table)
     leaf_of = route(table, segments.x)
@@ -764,12 +746,10 @@ def calibrate(forest: Forest, segments: SegmentSet) -> None:
     positive = np.flatnonzero(np.repeat(segments.labels == 1, n_trees))
     pos_leaf = leaf_of[positive]
     n_pos = np.bincount(pos_leaf, minlength=size)
-    reached = counts > 0
-    table.n_train[table.right < 0] = 0
-    table.n_train[reached] = counts[reached]
-    p_pos = n_pos[reached] / counts[reached]
-    table.p_pos[reached] = p_pos
-    table.p_neg[reached] = 1.0 - p_pos
+    leaves, reached = table.right < 0, counts > 0
+    table.n_train[leaves] = counts[leaves]
+    table.p_pos[reached] = n_pos[reached] / counts[reached]
+    table.p_neg[reached] = 1.0 - table.p_pos[reached]
     gaussian = n_pos > 0
     d = segments.dists[positive // n_trees]
     for key, column in (("onset", d[:, 0]), ("offset", d[:, 1])):

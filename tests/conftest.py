@@ -31,14 +31,15 @@ from eventforest.features import (
 from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
     OBJECTIVE_REGRESSION,
+    Forest,
     ForestConfig,
     NodeTable,
     SegmentSet,
     _candidate_blocks,
     _draw_pool,
     _entropy_from_counts,
+    calibrate,
     gaussian_pdf,
-    make_leaf,
     train_forest,
 )
 
@@ -312,12 +313,52 @@ def oracle_collect_votes(features, forest):
     )
 
 
+def oracle_leaf(segments, variance_floor: float = 1e-6) -> dict:
+    """Reference leaf record estimated from the segments that reached the leaf.
+
+    The posterior is the positives' share; the onset and offset Gaussians are
+    the mean and population variance of the positives' distances, floored,
+    and null without positives.
+    """
+    n = len(segments)
+    if n == 0:
+        raise ValueError("cannot build a leaf from an empty set")
+    positive = segments.labels == 1
+    n_pos = int(np.count_nonzero(positive))
+    p_pos = n_pos / n
+    leaf = {"kind": "leaf", "p_pos": p_pos, "p_neg": 1.0 - p_pos, "n_train": n,
+            "onset": None, "offset": None}
+    if n_pos > 0:
+        d = segments.dists[positive]
+        mean = d.mean(axis=0)
+        var = np.maximum(d.var(axis=0), variance_floor)
+        leaf["onset"] = [float(mean[0]), float(var[0])]
+        leaf["offset"] = [float(mean[1]), float(var[1])]
+    return leaf
+
+
+def calibrated(table, segments, config=None):
+    """``table`` after ``calibrate`` on ``segments`` as a forest with ``config``."""
+    forest = Forest(class_label="x", table=table, config=config or ForestConfig(),
+                    feature_config=feature_config(), max_train_event_duration=1.0)
+    calibrate(forest, segments)
+    return table
+
+
+def calibrated_leaf(segments, variance_floor: float = 1e-6) -> dict:
+    """The record ``calibrate`` gives the leaf of a one-leaf tree on ``segments``."""
+    table = calibrated(NodeTable.from_trees([[leaf_node()]]), segments,
+                       ForestConfig(variance_floor=variance_floor))
+    [[leaf]] = table.to_trees()
+    return leaf
+
+
 def oracle_calibrate(forest, segments) -> list:
     """Reference calibration: the per-tree node records ``calibrate`` should leave.
 
     Every row descends every tree node by node; each reached leaf becomes
-    ``make_leaf`` of its rows in ascending order, and an unreached leaf keeps
-    its statistics with ``n_train`` 0.
+    ``oracle_leaf`` of its rows in ascending order, and an unreached leaf
+    keeps its statistics with ``n_train`` 0.
     """
     table = forest.table
     arrivals = {}
@@ -333,8 +374,8 @@ def oracle_calibrate(forest, segments) -> list:
             if rows is None:
                 node["n_train"] = 0
             else:
-                nodes[i] = make_leaf(segments.take(np.array(rows)),
-                                     forest.config.variance_floor)
+                nodes[i] = oracle_leaf(segments.take(np.array(rows)),
+                                       forest.config.variance_floor)
     return expected
 
 

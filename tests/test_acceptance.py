@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from conftest import (
     FEATURE_DIM,
     blob_stream,
+    calibrated_leaf,
     detect_matrix,
     distance_variation,
     draw_candidates,
@@ -43,7 +44,6 @@ from eventforest.forest import (
     ForestConfig,
     gaussian_pdf,
     load_forest,
-    make_leaf,
     save_forest,
     select_best_test,
     train_forest,
@@ -174,7 +174,7 @@ def test_leaf_gaussians_integrate_to_one():
             rows.append((rng.normal(size=4), 1, d.copy()))
         for j in range(int(rng.integers(0, 10))):
             rows.append((rng.normal(size=4), 0, None))
-        leaf = make_leaf(segment_set(rows))
+        leaf = calibrated_leaf(segment_set(rows))
         for mean, variance in (leaf["onset"], leaf["offset"]):
             sigma = math.sqrt(variance)
             mass, _ = quad(

@@ -448,6 +448,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == f"error: SNR level must be finite, got {shown}\n"
 
+    @pytest.mark.parametrize("levels, shown", [
+        ("1_0", "1_0"), ("0,\uff16", "\uff16"), ("6,", ""),
+    ])
+    def test_snr_levels_must_be_decimal_numerals(self, levels, shown, corpus,
+                                                 tmp_path, capsys):
+        # float() reads "1_0" as 10 and a fullwidth digit as its ASCII twin
+        argv = ["train", str(corpus / "manifest.json"), "--out-dir",
+                str(tmp_path / "models"), "--event-class", "tone300",
+                "--trees", "1", "--tests-per-node", "20", "--snr-levels", levels]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: SNR level {shown!r} is not a decimal number\n"
+        assert not (tmp_path / "models").exists()
+
     @pytest.mark.parametrize("source", ["flag", "manifest"])
     def test_overflowing_snr_level_rejected(self, source, corpus, tmp_path,
                                             capsys):

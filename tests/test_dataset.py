@@ -58,6 +58,25 @@ def test_parse_rejects_malformed_line(tmp_path):
         parse_annotations(path)
 
 
+@pytest.mark.parametrize("line", [
+    "1_0\t12\ta", "10\t1_2\ta", "\uff11\uff10\t12\ta", "10\t\u0661\u0662\ta",
+    "1_000.5\t2000\ta",
+])
+def test_parse_rejects_non_decimal_spellings(line, tmp_path):
+    # float() reads "1_0", fullwidth and Arabic-Indic digits as numbers
+    path = tmp_path / "ann.txt"
+    path.write_text("0.0\t1.0\ta\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: non-numeric onset or offset"):
+        parse_annotations(path)
+
+
+def test_parse_accepts_decimal_spellings(tmp_path):
+    path = tmp_path / "ann.txt"
+    path.write_text(" 1\t+2.\ta\n.5, 1E1 ,b\n25e-1\t3.0e+0\tc\n")
+    assert [(e.onset, e.offset) for e in parse_annotations(path)] == [
+        (0.5, 10.0), (1.0, 2.0), (2.5, 3.0)]
+
+
 def test_parse_accepts_commas_and_sorts(tmp_path):
     path = tmp_path / "ann.txt"
     path.write_text("3.0,4.0,b\n1.0,2.0,a\n")

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     FEATURE_DIM,
+    calibrated,
+    calibrated_leaf,
     distance_variation,
     draw_candidates,
     entropy,
@@ -42,7 +44,6 @@ from eventforest.forest import (
     forest_to_dict,
     gaussian_pdf,
     load_forest,
-    make_leaf,
     save_forest,
     select_best_test,
     train_forest,
@@ -620,7 +621,7 @@ def test_select_best_test_memory_is_bounded_in_candidates():
 # ---------------------------------------------------------------- leaf model
 
 
-def test_make_leaf_posterior_counts():
+def test_calibrated_leaf_posterior_counts():
     segments = segment_set([
         ([0.0], 1, [2.0, 1.0]),
         ([0.0], 1, [4.0, 3.0]),
@@ -628,7 +629,7 @@ def test_make_leaf_posterior_counts():
         ([0.0], 0, None),
         ([0.0], 0, None),
     ])
-    leaf = make_leaf(segments)
+    leaf = calibrated_leaf(segments)
     assert leaf["p_pos"] == 0.4
     assert leaf["p_neg"] == 0.6
     assert leaf["p_pos"] + leaf["p_neg"] == 1.0
@@ -637,34 +638,30 @@ def test_make_leaf_posterior_counts():
     assert leaf["offset"] == [2.0, 1.0]
 
 
-def test_make_leaf_single_positive_hits_variance_floor():
+def test_calibrated_leaf_single_positive_hits_variance_floor():
     segments = segment_set([([0.0], 1, [5.0, 2.0]), ([0.0], 0, None)])
-    leaf = make_leaf(segments, variance_floor=1e-6)
+    leaf = calibrated_leaf(segments, variance_floor=1e-6)
     assert leaf["onset"] == [5.0, 1e-6]
     assert leaf["offset"] == [2.0, 1e-6]
-    wide = make_leaf(segments, variance_floor=0.25)
+    wide = calibrated_leaf(segments, variance_floor=0.25)
     assert wide["onset"][1] == 0.25
 
 
-def test_make_leaf_without_positives_has_no_gaussians():
+def test_calibrated_leaf_without_positives_has_no_gaussians():
     segments = segment_set([([0.0], 0, None)] * 3)
-    leaf = make_leaf(segments)
+    leaf = calibrated_leaf(segments)
     assert leaf["p_pos"] == 0.0 and leaf["p_neg"] == 1.0
     assert leaf["onset"] is None and leaf["offset"] is None
-
-
-def test_make_leaf_empty_is_an_error():
-    with pytest.raises(ValueError):
-        make_leaf(SegmentSet(np.zeros((0, 1)), np.zeros(0), np.zeros((0, 2))))
 
 
 # ---------------------------------------------------------------- tree growth
 
 
 def grown_tree(segments, config, rng):
-    """The one-tree table of a tree grown from the root on ``segments``."""
+    """The one-tree table of a tree grown from the root on ``segments``, and
+    calibrated on them."""
     nodes = forest_module._grow(segments, config, rng, 1, [])
-    return NodeTable.from_trees([nodes], segments.x.shape[1])
+    return calibrated(NodeTable.from_trees([nodes], segments.x.shape[1]), segments, config)
 
 
 def test_small_set_collapses_to_single_leaf():
@@ -927,6 +924,20 @@ def test_calibration_is_a_fixed_point_on_full_sample():
     calibrate(forest, segments)
     after = json.dumps(forest_to_dict(forest), sort_keys=True)
     assert before == after
+
+
+def test_growth_records_no_leaf_statistics():
+    nodes = forest_module._grow(small_training_set(), small_config(),
+                                np.random.default_rng(3), 1, [])
+    leaves = [node for node in nodes if node["kind"] == "leaf"]
+    assert len(leaves) > 1
+    assert all(leaf == forest_module._GROWN_LEAF for leaf in leaves)
+
+
+def test_an_uncalibrated_leaf_never_reaches_a_forest(monkeypatch):
+    monkeypatch.setattr(forest_module, "calibrate", lambda forest, segments: None)
+    with pytest.raises(AssertionError):
+        train_forest(small_training_set(), small_config(), "x", feature_config(4))
 
 
 @pytest.mark.parametrize("seed", range(6))
