@@ -3,6 +3,9 @@
 Per-class decision forests classify short analysis segments and regress
 their position inside an event; leaf votes accumulate into onset and offset
 score curves whose paired peaks become detections.
+
+Import each name from its module (``eventforest.dataset``, ``.forest``, ...);
+the package itself holds only the BLAS pinning below and ``__version__``.
 """
 
 import os
@@ -13,58 +16,5 @@ import os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 del _name
-
-from .dataset import (
-    EventAnnotation,
-    MixtureSpec,
-    SynthBenchmark,
-    build_training_segments,
-    inject_background_segments,
-    label_segments,
-    mix_overlap,
-    parse_annotations,
-    scale_to_snr,
-    synth_benchmark,
-    write_annotations,
-)
-from .detect import (
-    DetectConfig,
-    Detection,
-    ScoreTrack,
-    detect_stream,
-    extract_events,
-    filter_duration,
-    smooth,
-)
-from .evaluate import (
-    Score,
-    TuneFold,
-    event_metrics,
-    load_thresholds,
-    save_thresholds,
-    segment_metrics,
-    tune_thresholds,
-)
-from .features import (
-    FeatureConfig,
-    FeatureMatrix,
-    Waveform,
-    gammatone_cepstra,
-    load_audio,
-    resample,
-    subtract_noise_floor,
-)
-from .forest import (
-    Forest,
-    ForestConfig,
-    NodeTable,
-    SegmentSet,
-    calibrate,
-    load_forest,
-    route,
-    save_forest,
-    select_best_test,
-    train_forest,
-)
 
 __version__ = "0.1.0"

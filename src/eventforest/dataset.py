@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 import zlib
 from dataclasses import dataclass, replace
-from math import ceil, isfinite
+from math import ceil, isfinite, log2
 
 import numpy as np
 
@@ -239,32 +239,6 @@ def mix_overlap(
     return Waveform(canvas, rate), annotations
 
 
-def inject_background_segments(
-    train: SegmentSet,
-    background_rows: np.ndarray,
-    rng_seed: int = 0,
-) -> SegmentSet:
-    """Append one background row per positive training segment as a negative.
-
-    Rows are drawn from ``background_rows`` without replacement when there
-    are enough of them, with replacement otherwise.
-    """
-    extra = _background_negatives(train.n_positive, background_rows, rng_seed)
-    return SegmentSet.concatenate([train, extra]) if len(extra) else train
-
-
-def _background_negatives(n_pos: int, background_rows: np.ndarray,
-                          rng_seed: int) -> SegmentSet:
-    """The ``n_pos`` negatives that ``inject_background_segments`` appends."""
-    n_rows = len(background_rows)
-    if n_rows == 0:
-        raise ValueError("background stream contains no segments")
-    rng = np.random.default_rng(rng_seed)
-    indices = rng.choice(n_rows, size=n_pos, replace=n_rows < n_pos)
-    return SegmentSet(background_rows[indices], np.zeros(n_pos),
-                      np.full((n_pos, 2), np.nan))
-
-
 def build_training_segments(
     target_class: str,
     instances: dict,
@@ -284,9 +258,9 @@ def build_training_segments(
     of the deployment background is known, events are scaled to the SNR level
     against it before mixing. All mixtures are of clean recordings, so noise
     subtraction stays off regardless of the configured stream preprocessing.
-    When background feature rows are given, one of them is injected as an
-    extra negative per positive segment. The sets of all mixtures are joined
-    in the order they were made.
+    The mixtures' sets are joined in the order they were made; given background
+    feature rows, one per positive segment follows them as a negative, drawn
+    with ``mixture.rng_seed`` (with replacement only if there are too few).
 
     ``instance_features`` maps ``(class, index, snr_db)`` to the features of
     that isolated instance at that level. Features found there are used, and
@@ -369,9 +343,14 @@ def build_training_segments(
                 )
                 segments.append(_collect(mixed, mixed_ann))
 
-    if background is not None:  # inject_background_segments, in one concatenation
-        n_pos = sum(s.n_positive for s in segments)
-        segments.append(_background_negatives(n_pos, background, mixture.rng_seed))
+    if background is not None:
+        if len(background) == 0:
+            raise ValueError("background stream contains no segments")
+        n_rows, n_pos = len(background), sum(s.n_positive for s in segments)
+        rng = np.random.default_rng(mixture.rng_seed)
+        picks = rng.choice(n_rows, size=n_pos, replace=n_rows < n_pos)
+        segments.append(SegmentSet(background[picks], np.zeros(n_pos),
+                                   np.full((n_pos, 2), np.nan)))
     return SegmentSet.concatenate(segments)
 
 
@@ -520,7 +499,8 @@ def synth_benchmark(
     built from those instances for threshold tuning, and a test scene built
     from freshly drawn instances. Scenes mix the events into pink noise at
     the requested SNR with roughly a third of the events in overlapping
-    cross-class pairs. The scene length and the SNR must be finite.
+    cross-class pairs. The scene length and the SNR must be finite, and every
+    class's detuned carrier must stay below the Nyquist frequency.
 
     ``write_scene(fold, scene, events)``, when given, receives the "dev" and
     then the "test" scene as soon as each is composed, and the result holds
@@ -530,6 +510,11 @@ def synth_benchmark(
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
+    # class k's carrier reaches 300 * 2**(k + 1/12) Hz, and aliases at Nyquist
+    fits = max(0, ceil(log2(sample_rate / 600.0) - 1.0 / 12.0))
+    if n_classes > fits:
+        raise ValueError(f"class tone{300 * 2**fits} reaches the Nyquist frequency "
+                         f"{sample_rate / 2:g} Hz: at most {fits} classes fit")
     if instances_per_class < 1:
         raise ValueError("need at least one instance per class")
     if events_per_scene < 0:

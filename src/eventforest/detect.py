@@ -291,14 +291,6 @@ def extract_events(
     return detections
 
 
-def filter_duration(detections, max_train_duration: float, factor: float = 3.0):
-    """Drop detections longer than ``factor`` times the longest training event."""
-    if max_train_duration <= 0.0:
-        raise ValueError("maximum training duration must be positive")
-    limit = factor * max_train_duration
-    return [d for d in detections if d.offset - d.onset <= limit]
-
-
 def _reach(forests) -> int:
     """One more than the furthest, in whole segments, that a Gaussian leaf of
     ``forests`` reaches from its vote's segment: ``|mean|`` plus six standard
@@ -432,7 +424,7 @@ def normalize(forests, features) -> None:
 def forest_events(
     track: ScoreTrack, forest: Forest, beta: float, duration_factor: float
 ) -> list:
-    """One class's detections: ``extract_events``, then ``filter_duration``.
+    """One class's detections: ``extract_events``, then the duration rule.
 
     Segments map to times through the forest's feature space, and events
     longer than ``duration_factor`` times its longest training event are
@@ -441,7 +433,8 @@ def forest_events(
     fc = forest.feature_config
     events = extract_events(track, beta, fc.hop_len, fc.window_len,
                             forest.class_label)
-    return filter_duration(events, forest.max_train_event_duration, duration_factor)
+    limit = duration_factor * forest.max_train_event_duration
+    return [e for e in events if e.offset - e.onset <= limit]
 
 
 def detect_on_features(tracks: dict, forests, configs) -> list:

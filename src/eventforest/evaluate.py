@@ -60,9 +60,7 @@ def _activity(events, classes, n_cells: int, resolution: float) -> np.ndarray:
     index = {label: k for k, label in enumerate(classes)}
     grid = np.zeros((n_cells, len(classes)), dtype=bool)
     for event in events:
-        k = index.get(event.label)
-        if k is None:
-            continue
+        k = index[event.label]
         first = int(math.floor(event.onset / resolution))
         last = int(ceil(event.offset / resolution)) - 1
         first = max(first, 0)
@@ -77,14 +75,14 @@ def segment_metrics(
     hypothesis,
     resolution: float = 1.0,
     duration: float | None = None,
-    classes=None,
 ) -> Score:
     """Score detections against reference events on fixed time cells.
 
-    Each cell of ``resolution`` seconds holds the set of active classes on
-    both sides. A missing class pairs with a spurious one in the same cell as
-    a substitution; unpaired misses and extras count as deletions and
-    insertions.
+    Every label of either list is scored; to score one class, pass only its
+    events. Each cell of ``resolution`` seconds holds the set of active
+    classes on both sides. A missing class pairs with a spurious one in the
+    same cell as a substitution; unpaired misses and extras count as
+    deletions and insertions.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution}")
@@ -92,14 +90,9 @@ def segment_metrics(
         raise ValueError(f"duration must be finite and non-negative, got {duration}")
     reference = list(reference)
     hypothesis = list(hypothesis)
-    if classes is None:
-        classes = sorted({e.label for e in reference} | {e.label for e in hypothesis})
-    else:
-        classes = list(classes)
+    classes = sorted({e.label for e in reference} | {e.label for e in hypothesis})
     if duration is None:
-        known = set(classes)
-        spans = [e.offset for e in reference + hypothesis if e.label in known]
-        duration = max(spans) if spans else 0.0
+        duration = max((e.offset for e in reference + hypothesis), default=0.0)
     n_cells = int(ceil(duration / resolution)) if duration > 0 else 0
 
     if n_cells == 0 or not classes:
@@ -167,8 +160,11 @@ def event_metrics(reference, hypothesis, onset_collar: float = 0.2) -> Score:
 
 
 def _per_class(metric, reference, hypothesis) -> dict:
-    """``metric`` of each label on that label's events, under 'overall' on all."""
+    """``metric`` of each label on that label's events, and on all of them
+    under 'overall', which no label may take."""
     classes = sorted({e.label for e in reference} | {e.label for e in hypothesis})
+    if "overall" in classes:
+        raise ValueError("class label 'overall' is reserved for the pooled score")
     report = {
         label: metric([e for e in reference if e.label == label],
                       [e for e in hypothesis if e.label == label])
@@ -239,8 +235,9 @@ def tune_thresholds(
 
     For each class and fold, ``score_tracks`` renders the smoothed onset
     and offset tracks of all alphas in one pass over the fold's votes, then
-    every beta is applied. The pooled segment error rate over all folds
-    scores each pair; ties prefer the larger beta, then the larger alpha.
+    every beta is applied. The segment error rate on the class's reference
+    events, pooled over all folds, scores each pair; ties prefer the larger
+    beta, then the larger alpha.
     With ``allow_ignorance`` the pair (first alpha, IGNORANCE_BETA) competes
     too, so a class whose best grid point is still worse than silence is
     disabled.
@@ -272,6 +269,7 @@ def tune_thresholds(
             score_tracks(fold.features, [forest], grid)[label]
             for fold in folds
         ]
+        references = [[e for e in f.reference if e.label == label] for f in folds]
         best = None  # (rank, alpha, beta, error_rate)
         for a, alpha in enumerate(alphas):
             tracks = [grid.pop(0) for grid in per_fold]  # freed once scored
@@ -280,11 +278,11 @@ def tune_thresholds(
                 candidate_betas = betas + [IGNORANCE_BETA]
             for beta in candidate_betas:
                 pooled = Score()
-                for track, fold in zip(tracks, folds):
+                for track, fold, reference in zip(tracks, folds, references):
                     events = forest_events(track, forest, beta,
                                            detect_config.duration_factor)
-                    pooled.add(segment_metrics(fold.reference, events, resolution,
-                                               fold.features.duration, [label]))
+                    pooled.add(segment_metrics(reference, events, resolution,
+                                               fold.features.duration))
                 rate = pooled.error_rate
                 if rate is None:
                     errors = pooled.substitutions + pooled.deletions + pooled.insertions

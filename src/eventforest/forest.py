@@ -222,14 +222,13 @@ class SplitChoice:
     r: int
     q: int
     tau: float
-    objective: str
     mask: np.ndarray
 
     @classmethod
-    def of(cls, segments: SegmentSet, r: int, q: int, tau: float, objective: str):
+    def of(cls, segments: SegmentSet, r: int, q: int, tau: float):
         """The test x_r - x_q > tau, with the rows of ``segments`` it sends right."""
         mask = segments.x[:, r] - segments.x[:, q] > tau
-        return cls(r=r, q=q, tau=tau, objective=objective, mask=mask)
+        return cls(r=r, q=q, tau=tau, mask=mask)
 
 
 def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rng):
@@ -274,7 +273,7 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
             if len(hits):
                 k = hits[0]
                 r_k, q_k = int(r[index][k]), int(q[index][k])
-                return SplitChoice.of(segments, r_k, q_k, float(block_tau[k]), objective)
+                return SplitChoice.of(segments, r_k, q_k, float(block_tau[k]))
         return None
     # positives first, so a block's positive columns are a contiguous view
     positive = segments.labels == 1
@@ -332,7 +331,7 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     best = int(np.argmax(scores))
     # information gain is non-negative by concavity of the entropy
     assert regression or scores[best] >= -1e-12
-    return SplitChoice.of(segments, int(r[best]), int(q[best]), float(tau[best]), objective)
+    return SplitChoice.of(segments, int(r[best]), int(q[best]), float(tau[best]))
 
 
 def gaussian_pdf(x, mean: float, variance: float):

@@ -291,7 +291,6 @@ def test_beta_monotonicity_and_ignorance(blob_model):
         [],
         resolution=1.0,
         duration=blob_model.dev_features.duration,
-        classes=["blob"],
     )
     if silent.error_rate != 1.0:
         failures.append(f"silent error rate {silent.error_rate} != 1.0")

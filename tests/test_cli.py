@@ -228,6 +228,16 @@ class TestSynth:
         assert err == "error: cannot scale an event to an SNR of 1e+308 dB\n"
         assert not (out / "manifest.json").exists()
 
+    def test_class_at_nyquist_rejected(self, tmp_path, capsys):
+        # the sixth class's 9,600 Hz carrier would alias at 16 kHz
+        out = tmp_path / "corpus"
+        code = main(["synth", str(out)] + SYNTH_ARGS + ["--classes", "6"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: class tone9600 reaches the Nyquist frequency "
+                       "8000 Hz: at most 5 classes fit\n")
+        assert not out.exists()
+
     def test_different_seed_differs(self, corpus, tmp_path):
         other = tmp_path / "other"
         args = [a if a != "3" else "4" for a in SYNTH_ARGS]
@@ -1358,6 +1368,23 @@ class TestEvaluate:
                 assert float(row["error_rate"]) == score.error_rate
             else:
                 assert score.error_rate is None
+
+    @pytest.mark.parametrize("mode", ["segment", "event", "both"])
+    def test_class_named_overall_rejected(self, mode, tmp_path, capsys):
+        # its row would be overwritten by the pooled score
+        reference = tmp_path / "ref.txt"
+        reference.write_text("0\t2\toverall\n3\t4\tdog\n")
+        hypothesis = tmp_path / "hyp.txt"
+        hypothesis.write_text("0\t2\toverall\n")
+        csv_path = tmp_path / "scores.csv"
+        code = main(["evaluate", str(reference), str(hypothesis),
+                     "--mode", mode, "--csv", str(csv_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error: class label 'overall' is reserved for the pooled score\n"
+        )
+        assert captured.out == "" and not csv_path.exists()
 
     def test_missing_file_errors(self, tmp_path, capsys):
         code = main(

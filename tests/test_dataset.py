@@ -15,7 +15,6 @@ from eventforest.dataset import (
     EventAnnotation,
     MixtureSpec,
     build_training_segments,
-    inject_background_segments,
     label_segments,
     mix_overlap,
     parse_annotations,
@@ -407,46 +406,78 @@ def test_mix_rejects_rate_mismatch():
 # ---------------------------------------------------------------- background
 
 
-def labeled_toy_segments(n_pos, n_neg, dim=4):
-    rows = [(np.zeros(dim), 1, [float(i), 0.0]) for i in range(n_pos)]
-    rows += [(np.zeros(dim), 0, None)] * n_neg
-    return segment_set(rows)
+def background_builder():
+    """``build(background=None, instances=...)``, which builds the first
+    class's set at one SNR level from two classes' instances, the dev scene's
+    feature rows, and those instances."""
+    bench = synth_benchmark(n_classes=2, instances_per_class=2, scene_len=4.0,
+                            events_per_scene=6, seed=4)
+    config = feature_config(16)
+    instances = {
+        label: [(w, [EventAnnotation(0.0, w.duration, label)]) for w in waves]
+        for label, waves in bench.train_instances.items()
+    }
+    mixture = MixtureSpec(snr_levels=(0.0,), rng_seed=3)
+
+    def build(background=None, instances=instances):
+        return build_training_segments(bench.class_names[0], instances, config,
+                                       mixture, background=background)
+
+    return build, gammatone_cepstra(bench.dev_scene, config).rows, instances
+
+
+def assert_same_bytes(a, b):
+    for key in ("x", "labels", "dists"):
+        x, y = getattr(a, key), getattr(b, key)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def test_inject_matches_positive_count():
-    segments = labeled_toy_segments(100, 5)
-    background = grid_features(17).rows
-    out = inject_background_segments(segments, background, rng_seed=0)
-    added = out.take(np.arange(len(segments), len(out)))
-    assert len(added) == 100
+    build, background, _ = background_builder()
+    plain, out = build(), build(background)
+    added = out.take(np.arange(len(plain), len(out)))
+    assert len(added) == plain.n_positive > 0
     assert not added.labels.any() and np.isnan(added.dists).all()
 
 
-def test_inject_no_positives_is_identity():
-    segments = labeled_toy_segments(0, 5)
-    out = inject_background_segments(segments, grid_features(9).rows, rng_seed=0)
-    assert len(out) == len(segments)
-    assert np.array_equal(out.x, segments.x)
-    assert np.array_equal(out.labels, segments.labels)
-    assert np.array_equal(out.dists, segments.dists, equal_nan=True)
-
-
-def test_inject_requires_background():
-    with pytest.raises(ValueError):
-        inject_background_segments(
-            labeled_toy_segments(2, 2), grid_features(0).rows, rng_seed=0
-        )
+def test_background_negatives_are_injected_after_the_mixtures():
+    build, background, _ = background_builder()
+    plain, out = build(), build(background)
+    n_pos = plain.n_positive
+    assert_same_bytes(out.take(np.arange(len(plain))), plain)
+    # enough rows: the seed's draw without replacement
+    assert len(background) >= n_pos
+    picks = np.random.default_rng(3).choice(len(background), n_pos, replace=False)
+    assert len(set(picks.tolist())) == n_pos
+    assert out.x[len(plain):].tobytes() == background[picks].tobytes()
 
 
 def test_inject_deterministic_per_seed():
-    segments = labeled_toy_segments(10, 3)
-    background = np.random.default_rng(8).normal(size=(6, 4))
-    a = inject_background_segments(segments, background, rng_seed=5)
-    b = inject_background_segments(segments, background, rng_seed=5)
-    assert len(a) == len(segments) + 10
-    assert np.array_equal(a.x, b.x)
-    # drawn with replacement from six rows, each one of them
-    assert all((background == row).all(axis=1).any() for row in a.x[len(segments):])
+    build, background, _ = background_builder()
+    few = background[:6]
+    n_pos = build().n_positive
+    assert n_pos > len(few)
+    a, b = build(few), build(few)
+    assert_same_bytes(a, b)
+    # too few rows: the seed's draw with replacement, each row one of the six
+    picks = np.random.default_rng(3).choice(len(few), n_pos, replace=True)
+    assert a.x[-n_pos:].tobytes() == few[picks].tobytes()
+    assert all((few == row).all(axis=1).any() for row in a.x[-n_pos:])
+
+
+def test_inject_no_positives_is_identity():
+    build, background, instances = background_builder()
+    target = next(iter(instances))
+    unlabeled = {target: [(w, []) for w, _ in instances[target]]}
+    plain = build(instances=unlabeled)
+    assert len(plain) and plain.n_positive == 0
+    assert_same_bytes(build(background, instances=unlabeled), plain)
+
+
+def test_inject_requires_background():
+    build, background, _ = background_builder()
+    with pytest.raises(ValueError, match="background stream contains no segments"):
+        build(background[:0])
 
 
 # ---------------------------------------------------------------- pink noise
@@ -540,6 +571,22 @@ def test_benchmark_classes_are_separable_in_feature_space():
             assert gap > max(spreads[labels[i]], spreads[labels[j]]) * 0.5
 
 
+def test_synth_keeps_every_carrier_below_nyquist():
+    # 9,600 Hz, detuned by up to a semitone, would alias at 16 kHz
+    with pytest.raises(ValueError, match="class tone9600 reaches the Nyquist "
+                                         "frequency 8000 Hz: at most 5 classes fit"):
+        synth_benchmark(n_classes=6, instances_per_class=1, scene_len=2.0,
+                        events_per_scene=2)
+    bench = synth_benchmark(n_classes=5, instances_per_class=3, scene_len=2.0,
+                            events_per_scene=2)
+    assert bench.class_names[-1] == "tone4800"
+    for wave in bench.train_instances["tone4800"]:
+        spectrum = np.abs(np.fft.rfft(wave.samples))
+        freqs = np.fft.rfftfreq(len(wave.samples), 1.0 / wave.sample_rate)
+        peak = freqs[spectrum.argmax()]
+        assert 4800 * 2 ** (-1 / 12) - 5 < peak < 4800 * 2 ** (1 / 12) + 5
+
+
 # ---------------------------------------------------------------- builder
 
 
@@ -566,28 +613,6 @@ def test_build_training_segments_small_run():
         background=background, background_rms=bench.background_rms,
     )
     assert len(with_bg) == len(segments) + int(labels.sum())
-
-
-def test_background_negatives_are_injected_after_the_mixtures():
-    bench = synth_benchmark(n_classes=2, instances_per_class=2, scene_len=4.0,
-                            events_per_scene=6, seed=4)
-    config = feature_config(16)
-    instances = {
-        label: [(w, [EventAnnotation(0.0, w.duration, label)]) for w in waves]
-        for label, waves in bench.train_instances.items()
-    }
-    mixture = MixtureSpec(snr_levels=(0.0,), rng_seed=3)
-    background = gammatone_cepstra(bench.dev_scene, config).rows
-    target = bench.class_names[0]
-    built = build_training_segments(target, instances, config, mixture,
-                                    background=background)
-    injected = inject_background_segments(
-        build_training_segments(target, instances, config, mixture),
-        background, mixture.rng_seed,
-    )
-    for key in ("x", "labels", "dists"):
-        a, b = getattr(built, key), getattr(injected, key)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_build_training_segments_deterministic():

@@ -42,7 +42,6 @@ from eventforest.detect import (
     detect_on_features,
     detect_stream,
     extract_events,
-    filter_duration,
     forest_events,
     normalize,
     StreamVotes,
@@ -1026,16 +1025,18 @@ def test_extract_output_is_chronologically_valid():
 
 
 def test_duration_filter_drops_only_overlong_events():
-    events = [
-        Detection("x", 0.0, 7.0, 0.9),
-        Detection("x", 0.0, 6.0, 0.8),  # boundary: exactly 3 x 2.0 stays
-        Detection("x", 1.0, 1.5, 0.7),
-    ]
-    kept = filter_duration(events, max_train_duration=2.0, factor=3.0)
-    assert [(e.onset, e.offset) for e in kept] == [(0.0, 6.0), (1.0, 1.5)]
-    assert filter_duration([], 2.0, 3.0) == []
-    with pytest.raises(ValueError):
-        filter_duration(events, max_train_duration=0.0, factor=3.0)
+    fc = feature_config()
+    # pairs lasting 7, 6 and 1 hops
+    track = spiky_track(30, [(2, 0.9), (12, 0.8), (22, 0.7)],
+                        [(9, 0.9), (18, 0.8), (23, 0.7)])
+    paired = extract_events(track, 0.5, fc.hop_len, fc.window_len, "x")
+    lengths = [e.offset - e.onset for e in paired]
+    assert len(paired) == 3 and lengths[0] > lengths[1] > lengths[2]
+    # boundary: a detection of exactly 2 x the longest training event stays
+    forest = single_leaf_forest(leaf(), fc=fc, duration=lengths[1] / 2.0)
+    kept = forest_events(track, forest, 0.5, 2.0)
+    assert [vars(e) for e in kept] == [vars(e) for e in paired[1:]]
+    assert forest_events(spiky_track(30, [], []), forest, 0.5, 2.0) == []
 
 
 def test_forest_events_filters_by_the_training_duration():

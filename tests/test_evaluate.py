@@ -15,7 +15,6 @@ from eventforest.detect import (
     DetectConfig,
     collect_votes,
     extract_events,
-    filter_duration,
     smooth,
 )
 from eventforest.evaluate import (
@@ -121,14 +120,6 @@ class TestSegmentMetrics:
         score = segment_metrics([ev(0.0, 10.0, "A")], [], duration=5.0)
         assert score.n_ref == 5
         assert score.error_rate == 1.0
-
-    def test_classes_filter_ignores_other_labels(self):
-        reference = [ev(0.0, 2.0, "A"), ev(0.0, 2.0, "B")]
-        hypothesis = [ev(0.0, 2.0, "B")]
-        only_a = segment_metrics(reference, hypothesis, duration=2.0, classes=["A"])
-        assert only_a.n_ref == 2
-        assert only_a.deletions == 2
-        assert only_a.insertions == 0
 
     def test_invalid_resolution_rejected(self):
         for resolution in (0.0, math.nan, math.inf):
@@ -317,18 +308,33 @@ class TestPerClass:
            duration=st.none() | st.floats(0.0, 30.0))
     def test_segment_rows_equal_the_class_filter(self, reference, hypothesis,
                                                  resolution, duration):
-        # A row scores the label's own events; the class filter scores the
-        # full lists and ignores the other labels. Both give the same counts.
+        # A row scores the label's own events (an inferred duration spans
+        # only them); the pooled row scores the full lists.
         report = per_class_segment_metrics(reference, hypothesis, resolution,
                                            duration)
         labels = {e.label for e in reference + hypothesis}
         assert set(report) == labels | {"overall"}
         for label in labels:
             assert report[label] == segment_metrics(
-                reference, hypothesis, resolution, duration, classes=[label]
+                [e for e in reference if e.label == label],
+                [e for e in hypothesis if e.label == label],
+                resolution,
+                duration,
             )
         assert report["overall"] == segment_metrics(reference, hypothesis,
                                                     resolution, duration)
+
+    def test_class_named_overall_is_refused(self):
+        # its row would be overwritten by the pooled score
+        cases = [  # on both sides, and in the hypothesis only
+            ([ev(0.0, 2.0, "overall"), ev(3.0, 4.0, "dog")], [ev(0.0, 2.0, "overall")]),
+            ([ev(3.0, 4.0, "dog")], [ev(0.0, 2.0, "overall")]),
+        ]
+        for report in (per_class_segment_metrics, per_class_event_metrics):
+            for reference, hypothesis in cases:
+                with pytest.raises(ValueError, match="class label 'overall' is "
+                                                     "reserved for the pooled score"):
+                    report(reference, hypothesis)
 
     def test_segment_keys_and_pooled_counts(self):
         reference = [ev(0.0, 3.0, "A"), ev(5.0, 8.0, "B")]
@@ -420,18 +426,14 @@ def oracle_tune(folds, forest, alphas, betas, detect_config, resolution,
                     fold.features.config.window_len,
                     label,
                 )
-                events = filter_duration(
-                    events,
-                    forest.max_train_event_duration,
-                    detect_config.duration_factor,
-                )
+                limit = detect_config.duration_factor * forest.max_train_event_duration
+                events = [e for e in events if e.offset - e.onset <= limit]
                 pooled.add(
                     segment_metrics(
-                        fold.reference,
+                        [e for e in fold.reference if e.label == label],
                         events,
                         resolution,
                         fold.features.duration,
-                        [label],
                     )
                 )
             rate = pooled.error_rate
@@ -498,6 +500,31 @@ class TestTuneThresholds:
             config, 0.1, allow_ignorance,
         )
         assert (chosen.alpha, chosen.beta, chosen.error_rate) == expected
+
+    def test_other_labels_in_the_reference_change_nothing(self, blob_model):
+        # each fold's reference is filtered to the class before the grid
+        own = [
+            TuneFold(features=blob_model.dev_features,
+                     reference=blob_model.dev_reference),
+            TuneFold(features=blob_model.test_features, reference=[]),
+        ]
+        others = [ev(e.onset + 0.3, e.offset + 0.7, "other")
+                  for e in blob_model.dev_reference]
+        mixed = [
+            TuneFold(features=blob_model.dev_features,
+                     reference=others[::2] + blob_model.dev_reference + others[1::2]),
+            TuneFold(features=blob_model.test_features,
+                     reference=[ev(0.0, blob_model.test_features.duration + 5.0,
+                                   "other")]),
+        ]
+        config = DetectConfig(smooth_window=11, duration_factor=3.0)
+        for allow_ignorance in (False, True):
+            expected = tune_thresholds(own, [blob_model.forest], config,
+                                       resolution=0.1,
+                                       allow_ignorance=allow_ignorance)
+            assert tune_thresholds(mixed, [blob_model.forest], config,
+                                   resolution=0.1,
+                                   allow_ignorance=allow_ignorance) == expected
 
     def test_found_thresholds_detect_events(self, blob_model):
         folds = [
