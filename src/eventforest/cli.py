@@ -74,6 +74,8 @@ TRAIN_DEFAULTS = {
 }
 
 DETECT_DEFAULTS = asdict(DetectConfig())
+# tune takes alpha and beta from its grid, so it reads only the other settings
+TUNE_DEFAULTS = {k: DETECT_DEFAULTS[k] for k in ("smooth_window", "duration_factor")}
 
 
 def _config_value_error(key: str, value, default) -> str | None:
@@ -352,7 +354,7 @@ def _save_all(forests, paths) -> None:
 
 
 def cmd_tune(args) -> int:
-    merged = _resolve(args, DETECT_DEFAULTS)
+    merged = _resolve(args, TUNE_DEFAULTS)
     if args.print_config:
         _print_config(merged)
         return 0

@@ -619,7 +619,8 @@ class FeatureStream:
             0 if n_samples < self._win else (n_samples - self._win) // self._hop + 1
         )
         if config.noise_subtraction:
-            self._floored = subtract_noise_floor(self._energies(0, self.n_segments))
+            with np.errstate(over="ignore", invalid="ignore"):  # refused in block
+                self._floored = subtract_noise_floor(self._energies(0, self.n_segments))
 
     @classmethod
     def of_samples(cls, samples: np.ndarray, config: FeatureConfig) -> "FeatureStream":
@@ -657,15 +658,20 @@ class FeatureStream:
 
     def block(self, lo: int, hi: int) -> FeatureMatrix:
         """The rows of segments ``[lo, hi)``, equal bit for bit to those rows
-        of the whole stream's transform, for any ``lo`` and ``hi``."""
+        of the whole stream's transform, for any ``lo`` and ``hi``. Rows that
+        are not finite, from a power spectrum that overflows, are refused."""
         config = self.config
-        if config.noise_subtraction:
-            energies = self._floored[lo:hi] + LOG_FLOOR
-        else:
-            energies = self._energies(lo, hi)
-            energies += LOG_FLOOR
-        np.log(energies, out=energies)
-        rows = _dct_ortho(energies)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            if config.noise_subtraction:
+                energies = self._floored[lo:hi] + LOG_FLOOR
+            else:
+                energies = self._energies(lo, hi)
+                energies += LOG_FLOOR
+            np.log(energies, out=energies)
+            rows = _dct_ortho(energies)
+        if not np.isfinite(rows).all():
+            raise ValueError(f"features of segments [{lo}, {hi}) are not finite: "
+                             "the samples are too loud")
         times = np.arange(lo, hi) * self._hop / config.sample_rate
         return FeatureMatrix(rows, times, config)
 

@@ -62,6 +62,7 @@ class ForestConfig:
 
 
 SegmentRow = namedtuple("SegmentRow", "x c d")
+SplitChoice = namedtuple("SplitChoice", "r q tau")
 
 
 class SegmentSet:
@@ -217,48 +218,32 @@ def _candidate_blocks(x, r, q, u, first=None):
         yield order[start:stop], diffs, lo + u[start:stop] * (hi - lo)
 
 
-@dataclass(eq=False)
-class SplitChoice:
-    r: int
-    q: int
-    tau: float
-    mask: np.ndarray
-
-    @classmethod
-    def of(cls, segments: SegmentSet, r: int, q: int, tau: float):
-        """The test x_r - x_q > tau, with the rows of ``segments`` it sends right."""
-        mask = segments.x[:, r] - segments.x[:, q] > tau
-        return cls(r=r, q=q, tau=tau, mask=mask)
-
-
 def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rng):
     """Pick the best candidate test for a node, or None when no candidate is valid.
 
     Classification maximizes information gain; regression minimizes the total
-    distance variation. Candidates producing an empty child are invalid, as
-    are regression candidates leaving a child without positives.
+    distance variation. A test is valid when it sends a row right, and for
+    regression a positive each way. No test empties the left child: ``tau =
+    lo + u * (hi - lo)`` with ``u`` in [0, 1) rounds to at least ``lo``, so
+    the row at the smallest difference goes left; a NaN ``tau`` (from
+    non-finite rows) sends every row left.
 
-    The pool's differences are formed in blocks of about ``_BLOCK_CELLS``
-    cells (``max(1, _BLOCK_CELLS // rows)`` candidates), small enough to stay
-    in cache. A block's right-child counts are byte sums of its bool mask over
-    the positive and the negative columns (rows are ordered positives first),
-    accumulated as ``uint32``, which no node can overflow: 2**32 rows would be
-    2 TB of features at the default 64 channels. Each block records only its
-    candidates' threshold, child counts and, for regression, right-side
-    positive distance sums, at their draw indices in arrays of length
-    ``n_candidates``, also where ``_candidate_blocks`` visits the pool in
-    channel pair order. The whole pool is then scored at once, and ties keep
-    the earliest-drawn candidate (the first maximum). Memory therefore grows
-    with one block plus O(n_candidates), and the result does not depend on
-    the block size or the visiting order: child
-    and positive counts are integers, and distance vectors are integer frame
-    offsets, so every sum is exact in float64 in any order.
+    The pool is formed in blocks of ``max(1, _BLOCK_CELLS // rows)``
+    candidates, which stay in cache. Each block records its candidates'
+    thresholds, ``uint32`` byte sums of the right child's positive and
+    negative columns (rows are ordered positives first) and, for regression,
+    right-side positive distance sums, at their draw indices in arrays of
+    length ``n_candidates``. The whole pool is then scored at once, and ties
+    keep the earliest-drawn candidate (the first maximum). Memory grows with
+    one block plus O(n_candidates). Counts are integers and distance vectors
+    integer frame offsets, so every sum is exact in float64 in any order:
+    the result depends neither on the block size nor on the visiting order.
 
     A classification node whose rows are all of one class scores nothing:
     it walks the pool in draw order (``_candidate_blocks`` with ``first=1``)
-    and takes the earliest test with two non-empty children, threshold bits
-    and all. That is exact: the parent's and both children's entropies are
-    0.0, so every valid test gains exactly 0.0 and the first maximum is the
+    and takes the earliest test whose threshold lies below its largest
+    difference, threshold bits and all. That is exact: every entropy is 0.0,
+    so every valid test gains exactly 0.0 and the first maximum is the
     earliest valid one. The whole pool is still drawn, so the tree's later
     nodes see the same random stream.
     """
@@ -268,12 +253,11 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
     if not regression and segments.n_positive in (0, len(segments)):
         for index, diffs, block_tau in _candidate_blocks(segments.x, r, q, u, first=1):
-            n_right = np.count_nonzero(diffs > block_tau[:, np.newaxis], axis=1)
-            hits = np.flatnonzero((n_right > 0) & (n_right < len(segments)))
+            hits = np.flatnonzero(block_tau < diffs.max(axis=1))
             if len(hits):
                 k = hits[0]
-                r_k, q_k = int(r[index][k]), int(q[index][k])
-                return SplitChoice.of(segments, r_k, q_k, float(block_tau[k]))
+                return SplitChoice(int(r[index][k]), int(q[index][k]),
+                                   float(block_tau[k]))
         return None
     # positives first, so a block's positive columns are a contiguous view
     positive = segments.labels == 1
@@ -293,20 +277,20 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     n_pos_right = np.empty(n_candidates)
     sums = np.empty((n_candidates, pos_stats.shape[1])) if regression else None
     for index, diffs, block_tau in _candidate_blocks(segments.x[order], r, q, u):
-        mask = diffs > block_tau[:, np.newaxis]
+        right = diffs > block_tau[:, np.newaxis]
         # a bool is one byte of 0 or 1, so its row sum is the child count;
         # uint32 holds any count: 2**32 rows are 2 TB of 64-channel features
-        cells = mask.view(np.uint8)
+        cells = right.view(np.uint8)
         pos = np.add.reduce(cells[:, :n_pos_rows], axis=1, dtype=np.uint32)
         neg = np.add.reduce(cells[:, n_pos_rows:], axis=1, dtype=np.uint32)
         tau[index] = block_tau
         n_right[index] = pos + neg
         n_pos_right[index] = pos
         if regression:
-            sums[index] = mask[:, :n_pos_rows] @ pos_stats
+            sums[index] = right[:, :n_pos_rows] @ pos_stats
 
     n_left = n - n_right
-    valid = (n_right > 0) & (n_left > 0)
+    valid = n_right > 0
     n_pos_left = n_pos - n_pos_right
     if objective == OBJECTIVE_CLASSIFICATION:
         h_right = _entropy_from_counts(n_pos_right, n_right - n_pos_right)
@@ -331,7 +315,7 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     best = int(np.argmax(scores))
     # information gain is non-negative by concavity of the entropy
     assert regression or scores[best] >= -1e-12
-    return SplitChoice.of(segments, int(r[best]), int(q[best]), float(tau[best]))
+    return SplitChoice(int(r[best]), int(q[best]), float(tau[best]))
 
 
 def gaussian_pdf(x, mean: float, variance: float):
@@ -554,10 +538,10 @@ def _grow(segs: SegmentSet, config: ForestConfig, rng, depth: int, nodes: list) 
     if choice is None:
         nodes.append(_GROWN_LEAF)
         return nodes
-    nodes.append({"kind": "split", "r": choice.r, "q": choice.q,
-                  "tau": choice.tau, "objective": objective})
-    _grow(segs.take(~choice.mask), config, rng, depth + 1, nodes)
-    return _grow(segs.take(choice.mask), config, rng, depth + 1, nodes)
+    nodes.append({"kind": "split", **choice._asdict(), "objective": objective})
+    right = segs.x[:, choice.r] - segs.x[:, choice.q] > choice.tau
+    _grow(segs.take(~right), config, rng, depth + 1, nodes)
+    return _grow(segs.take(right), config, rng, depth + 1, nodes)
 
 
 @dataclass(eq=False)
@@ -819,10 +803,11 @@ def forest_from_dict(payload: dict) -> Forest:
     """Rebuild a forest from ``forest_to_dict`` output.
 
     Every field is checked, so a malformed model raises ValueError here and
-    not later during detection. The label must be a non-empty string, and
-    the fingerprint and the training duration must be present. Keys missing
-    from ``feature_fingerprint`` or ``config`` take their defaults, so ``{}``
-    reads as ``FeatureConfig()`` or ``ForestConfig()``.
+    not later during detection. The label must be a non-empty string that a
+    detections file reads back as written: no tab, line break or outer
+    whitespace. The fingerprint and the training duration must be present.
+    Keys missing from ``feature_fingerprint`` or ``config`` take their
+    defaults, so ``{}`` reads as ``FeatureConfig()`` or ``ForestConfig()``.
     """
     if not isinstance(payload, dict):
         raise ValueError("model is not a JSON object")
@@ -836,6 +821,9 @@ def forest_from_dict(payload: dict) -> Forest:
     class_label = _get(payload, "class_label")
     if not isinstance(class_label, str) or not class_label:
         raise ValueError("model class_label is not a non-empty string")
+    if class_label != class_label.strip() or {"\t", "\n", "\r"} & set(class_label):
+        raise ValueError(f"model class_label {class_label!r} has a tab, a line "
+                         "break or outer whitespace")
     if not isinstance(_get(payload, "trees"), list) or not payload["trees"]:
         raise ValueError("model has no trees")
     return Forest(

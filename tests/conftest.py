@@ -66,6 +66,12 @@ def feature_config(n_channels: int = FEATURE_DIM) -> FeatureConfig:
     return FeatureConfig(n_channels=n_channels)
 
 
+def segment_times(n: int, config: FeatureConfig) -> np.ndarray:
+    """The onset times ``FeatureStream`` gives segments 0 to n - 1."""
+    hop = int(round(config.hop_len * config.sample_rate))
+    return np.arange(n) * hop / config.sample_rate
+
+
 def segment_set(rows) -> SegmentSet:
     """A training set from ``(x, c, d)`` rows, where ``d`` is None on negatives."""
     rows = list(rows)
@@ -644,8 +650,7 @@ def blob_stream(rng, n_events=6, event_len=12, gap=20, dim=FEATURE_DIM,
         )
         emit_background(gap)
 
-    times = np.arange(len(rows)) * config.hop_len
-    features = FeatureMatrix(np.array(rows), times, config)
+    features = FeatureMatrix(np.array(rows), segment_times(len(rows), config), config)
     return features, annotations, SegmentSet(features.rows, labels, dists)
 
 

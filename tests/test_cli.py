@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eventforest
-from conftest import byte_platform, oracle_event_free_rows, score_matrix
+from conftest import byte_platform, oracle_event_free_rows, score_matrix, segment_times
 from eventforest import cli as cli_module
 from eventforest import dataset as dataset_module
 from eventforest import detect as detect_module
@@ -704,13 +704,31 @@ class TestTrain:
         assert left == (["model_tone600.json"] if failure == "rename" else [])
         assert captured.out == ""
 
+    @pytest.mark.parametrize("noise_subtraction", [False, True])
+    def test_loud_mixture_gives_one_error_line_and_no_model(self, noise_subtraction,
+                                                            corpus, tmp_path):
+        # events mix at the background level, and a power spectrum of samples
+        # near 1e200 overflows: those features are refused, not kept as NaN
+        path = edited_manifest(corpus, tmp_path, lambda entries: None)
+        manifest = json.loads(path.read_text())
+        manifest["background_rms"] = 1e200
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "models"
+        flags = ["--noise-subtraction"] if noise_subtraction else []
+        code, err = run_main(["train", str(path), "--out-dir", str(out)]
+                             + TRAIN_ARGS + flags)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "are not finite: the samples are too loud" in err
+        assert list(out.glob("*model*")) == []
+
 
 @settings(max_examples=60, deadline=None)
 @given(n_segments=st.integers(0, 80), data=st.data())
 def test_event_free_rows_match_the_mask_oracle(n_segments, data):
     config = FeatureConfig()
     features = FeatureMatrix(np.arange(n_segments, dtype=float)[:, None],
-                             np.arange(n_segments) * config.hop_len, config)
+                             segment_times(n_segments, config), config)
     # times exactly on a segment center test both ends of [onset, offset)
     time = st.floats(0.0, (n_segments + 3) * config.hop_len)
     if n_segments:
@@ -767,8 +785,11 @@ class TestTune:
 def test_print_config_prints_the_merged_config_and_writes_nothing(command,
                                                                   tmp_path,
                                                                   capsys):
+    # tune takes alpha and beta from its grid, so it has no beta to set
+    settings = {"tune": {"smooth_window": 7},
+                "detect": {"beta": 0.3, "smooth_window": 7}}[command]
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"beta": 0.3, "smooth_window": 7}))
+    config.write_text(json.dumps(settings))
     out = tmp_path / "out.json"
     inputs = {"tune": ["missing.json", "missing_model.json"],
               "detect": ["missing.wav", "--model", "missing_model.json"]}
@@ -776,8 +797,26 @@ def test_print_config_prints_the_merged_config_and_writes_nothing(command,
                  str(config), "--print-config", "--smooth-window", "5"])
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
-    assert printed == {**DETECT_DEFAULTS, "beta": 0.3, "smooth_window": 5}
+    expected = {"tune": {"smooth_window": 5, "duration_factor": 3.0},
+                "detect": {**DETECT_DEFAULTS, "beta": 0.3, "smooth_window": 5}}
+    assert printed == expected[command]
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("settings, unknown", [
+    ({"alpha": 0.9, "beta": 3.0}, "alpha, beta"),  # ignored by the grid
+    ({"alpha": 2}, "alpha"),  # refused by a check of a value never used
+], ids=["alpha_beta", "alpha_out_of_range"])
+def test_tune_refuses_the_settings_its_grid_sets(settings, unknown, corpus,
+                                                 models, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    out = tmp_path / "thresholds.json"
+    code, err = run_main(["tune", str(corpus / "manifest.json"), *map(str, models),
+                          "--out", str(out), "--config", str(config)])
+    assert code == 1
+    assert err == f"error: unknown keys in {config}: {unknown}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1139,6 +1178,23 @@ def test_faulty_stream_gives_one_error_line_and_no_output(
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert shown in err
     assert not out.exists() and not feats.exists()
+
+
+def test_loud_stream_gives_one_error_line_and_no_detections(corpus, models,
+                                                            tmp_path):
+    from scipy.io import wavfile
+
+    # finite float samples, whose power spectrum overflows
+    rng = np.random.default_rng(0)
+    audio = tmp_path / "loud.wav"
+    wavfile.write(audio, 16000, np.where(rng.random(3 * 16000) < 0.5, -1e200, 1e200))
+    out = tmp_path / "detections.txt"
+    code, err = run_main(["detect", str(audio)] + model_args(models)
+                         + ["--out", str(out)])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "are not finite: the samples are too loud" in err
+    assert not out.exists()
 
 
 def test_detect_memory_does_not_grow_with_the_stream(
@@ -1525,6 +1581,13 @@ MALFORMED_MODELS = {
                       "max_train_event_duration is not a number: None"),
     "class_label_empty": (lambda p: p.update(class_label=""),
                           "model class_label is not a non-empty string"),
+    # a detections file would not read these labels back as written
+    "class_label_tab": (lambda p: p.update(class_label="tone\t600"),
+                        "model class_label 'tone\\t600' has a tab"),
+    "class_label_newline": (lambda p: p.update(class_label="tone\n600"),
+                            "model class_label 'tone\\n600' has a tab"),
+    "class_label_outer_space": (lambda p: p.update(class_label="tone600 "),
+                                "model class_label 'tone600 ' has a tab"),
     "fingerprint_string": (
         lambda p: p["feature_fingerprint"].update(window_len="0.1"),
         "model feature_fingerprint 'window_len' must be a finite number",

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import byte_platform, feature_config, oracle_label_segments, segment_set
+from conftest import (
+    byte_platform,
+    feature_config,
+    oracle_label_segments,
+    segment_set,
+    segment_times,
+)
 from eventforest.dataset import (
     EventAnnotation,
     MixtureSpec,
@@ -150,8 +156,7 @@ def test_mixture_spec_validation():
 def grid_features(n_segments, dim=4):
     config = feature_config(dim)
     rows = np.zeros((n_segments, dim))
-    times = np.arange(n_segments) * config.hop_len
-    return FeatureMatrix(rows, times, config)
+    return FeatureMatrix(rows, segment_times(n_segments, config), config)
 
 
 def span_annotation(first, last, label, config):

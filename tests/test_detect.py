@@ -27,6 +27,7 @@ from conftest import (
     oracle_render_tracks,
     random_tree,
     score_matrix,
+    segment_times,
     split_node,
     vote_forest,
     vote_tree,
@@ -85,7 +86,7 @@ def single_leaf_forest(the_leaf, n_trees=1, label="x", fc=None, duration=1.0):
 def flat_features(n_segments, dim=8):
     config = feature_config(dim)
     rows = np.zeros((n_segments, dim))
-    return FeatureMatrix(rows, np.arange(n_segments) * config.hop_len, config)
+    return FeatureMatrix(rows, segment_times(n_segments, config), config)
 
 
 # ---------------------------------------------------------------- routing
@@ -377,7 +378,7 @@ def test_collect_votes_matches_oracle_on_random_trees(seed, n_segments, n_trees)
     )
     features = FeatureMatrix(
         rng.integers(-3, 4, size=(n_segments, 4)).astype(float),
-        np.arange(n_segments) * config.hop_len,
+        segment_times(n_segments, config),
         config,
     )
     assert_votes_equal(
@@ -703,7 +704,7 @@ def test_error_in_a_later_range_leaves_score_tracks(monkeypatch):
     rng = np.random.default_rng(4)
     config = feature_config()
     features = FeatureMatrix(rng.normal(size=(150, config.n_channels)),
-                             np.arange(150) * config.hop_len, config)
+                             segment_times(150, config), config)
 
     def failing(block, forest):
         if threading.current_thread() is not threading.main_thread():
@@ -728,7 +729,7 @@ def test_each_class_sums_are_freed_once_smoothed(monkeypatch):
     configs = {label: [DetectConfig(alpha=0.0, smooth_window=3)] for label in labels}
     config = feature_config()
     features = FeatureMatrix(rng.normal(size=(150, config.n_channels)),
-                             np.arange(150) * config.hop_len, config)
+                             segment_times(150, config), config)
     monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", 16)
     usable_cores(monkeypatch, 2)
     smoothed, alive = [], []
@@ -1071,6 +1072,22 @@ def test_forest_events_place_segments_at_the_stream_s_centers():
     onsets, offsets = centers[[10, n - 40]].tolist(), centers[[30, n - 1]].tolist()
     assert [e.onset for e in events] == pytest.approx(onsets, rel=0, abs=1e-12)
     assert [e.offset for e in events] == pytest.approx(offsets, rel=0, abs=1e-12)
+
+
+def test_the_two_segment_clocks_at_segment_35():
+    # Rows, and with them labels and background negatives, time segment k at
+    # k * hop / rate; detections and the training duration at k * hop_len.
+    # The two agree to rounding, not bit for bit: unifying them changes model
+    # bytes, since the training duration is a segment count times hop_len.
+    fc = FeatureConfig()
+    matrix = featurize(Waveform(np.zeros(fc.sample_rate), fc.sample_rate), fc).matrix()
+    times = segment_times(matrix.n_segments, fc)
+    assert matrix.segment_times.tobytes() == times.tobytes()
+    assert matrix.segment_centers()[35] == 0.39999999999999997
+    track = spiky_track(60, [(35, 0.9)], [(50, 0.9)])
+    [event] = extract_events(track, 0.5, fc.hop_len, fc.window_len)
+    assert event.onset == 0.4
+    assert 35 * fc.hop_len == 0.35000000000000003
 
 
 # ---------------------------------------------------------------- pipelines

@@ -31,6 +31,7 @@ from conftest import (
     tree_leaves,
 )
 from eventforest import forest as forest_module
+from eventforest.dataset import EventAnnotation, parse_annotations, write_annotations
 from eventforest.features import FeatureConfig
 from eventforest.forest import (
     OBJECTIVE_CLASSIFICATION,
@@ -216,11 +217,9 @@ def test_select_best_test_separates_perfectly():
         segments, 400, OBJECTIVE_CLASSIFICATION, np.random.default_rng(2)
     )
     assert choice is not None
-    assert info_gain((choice.r, choice.q, choice.tau), segments) == 1.0
-    labels = np.array([s.c for s in segments], bool)
-    assert np.array_equal(choice.mask, labels) or np.array_equal(
-        choice.mask, ~labels
-    )
+    assert info_gain(choice, segments) == 1.0
+    labels = [s.c == 1 for s in segments]
+    assert went_right(segments, choice) in (labels, [not c for c in labels])
 
 
 def test_select_best_test_identical_features_signals_leaf():
@@ -269,8 +268,14 @@ def use_block(monkeypatch, segments, block):
     monkeypatch.setattr(forest_module, "_BLOCK_CELLS", block * len(segments))
 
 
+def went_right(segments, test) -> list:
+    """Whether ``split_test`` sends each row of ``segments`` right, for (r, q, tau)."""
+    r, q, tau = test
+    return [split_test(s.x, r, q, tau) == 1 for s in segments]
+
+
 def assert_matches_oracle(segments, n_candidates, objective, seed):
-    """select_best_test returns the oracle's (r, q, tau) and its partition."""
+    """select_best_test returns the oracle's (r, q, tau), which splits the rows."""
     choice = select_best_test(
         segments, n_candidates, objective, np.random.default_rng(seed)
     )
@@ -278,11 +283,8 @@ def assert_matches_oracle(segments, n_candidates, objective, seed):
     if expected is None:
         assert choice is None
         return None
-    _, r, q, tau = expected
-    assert choice is not None
-    assert (choice.r, choice.q, choice.tau) == (r, q, tau)
-    went_right = [split_test(s.x, r, q, tau) == 1 for s in segments]
-    assert choice.mask.tolist() == went_right
+    assert choice == expected[1:]
+    assert 0 < sum(went_right(segments, choice)) < len(segments)
     return expected
 
 
@@ -331,10 +333,12 @@ def test_select_best_test_partition_is_exact():
     choice = select_best_test(
         segments, 200, OBJECTIVE_CLASSIFICATION, np.random.default_rng(5)
     )
-    n_right = int(choice.mask.sum())
-    assert 0 < n_right < len(segments)
-    for s, went_right in zip(segments, choice.mask):
-        assert (s.x[choice.r] - s.x[choice.q] > choice.tau) == went_right
+    # a plain test, whose partition growth and routing form row by row
+    assert choice._fields == ("r", "q", "tau")
+    assert [type(v) for v in choice] == [int, int, float]
+    right = segments.x[:, choice.r] - segments.x[:, choice.q] > choice.tau
+    assert right.tolist() == went_right(segments, choice)
+    assert 0 < right.sum() < len(segments)
 
 
 def assert_block_boundary_matches_oracle(n_candidates, block, objective, monkeypatch):
@@ -402,10 +406,7 @@ def test_select_best_test_does_not_depend_on_the_block_size(objective, monkeypat
         for cells in (1, 1 << 40):
             monkeypatch.setattr(forest_module, "_BLOCK_CELLS", cells)
             choice = search()
-            assert (choice.r, choice.q, choice.tau) == (
-                default.r, default.q, default.tau
-            )
-            assert np.array_equal(choice.mask, default.mask)
+            assert choice == default
 
 
 def one_class_set(rng, n, label, dim=FEATURE_DIM):
@@ -487,6 +488,53 @@ def test_one_class_search_agrees_with_scalar_oracle_at_the_edges(monkeypatch):
                 assert one_class_winner(copies, n_candidates, 18) >= 7
                 monkeypatch.undo()
             assert one_class_winner(same, n_candidates, 5) is None
+
+
+def with_edge_rows(segments):
+    """``segments`` with a constant channel, repeated rows and non-finite cells.
+
+    Channel 3 is constant, rows 1-4 repeat row 0, and rows 5, 6 and 7 hold
+    +inf, -inf and NaN in channels 1, 5 and 6. Every candidate on channel 1,
+    5 or 6 has a NaN or infinite threshold, which sends no row right.
+    """
+    x = segments.x.copy()
+    x[:, 3] = 2.5
+    x[1:5] = x[0]
+    x[5, 1], x[6, 5], x[7, 6] = np.inf, -np.inf, np.nan
+    return SegmentSet(x, segments.labels, segments.dists)
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_validity_rule_agrees_with_scalar_oracle_on_edge_rows(grouped, monkeypatch):
+    # the oracle keeps a test only when it counts rows in both children, one
+    # candidate at a time; the search only asks whether a row goes right
+    rng = np.random.default_rng(107)
+    nodes = [with_edge_rows(random_segments(rng, 30, class_shift=0.5))]
+    nodes += [with_edge_rows(one_class_set(rng, 30, label)) for label in (0, 1)]
+    use_grouping(monkeypatch, grouped)
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN
+        for segments in nodes:
+            for n_candidates in POOLS:
+                # one pool draws r == q first; each draws it somewhere, and
+                # the constant and non-finite channels
+                seeds = (first_draw_repeats_a_channel(n_candidates), 29)
+                for seed in seeds:
+                    r, q, _ = forest_module._draw_pool(
+                        FEATURE_DIM, n_candidates, np.random.default_rng(seed))
+                    assert (r == q).any() and np.isin([1, 3, 5, 6], r).all()
+                    for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
+                        expected = assert_matches_oracle(
+                            segments, n_candidates, objective, seed)
+                        # only a node without positives has no valid test
+                        no_positive = (objective == OBJECTIVE_REGRESSION
+                                       and segments.n_positive == 0)
+                        assert (expected is None) == no_positive
+        # with every row identical or non-finite, no test is valid
+        stuck = nodes[0].take(np.array([0, 1, 5, 6, 7]))
+        stuck.x[:, 0] = stuck.x[:, 2] = stuck.x[:, 4] = stuck.x[:, 7] = 0.0
+        for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
+            rng = np.random.default_rng(0)
+            assert select_best_test(stuck, 40, objective, rng) is None
 
 
 def two_cluster_set():
@@ -588,7 +636,7 @@ def test_grouped_search_above_256_channels(monkeypatch):
             choice = select_best_test(
                 segments, n_candidates, objective, np.random.default_rng(8)
             )
-            choices.append((choice.r, choice.q, choice.tau, choice.mask.tolist()))
+            choices.append(choice)
     assert choices[:2] == choices[2:]
 
 
@@ -1110,6 +1158,30 @@ def test_model_requires_label_fingerprint_and_duration(key, value, message):
     with pytest.raises(ValueError) as caught:
         forest_from_dict(payload)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("label", [
+    "tone\t600", "tone\n600", "tone\r600", " tone600", "tone600 ", "tone600\x0c",
+    "tone 600", "tone,600", "tone\x0b600", "tône",
+])
+def test_model_label_reads_back_from_a_detections_file(label, tmp_path):
+    # a model loads exactly when its label survives a detections file
+    detections = tmp_path / "detections.txt"
+    write_annotations([EventAnnotation(0.5, 1.5, label)], detections)
+    try:
+        reads_back = [e.label for e in parse_annotations(detections)] == [label]
+    except ValueError:
+        reads_back = False
+    assert reads_back == (label in ("tone 600", "tone,600", "tone\x0b600", "tône"))
+    payload = forest_to_dict(trained_forest())
+    payload["class_label"] = label
+    if reads_back:
+        assert forest_from_dict(payload).class_label == label
+        return
+    with pytest.raises(ValueError) as caught:
+        forest_from_dict(payload)
+    assert str(caught.value) == (f"model class_label {label!r} has a tab, a line "
+                                 "break or outer whitespace")
 
 
 def test_model_empty_fingerprint_reads_as_defaults():
