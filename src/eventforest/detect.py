@@ -131,49 +131,50 @@ _VOTE_BLOCK = 512
 _SCORE_RANGES = 2
 
 
-def _kernel_pairs(weight, mean, var, n_segments: int):
+# Standard deviations at which every Gaussian kernel is truncated.
+_TRUNCATION = 6.0
+
+
+def _kernel_pairs(weight, mean, var, lo: int, hi: int):
     """Flat (vote, position, value) triples of weighted truncated Gaussians.
 
-    Each vote's kernel covers the integer positions within six standard
-    deviations of its mean, clipped to the stream; the triples come in vote
-    order, then position order, and each value is ``weight * gaussian_pdf``
-    evaluated elementwise, so every value matches a one-vote evaluation bit
-    for bit.
+    Each vote's kernel covers the integer positions within ``_TRUNCATION``
+    standard deviations of its mean, clipped to ``[lo, hi)``; the triples
+    come in vote order, then position order, and each value is
+    ``weight * gaussian_pdf`` evaluated elementwise, so every value matches a
+    one-vote evaluation bit for bit.
     """
-    spread = 6.0 * np.sqrt(var)
-    lo = np.maximum(np.ceil(mean - spread), 0.0).astype(np.int64)
-    hi = np.minimum(np.floor(mean + spread), n_segments - 1).astype(np.int64)
-    counts = np.maximum(hi - lo + 1, 0)
+    spread = _TRUNCATION * np.sqrt(var)
+    first = np.maximum(np.ceil(mean - spread), lo).astype(np.int64)
+    last = np.minimum(np.floor(mean + spread), hi - 1).astype(np.int64)
+    counts = np.maximum(last - first + 1, 0)
     owner = np.repeat(np.arange(len(counts)), counts)
-    first = np.cumsum(counts) - counts
-    positions = lo[owner] + (np.arange(len(owner)) - first[owner])
+    start = np.cumsum(counts) - counts
+    positions = first[owner] + (np.arange(len(owner)) - start[owner])
     values = weight[owner] * gaussian_pdf(positions, mean[owner], var[owner])
     return owner, positions, values
 
 
 def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0,
-                  floor: int = 0) -> list:
+                  lo: int = 0, hi: int | None = None) -> None:
     """Add one block's cached votes to a stream's raw onset and offset sums.
 
     ``sums`` maps each gate to the (onset, offset) pair of whole-stream sums
     that the votes with ``p_pos`` at or above it add to, and ``alpha`` is the
     lowest gate. Each such vote adds its ``p_pos``-weighted Gaussians,
-    truncated at six standard deviations, and the votes' segments start at
-    stream segment ``first``. Votes are splatted in fixed blocks of
+    truncated at ``_TRUNCATION`` standard deviations, at the positions in
+    ``[lo, hi)`` (by default the whole stream), and the votes' segments start
+    at stream segment ``first``. Votes are splatted in fixed blocks of
     ``_VOTE_BLOCK``: the kernels of a block's votes that pass ``alpha`` are
     evaluated once and, per gate, the pairs of the votes that pass it are
     added with ``np.add.at``. That ufunc method is unbuffered and applies the
     pairs in index order, so every segment receives its terms in vote order,
     exactly the additions of rendering one vote at a time, for any block
-    size and any set of gates. The sums are normalized once the stream ends
-    (see ``score_tracks``).
-
-    Pairs at positions below ``floor`` are not added. They are returned as
-    ``(sum, positions, values)`` triples in vote order, and adding each with
-    ``np.add.at``, in order, completes the sums.
+    size, any set of gates and any cut of the stream into windows. The sums
+    are normalized once the stream ends (see ``score_tracks``).
     """
-    n = len(next(iter(sums.values()))[0])
-    held = []
+    if hi is None:
+        hi = len(next(iter(sums.values()))[0])
     for start in range(0, len(votes.p_pos), _VOTE_BLOCK):
         block = np.arange(start, min(start + _VOTE_BLOCK, len(votes.p_pos)))
         block = block[~(votes.p_pos[block] < alpha)]
@@ -184,22 +185,15 @@ def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0,
             (1, m + votes.mean_off[block], votes.var_off[block]),
         )
         for side, mean, var in kernels:
-            owner, positions, values = _kernel_pairs(p, mean, var, n)
+            owner, positions, values = _kernel_pairs(p, mean, var, lo, hi)
             pair_p = p[owner]
-            below = positions < floor if floor else None
             for gate, pair in sums.items():
                 # None: every pair passes, as all do at the lowest gate
                 keep = None if gate <= alpha else ~(pair_p < gate)
-                if below is not None:
-                    late = below if keep is None else keep & below
-                    if late.any():
-                        held.append((pair[side], positions[late], values[late]))
-                        keep = ~below if keep is None else keep & ~below
                 if keep is None:
                     np.add.at(pair[side], positions, values)
                 elif keep.any():
                     np.add.at(pair[side], positions[keep], values[keep])
-    return held
 
 
 def smooth(track: ScoreTrack, window: int) -> ScoreTrack:
@@ -293,25 +287,17 @@ def extract_events(
 
 def _reach(forests) -> int:
     """One more than the furthest, in whole segments, that a Gaussian leaf of
-    ``forests`` reaches from its vote's segment: ``|mean|`` plus six standard
-    deviations, onset or offset. Every kernel position lies closer than this
-    to its vote's segment."""
+    ``forests`` reaches from its vote's segment: ``|mean|`` plus
+    ``_TRUNCATION`` standard deviations, onset or offset. Every kernel
+    position lies closer than this to its vote's segment."""
     furthest = 0.0
     for forest in forests:
         for leaves in (forest.table.onset, forest.table.offset):
             gaussian = leaves[~np.isnan(leaves[:, 0])]
             if len(gaussian):
                 furthest = max(furthest, float(np.max(
-                    np.abs(gaussian[:, 0]) + 6.0 * np.sqrt(gaussian[:, 1]))))
+                    np.abs(gaussian[:, 0]) + _TRUNCATION * np.sqrt(gaussian[:, 1]))))
     return 1 + math.ceil(furthest)
-
-
-def _add_held(held) -> None:
-    """Add each range's held ``(sum, positions, values)`` triples, range
-    after range and in vote order, with ``np.add.at``."""
-    for pairs in held:
-        for total, positions, values in pairs:
-            np.add.at(total, positions, values)
 
 
 def _usable_cores() -> int:
@@ -335,12 +321,12 @@ def score_tracks(source, forests, configs) -> dict:
     blocks of ``_SEGMENT_BLOCK``) contiguous ranges. The calling thread
     scores the first and a thread pool the others, each range block by
     block; a stream of one block starts no thread. The tracks are exact
-    whatever W and the blocks. No vote of an earlier range reaches R
-    (``_reach``) segments past a range's start, so each range adds its pairs
-    from there on straight into the shared sums, where no other thread
-    writes, in vote order. It holds back the pairs below, and after the join
-    they are added range after range, so every sum takes the additions of
-    one pass, in the same order.
+    whatever W and the blocks. Each range ``[lo, hi)`` owns its positions: no
+    kernel lies R (``_reach``) or more segments from its vote, so the rows
+    ``[lo - R, hi + R)`` hold every vote that reaches the range, and the
+    range adds, in vote order, only the pairs at its own positions, where no
+    other thread writes. Every sum so takes the additions of one pass, in
+    the same order, and the rows near an inner edge are read twice.
 
     The sums are then divided by the forest's normalization constants and
     smoothed, and each gate's sums are freed once its last track is smoothed.
@@ -358,32 +344,25 @@ def score_tracks(source, forests, configs) -> dict:
     size = _features._SEGMENT_BLOCK
     width = max(1, min(_SCORE_RANGES, _usable_cores(), -(-n // size)))
     bounds = [k * n // width for k in range(width + 1)]
-    reach = _reach(scored) if width > 1 else 0
+    reach = _reach(scored)
 
-    def score_range(lo: int, hi: int) -> list:
-        floor = lo + reach if lo else 0
-        held = []
-        for start in range(lo, hi, size):
-            block = source.block(start, min(start + size, hi))
+    def score_range(lo: int, hi: int) -> None:
+        stop = min(n, hi + reach)
+        for start in range(max(0, lo - reach), stop, size):
+            block = source.block(start, min(start + size, stop))
             for forest in scored:
                 gates = sums[forest.class_label]
-                held += render_tracks(collect_votes(block, forest), min(gates),
-                                      gates, start, floor)
+                render_tracks(collect_votes(block, forest), min(gates), gates,
+                              start, lo, hi)
             block = None  # its rows are not held while the next block is made
-        return held
 
-    if not scored:
-        held = []
-    elif width == 1:
-        held = [score_range(0, n)]
-    else:  # the first use imports the pool's module, which one block never needs
+    if scored and width == 1:
+        score_range(0, n)
+    elif scored:  # the first use imports the pool's module, which one block never needs
         with concurrent.futures.ThreadPoolExecutor(width - 1) as pool:
-            # map drops each future once its result is taken, so no future
-            # keeps a held triple, or through it a gate's sums, alive
             later = pool.map(score_range, bounds[1:-1], bounds[2:])
-            held = [score_range(bounds[0], bounds[1]), *later]
-    _add_held(held)
-    del held  # each gate's sums are freed once its tracks are smoothed
+            score_range(bounds[0], bounds[1])
+            list(later)  # raises the error of a later range
     tracks = {}
     for forest in forests:
         label = forest.class_label

@@ -218,6 +218,20 @@ def default_beta_grid() -> list:
     return [round(0.025 * i, 10) for i in range(41)]
 
 
+def _candidate(pooled: Score, alpha: float, beta: float) -> tuple:
+    """``(rank, alpha, beta, error_rate)`` of one threshold pair. The lowest
+    rank wins: the lowest error rate, counting a class absent from every
+    reference as 0 when silent and infinite otherwise, then the larger beta,
+    then the larger alpha."""
+    rate = pooled.error_rate
+    if rate is None:
+        errors = pooled.substitutions + pooled.deletions + pooled.insertions
+        score = 0.0 if errors == 0 else math.inf
+    else:
+        score = rate
+    return (score, -beta, -alpha), alpha, beta, rate
+
+
 def tune_thresholds(
     folds,
     forests,
@@ -239,7 +253,8 @@ def tune_thresholds(
     events, pooled over all folds, scores each pair; ties prefer the larger
     beta, then the larger alpha.
     With ``allow_ignorance`` the pair (first alpha, IGNORANCE_BETA) competes
-    too, so a class whose best grid point is still worse than silence is
+    too, scored as the silence of a disabled class (no events on any fold),
+    so a class whose best grid point is still worse than silence is
     disabled.
 
     The search is exact: the tracks of all alphas take every vote in the
@@ -270,32 +285,25 @@ def tune_thresholds(
             for fold in folds
         ]
         references = [[e for e in f.reference if e.label == label] for f in folds]
-        best = None  # (rank, alpha, beta, error_rate)
-        for a, alpha in enumerate(alphas):
+        candidates = []  # (rank, alpha, beta, error_rate) of each pair
+        if allow_ignorance:  # a disabled class reports nothing
+            silence = Score()
+            for fold, reference in zip(folds, references):
+                silence.add(segment_metrics(reference, [], resolution,
+                                            fold.features.duration))
+            candidates.append(_candidate(silence, alphas[0], IGNORANCE_BETA))
+        for alpha in alphas:
             tracks = [grid.pop(0) for grid in per_fold]  # freed once scored
-            candidate_betas = betas
-            if allow_ignorance and a == 0:
-                candidate_betas = betas + [IGNORANCE_BETA]
-            for beta in candidate_betas:
+            for beta in betas:
                 pooled = Score()
                 for track, fold, reference in zip(tracks, folds, references):
                     events = forest_events(track, forest, beta,
                                            detect_config.duration_factor)
                     pooled.add(segment_metrics(reference, events, resolution,
                                                fold.features.duration))
-                rate = pooled.error_rate
-                if rate is None:
-                    errors = pooled.substitutions + pooled.deletions + pooled.insertions
-                    score = 0.0 if errors == 0 else math.inf
-                else:
-                    score = rate
-                # lower score wins; ties fall to the larger beta, then alpha
-                rank = (score, -beta, -alpha)
-                if best is None or rank < best[0]:
-                    best = (rank, alpha, beta, rate)
-        per_class[label] = ClassThresholds(
-            alpha=best[1], beta=best[2], error_rate=best[3]
-        )
+                candidates.append(_candidate(pooled, alpha, beta))
+        _, alpha, beta, rate = min(candidates, key=lambda c: c[0])
+        per_class[label] = ClassThresholds(alpha=alpha, beta=beta, error_rate=rate)
     return per_class
 
 

@@ -689,11 +689,19 @@ def write_features_csv(blocks, path, n_channels: int) -> None:
     """Write the rows of feature blocks, in order, to a CSV at ``path``.
 
     The file holds a header and one line per segment: its onset time and its
-    coefficients.
+    coefficients. It is written beside ``path`` under a temporary name and
+    renamed into place once complete, so a block that fails leaves no file.
     """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time"] + [f"c{i}" for i in range(n_channels)])
-        for block in blocks:
-            for t, row in zip(block.segment_times, block.rows):
-                writer.writerow([f"{t:.6f}"] + [repr(float(v)) for v in row])
+    temp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+    try:
+        with open(temp, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["time"] + [f"c{i}" for i in range(n_channels)])
+            for block in blocks:
+                for t, row in zip(block.segment_times, block.rows):
+                    writer.writerow([f"{t:.6f}"] + [repr(float(v)) for v in row])
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise

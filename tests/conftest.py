@@ -518,6 +518,19 @@ def oracle_render_tracks(votes, alpha, z_plus=1.0, z_minus=1.0):
     return ScoreTrack(f_plus, f_minus)
 
 
+def range_blocks(n_segments, width, reach, size):
+    """The ``(start, stop)`` rows of each block that ``score_tracks`` reads
+    from ``n_segments`` cut into ``width`` ranges: each range reads its own
+    rows and up to ``reach`` more past each inner edge, ``size`` at a time."""
+    bounds = [k * n_segments // width for k in range(width + 1)]
+    blocks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        stop = min(n_segments, hi + reach)
+        blocks += [(start, min(start + size, stop))
+                   for start in range(max(0, lo - reach), stop, size)]
+    return blocks
+
+
 def score_matrix(features, forests, configs):
     """Each class's track for its one DetectConfig in ``configs``, scored from
     a whole feature matrix as one block."""

@@ -21,7 +21,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eventforest
-from conftest import byte_platform, oracle_event_free_rows, score_matrix, segment_times
+from conftest import (
+    byte_platform,
+    oracle_event_free_rows,
+    range_blocks,
+    score_matrix,
+    segment_times,
+)
 from eventforest import cli as cli_module
 from eventforest import dataset as dataset_module
 from eventforest import detect as detect_module
@@ -1120,6 +1126,7 @@ def test_dump_features_reads_a_longer_stream_twice(block, reads, corpus, models,
                                                    monkeypatch):
     # the CSV is written in a pass of its own, before scoring
     monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", block)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     made = []
     featurizing = features_module.FeatureStream.block
 
@@ -1131,7 +1138,14 @@ def test_dump_features_reads_a_longer_stream_twice(block, reads, corpus, models,
     outputs = detect_outputs(corpus / "test.wav", models, thresholds, tmp_path / "out")
     n_segments = outputs["features.csv"].count(b"\n") - 1
     assert n_segments > 2 * BLOCK
-    assert sum(made) == reads * n_segments
+    # two ranges once the stream has more than one block, each reading R
+    # segments past its inner edge
+    width = 1 if block > n_segments else 2
+    reach = detect_module._reach([load_forest(path) for path in models])
+    scored = sum(stop - start
+                 for start, stop in range_blocks(n_segments, width, reach, block))
+    assert scored == n_segments + (width - 1) * 2 * reach
+    assert sum(made) == (reads - 1) * n_segments + scored
 
 
 def test_detect_reads_no_block_when_every_class_is_disabled(corpus, models,
@@ -1195,6 +1209,21 @@ def test_loud_stream_gives_one_error_line_and_no_detections(corpus, models,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "are not finite: the samples are too loud" in err
     assert not out.exists()
+
+
+def test_refused_stream_leaves_no_features_file(corpus, models, tmp_path):
+    from scipy.io import wavfile
+
+    # the features CSV is written before scoring, and its rows are refused
+    rng = np.random.default_rng(0)
+    audio = tmp_path / "loud.wav"
+    wavfile.write(audio, 16000, np.where(rng.random(3 * 16000) < 0.5, -1e200, 1e200))
+    code, err = run_main(["detect", str(audio)] + model_args(models)
+                         + ["--out", str(tmp_path / "detections.txt"),
+                            "--dump-features", str(tmp_path / "feats.csv")])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loud.wav"]
 
 
 def test_detect_memory_does_not_grow_with_the_stream(
@@ -1301,6 +1330,7 @@ def test_detect_stream_equals_pairing_the_whole_matrix(corpus, models, monkeypat
     tracks = score_matrix(whole, forests, configs)
     expected = detect_on_features(tracks, forests, configs)
     monkeypatch.setattr(features_module, "_SEGMENT_BLOCK", BLOCK)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     routed = []
 
     def recording(features, forest):
@@ -1310,10 +1340,13 @@ def test_detect_stream_equals_pairing_the_whole_matrix(corpus, models, monkeypat
     collect_votes = detect_module.collect_votes
     monkeypatch.setattr(detect_module, "collect_votes", recording)
     got = detect_stream(wave, forests, configs)
-    # every forest routes the stream once, one block of rows at a time
-    assert whole.n_segments > 2 * BLOCK
+    # every forest routes the stream once in two ranges, one block of rows at
+    # a time, and the R segments past each range's inner edge once more
+    n = whole.n_segments
+    assert n > 2 * BLOCK
     assert max(routed) == BLOCK
-    assert sum(routed) == whole.n_segments * len(forests)
+    blocks = range_blocks(n, 2, detect_module._reach(forests), BLOCK)
+    assert sum(routed) == sum(stop - start for start, stop in blocks) * len(forests)
     assert expected
     assert [(d.label, d.onset, d.offset, d.confidence) for d in got] == [
         (d.label, d.onset, d.offset, d.confidence) for d in expected

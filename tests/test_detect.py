@@ -25,6 +25,7 @@ from conftest import (
     oracle_collect_votes,
     oracle_peak_indices,
     oracle_render_tracks,
+    range_blocks,
     random_tree,
     score_matrix,
     segment_times,
@@ -558,6 +559,53 @@ def test_render_without_votes_is_zero():
     assert empty.n_segments == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_segments=st.integers(1, 90),
+    n_votes=st.integers(0, 150),
+    first=st.integers(0, 30),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rendering_in_windows_is_bit_identical_to_one_render(
+    n_segments, n_votes, first, data, seed
+):
+    # The votes' segments start at stream segment ``first``; each window
+    # takes every vote once and adds only the pairs at its own positions.
+    votes = random_votes(np.random.default_rng(seed), n_votes, n_segments)
+    n = first + n_segments
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=5)))
+    alphas = default_alpha_grid()
+    whole = {alpha: (np.zeros(n), np.zeros(n)) for alpha in alphas}
+    render_tracks(votes, alphas[0], whole, first)
+    windowed = {alpha: (np.zeros(n), np.zeros(n)) for alpha in alphas}
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        render_tracks(votes, alphas[0], windowed, first, lo, hi)
+        for alpha in alphas:
+            for got, want in zip(windowed[alpha], whole[alpha]):
+                assert np.array_equal(got[:hi], want[:hi])
+                assert not got[hi:].any()
+
+
+leaf_moments = st.tuples(st.floats(-200.0, 200.0),
+                         st.floats(-6.0, 4.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(leaves=st.lists(st.tuples(leaf_moments, leaf_moments), min_size=1,
+                       max_size=6))
+def test_every_kernel_position_lies_closer_than_the_reach(leaves):
+    forests = [single_leaf_forest(leaf(onset=onset, offset=offset))
+               for onset, offset in leaves]
+    reach = detect_module._reach(forests)
+    segment = 1000  # far from the window's edges, which no kernel reaches
+    (mean_on, var_on), (mean_off, var_off) = (np.array(m).T for m in zip(*leaves))
+    for mean, var in ((segment - mean_on, var_on), (segment + mean_off, var_off)):
+        _, positions, _ = detect_module._kernel_pairs(np.ones(len(leaves)), mean,
+                                                      var, 0, 2 * segment)
+        assert np.all(np.abs(positions - segment) < reach)
+
+
 def test_score_tracks_render_each_alpha_as_the_scalar_loop(blob_model):
     forest = blob_model.forest
     features = blob_model.dev_features
@@ -675,6 +723,7 @@ def test_ranges_cannot_change_any_track(n_segments, size, noise_subtraction,
     # ranges past the cap, and more threads than cores, switching often: two
     # threads adding to one element would lose or reorder an addition
     monkeypatch.setattr(detect_module, "_SCORE_RANGES", 7)
+    reach = detect_module._reach(forests)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -683,9 +732,8 @@ def test_ranges_cannot_change_any_track(n_segments, size, noise_subtraction,
             routed.clear()
             tracks = score_tracks(featurize(wave, config), forests, configs)
             width = max(1, min(cores, -(-n_segments // size)))
-            bounds = [k * n_segments // width for k in range(width + 1)]
-            starts = [s for lo, hi in zip(bounds, bounds[1:])
-                      for s in range(lo, hi, size)]
+            starts = [start for start, _ in range_blocks(n_segments, width, reach,
+                                                         size)]
             assert sorted(start for _, start in routed) == sorted(starts * len(forests))
             assert (len({thread for thread, _ in routed}) > 1) == (width > 1)
             assert tracks.keys() == expected.keys()
@@ -696,8 +744,8 @@ def test_ranges_cannot_change_any_track(n_segments, size, noise_subtraction,
     finally:
         sys.setswitchinterval(interval)
     if n_segments == 150:
-        # at 7 ranges of 21 or 22 segments, held pairs span several ranges
-        assert detect_module._reach(forests) > 2 * 22
+        # at 7 ranges of 21 or 22 segments, each reads votes of several others
+        assert reach > 2 * 22
 
 
 def test_error_in_a_later_range_leaves_score_tracks(monkeypatch):
@@ -721,7 +769,7 @@ def test_error_in_a_later_range_leaves_score_tracks(monkeypatch):
 
 
 def test_each_class_sums_are_freed_once_smoothed(monkeypatch):
-    # a later range's held pairs point into the sums: once added, nothing
+    # the ranges write into every class's sums: once they are done, nothing
     # may keep them, or every class's sums outlive its smoothing
     rng = np.random.default_rng(6)
     labels = ("a", "b", "c")

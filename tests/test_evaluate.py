@@ -396,14 +396,31 @@ def oracle_tune(folds, forest, alphas, betas, detect_config, resolution,
     """Independent exhaustive search mirroring the published tie-breaks.
 
     Tracks come from the scalar reference renderer, one alpha at a time, and
-    every beta rescans the peaks anew.
+    every beta rescans the peaks anew. The ignorance pair scores no events on
+    every fold, as a disabled class reports none, and competes first.
     """
     label = forest.class_label
     best = None
+
+    def consider(pooled, alpha, beta):
+        nonlocal best
+        rate = pooled.error_rate
+        if rate is None:
+            errors = pooled.substitutions + pooled.deletions + pooled.insertions
+            score = 0.0 if errors == 0 else math.inf
+        else:
+            score = rate
+        key = (score, -beta, -alpha)
+        if best is None or key < best[0]:
+            best = (key, alpha, beta, rate)
+
+    if allow_ignorance:
+        silence = Score()
+        for fold in folds:
+            silence.add(segment_metrics([e for e in fold.reference if e.label == label],
+                                        [], resolution, fold.features.duration))
+        consider(silence, alphas[0], IGNORANCE_BETA)
     for alpha in alphas:
-        candidate_betas = list(betas)
-        if allow_ignorance and alpha == alphas[0]:
-            candidate_betas.append(IGNORANCE_BETA)
         tracks = [
             smooth(
                 oracle_render_tracks(
@@ -416,7 +433,7 @@ def oracle_tune(folds, forest, alphas, betas, detect_config, resolution,
             )
             for fold in folds
         ]
-        for beta in candidate_betas:
+        for beta in betas:
             pooled = Score()
             for track, fold in zip(tracks, folds):
                 events = extract_events(
@@ -436,15 +453,7 @@ def oracle_tune(folds, forest, alphas, betas, detect_config, resolution,
                         fold.features.duration,
                     )
                 )
-            rate = pooled.error_rate
-            if rate is None:
-                errors = pooled.substitutions + pooled.deletions + pooled.insertions
-                score = 0.0 if errors == 0 else math.inf
-            else:
-                score = rate
-            key = (score, -beta, -alpha)
-            if best is None or key < best[0]:
-                best = (key, alpha, beta, rate)
+            consider(pooled, alpha, beta)
     return best[1], best[2], best[3]
 
 
@@ -567,6 +576,32 @@ class TestTuneThresholds:
         )
         assert without["blob"].beta == default_beta_grid()[-1]
         assert not without["blob"].disabled
+
+    def test_ignorance_scores_the_silence_of_a_disabled_class(self, blob_model):
+        # Tracks of a model normalized on other streams run far above the
+        # ignorance beta, so pairing at it fires as often as the grid does;
+        # a disabled class reports nothing, whatever its tracks.
+        forest = copy.deepcopy(blob_model.forest)
+        forest.z_plus = forest.z_minus = 0.1
+        config = DetectConfig(smooth_window=11, duration_factor=3.0)
+
+        def tune(reference):
+            folds = [TuneFold(features=blob_model.dev_features, reference=reference)]
+            chosen = tune_thresholds(folds, [forest], config, alphas=[0.0],
+                                     betas=[0.5], resolution=0.1,
+                                     allow_ignorance=True)["blob"]
+            assert (chosen.alpha, chosen.beta, chosen.error_rate) == oracle_tune(
+                folds, forest, [0.0], [0.5], config, 0.1, True)
+            return chosen
+
+        # missing every shifted event costs less than firing beside them
+        shifted = [ev(e.onset + 0.16, e.offset + 0.16, "blob")
+                   for e in blob_model.dev_reference]
+        assert tune(shifted) == ClassThresholds(alpha=0.0, beta=IGNORANCE_BETA,
+                                                error_rate=1.0)
+        # finding the events beats silence
+        found = tune(blob_model.dev_reference)
+        assert found.beta == 0.5 and found.error_rate < 1.0
 
     def test_ignorance_is_not_chosen_when_detections_help(self, blob_model):
         folds = [
