@@ -9,13 +9,16 @@ inside an event their segments tend to sit.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -70,8 +73,9 @@ class SegmentSet:
 
     Row ``i`` has features ``x[i]``, label ``labels[i]`` in {0, 1} and the
     distances ``dists[i]`` (in segments) to the first and last segment of its
-    event. Distances are finite and non-negative on positives and NaN on
-    negatives, so positive-only statistics can mask them out.
+    event. Distances are whole non-negative numbers on positives, so sums of
+    them are exact in any order, and NaN on negatives, so positive-only
+    statistics can mask them out.
     """
 
     def __init__(self, x, labels, dists):
@@ -89,6 +93,8 @@ class SegmentSet:
         d = self.dists[positive]
         if not (np.isfinite(d).all() and (d >= 0.0).all()):
             raise ValueError("positive distances must be finite and non-negative")
+        if (d != np.floor(d)).any():
+            raise ValueError("positive distances must be whole numbers of segments")
         if not np.isnan(self.dists[~positive]).all():
             raise ValueError("distances must be present exactly for positives")
 
@@ -131,6 +137,70 @@ def _entropy_from_counts(n_pos, n_neg):
 # float64), so it stays in cache whatever the node's row count.
 _BLOCK_CELLS = 1 << 16
 
+_KERNEL_SOURCE = Path(__file__).with_name("_split.c")
+# -ffp-contract=off keeps each threshold's bits (an FMA would round
+# lo + u * (hi - lo) once, not twice); the finite-math pair lets gcc vectorize
+# the minimum and maximum, and select_best_test gives the kernel finite
+# differences only. target_clones in the source picks AVX-512, AVX2 or plain
+# code at load.
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-ffinite-math-only",
+                 "-fno-signed-zeros", "-shared", "-fPIC")
+
+
+@functools.cache
+def _kernel():
+    """The compiled split search of ``_split.c``, or None where it cannot build.
+
+    The first call compiles the source with the compiler Python was built
+    with into the package's ``__pycache__``, keyed by a hash of the source,
+    flags and compiler, and later calls and processes load that object. It
+    is written under a temporary name and renamed into place, so a process
+    never loads a half-written object. A missing compiler, a failed build or
+    an unwritable cache gives None, and the split search stays on numpy.
+    """
+    import ctypes
+    import hashlib
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not compiler:
+        return None
+    try:
+        key = hashlib.sha256(repr((_KERNEL_SOURCE.read_bytes(), _KERNEL_FLAGS,
+                                   compiler)).encode()).hexdigest()[:16]
+        path = _KERNEL_SOURCE.parent / "__pycache__" / f"_split.{key}.so"
+        if not path.exists():
+            path.parent.mkdir(exist_ok=True)
+            fd, building = tempfile.mkstemp(suffix=".so", dir=path.parent)
+            os.close(fd)
+            try:
+                subprocess.run([*compiler, *_KERNEL_FLAGS, "-o", building,
+                                str(_KERNEL_SOURCE)], stdin=subprocess.DEVNULL,
+                               capture_output=True, check=True)
+                os.chmod(building, 0o755)  # mkstemp made it private to its owner
+                os.replace(building, path)
+            finally:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(building)
+        library = ctypes.CDLL(str(path))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    # ndpointer checks each array's dtype and C order at every call
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    channels = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    size = ctypes.c_int64
+    library.split_counts.argtypes = (
+        doubles, size, size, channels, channels, doubles, size, doubles, size,
+        doubles, doubles, doubles, doubles, doubles)
+    library.split_counts.restype = None
+    library.split_first_valid.argtypes = (
+        doubles, size, channels, channels, doubles, size, doubles)
+    library.split_first_valid.restype = size
+    return library
+
 
 def _draw_pool(n_dims: int, n_candidates: int, rng):
     """Draw a node's candidate channels r and q, then threshold quantiles u."""
@@ -138,22 +208,6 @@ def _draw_pool(n_dims: int, n_candidates: int, rng):
     q = rng.integers(0, n_dims, n_candidates)
     u = rng.random(n_candidates)
     return r, q, u
-
-
-def _group_pairs(n_dims: int, n_candidates: int) -> bool:
-    """Whether a pool forms each channel pair's differences once, not per candidate.
-
-    A pool of at least ``n_dims**2`` candidates, the number of ordered (r, q)
-    pairs, must repeat pairs; the CLI default of 20,000 does at 64 channels.
-    """
-    return n_candidates >= n_dims**2
-
-
-def _pair_order(r, q, n_dims: int) -> np.ndarray:
-    """The draw indices of a pool sorted by (r, q), ties in draw order."""
-    # up to 256 channels the key fits 16 bits, which numpy radix sorts
-    key = (r * n_dims + q).astype(np.min_scalar_type(n_dims * n_dims - 1))
-    return np.argsort(key, kind="stable")
 
 
 def _differences(xt, r, q, out, spare):
@@ -167,55 +221,82 @@ def _differences(xt, r, q, out, spare):
 
 
 def _candidate_blocks(x, r, q, u, first=None):
-    """Yield ``(index, diffs, tau)`` for the blocks of a candidate pool.
+    """Yield ``(index, diffs, tau)`` for the blocks of a candidate pool, in draw order.
 
-    ``index`` picks the block's candidates out of the pool, a slice or an
-    array of draw indices; ``diffs`` is their (B, n) matrix of x_r - x_q and
-    ``tau`` their thresholds, each uniform over that candidate's observed
-    range. A block has ``max(1, _BLOCK_CELLS // n)`` candidates, and
-    ``diffs`` is overwritten by the next block.
-
-    With ``first``, the pool is visited in draw order in blocks of ``first``
-    candidates, then twice as many each time up to the usual size, so a
-    caller that stops at its first hit forms few. Otherwise a pool that
-    ``_group_pairs`` takes is visited in (r, q) order, and each distinct
-    pair of a block has its differences, minimum and maximum formed once
-    and copied out to the pair's candidates. A minimum or maximum does not
-    depend on the order of the rows or of the walk, so every walk gives a
-    candidate the same threshold bits.
+    ``index`` is the slice of the pool a block holds; ``diffs`` is its
+    candidates' (B, n) matrix of x_r - x_q and ``tau`` their thresholds, each
+    uniform over that candidate's observed range. A block has
+    ``max(1, _BLOCK_CELLS // n)`` candidates, and ``diffs`` is overwritten by
+    the next block. With ``first``, the blocks hold ``first`` candidates, then
+    twice as many each time up to the usual size, so a caller that stops at
+    its first hit forms few.
     """
-    n_dims = x.shape[1]
     # transposed, each candidate's differences are two contiguous row reads
     xt = np.ascontiguousarray(x.T)
     block = max(1, _BLOCK_CELLS // max(1, len(x)))
     # reused across blocks: a fresh array this large faults in every page
     out = np.empty((min(len(r), block), len(x)))
     spare = np.empty_like(out)
-    if first is not None or not _group_pairs(n_dims, len(r)):
-        start, step = 0, first or block
-        while start < len(r):
-            stop = min(start + step, len(r))
-            diffs, lo, hi = _differences(xt, r[start:stop], q[start:stop], out, spare)
-            yield slice(start, stop), diffs, lo + u[start:stop] * (hi - lo)
-            start, step = stop, min(2 * step, block)
-        return
-    order = _pair_order(r, q, n_dims)
-    r, q, u = r[order], q[order], u[order]
-    # where the sorted pool opens a pair, and each block forms its first pair
-    opens = np.empty(len(r), dtype=bool)
-    opens[1:] = (r[1:] != r[:-1]) | (q[1:] != q[:-1])
-    opens[::block] = True
-    heads = np.flatnonzero(opens)
-    pair_of = np.cumsum(opens) - 1
-    for start in range(0, len(r), block):
-        stop = min(start + block, len(r))
-        first_pair = pair_of[start]
-        at = heads[first_pair:pair_of[stop - 1] + 1]
-        pairs, lo, hi = _differences(xt, r[at], q[at], out, spare)
-        local = pair_of[start:stop] - first_pair
-        lo, hi = lo[local], hi[local]
-        diffs = np.take(pairs, local, axis=0, out=spare[: stop - start], mode="clip")
-        yield order[start:stop], diffs, lo + u[start:stop] * (hi - lo)
+    start, step = 0, first or block
+    while start < len(r):
+        stop = min(start + step, len(r))
+        diffs, lo, hi = _differences(xt, r[start:stop], q[start:stop], out, spare)
+        yield slice(start, stop), diffs, lo + u[start:stop] * (hi - lo)
+        start, step = stop, min(2 * step, block)
+
+
+def _first_valid(kernel, x, r, q, u):
+    """``(k, tau)`` of the earliest candidate whose threshold lies below its
+    largest difference, or None."""
+    if kernel is not None:
+        tau = np.empty(1)
+        k = kernel.split_first_valid(np.ascontiguousarray(x.T), len(x), r, q, u,
+                                     len(r), tau)
+        return None if k < 0 else (k, tau[0])
+    for index, diffs, block_tau in _candidate_blocks(x, r, q, u, first=1):
+        hits = np.flatnonzero(block_tau < diffs.max(axis=1))
+        if len(hits):
+            return index.start + hits[0], block_tau[hits[0]]
+    return None
+
+
+def _pool_counts(kernel, x, n_pos_rows: int, r, q, u, pos_stats):
+    """Each candidate's threshold and right child's row and positive counts.
+
+    The rows of ``x`` are ordered positives first, ``n_pos_rows`` of them.
+    With ``pos_stats``, the positives' (n_pos, 3) onset, offset and squared
+    norm, it also gives each candidate's right-side sums of those, else None.
+    The compiled kernel visits one candidate at a time; numpy visits the
+    pool in blocks, and takes ``uint32`` byte sums of the right child's
+    positive and negative columns.
+    """
+    n_candidates = len(r)
+    tau = np.empty(n_candidates)
+    n_right = np.empty(n_candidates)
+    n_pos_right = np.empty(n_candidates)
+    sums = None if pos_stats is None else np.empty((n_candidates, 3))
+    if kernel is not None:
+        regression = sums is not None
+        # classification reads no statistics and writes no sums
+        stats = np.ascontiguousarray(pos_stats.T) if regression else np.empty(0)
+        buffer = np.empty(len(x))  # one candidate's differences at a time
+        kernel.split_counts(np.ascontiguousarray(x.T), len(x), n_pos_rows, r, q, u,
+                            n_candidates, stats, regression, buffer, tau, n_right,
+                            n_pos_right, sums if regression else np.empty(0))
+        return tau, n_right, n_pos_right, sums
+    for index, diffs, block_tau in _candidate_blocks(x, r, q, u):
+        right = diffs > block_tau[:, np.newaxis]
+        # a bool is one byte of 0 or 1, so its row sum is the child count;
+        # uint32 holds any count: 2**32 rows are 2 TB of 64-channel features
+        cells = right.view(np.uint8)
+        pos = np.add.reduce(cells[:, :n_pos_rows], axis=1, dtype=np.uint32)
+        neg = np.add.reduce(cells[:, n_pos_rows:], axis=1, dtype=np.uint32)
+        tau[index] = block_tau
+        n_right[index] = pos + neg
+        n_pos_right[index] = pos
+        if sums is not None:
+            sums[index] = right[:, :n_pos_rows] @ pos_stats
+    return tau, n_right, n_pos_right, sums
 
 
 def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rng):
@@ -228,37 +309,40 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     the row at the smallest difference goes left; a NaN ``tau`` (from
     non-finite rows) sends every row left.
 
-    The pool is formed in blocks of ``max(1, _BLOCK_CELLS // rows)``
-    candidates, which stay in cache. Each block records its candidates'
-    thresholds, ``uint32`` byte sums of the right child's positive and
-    negative columns (rows are ordered positives first) and, for regression,
-    right-side positive distance sums, at their draw indices in arrays of
-    length ``n_candidates``. The whole pool is then scored at once, and ties
-    keep the earliest-drawn candidate (the first maximum). Memory grows with
-    one block plus O(n_candidates). Counts are integers and distance vectors
-    integer frame offsets, so every sum is exact in float64 in any order:
-    the result depends neither on the block size nor on the visiting order.
+    ``_pool_counts`` gives every candidate's threshold, right-child counts
+    and, for regression, right-side positive distance sums, in arrays of
+    length ``n_candidates``. The compiled kernel (``_kernel``) makes them
+    unless its build failed or some difference of the node is not finite (a
+    row holds inf or NaN, or two values lie beyond the float range apart);
+    numpy then makes them in blocks of ``max(1, _BLOCK_CELLS // rows)``
+    candidates. The whole pool is then scored at once, and ties keep the
+    earliest-drawn candidate (the first maximum). Memory grows with one
+    block plus O(n_candidates). Counts are integers and distance vectors
+    whole frame offsets (``SegmentSet`` checks that), so every sum is exact
+    in float64 in any order: the result depends neither on the path nor on
+    the block size.
 
     A classification node whose rows are all of one class scores nothing:
-    it walks the pool in draw order (``_candidate_blocks`` with ``first=1``)
-    and takes the earliest test whose threshold lies below its largest
-    difference, threshold bits and all. That is exact: every entropy is 0.0,
-    so every valid test gains exactly 0.0 and the first maximum is the
-    earliest valid one. The whole pool is still drawn, so the tree's later
-    nodes see the same random stream.
+    it takes the earliest test in draw order whose threshold lies below its
+    largest difference, threshold bits and all (``_first_valid``). That is
+    exact: every entropy is 0.0, so every valid test gains exactly 0.0 and
+    the first maximum is the earliest valid one. The whole pool is still
+    drawn, so the tree's later nodes see the same random stream.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     regression = objective == OBJECTIVE_REGRESSION
     r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
+    # the kernel's min and max are exact on finite differences only, and no
+    # difference exceeds the node's range
+    x = segments.x
+    kernel = _kernel() if np.isfinite(x.max() - x.min()) else None
     if not regression and segments.n_positive in (0, len(segments)):
-        for index, diffs, block_tau in _candidate_blocks(segments.x, r, q, u, first=1):
-            hits = np.flatnonzero(block_tau < diffs.max(axis=1))
-            if len(hits):
-                k = hits[0]
-                return SplitChoice(int(r[index][k]), int(q[index][k]),
-                                   float(block_tau[k]))
-        return None
+        hit = _first_valid(kernel, x, r, q, u)
+        if hit is None:
+            return None
+        k, tau = hit
+        return SplitChoice(int(r[k]), int(q[k]), float(tau))
     # positives first, so a block's positive columns are a contiguous view
     positive = segments.labels == 1
     order = np.argsort(~positive, kind="stable")
@@ -272,22 +356,9 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
     s1_total = d.sum(axis=0)
     s2_total = float((d**2).sum())
 
-    tau = np.empty(n_candidates)
-    n_right = np.empty(n_candidates)
-    n_pos_right = np.empty(n_candidates)
-    sums = np.empty((n_candidates, pos_stats.shape[1])) if regression else None
-    for index, diffs, block_tau in _candidate_blocks(segments.x[order], r, q, u):
-        right = diffs > block_tau[:, np.newaxis]
-        # a bool is one byte of 0 or 1, so its row sum is the child count;
-        # uint32 holds any count: 2**32 rows are 2 TB of 64-channel features
-        cells = right.view(np.uint8)
-        pos = np.add.reduce(cells[:, :n_pos_rows], axis=1, dtype=np.uint32)
-        neg = np.add.reduce(cells[:, n_pos_rows:], axis=1, dtype=np.uint32)
-        tau[index] = block_tau
-        n_right[index] = pos + neg
-        n_pos_right[index] = pos
-        if regression:
-            sums[index] = right[:, :n_pos_rows] @ pos_stats
+    tau, n_right, n_pos_right, sums = _pool_counts(
+        kernel, x[order], n_pos_rows, r, q, u,
+        pos_stats if regression else None)
 
     n_left = n - n_right
     valid = n_right > 0
@@ -637,6 +708,8 @@ def _grow_trees(training_sets: list, config: ForestConfig, n_workers: int):
         for k, t in jobs:
             yield _grow_one(training_sets[k], config, t)
         return
+    # built and loaded once here, so that forked children inherit it
+    _kernel()
     # imported here, so that only a run with workers loads multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -9,9 +9,11 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
+import sysconfig
 import warnings
 from pathlib import Path
 
@@ -2369,3 +2371,54 @@ def test_features_do_not_depend_on_unset_blas_threads():
         for value in (None, "1")
     ]
     assert digests[0] == digests[1]
+
+
+# ---------------------------------------------------------------------------
+# the compiled split search
+# ---------------------------------------------------------------------------
+
+
+def test_train_without_a_compiler_writes_the_same_models(corpus, models, tmp_path,
+                                                         monkeypatch):
+    # an empty kernel cache and a compiler that does not exist: the split
+    # search stays on numpy, silently, and the workers of --threads 2 inherit
+    # that from the pool's parent
+    source = tmp_path / "kernel" / "_split.c"
+    source.parent.mkdir()
+    shutil.copyfile(forest_module._KERNEL_SOURCE, source)
+    monkeypatch.setattr(forest_module, "_KERNEL_SOURCE", source)
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
+        str(tmp_path / "no-such-cc") if name == "CC" else config_var(name)))
+    forest_module._kernel.cache_clear()
+    try:
+        code, err = run_main(["train", str(corpus / "manifest.json"),
+                              "--out-dir", str(tmp_path / "out")] + TRAIN_ARGS)
+        assert forest_module._kernel() is None
+    finally:
+        forest_module._kernel.cache_clear()
+    assert (code, err) == (0, "")
+    assert not any((source.parent / "__pycache__").glob("*"))  # no temporary left
+    for path in models:
+        assert (tmp_path / "out" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_only_train_loads_the_split_kernel(corpus, models, thresholds, tmp_path,
+                                           monkeypatch):
+    # synth, tune, detect and evaluate never build or load it
+    loads = []
+    monkeypatch.setattr(forest_module, "_kernel", lambda: loads.append(1))
+    out = tmp_path / "out"
+    for argv in (
+        ["synth", str(out / "corpus")] + SYNTH_ARGS,
+        ["tune", str(corpus / "manifest.json"), *map(str, models),
+         "--out", str(out / "thresholds.json")],
+        ["detect", str(corpus / "test.wav"), *model_args(models),
+         "--thresholds", str(thresholds), "--out", str(out / "detections.txt")],
+        ["evaluate", str(corpus / "test.txt"), str(out / "detections.txt")],
+    ):
+        assert run_main(argv) == (0, ""), argv
+    assert loads == []
+    assert run_main(["train", str(corpus / "manifest.json"), "--out-dir",
+                     str(out / "models"), "--trees", "1", "--threads", "1"]) == (0, "")
+    assert loads

@@ -118,6 +118,17 @@ def test_segment_requires_distances_only_for_positives():
         SegmentSet(x, [1], [[-1.0, 2.0]])
 
 
+def test_segment_set_refuses_fractional_distances():
+    # sums of whole distances are exact in any order, so every split search
+    # path and calibration get the same bits from them
+    x = np.zeros((1, 4))
+    with pytest.raises(ValueError, match="whole numbers"):
+        SegmentSet(x, [1], [[0.5, 1.0]])
+    with pytest.raises(ValueError, match="whole numbers"):
+        SegmentSet(x, [1], [[3.0, 1e-300]])
+    assert SegmentSet(x, [1], [[2.0**60, 0.0]]).n_positive == 1
+
+
 def test_segment_set_rejects_labels_outside_zero_one():
     for label in (2, -1, 257):
         with pytest.raises(ValueError, match="0 or 1"):

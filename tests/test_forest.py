@@ -3,7 +3,15 @@
 import concurrent.futures
 import json
 import math
+import os
+import shlex
+import shutil
+import struct
+import subprocess
+import sys
+import sysconfig
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,18 +230,19 @@ def test_select_best_test_separates_perfectly():
     assert went_right(segments, choice) in (labels, [not c for c in labels])
 
 
-def test_select_best_test_identical_features_signals_leaf():
+def test_select_best_test_identical_features_signals_leaf(split_paths):
     segments = segment_set([
         ([1.0, 1.0], 1, [2.0, 3.0]),
         ([1.0, 1.0], 1, [4.0, 1.0]),
         ([1.0, 1.0], 0, None),
         ([1.0, 1.0], 0, None),
     ])
-    for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
-        assert (
-            select_best_test(segments, 100, objective, np.random.default_rng(0))
-            is None
-        )
+    for _ in split_paths:
+        for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
+            assert (
+                select_best_test(segments, 100, objective, np.random.default_rng(0))
+                is None
+            )
 
 
 def test_select_best_test_deterministic_per_seed():
@@ -248,14 +257,15 @@ def test_select_best_test_deterministic_per_seed():
     assert (a.r, a.q, a.tau) == (b.r, b.q, b.tau)
 
 
-def test_select_best_regression_needs_positives_on_both_sides():
+def test_select_best_regression_needs_positives_on_both_sides(split_paths):
     segments = separable_set(4, 4)  # any split isolates all positives
-    assert (
-        select_best_test(
-            segments, 200, OBJECTIVE_REGRESSION, np.random.default_rng(3)
+    for _ in split_paths:
+        assert (
+            select_best_test(
+                segments, 200, OBJECTIVE_REGRESSION, np.random.default_rng(3)
+            )
+            is None
         )
-        is None
-    )
 
 
 # Candidates per block in the boundary tests: the cell budget is patched so
@@ -263,9 +273,54 @@ def test_select_best_regression_needs_positives_on_both_sides():
 BLOCK = 1024
 
 
+def use_numpy(monkeypatch):
+    """Pin the numpy split search, the one path that forms the pool in blocks."""
+    monkeypatch.setattr(forest_module, "_kernel", lambda: None)
+
+
 def use_block(monkeypatch, segments, block):
-    """Make a node of ``segments`` score ``block`` candidates per block."""
+    """Make a node of ``segments`` score ``block`` candidates per block, on numpy."""
+    use_numpy(monkeypatch)
     monkeypatch.setattr(forest_module, "_BLOCK_CELLS", block * len(segments))
+
+
+def compiler_installed() -> bool:
+    """Whether the C compiler Python was built with, which builds the kernel, is here."""
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "")
+    return bool(compiler) and shutil.which(compiler[0]) is not None
+
+
+def compiled_kernel():
+    """The split kernel; the test is skipped on a machine without a C compiler."""
+    if not compiler_installed():
+        pytest.skip("no C compiler to build the split kernel")
+    kernel = forest_module._kernel()
+    assert kernel is not None, "a C compiler is installed, yet the kernel did not build"
+    return kernel
+
+
+@pytest.fixture
+def split_paths(monkeypatch):
+    """The split searches a test checks, one after another.
+
+    ``for path in split_paths:`` runs its body on the compiled kernel, where
+    it loads, and then on numpy. The numpy round's patch is its own, so a
+    test may patch and undo ``monkeypatch`` inside the loop.
+    """
+    def paths():
+        if forest_module._kernel() is not None:
+            yield "kernel"
+        with monkeypatch.context() as patch:
+            use_numpy(patch)
+            yield "numpy"
+
+    rounds = paths()
+    yield rounds
+    rounds.close()  # a test that failed in the numpy round leaves no patch
+
+
+def test_split_kernel_builds_where_a_compiler_is_installed():
+    compiled_kernel()
 
 
 def went_right(segments, test) -> list:
@@ -288,23 +343,12 @@ def assert_matches_oracle(segments, n_candidates, objective, seed):
     return expected
 
 
-def use_grouping(monkeypatch, grouped):
-    """Make every pool take the grouped path, or none of them."""
-    monkeypatch.setattr(forest_module, "_group_pairs", lambda *_: grouped)
-
-
-# Pools below and above FEATURE_DIM**2 = 64 ordered channel pairs, so the
-# oracle tests run on both sides of the grouping rule.
+# Pools below and above FEATURE_DIM**2 = 64 ordered channel pairs; the larger
+# one must draw some (r, q) pair more than once.
 POOLS = (40, 128)
 
 
-def test_grouping_rule_at_the_cli_default():
-    assert forest_module._group_pairs(64, ForestConfig().n_candidate_tests)
-    assert not forest_module._group_pairs(64, 2000)
-    assert [forest_module._group_pairs(FEATURE_DIM, k) for k in POOLS] == [False, True]
-
-
-def test_select_best_test_agrees_with_scalar_oracle(monkeypatch):
+def test_select_best_test_agrees_with_scalar_oracle(split_paths, monkeypatch):
     rng = np.random.default_rng(53)
     cases = []  # (segments, seed, candidates per block or None for default)
     for trial in range(10):
@@ -319,12 +363,14 @@ def test_select_best_test_agrees_with_scalar_oracle(monkeypatch):
     large = random_segments(rng, 600, dim=FEATURE_DIM, class_shift=0.5)
     assert min(large.n_positive, len(large) - large.n_positive) > 255
     cases.append((large, 11, 32))
-    for segments, seed, block in cases:
-        if block is not None:
-            use_block(monkeypatch, segments, block)
-        for n_candidates in POOLS:
-            for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
-                assert_matches_oracle(segments, n_candidates, objective, seed)
+    for _ in split_paths:
+        for segments, seed, block in cases:
+            with monkeypatch.context() as patch:
+                if block is not None:  # numpy's blocks; the kernel has none
+                    patch.setattr(forest_module, "_BLOCK_CELLS", block * len(segments))
+                for n_candidates in POOLS:
+                    for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
+                        assert_matches_oracle(segments, n_candidates, objective, seed)
 
 
 def test_select_best_test_partition_is_exact():
@@ -348,7 +394,7 @@ def assert_block_boundary_matches_oracle(n_candidates, block, objective, monkeyp
     assert assert_matches_oracle(segments, n_candidates, objective, 17)
 
 
-# every pool around a block of BLOCK candidates takes the grouped path
+# pools around a block of BLOCK candidates, on numpy
 @pytest.mark.parametrize(
     "n_candidates", [BLOCK // 3, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK // 2]
 )
@@ -358,11 +404,10 @@ def assert_block_boundary_matches_oracle(n_candidates, block, objective, monkeyp
 def test_select_best_test_block_boundaries_match_oracle(
     n_candidates, objective, monkeypatch
 ):
-    assert forest_module._group_pairs(FEATURE_DIM, n_candidates)
     assert_block_boundary_matches_oracle(n_candidates, BLOCK, objective, monkeypatch)
 
 
-# and every pool around a block of SMALL_BLOCK candidates stays below
+# and pools around a block of SMALL_BLOCK candidates, which stay below
 # FEATURE_DIM**2 pairs
 SMALL_BLOCK = 24
 
@@ -378,7 +423,6 @@ SMALL_BLOCK = 24
 def test_ungrouped_block_boundaries_match_oracle(
     n_candidates, objective, monkeypatch
 ):
-    assert not forest_module._group_pairs(FEATURE_DIM, n_candidates)
     assert_block_boundary_matches_oracle(
         n_candidates, SMALL_BLOCK, objective, monkeypatch
     )
@@ -390,8 +434,9 @@ def test_ungrouped_block_boundaries_match_oracle(
 def test_select_best_test_does_not_depend_on_the_block_size(objective, monkeypatch):
     rng = np.random.default_rng(89)
     segments = random_segments(rng, 300, dim=FEATURE_DIM, class_shift=0.5)
+    use_numpy(monkeypatch)
     default_cells = forest_module._BLOCK_CELLS
-    # the first pool stays below FEATURE_DIM**2, the second is grouped
+    # the first pool stays below FEATURE_DIM**2, the second repeats pairs
     for n_candidates in (40, 500):
         monkeypatch.setattr(forest_module, "_BLOCK_CELLS", default_cells)
 
@@ -417,7 +462,8 @@ def one_class_set(rng, n, label, dim=FEATURE_DIM):
 
 
 def count_differences(monkeypatch):
-    """A list that gets the number of candidates of each _differences call."""
+    """A list that gets the number of candidates of each _differences call, on numpy."""
+    use_numpy(monkeypatch)
     formed = []
     differences = forest_module._differences
 
@@ -432,7 +478,7 @@ def count_differences(monkeypatch):
 @pytest.mark.parametrize("label", [0, 1])
 def test_one_class_node_forms_only_its_first_block(label, monkeypatch):
     segments = one_class_set(np.random.default_rng(97 + label), 300, label)
-    # one pool on each side of the grouping rule
+    # one pool below FEATURE_DIM**2 and one above
     for n_candidates in (40, 500):
         formed = count_differences(monkeypatch)
         select_best_test(
@@ -441,7 +487,7 @@ def test_one_class_node_forms_only_its_first_block(label, monkeypatch):
         )
         monkeypatch.undo()
         # a one-class search starts with a block of one candidate, and the
-        # first drawn one splits these rows
+        # first drawn one splits these rows; the oracle check runs on the kernel
         assert formed == [1]
         expected = assert_matches_oracle(
             segments, n_candidates, OBJECTIVE_CLASSIFICATION, 13
@@ -467,27 +513,28 @@ def one_class_winner(segments, n_candidates, seed):
     return None if expected is None else expected[0]
 
 
-def test_one_class_search_agrees_with_scalar_oracle_at_the_edges(monkeypatch):
+def test_one_class_search_agrees_with_scalar_oracle_at_the_edges(split_paths,
+                                                                monkeypatch):
     rng = np.random.default_rng(101)
-    for label in (0, 1):
-        segments = one_class_set(rng, 30, label)
-        # channels 1.. are copies of one another, so only a test between
-        # channel 0 and another one splits
-        copies = SegmentSet(segments.x.copy(), segments.labels, segments.dists)
-        copies.x[:, 2:] = copies.x[:, 1:2]
-        # identical rows: no test splits them
-        same = segments.take(np.zeros(len(segments), dtype=int))
-        for n_candidates in POOLS:
-            # the earliest draw has r == q, so x_r - x_q is 0 on every row
-            seed = first_draw_repeats_a_channel(n_candidates)
-            assert one_class_winner(segments, n_candidates, seed) > 0
-            # past the blocks of 1, 2 and 4 candidates; then in blocks of 3
-            for block in (None, 3):
-                if block is not None:
-                    use_block(monkeypatch, copies, block)
+    nodes = [one_class_set(rng, 30, label) for label in (0, 1)]
+    for _ in split_paths:
+        for segments in nodes:
+            # channels 1.. are copies of one another, so only a test between
+            # channel 0 and another one splits
+            copies = SegmentSet(segments.x.copy(), segments.labels, segments.dists)
+            copies.x[:, 2:] = copies.x[:, 1:2]
+            # identical rows: no test splits them
+            same = segments.take(np.zeros(len(segments), dtype=int))
+            for n_candidates in POOLS:
+                # the earliest draw has r == q, so x_r - x_q is 0 on every row
+                seed = first_draw_repeats_a_channel(n_candidates)
+                assert one_class_winner(segments, n_candidates, seed) > 0
                 assert one_class_winner(copies, n_candidates, 18) >= 7
-                monkeypatch.undo()
-            assert one_class_winner(same, n_candidates, 5) is None
+                # on numpy, past the blocks of 1, 2 and 4; then in blocks of 3
+                with monkeypatch.context() as patch:
+                    use_block(patch, copies, 3)
+                    assert one_class_winner(copies, n_candidates, 18) >= 7
+                assert one_class_winner(same, n_candidates, 5) is None
 
 
 def with_edge_rows(segments):
@@ -504,14 +551,16 @@ def with_edge_rows(segments):
     return SegmentSet(x, segments.labels, segments.dists)
 
 
-@pytest.mark.parametrize("grouped", [False, True])
-def test_validity_rule_agrees_with_scalar_oracle_on_edge_rows(grouped, monkeypatch):
+@pytest.mark.parametrize("compiled", [False, True])
+def test_validity_rule_agrees_with_scalar_oracle_on_edge_rows(compiled, monkeypatch):
     # the oracle keeps a test only when it counts rows in both children, one
-    # candidate at a time; the search only asks whether a row goes right
+    # candidate at a time; the search only asks whether a row goes right.
+    # Rows that are not finite take numpy even where the kernel loads.
     rng = np.random.default_rng(107)
     nodes = [with_edge_rows(random_segments(rng, 30, class_shift=0.5))]
     nodes += [with_edge_rows(one_class_set(rng, 30, label)) for label in (0, 1)]
-    use_grouping(monkeypatch, grouped)
+    if not compiled:
+        use_numpy(monkeypatch)
     with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN
         for segments in nodes:
             for n_candidates in POOLS:
@@ -588,59 +637,129 @@ def axis_cluster_set():
 @pytest.mark.parametrize(
     "objective", [OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION]
 )
-def test_grouped_pool_tie_keeps_the_first_drawn(objective, monkeypatch):
+def test_pool_tie_keeps_the_first_drawn(objective, split_paths):
     segments = axis_cluster_set()
-    n_candidates = 200
-    assert forest_module._group_pairs(FEATURE_DIM, n_candidates)
-    use_block(monkeypatch, segments, 16)
-    index, r, q, tau = assert_matches_oracle(segments, n_candidates, objective, 4)
-    r_all, q_all, _ = draw_candidates(segments, n_candidates, np.random.default_rng(4))
-    splits = (r_all == 0) != (q_all == 0)
-    assert index == np.flatnonzero(splits)[0]
-    # its pair repeats later in the draw, and the pair order visits another
-    # tied pair before it, in an earlier block
-    assert any((r_all[index + 1:] == r) & (q_all[index + 1:] == q))
-    before = splits & ((r_all < r) | ((r_all == r) & (q_all < q)))
-    assert before.any()
+    n_candidates = 200  # above FEATURE_DIM**2, so channel pairs repeat
+    for _ in split_paths:
+        index, r, q, tau = assert_matches_oracle(segments, n_candidates, objective, 4)
+        r_all, q_all, _ = draw_candidates(
+            segments, n_candidates, np.random.default_rng(4))
+        splits = (r_all == 0) != (q_all == 0)
+        assert index == np.flatnonzero(splits)[0]
+        # its pair repeats later in the draw
+        assert any((r_all[index + 1:] == r) & (q_all[index + 1:] == q))
 
 
-def test_grouped_pool_draws_the_same_thresholds(monkeypatch):
-    rng = np.random.default_rng(71)
-    segments = random_segments(rng, 50, dim=FEATURE_DIM)
-    pools = {}
-    for grouped in (False, True):
-        use_grouping(monkeypatch, grouped)
-        use_block(monkeypatch, segments, 37)
-        pools[grouped] = draw_candidates(segments, 300, np.random.default_rng(2))
-    for ungrouped, grouped in zip(pools[False], pools[True]):
-        assert ungrouped.tobytes() == grouped.tobytes()
-
-
-def test_pair_order_above_256_channels():
-    rng = np.random.default_rng(3)
-    for n_dims in (2, 256, 257, 1000):
-        r, q, _ = forest_module._draw_pool(n_dims, 5000, rng)
-        order = forest_module._pair_order(r, q, n_dims)
-        assert np.array_equal(order, np.lexsort((q, r)))
-
-
-def test_grouped_search_above_256_channels(monkeypatch):
+def test_search_above_256_channels(split_paths):
     rng = np.random.default_rng(5)
-    n_dims = 257
-    segments = random_segments(rng, 6, dim=n_dims)
-    n_candidates = n_dims**2
-    choices = []
-    for grouped in (False, True):
-        use_grouping(monkeypatch, grouped)
+    segments = random_segments(rng, 6, dim=300)
+    for _ in split_paths:
         for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
-            choice = select_best_test(
-                segments, n_candidates, objective, np.random.default_rng(8)
-            )
-            choices.append(choice)
-    assert choices[:2] == choices[2:]
+            assert_matches_oracle(segments, 2000, objective, 8)
 
 
-def test_select_best_test_memory_is_bounded_in_candidates():
+def bits(choice):
+    """``(r, q, tau)`` with the bytes of ``tau``, so that -0.0 differs from 0.0."""
+    return None if choice is None else (choice.r, choice.q, struct.pack("<d", choice.tau))
+
+
+def assert_paths_agree(segments, n_candidates, seed, monkeypatch):
+    """The kernel and numpy give each candidate of the node's pool the same bits.
+
+    That is every threshold, child count and right-side distance sum, the
+    one-class search's pick, and each objective's chosen ``(r, q, tau)``.
+    """
+    kernel = compiled_kernel()
+    positive = segments.labels == 1
+    order = np.argsort(~positive, kind="stable")
+    d = segments.dists[positive]
+    pos_stats = np.column_stack([d, (d**2).sum(axis=1)])
+    r, q, u = forest_module._draw_pool(
+        segments.x.shape[1], n_candidates, np.random.default_rng(seed))
+    x, n_pos = segments.x[order], int(positive.sum())
+    for stats in (None, pos_stats):
+        compiled = forest_module._pool_counts(kernel, x, n_pos, r, q, u, stats)
+        reference = forest_module._pool_counts(None, x, n_pos, r, q, u, stats)
+        assert [None if a is None else a.tobytes() for a in compiled] == [
+            None if a is None else a.tobytes() for a in reference]
+
+    def first_valid(kernel):
+        hit = forest_module._first_valid(kernel, segments.x, r, q, u)
+        return None if hit is None else (hit[0], struct.pack("<d", hit[1]))
+
+    assert first_valid(kernel) == first_valid(None)
+    choices = []
+    for on_numpy in (False, True):
+        with monkeypatch.context() as patch:
+            if on_numpy:
+                use_numpy(patch)
+            choices.append([
+                bits(select_best_test(segments, n_candidates, objective,
+                                      np.random.default_rng(seed)))
+                for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION)])
+    assert choices[0] == choices[1]
+
+
+def test_kernel_matches_numpy_on_random_nodes(monkeypatch):
+    rng = np.random.default_rng(131)
+    for n_rows in (1, 2, 3, 40, 255, 256, 1500, 5000):
+        segments = random_segments(rng, n_rows, dim=int(rng.integers(1, 70)),
+                                   class_shift=float(rng.uniform(0.0, 2.0)))
+        for n_candidates in (1, 200, 2000, 20000):
+            seed = int(rng.integers(0, 2**31))
+            assert_paths_agree(segments, n_candidates, seed, monkeypatch)
+
+
+def test_kernel_matches_numpy_on_tie_rich_nodes(monkeypatch):
+    rng = np.random.default_rng(137)
+    mixed = random_segments(rng, 60, dim=4, class_shift=0.5)
+    # identical rows, so every difference of a candidate is the same
+    same = SegmentSet(np.repeat(mixed.x[:1], len(mixed), axis=0), mixed.labels,
+                      mixed.dists)
+    # constant channels and rows repeated in blocks: thresholds tie with
+    # differences, and many candidates tie in score
+    blocky = SegmentSet(np.repeat(np.round(mixed.x[::6]), 6, axis=0), mixed.labels,
+                        mixed.dists)
+    blocky.x[:, 1] = 3.0
+    nodes = [same, blocky, two_cluster_set(), axis_cluster_set(), *(
+        one_class_set(rng, 50, label, dim=4) for label in (0, 1))]
+    for segments in nodes:
+        # with 4 channels or fewer, about a quarter of every pool has r == q
+        for n_candidates in (1, 200, 2000):
+            for seed in (first_draw_repeats_a_channel(n_candidates,
+                                                      segments.x.shape[1]), 3):
+                assert_paths_agree(segments, n_candidates, seed, monkeypatch)
+    # one row's difference is the threshold itself, so that row goes left
+    def first_draw(seed):
+        return forest_module._draw_pool(3, 1, np.random.default_rng(seed))
+
+    seed = next(seed for seed in range(100) if first_draw(seed)[0] != first_draw(seed)[1])
+    r, q, u = first_draw(seed)
+    x = np.zeros((4, 3))
+    x[:, r[0]] = [0.0, 1.0, u[0], 0.5]
+    on_threshold = segment_set([(x[0], 1, [1.0, 2.0]), (x[1], 0, None),
+                                (x[2], 1, [0.0, 3.0]), (x[3], 0, None)])
+    assert draw_candidates(on_threshold, 1, np.random.default_rng(seed))[2][0] == u[0]
+    assert_paths_agree(on_threshold, 1, seed, monkeypatch)
+
+
+def test_negative_zero_keeps_the_thresholds(monkeypatch):
+    # differences of -0.0 and +0.0 cells are zeros of either sign, so a
+    # candidate's smallest difference can be either; its threshold is the
+    # same bits on both paths, and a zero threshold is +0.0
+    rng = np.random.default_rng(139)
+    mixed = random_segments(rng, 200, dim=6)
+    cells = rng.choice([-0.0, 0.0, 1.0, -2.0], size=mixed.x.shape, p=[0.4, 0.4, 0.1, 0.1])
+    segments = SegmentSet(cells, mixed.labels, mixed.dists)
+    assert np.signbit(segments.x[segments.x == 0.0]).any()
+    _, _, tau = draw_candidates(segments, 2000, np.random.default_rng(1))
+    assert (tau == 0.0).any() and not np.signbit(tau[tau == 0.0]).any()
+    for seed in range(4):
+        assert_paths_agree(segments, 2000, seed, monkeypatch)
+
+
+
+def test_select_best_test_memory_is_bounded_in_candidates(split_paths):
     n, n_candidates = 2000, 20000
     rng = np.random.default_rng(83)
     labels = (np.arange(n) % 3 == 0).astype(np.int8)
@@ -650,20 +769,54 @@ def test_select_best_test_memory_is_bounded_in_candidates():
         np.nan,
     )
     sset = SegmentSet(rng.normal(size=(n, FEATURE_DIM)), labels, dists)
-    # one block of differences (about 512 KB) plus O(K) per-candidate
-    # arrays; a block of 1,024 candidates at 2,000 rows alone is 16 MB
+    # one block of differences (about 512 KB) on numpy, or the transposed
+    # rows on the kernel, plus O(K) per-candidate arrays; a block of 1,024
+    # candidates at 2,000 rows alone is 16 MB
     bound = 4 << 20
-    for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
-        tracemalloc.start()
-        try:
-            choice = select_best_test(
-                sset, n_candidates, objective, np.random.default_rng(5)
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert choice is not None
-        assert peak < bound, f"{objective}: peak {peak} B >= {bound} B"
+    for path in split_paths:
+        for objective in (OBJECTIVE_CLASSIFICATION, OBJECTIVE_REGRESSION):
+            tracemalloc.start()
+            try:
+                choice = select_best_test(
+                    sset, n_candidates, objective, np.random.default_rng(5)
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert choice is not None
+            assert peak < bound, f"{path}, {objective}: peak {peak} B >= {bound} B"
+
+
+def test_two_processes_build_one_kernel(tmp_path):
+    # both build into the empty cache next to one copy of the source at once,
+    # and each calls what it loaded on a node of two rows and two channels
+    if not compiler_installed():
+        pytest.skip("no C compiler to build the split kernel")
+    source = tmp_path / "_split.c"
+    shutil.copyfile(forest_module._KERNEL_SOURCE, source)
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from eventforest import forest\n"
+        "forest._KERNEL_SOURCE = Path(sys.argv[1])\n"
+        "kernel = forest._kernel()\n"
+        "r = np.array([0]); tau = np.empty(1)\n"
+        "xt = np.array([[0.0, 2.0], [0.0, 0.0]])\n"
+        "k = kernel.split_first_valid(xt, 2, r, r + 1, np.array([0.25]), 1, tau)\n"
+        "print(k, tau[0])\n"
+    )
+    src = str(Path(forest_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    builds = [subprocess.Popen([sys.executable, "-c", code, str(source)], env=env,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+              for _ in range(2)]
+    outputs = [build.communicate(timeout=120) for build in builds]
+    assert [build.returncode for build in builds] == [0, 0], outputs
+    assert outputs == [("0 0.5\n", "")] * 2
+    built = sorted(path.name for path in (tmp_path / "__pycache__").iterdir())
+    assert len(built) == 1 and built[0].startswith("_split.") and built[0].endswith(".so")
 
 
 # ---------------------------------------------------------------- leaf model
@@ -796,15 +949,15 @@ def test_single_full_sample_tree_matches_direct_growth():
     assert node_key(forest.table) == node_key(manual)
 
 
-def test_grouping_keeps_the_grown_trees(monkeypatch):
+def test_kernel_keeps_the_grown_trees(monkeypatch):
+    compiled_kernel()
     rng = np.random.default_rng(19)
     segments = random_segments(rng, 400, dim=FEATURE_DIM, class_shift=0.8)
     config = small_config(n_candidate_tests=150, max_depth=6, steer_depth=3)
-    assert forest_module._group_pairs(FEATURE_DIM, config.n_candidate_tests)
     fc = feature_config(FEATURE_DIM)
-    grouped = train_forest(segments, config, "x", fc).table.to_trees()
-    use_grouping(monkeypatch, False)
-    assert train_forest(segments, config, "x", fc).table.to_trees() == grouped
+    compiled = model_bytes(train_forest(segments, config, "x", fc))
+    use_numpy(monkeypatch)
+    assert model_bytes(train_forest(segments, config, "x", fc)) == compiled
 
 
 def test_train_forest_requires_both_classes():
@@ -924,6 +1077,31 @@ def test_worker_processes_capped_at_trees(monkeypatch):
                   train_forests(training_sets, config, feature_config(4), n_workers)]
         assert sizes == expected, (n_classes, n_trees, n_workers)
         assert pooled == serial_bytes(training_sets, config)
+
+
+def test_pool_parent_loads_the_kernel_before_its_workers_start(monkeypatch):
+    # forked workers inherit the loaded kernel, so a first run builds it once
+    events = []
+
+    class PoolRecorder:
+        """Records its start and starts no process: ``map`` runs every job here."""
+
+        def __init__(self, max_workers, initializer, initargs, **kwargs):
+            events.append("pool")
+            initializer(*initargs)
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+        def shutdown(self, **kwargs):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
+    monkeypatch.setattr(forest_module, "_worker_job", None)
+    monkeypatch.setattr(forest_module, "_kernel", lambda: events.append("kernel"))
+    train_forest(small_training_set(), small_config(n_trees=2), "x", feature_config(4),
+                 n_workers=2)
+    assert events[:2] == ["kernel", "pool"] and len(events) > 2
 
 
 @pytest.mark.parametrize("n_workers", [0, -2])
