@@ -10,7 +10,9 @@
  * change lo but not the threshold's bits: when lo is a zero of either sign,
  * lo + u * (hi - lo) is u * hi, or +0.0 where that is a zero.
  *
- * forest.py compiles this file at first use (see _kernel there).
+ * forest.py compiles this file at first use (see _kernel there). It scores
+ * every node but a classification node of one class, whose earliest valid
+ * test forest.py finds with numpy.
  */
 
 #include <stddef.h>
@@ -30,16 +32,15 @@ static inline void load(lanes *v, const double *p)
     memcpy(v, p, sizeof *v);
 }
 
-/* The threshold of the n differences a - b, and their maximum in *hi. With
- * diff, the differences are also stored there. */
+/* The threshold of the n differences a - b, stored in diff, and their
+ * maximum in *hi. */
 static inline double threshold(const double *a, const double *b, int64_t n,
                                double u, double *hi, double *diff)
 {
     double lo = a[0] - b[0], top = lo;
     for (int64_t i = 0; i < n; i++) {
         double d = a[i] - b[i];
-        if (diff)
-            diff[i] = d;
+        diff[i] = d;
         lo = d < lo ? d : lo;
         top = d > top ? d : top;
     }
@@ -122,22 +123,4 @@ CLONES void split_counts(const double *xt, int64_t n, int64_t n_pos,
         if (regression)
             right_sums(diff, n_pos, t, stats, sums + 3 * k);
     }
-}
-
-/* The first candidate whose threshold lies below its largest difference,
- * with that threshold in *tau, or -1 when there is none. n must be at
- * least 1. */
-CLONES int64_t split_first_valid(const double *xt, int64_t n, const int64_t *r,
-                                 const int64_t *q, const double *u,
-                                 int64_t n_candidates, double *tau)
-{
-    for (int64_t k = 0; k < n_candidates; k++) {
-        double hi, t = threshold(xt + r[k] * n, xt + q[k] * n, n, u[k], &hi,
-                                 NULL);
-        if (t < hi) {
-            *tau = t;
-            return k;
-        }
-    }
-    return -1;
 }

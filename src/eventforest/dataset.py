@@ -18,9 +18,10 @@ from .features import (
 from .forest import SegmentSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class EventAnnotation:
-    """A labeled time span within a stream."""
+    """A labeled time span within a stream, read or detected; annotations
+    sort by onset, then offset, then label."""
 
     onset: float
     offset: float
@@ -101,15 +102,14 @@ def parse_annotations(path) -> list[EventAnnotation]:
                 events.append(EventAnnotation(onset, offset, label))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return sorted(events, key=lambda e: (e.onset, e.offset, e.label))
+    return sorted(events)
 
 
 def write_annotations(events, out) -> None:
     """Write events one per line as tab-separated onset, offset, label.
 
-    ``events`` are annotations or detections: anything with an onset, an
-    offset and a label. ``out`` is a path, or an open text stream such as
-    ``sys.stdout``.
+    ``events`` are annotations, read or detected. ``out`` is a path, or an
+    open text stream such as ``sys.stdout``.
     """
     lines = (f"{e.onset:.3f}\t{e.offset:.3f}\t{e.label}\n" for e in events)
     if hasattr(out, "write"):
@@ -141,10 +141,7 @@ def label_segments(
     """
     labels = np.zeros(features.n_segments, dtype=np.int8)
     dists = np.full((features.n_segments, 2), np.nan)
-    targets = sorted(
-        (a for a in annotations if a.label == target_class),
-        key=lambda e: (e.onset, e.offset),
-    )
+    targets = sorted(a for a in annotations if a.label == target_class)
     for first, stop in _covered(features, targets):
         m = np.arange(first, stop)  # empty when no center falls inside
         m = m[labels[m] == 0]
@@ -235,7 +232,7 @@ def mix_overlap(
         annotations.append(
             EventAnnotation(shifted / rate, (shifted + len(wave.samples)) / rate, label)
         )
-    annotations.sort(key=lambda e: (e.onset, e.offset, e.label))
+    annotations.sort()
     return Waveform(canvas, rate), annotations
 
 
@@ -478,7 +475,7 @@ def _compose_scene(
         annotations.append(
             EventAnnotation(start / sample_rate, stop / sample_rate, label)
         )
-    annotations.sort(key=lambda e: (e.onset, e.offset, e.label))
+    annotations.sort()
     return Waveform(canvas, sample_rate), annotations
 
 

@@ -11,6 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from . import features as _features
+from .dataset import EventAnnotation
 from .features import FeatureMatrix, Waveform, featurize
 from .forest import Forest, gaussian_pdf, route, shared_feature_config
 
@@ -71,16 +72,6 @@ class ScoreTrack:
 
 
 @dataclass(eq=False)
-class Detection:
-    """One detected event with its confidence score."""
-
-    label: str
-    onset: float
-    offset: float
-    confidence: float
-
-
-@dataclass(eq=False)
 class StreamVotes:
     """Leaf assignments of a stream or of one block of it, cached for rendering.
 
@@ -95,8 +86,6 @@ class StreamVotes:
     var_on: np.ndarray
     mean_off: np.ndarray
     var_off: np.ndarray
-    n_segments: int
-    n_trees: int
 
 
 def collect_votes(features: FeatureMatrix, forest: Forest) -> StreamVotes:
@@ -113,8 +102,6 @@ def collect_votes(features: FeatureMatrix, forest: Forest) -> StreamVotes:
         var_on=onset[:, 1],
         mean_off=offset[:, 0],
         var_off=offset[:, 1],
-        n_segments=features.n_segments,
-        n_trees=forest.n_trees,
     )
 
 
@@ -248,18 +235,14 @@ def _peak_indices(values: np.ndarray, threshold: float, maxima) -> list:
 
 
 def extract_events(
-    track: ScoreTrack,
-    beta: float,
-    hop_len: float,
-    window_len: float = 0.0,
-    label: str = "",
+    track: ScoreTrack, beta: float, hop_len: float, window_len: float, label: str
 ) -> list:
-    """Pair onset and offset peaks into detected events.
+    """Pair onset and offset peaks into ``label``'s detected events, as
+    ``EventAnnotation``s.
 
     Onset peaks are taken in order; each consumes the earliest unused offset
-    peak at a strictly later segment. The confidence of a detection is the
-    smaller of its two peak scores. Segment indices map to the center time of
-    the segment. Peaks are the track's ``maxima`` that reach ``beta``.
+    peak at a strictly later segment. Segment indices map to the center time
+    of the segment. Peaks are the track's ``maxima`` that reach ``beta``.
     """
     onsets = _peak_indices(track.f_plus, beta, track.maxima[0])
     offsets = _peak_indices(track.f_minus, beta, track.maxima[1])
@@ -272,16 +255,8 @@ def extract_events(
             break
         n_off = offsets[cursor]
         cursor += 1
-        detections.append(
-            Detection(
-                label=label,
-                onset=n_on * hop_len + window_len / 2.0,
-                offset=n_off * hop_len + window_len / 2.0,
-                confidence=float(
-                    min(track.f_plus[n_on], track.f_minus[n_off])
-                ),
-            )
-        )
+        detections.append(EventAnnotation(n_on * hop_len + window_len / 2.0,
+                                          n_off * hop_len + window_len / 2.0, label))
     return detections
 
 
@@ -427,7 +402,7 @@ def detect_on_features(tracks: dict, forests, configs) -> list:
         config = configs[forest.class_label]
         detections += forest_events(tracks[forest.class_label], forest,
                                     config.beta, config.duration_factor)
-    detections.sort(key=lambda d: (d.onset, d.offset, d.label))
+    detections.sort()
     return detections
 
 

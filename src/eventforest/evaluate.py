@@ -142,8 +142,7 @@ def event_metrics(reference, hypothesis, onset_collar: float = 0.2) -> Score:
     """
     if not (math.isfinite(onset_collar) and onset_collar >= 0):
         raise ValueError(f"collar must be finite and non-negative, got {onset_collar}")
-    reference = sorted(reference, key=lambda e: (e.onset, e.offset, e.label))
-    hypothesis = sorted(hypothesis, key=lambda e: (e.onset, e.offset, e.label))
+    reference, hypothesis = sorted(reference), sorted(hypothesis)
     ref_used = [False] * len(reference)
     hyp_used = [False] * len(hypothesis)
     tp = _match_onsets(hypothesis, reference, hyp_used, ref_used, onset_collar, True)

@@ -155,7 +155,8 @@ def _kernel():
     with into the package's ``__pycache__``, keyed by a hash of the source,
     flags and compiler, and later calls and processes load that object. It
     is written under a temporary name and renamed into place, so a process
-    never loads a half-written object. A missing compiler, a failed build or
+    never loads a half-written object; once it is in place, every other
+    ``_split.*.so`` there is removed. A missing compiler, a failed build or
     an unwritable cache gives None, and the split search stays on numpy.
     """
     import ctypes
@@ -185,6 +186,11 @@ def _kernel():
             finally:
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(building)
+            # objects of an older source, flags or compiler are never loaded again
+            for stale in path.parent.glob("_split.*.so"):
+                if stale != path:
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
         library = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError):
         return None
@@ -196,9 +202,6 @@ def _kernel():
         doubles, size, size, channels, channels, doubles, size, doubles, size,
         doubles, doubles, doubles, doubles, doubles)
     library.split_counts.restype = None
-    library.split_first_valid.argtypes = (
-        doubles, size, channels, channels, doubles, size, doubles)
-    library.split_first_valid.restype = size
     return library
 
 
@@ -245,14 +248,9 @@ def _candidate_blocks(x, r, q, u, first=None):
         start, step = stop, min(2 * step, block)
 
 
-def _first_valid(kernel, x, r, q, u):
+def _first_valid(x, r, q, u):
     """``(k, tau)`` of the earliest candidate whose threshold lies below its
     largest difference, or None."""
-    if kernel is not None:
-        tau = np.empty(1)
-        k = kernel.split_first_valid(np.ascontiguousarray(x.T), len(x), r, q, u,
-                                     len(r), tau)
-        return None if k < 0 else (k, tau[0])
     for index, diffs, block_tau in _candidate_blocks(x, r, q, u, first=1):
         hits = np.flatnonzero(block_tau < diffs.max(axis=1))
         if len(hits):
@@ -324,25 +322,26 @@ def select_best_test(segments: SegmentSet, n_candidates: int, objective: str, rn
 
     A classification node whose rows are all of one class scores nothing:
     it takes the earliest test in draw order whose threshold lies below its
-    largest difference, threshold bits and all (``_first_valid``). That is
-    exact: every entropy is 0.0, so every valid test gains exactly 0.0 and
-    the first maximum is the earliest valid one. The whole pool is still
-    drawn, so the tree's later nodes see the same random stream.
+    largest difference, threshold bits and all (``_first_valid``, on numpy
+    on every machine; it never loads the kernel). That is exact: every
+    entropy is 0.0, so every valid test gains exactly 0.0 and the first
+    maximum is the earliest valid one. The whole pool is still drawn, so the
+    tree's later nodes see the same random stream.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     regression = objective == OBJECTIVE_REGRESSION
     r, q, u = _draw_pool(segments.x.shape[1], n_candidates, rng)
-    # the kernel's min and max are exact on finite differences only, and no
-    # difference exceeds the node's range
     x = segments.x
-    kernel = _kernel() if np.isfinite(x.max() - x.min()) else None
     if not regression and segments.n_positive in (0, len(segments)):
-        hit = _first_valid(kernel, x, r, q, u)
+        hit = _first_valid(x, r, q, u)
         if hit is None:
             return None
         k, tau = hit
         return SplitChoice(int(r[k]), int(q[k]), float(tau))
+    # the kernel's min and max are exact on finite differences only, and no
+    # difference exceeds the node's range
+    kernel = _kernel() if np.isfinite(x.max() - x.min()) else None
     # positives first, so a block's positive columns are a contiguous view
     positive = segments.labels == 1
     order = np.argsort(~positive, kind="stable")

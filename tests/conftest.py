@@ -314,8 +314,6 @@ def oracle_collect_votes(features, forest):
         var_on=np.array(var_on, dtype=np.float64),
         mean_off=np.array(mean_off, dtype=np.float64),
         var_off=np.array(var_off, dtype=np.float64),
-        n_segments=features.n_segments,
-        n_trees=forest.n_trees,
     )
 
 
@@ -501,10 +499,11 @@ def add_gaussian(track, weight, mean, var):
     track[lo : hi + 1] += weight * gaussian_pdf(positions, mean, var)
 
 
-def oracle_render_tracks(votes, alpha, z_plus=1.0, z_minus=1.0):
-    """Reference renderer: one ``add_gaussian`` per vote and track, in vote order."""
-    f_plus = np.zeros(votes.n_segments)
-    f_minus = np.zeros(votes.n_segments)
+def oracle_render_tracks(votes, n_segments, n_trees, alpha, z_plus=1.0, z_minus=1.0):
+    """Reference renderer: one ``add_gaussian`` per vote and track, in vote
+    order, over a stream of ``n_segments`` scored by ``n_trees`` trees."""
+    f_plus = np.zeros(n_segments)
+    f_minus = np.zeros(n_segments)
     for i in range(len(votes.p_pos)):
         p = votes.p_pos[i]
         if p < alpha:
@@ -512,9 +511,8 @@ def oracle_render_tracks(votes, alpha, z_plus=1.0, z_minus=1.0):
         m = votes.segment[i]
         add_gaussian(f_plus, p, m - votes.mean_on[i], votes.var_on[i])
         add_gaussian(f_minus, p, m + votes.mean_off[i], votes.var_off[i])
-    scale = votes.n_trees
-    f_plus /= scale * z_plus
-    f_minus /= scale * z_minus
+    f_plus /= n_trees * z_plus
+    f_minus /= n_trees * z_minus
     return ScoreTrack(f_plus, f_minus)
 
 

@@ -1350,9 +1350,7 @@ def test_detect_stream_equals_pairing_the_whole_matrix(corpus, models, monkeypat
     blocks = range_blocks(n, 2, detect_module._reach(forests), BLOCK)
     assert sum(routed) == sum(stop - start for start, stop in blocks) * len(forests)
     assert expected
-    assert [(d.label, d.onset, d.offset, d.confidence) for d in got] == [
-        (d.label, d.onset, d.offset, d.confidence) for d in expected
-    ]
+    assert got == expected
 
 
 def test_detect_stream_memory_does_not_grow_with_the_features(

@@ -108,6 +108,14 @@ def test_annotation_validation():
         EventAnnotation(0.0, 1.0, "")
 
 
+def test_annotations_sort_by_onset_then_offset_then_label():
+    events = [EventAnnotation(1.0, 2.0, "b"), EventAnnotation(1.0, 2.0, "a"),
+              EventAnnotation(1.0, 1.5, "c"), EventAnnotation(0.5, 3.0, "d")]
+    assert sorted(events) == sorted(
+        events, key=lambda e: (e.onset, e.offset, e.label)) == [
+        events[3], events[2], events[1], events[0]]
+
+
 def test_segment_requires_distances_only_for_positives():
     x = np.zeros((1, 4))
     with pytest.raises(ValueError, match="finite"):

@@ -37,7 +37,6 @@ from eventforest import detect as detect_module
 from eventforest import features as features_module
 from eventforest.detect import (
     _VOTE_BLOCK,
-    Detection,
     DetectConfig,
     ScoreTrack,
     collect_votes,
@@ -54,7 +53,7 @@ from eventforest.detect import (
     smooth,
     write_scores_csv,
 )
-from eventforest.dataset import write_annotations
+from eventforest.dataset import EventAnnotation, write_annotations
 from eventforest.evaluate import default_alpha_grid
 from eventforest.features import FeatureConfig, FeatureMatrix, Waveform, featurize
 from eventforest.forest import (
@@ -353,7 +352,6 @@ def assert_votes_equal(got, expected):
         a, b = getattr(got, field), getattr(expected, field)
         assert a.dtype == b.dtype, field
         assert np.array_equal(a, b), field
-    assert (got.n_segments, got.n_trees) == (expected.n_segments, expected.n_trees)
 
 
 def test_collect_votes_matches_oracle(blob_model):
@@ -417,8 +415,13 @@ def test_rendering_is_deterministic(blob_model):
 # ------------------------------------------- blocked rendering vs the oracle
 
 
-def random_votes(rng, n_votes, n_segments, n_trees=5):
-    """Votes with gate-aligned and free confidences and wide, edge-crossing kernels."""
+# the trees that random_votes' votes come from, which rendering divides by
+N_TREES = 5
+
+
+def random_votes(rng, n_votes, n_segments):
+    """Votes at ``n_segments`` segments with gate-aligned and free confidences
+    and wide, edge-crossing kernels."""
     grid = np.array(default_alpha_grid())
     p_pos = np.where(
         rng.random(n_votes) < 0.5,
@@ -432,8 +435,6 @@ def random_votes(rng, n_votes, n_segments, n_trees=5):
         var_on=np.exp(rng.uniform(-3.0, 4.6, size=n_votes)),
         mean_off=rng.normal(2.0, 8.0, size=n_votes),
         var_off=np.exp(rng.uniform(-3.0, 4.6, size=n_votes)),
-        n_segments=n_segments,
-        n_trees=n_trees,
     )
 
 
@@ -442,13 +443,12 @@ def assert_tracks_identical(track, expected):
     assert np.array_equal(track.f_minus, expected.f_minus)
 
 
-def take_votes(votes, index, first=0, n_segments=None):
+def take_votes(votes, index, first=0):
     """The votes at ``index``, their segments counted from segment ``first``."""
     return StreamVotes(
         votes.p_pos[index], votes.segment[index] - first,
         votes.mean_on[index], votes.var_on[index],
         votes.mean_off[index], votes.var_off[index],
-        votes.n_segments if n_segments is None else n_segments, votes.n_trees,
     )
 
 
@@ -457,23 +457,23 @@ def segment_major(votes):
     return take_votes(votes, np.argsort(votes.segment, kind="stable"))
 
 
-def streamed_render(votes, alphas, z_plus=1.0, z_minus=1.0, cuts=()):
-    """The track of each gate in ``alphas`` that ``render_tracks`` adds up,
-    all gates at once, block by block at segment ``cuts``.
+def streamed_render(votes, n, alphas, z_plus=1.0, z_minus=1.0, cuts=(),
+                    n_trees=N_TREES):
+    """The track of each gate in ``alphas`` that ``render_tracks`` adds up
+    over a stream of ``n`` segments, all gates at once, block by block at
+    segment ``cuts``.
 
     The votes must be segment-major when there are cuts. Each block's votes
     count their segments from the block's first, as ``collect_votes`` of a
     block does; the sums are normalized as ``score_tracks`` normalizes them.
     """
-    n = votes.n_segments
     sums = {alpha: (np.zeros(n), np.zeros(n)) for alpha in alphas}
     bounds = [0, *cuts, n]
     for first, stop in zip(bounds, bounds[1:]):
         keep = (votes.segment >= first) & (votes.segment < stop)
-        render_tracks(take_votes(votes, keep, first, stop - first), min(alphas),
-                      sums, first)
-    return [ScoreTrack(sums[alpha][0] / (votes.n_trees * z_plus),
-                       sums[alpha][1] / (votes.n_trees * z_minus))
+        render_tracks(take_votes(votes, keep, first), min(alphas), sums, first)
+    return [ScoreTrack(sums[alpha][0] / (n_trees * z_plus),
+                       sums[alpha][1] / (n_trees * z_minus))
             for alpha in alphas]
 
 
@@ -487,12 +487,12 @@ def streamed_render(votes, alphas, z_plus=1.0, z_minus=1.0, cuts=()):
 def test_render_grid_is_bit_identical_to_scalar_loop(n_segments, n_votes, z, seed):
     votes = random_votes(np.random.default_rng(seed), n_votes, n_segments)
     alphas = default_alpha_grid()
-    grid = streamed_render(votes, alphas, z, 1.0 / z)
+    grid = streamed_render(votes, n_segments, alphas, z, 1.0 / z)
     assert len(grid) == len(alphas)
     for alpha, track in zip(alphas, grid):
-        expected = oracle_render_tracks(votes, alpha, z, 1.0 / z)
+        expected = oracle_render_tracks(votes, n_segments, N_TREES, alpha, z, 1.0 / z)
         assert_tracks_identical(track, expected)
-        [alone] = streamed_render(votes, [alpha], z, 1.0 / z)
+        [alone] = streamed_render(votes, n_segments, [alpha], z, 1.0 / z)
         assert_tracks_identical(alone, expected)
 
 
@@ -510,8 +510,10 @@ def test_streamed_render_is_bit_identical_at_any_block_cuts(
                                        n_segments))
     cuts = sorted(data.draw(st.lists(st.integers(0, n_segments), max_size=4)))
     alphas = (0.0, 0.35, 0.9)
-    for alpha, track in zip(alphas, streamed_render(votes, alphas, cuts=cuts)):
-        assert_tracks_identical(track, oracle_render_tracks(votes, alpha))
+    for alpha, track in zip(alphas, streamed_render(votes, n_segments, alphas,
+                                                    cuts=cuts)):
+        assert_tracks_identical(track, oracle_render_tracks(votes, n_segments,
+                                                            N_TREES, alpha))
 
 
 @pytest.mark.parametrize(
@@ -523,8 +525,8 @@ def test_render_is_bit_identical_across_block_boundaries(n_votes):
     # blocks, so adding a block's partial sums at once would show.
     votes = random_votes(np.random.default_rng(n_votes), n_votes, 40)
     alphas = [0.0, 0.35, 0.9]
-    for alpha, track in zip(alphas, streamed_render(votes, alphas)):
-        assert_tracks_identical(track, oracle_render_tracks(votes, alpha))
+    for alpha, track in zip(alphas, streamed_render(votes, 40, alphas)):
+        assert_tracks_identical(track, oracle_render_tracks(votes, 40, N_TREES, alpha))
 
 
 def test_render_truncates_at_both_stream_ends():
@@ -538,24 +540,23 @@ def test_render_truncates_at_both_stream_ends():
         var_on=np.array([4.0, 1.0, 400.0, 1.0]),
         mean_off=np.array([-1.5, 2.2, 0.0, 40.0]),
         var_off=np.array([1.0, 9.0, 400.0, 1.0]),
-        n_segments=n,
-        n_trees=2,
     )
     alphas = (0.0, 0.7, 0.95)
     in_order = segment_major(votes)
-    streamed = streamed_render(in_order, alphas, cuts=(4,))
-    for alpha, track, cut in zip(alphas, streamed_render(votes, alphas), streamed):
-        assert_tracks_identical(track, oracle_render_tracks(votes, alpha))
-        assert_tracks_identical(cut, oracle_render_tracks(in_order, alpha))
-    assert np.count_nonzero(streamed_render(votes, [0.0])[0].f_plus) == n
+    streamed = streamed_render(in_order, n, alphas, cuts=(4,), n_trees=2)
+    whole = streamed_render(votes, n, alphas, n_trees=2)
+    for alpha, track, cut in zip(alphas, whole, streamed):
+        assert_tracks_identical(track, oracle_render_tracks(votes, n, 2, alpha))
+        assert_tracks_identical(cut, oracle_render_tracks(in_order, n, 2, alpha))
+    assert np.count_nonzero(streamed_render(votes, n, [0.0])[0].f_plus) == n
 
 
 def test_render_without_votes_is_zero():
     votes = random_votes(np.random.default_rng(0), 0, 25)
-    for track in streamed_render(votes, default_alpha_grid()):
+    for track in streamed_render(votes, 25, default_alpha_grid()):
         assert np.array_equal(track.f_plus, np.zeros(25))
         assert np.array_equal(track.f_minus, np.zeros(25))
-    [empty] = streamed_render(random_votes(np.random.default_rng(0), 0, 0), [0.0])
+    [empty] = streamed_render(random_votes(np.random.default_rng(0), 0, 0), 0, [0.0])
     assert empty.n_segments == 0
 
 
@@ -612,9 +613,9 @@ def test_score_tracks_render_each_alpha_as_the_scalar_loop(blob_model):
     votes = collect_votes(features, forest)
     alphas = default_alpha_grid()
     for alpha, track in zip(alphas, score_alphas(features, forest, alphas)):
-        assert_tracks_identical(
-            track, oracle_render_tracks(votes, alpha, forest.z_plus, forest.z_minus)
-        )
+        assert_tracks_identical(track, oracle_render_tracks(
+            votes, features.n_segments, forest.n_trees, alpha, forest.z_plus,
+            forest.z_minus))
     [empty] = score_alphas(flat_features(0), single_leaf_forest(leaf()), [0.0])
     assert empty.n_segments == 0
 
@@ -825,8 +826,6 @@ def test_render_memory_stays_within_a_few_blocks():
         var_on=ones,
         mean_off=2.0 * ones,
         var_off=ones,
-        n_segments=n_segments,
-        n_trees=10,
     )
     # Unit variance: 13 positions per kernel within six standard deviations.
     block_bytes = _VOTE_BLOCK * 13 * 8
@@ -990,9 +989,9 @@ def test_extract_with_precomputed_maxima_matches_fresh_scan(monkeypatch):
 
     monkeypatch.setattr(detect_module, "_local_maxima", counted)
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        reused = extract_events(track, beta, hop_len=0.5, label="x")
+        reused = extract_events(track, beta, 0.5, 0.0, "x")
         fresh = extract_events(ScoreTrack(values[0].copy(), values[1].copy()),
-                               beta, hop_len=0.5, label="x")
+                               beta, 0.5, 0.0, "x")
         assert [vars(e) for e in reused] == [vars(e) for e in fresh]
     # two sides for the shared track, two for each of the five fresh copies
     assert len(scans) == 2 + 2 * 5
@@ -1003,39 +1002,40 @@ def test_extract_with_precomputed_maxima_matches_fresh_scan(monkeypatch):
 
 def test_extract_single_pair():
     track = spiky_track(60, [(10, 0.8)], [(50, 0.9)])
-    events = extract_events(track, beta=0.5, hop_len=0.01)
-    assert len(events) == 1
-    event = events[0]
-    assert event.onset == pytest.approx(0.10)
-    assert event.offset == pytest.approx(0.50)
-    assert event.confidence == pytest.approx(0.8)
+    events = extract_events(track, 0.5, 0.01, 0.0, "x")
+    assert events == [EventAnnotation(10 * 0.01, 50 * 0.01, "x")]
 
 
 def test_extract_applies_center_alignment():
     track = spiky_track(60, [(10, 0.8)], [(50, 0.9)])
-    events = extract_events(track, beta=0.5, hop_len=0.01, window_len=0.1)
+    events = extract_events(track, 0.5, 0.01, 0.1, "x")
     assert events[0].onset == pytest.approx(0.15)
     assert events[0].offset == pytest.approx(0.55)
 
 
 def test_extract_nothing_below_threshold():
     track = spiky_track(60, [(10, 0.4)], [(50, 0.45)])
-    assert extract_events(track, beta=0.5, hop_len=0.01) == []
+    assert extract_events(track, 0.5, 0.01, 0.0, "x") == []
 
 
 def test_extract_interleaved_peaks_pair_in_order():
     track = spiky_track(
         40, [(5, 0.9), (8, 0.8)], [(20, 0.7), (30, 0.95)]
     )
-    events = extract_events(track, beta=0.5, hop_len=1.0)
+    events = extract_events(track, 0.5, 1.0, 0.0, "x")
     assert [(e.onset, e.offset) for e in events] == [(5.0, 20.0), (8.0, 30.0)]
-    assert events[0].confidence == pytest.approx(0.7)
-    assert events[1].confidence == pytest.approx(0.8)
+
+
+def test_extract_refuses_an_empty_label():
+    # a detections file cannot hold an event without a label
+    track = spiky_track(60, [(10, 0.8)], [(50, 0.9)])
+    with pytest.raises(ValueError, match="label"):
+        extract_events(track, 0.5, 0.01, 0.0, "")
 
 
 def test_extract_requires_strictly_later_offset():
     track = spiky_track(40, [(10, 0.9)], [(10, 0.9), (15, 0.8)])
-    events = extract_events(track, beta=0.5, hop_len=1.0)
+    events = extract_events(track, 0.5, 1.0, 0.0, "x")
     assert [(e.onset, e.offset) for e in events] == [(10.0, 15.0)]
 
 
@@ -1044,13 +1044,13 @@ def test_extract_plateau_counts_once_at_left_edge():
     f_plus[7:10] = 0.8
     f_minus = np.zeros(30)
     f_minus[20] = 0.9
-    events = extract_events(ScoreTrack(f_plus, f_minus), beta=0.5, hop_len=1.0)
+    events = extract_events(ScoreTrack(f_plus, f_minus), 0.5, 1.0, 0.0, "x")
     assert [(e.onset, e.offset) for e in events] == [(7.0, 20.0)]
 
 
 def test_extract_peak_at_stream_edges():
     track = spiky_track(20, [(0, 0.9)], [(19, 0.9)])
-    events = extract_events(track, beta=0.5, hop_len=1.0)
+    events = extract_events(track, 0.5, 1.0, 0.0, "x")
     assert [(e.onset, e.offset) for e in events] == [(0.0, 19.0)]
 
 
@@ -1058,9 +1058,7 @@ def test_extract_output_is_chronologically_valid():
     rng = np.random.default_rng(9)
     for _ in range(25):
         values = rng.random((2, 80)) * (rng.random((2, 80)) < 0.2)
-        events = extract_events(
-            ScoreTrack(values[0], values[1]), beta=0.3, hop_len=1.0
-        )
+        events = extract_events(ScoreTrack(values[0], values[1]), 0.3, 1.0, 0.0, "x")
         onsets = [e.onset for e in events]
         offsets = [e.offset for e in events]
         assert onsets == sorted(onsets)
@@ -1133,7 +1131,7 @@ def test_the_two_segment_clocks_at_segment_35():
     assert matrix.segment_times.tobytes() == times.tobytes()
     assert matrix.segment_centers()[35] == 0.39999999999999997
     track = spiky_track(60, [(35, 0.9)], [(50, 0.9)])
-    [event] = extract_events(track, 0.5, fc.hop_len, fc.window_len)
+    [event] = extract_events(track, 0.5, fc.hop_len, fc.window_len, "x")
     assert event.onset == 0.4
     assert 35 * fc.hop_len == 0.35000000000000003
 
@@ -1250,10 +1248,7 @@ def test_detect_config_validation():
 
 
 def test_write_detections_format(tmp_path):
-    events = [
-        Detection("dog", 0.1234, 1.5, 0.9),
-        Detection("cat", 2.0, 3.25, 0.8),
-    ]
+    events = [EventAnnotation(0.1234, 1.5, "dog"), EventAnnotation(2.0, 3.25, "cat")]
     path = tmp_path / "out.txt"
     write_annotations(events, path)
     assert path.read_text() == "0.123\t1.500\tdog\n2.000\t3.250\tcat\n"

@@ -425,6 +425,8 @@ def oracle_tune(folds, forest, alphas, betas, detect_config, resolution,
             smooth(
                 oracle_render_tracks(
                     collect_votes(fold.features, forest),
+                    fold.features.n_segments,
+                    forest.n_trees,
                     alpha,
                     forest.z_plus,
                     forest.z_minus,

@@ -487,7 +487,7 @@ def test_one_class_node_forms_only_its_first_block(label, monkeypatch):
         )
         monkeypatch.undo()
         # a one-class search starts with a block of one candidate, and the
-        # first drawn one splits these rows; the oracle check runs on the kernel
+        # first drawn one splits these rows
         assert formed == [1]
         expected = assert_matches_oracle(
             segments, n_candidates, OBJECTIVE_CLASSIFICATION, 13
@@ -535,6 +535,24 @@ def test_one_class_search_agrees_with_scalar_oracle_at_the_edges(split_paths,
                     use_block(patch, copies, 3)
                     assert one_class_winner(copies, n_candidates, 18) >= 7
                 assert one_class_winner(same, n_candidates, 5) is None
+
+
+def test_one_class_search_never_loads_the_kernel(monkeypatch):
+    # a one-class classification node takes its earliest valid test from the
+    # numpy walk on every machine, so a kernel that cannot load changes nothing
+    def unavailable():
+        raise AssertionError("a one-class search asked for the split kernel")
+
+    monkeypatch.setattr(forest_module, "_kernel", unavailable)
+    rng = np.random.default_rng(109)
+    nodes = [one_class_set(rng, n, label) for n in (1, 30, 300) for label in (0, 1)]
+    nodes += [with_edge_rows(one_class_set(rng, 30, label)) for label in (0, 1)]
+    with np.errstate(invalid="ignore"):  # the edge rows' inf - inf is NaN
+        for segments in nodes:
+            for n_candidates in (1, *POOLS):
+                for seed in (first_draw_repeats_a_channel(n_candidates), 3):
+                    assert_matches_oracle(segments, n_candidates,
+                                          OBJECTIVE_CLASSIFICATION, seed)
 
 
 def with_edge_rows(segments):
@@ -666,8 +684,9 @@ def bits(choice):
 def assert_paths_agree(segments, n_candidates, seed, monkeypatch):
     """The kernel and numpy give each candidate of the node's pool the same bits.
 
-    That is every threshold, child count and right-side distance sum, the
-    one-class search's pick, and each objective's chosen ``(r, q, tau)``.
+    That is every threshold, child count and right-side distance sum, and
+    each objective's chosen ``(r, q, tau)``. The numpy walk's one-class pick
+    is the kernel's earliest candidate that sends a row right.
     """
     kernel = compiled_kernel()
     positive = segments.labels == 1
@@ -683,11 +702,15 @@ def assert_paths_agree(segments, n_candidates, seed, monkeypatch):
         assert [None if a is None else a.tobytes() for a in compiled] == [
             None if a is None else a.tobytes() for a in reference]
 
-    def first_valid(kernel):
-        hit = forest_module._first_valid(kernel, segments.x, r, q, u)
-        return None if hit is None else (hit[0], struct.pack("<d", hit[1]))
-
-    assert first_valid(kernel) == first_valid(None)
+    tau, n_right = compiled[:2]
+    valid = np.flatnonzero(n_right > 0)
+    hit = forest_module._first_valid(segments.x, r, q, u)
+    if len(valid):
+        k = valid[0]
+        assert hit is not None
+        assert (hit[0], struct.pack("<d", hit[1])) == (k, struct.pack("<d", tau[k]))
+    else:
+        assert hit is None
     choices = []
     for on_numpy in (False, True):
         with monkeypatch.context() as patch:
@@ -801,10 +824,11 @@ def test_two_processes_build_one_kernel(tmp_path):
         "from eventforest import forest\n"
         "forest._KERNEL_SOURCE = Path(sys.argv[1])\n"
         "kernel = forest._kernel()\n"
-        "r = np.array([0]); tau = np.empty(1)\n"
+        "r = np.array([0]); tau, n_right, n_pos_right = np.empty((3, 1))\n"
         "xt = np.array([[0.0, 2.0], [0.0, 0.0]])\n"
-        "k = kernel.split_first_valid(xt, 2, r, r + 1, np.array([0.25]), 1, tau)\n"
-        "print(k, tau[0])\n"
+        "kernel.split_counts(xt, 2, 0, r, r + 1, np.array([0.25]), 1, np.empty(0),\n"
+        "                    0, np.empty(2), tau, n_right, n_pos_right, np.empty(0))\n"
+        "print(tau[0], n_right[0])\n"
     )
     src = str(Path(forest_module.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -814,9 +838,46 @@ def test_two_processes_build_one_kernel(tmp_path):
               for _ in range(2)]
     outputs = [build.communicate(timeout=120) for build in builds]
     assert [build.returncode for build in builds] == [0, 0], outputs
-    assert outputs == [("0 0.5\n", "")] * 2
+    assert outputs == [("0.5 1.0\n", "")] * 2
     built = sorted(path.name for path in (tmp_path / "__pycache__").iterdir())
     assert len(built) == 1 and built[0].startswith("_split.") and built[0].endswith(".so")
+
+
+def test_a_new_kernel_build_removes_the_stale_objects(tmp_path, monkeypatch):
+    # an object built from another source, flags or compiler is never loaded
+    # again; files of other names stay
+    if not compiler_installed():
+        pytest.skip("no C compiler to build the split kernel")
+    source = tmp_path / "_split.c"
+    shutil.copyfile(forest_module._KERNEL_SOURCE, source)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = cache / "_split.0123456789abcdef.so"
+    stale.write_bytes(b"an object of an older source")
+    (cache / "notes.txt").write_text("not the kernel's\n")
+    monkeypatch.setattr(forest_module, "_KERNEL_SOURCE", source)
+    forest_module._kernel.cache_clear()
+    try:
+        assert forest_module._kernel() is not None
+    finally:
+        forest_module._kernel.cache_clear()
+    kept = sorted(path.name for path in cache.iterdir())
+    assert len(kept) == 2 and kept[1] == "notes.txt", kept
+    assert kept[0].startswith("_split.") and kept[0].endswith(".so")
+    assert kept[0] != stale.name
+
+
+def test_split_kernel_source_compiles_without_warnings():
+    # with the kernel's own flags, so a warning that an edit brings in fails
+    # the suite rather than passing unseen in a silent build
+    if not compiler_installed():
+        pytest.skip("no C compiler to build the split kernel")
+    compiler = shlex.split(sysconfig.get_config_var("CC"))
+    check = subprocess.run(
+        [*compiler, *forest_module._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-fsyntax-only", str(forest_module._KERNEL_SOURCE)],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    assert check.returncode == 0, check.stderr
 
 
 # ---------------------------------------------------------------- leaf model
