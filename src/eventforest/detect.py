@@ -11,6 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from . import features as _features
+from . import forest as _forest
 from .dataset import EventAnnotation
 from .features import FeatureMatrix, Waveform, featurize
 from .forest import Forest, gaussian_pdf, route, shared_feature_config
@@ -113,8 +114,9 @@ _VOTE_BLOCK = 512
 
 # Ranges of one stream that score_tracks scores at once, one thread each.
 # Two threads ran detect on a 240 s stream 1.6x as fast on an idle 2-CPU
-# host. More were never measured, np.fft.rfft and np.add.at hold the GIL,
-# and each range holds a block in flight, so the cap stays at what was.
+# host. More were never measured, np.fft.rfft holds the GIL (routing and
+# splatting run in the compiled kernel, outside it, where it loads), and
+# each range holds a block in flight, so the cap stays at what was.
 _SCORE_RANGES = 2
 
 
@@ -132,8 +134,9 @@ def _kernel_pairs(weight, mean, var, lo: int, hi: int):
     one-vote evaluation bit for bit.
     """
     spread = _TRUNCATION * np.sqrt(var)
-    first = np.maximum(np.ceil(mean - spread), lo).astype(np.int64)
-    last = np.minimum(np.floor(mean + spread), hi - 1).astype(np.int64)
+    # clipped as floats, so a far-off mean casts in range
+    first = np.clip(np.ceil(mean - spread), lo, hi).astype(np.int64)
+    last = np.clip(np.floor(mean + spread), lo - 1, hi - 1).astype(np.int64)
     counts = np.maximum(last - first + 1, 0)
     owner = np.repeat(np.arange(len(counts)), counts)
     start = np.cumsum(counts) - counts
@@ -154,14 +157,25 @@ def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0,
     at stream segment ``first``. Votes are splatted in fixed blocks of
     ``_VOTE_BLOCK``: the kernels of a block's votes that pass ``alpha`` are
     evaluated once and, per gate, the pairs of the votes that pass it are
-    added with ``np.add.at``. That ufunc method is unbuffered and applies the
-    pairs in index order, so every segment receives its terms in vote order,
-    exactly the additions of rendering one vote at a time, for any block
-    size, any set of gates and any cut of the stream into windows. The sums
-    are normalized once the stream ends (see ``score_tracks``).
+    added in vote order, then position order. So every segment receives its
+    terms in vote order, exactly the additions of rendering one vote at a
+    time, for any block size, any set of gates and any cut of the stream into
+    windows. The compiled kernel (``_kernel``) does all but ``np.exp``, which
+    runs once per block on all its exponents; where it is missing, or a sum
+    is not a float64 array it can write to, numpy evaluates the kernels
+    (``_kernel_pairs``) and adds them with ``np.add.at``, which is unbuffered
+    and applies the pairs in index order. The sums are normalized once the
+    stream ends (see ``score_tracks``).
     """
     if hi is None:
         hi = len(next(iter(sums.values()))[0])
+    tracks = [track for pair in sums.values() for track in pair]
+    kernel = _forest._kernel() if 0 <= lo and all(
+        track.dtype == np.float64 and track.flags.c_contiguous
+        and track.flags.writeable and len(track) >= hi for track in tracks) else None
+    if kernel is not None:
+        _splat_compiled(kernel, votes, alpha, sums, tracks, first, lo, hi)
+        return
     for start in range(0, len(votes.p_pos), _VOTE_BLOCK):
         block = np.arange(start, min(start + _VOTE_BLOCK, len(votes.p_pos)))
         block = block[~(votes.p_pos[block] < alpha)]
@@ -181,6 +195,36 @@ def render_tracks(votes: StreamVotes, alpha: float, sums, first: int = 0,
                     np.add.at(pair[side], positions, values)
                 elif keep.any():
                     np.add.at(pair[side], positions[keep], values[keep])
+
+
+def _splat_compiled(kernel, votes: StreamVotes, alpha: float, sums, tracks,
+                    first: int, lo: int, hi: int) -> None:
+    """``render_tracks`` on the compiled kernel: per block of votes, C writes
+    the exponents of the kernels' Gaussians, numpy takes their ``np.exp`` in
+    place, and C weights the results and adds them to every gate they pass.
+    ``tracks`` holds the arrays of ``sums``, gate by gate."""
+    p, mean_on, var_on, mean_off, var_off = (
+        np.ascontiguousarray(a, dtype=np.float64) for a in (
+            votes.p_pos, votes.mean_on, votes.var_on, votes.mean_off, votes.var_off))
+    segment = np.ascontiguousarray(votes.segment, dtype=np.int64)
+    if any(len(a) != len(p) for a in (mean_on, var_on, mean_off, var_off, segment)):
+        raise ValueError("vote arrays differ in length")  # C reads len(p) of each
+    gates = np.array(list(sums), dtype=np.float64)
+    addresses = np.array([track.ctypes.data for track in tracks], dtype=np.uint64)
+    spans = np.empty(4 * min(_VOTE_BLOCK, len(p)), dtype=np.int64)
+    exponents = np.empty(0)
+    for start in range(0, len(p), _VOTE_BLOCK):
+        stop = min(start + _VOTE_BLOCK, len(p))
+        args = (p, segment, mean_on, var_on, mean_off, var_off, start, stop, alpha,
+                first, lo, hi, _TRUNCATION, spans)
+        total = kernel.vote_exponents(*args, exponents, len(exponents))
+        if total > len(exponents):
+            exponents = np.empty(total)
+            kernel.vote_exponents(*args, exponents, total)
+        values = exponents[:total]
+        np.exp(values, out=values)
+        kernel.splat_votes(p, var_on, var_off, start, stop, spans, values,
+                           len(gates), gates, addresses)
 
 
 def smooth(track: ScoreTrack, window: int) -> ScoreTrack:
@@ -334,6 +378,7 @@ def score_tracks(source, forests, configs) -> dict:
     if scored and width == 1:
         score_range(0, n)
     elif scored:  # the first use imports the pool's module, which one block never needs
+        _forest._kernel()  # built or loaded once, before the threads use it
         with concurrent.futures.ThreadPoolExecutor(width - 1) as pool:
             later = pool.map(score_range, bounds[1:-1], bounds[2:])
             score_range(bounds[0], bounds[1])

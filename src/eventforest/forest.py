@@ -149,22 +149,19 @@ _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-ffinite-math-only",
 
 @functools.cache
 def _kernel():
-    """The compiled split search of ``_split.c``, or None where it cannot build.
+    """The compiled loops of ``_split.c``, or None where they cannot build.
 
     The first call compiles the source with the compiler Python was built
     with into the package's ``__pycache__``, keyed by a hash of the source,
-    flags and compiler, and later calls and processes load that object. It
-    is written under a temporary name and renamed into place, so a process
-    never loads a half-written object; once it is in place, every other
-    ``_split.*.so`` there is removed. A missing compiler, a failed build or
-    an unwritable cache gives None, and the split search stays on numpy.
+    flags and compiler, and later calls and processes load that object (see
+    ``_build_kernel``). A missing compiler, a failed build or an unwritable
+    cache gives None, and the split search, ``route`` and
+    ``detect.render_tracks`` stay on numpy.
     """
     import ctypes
     import hashlib
     import shlex
-    import subprocess
     import sysconfig
-    import tempfile
 
     compiler = shlex.split(sysconfig.get_config_var("CC") or "")
     if not compiler:
@@ -174,35 +171,62 @@ def _kernel():
                                    compiler)).encode()).hexdigest()[:16]
         path = _KERNEL_SOURCE.parent / "__pycache__" / f"_split.{key}.so"
         if not path.exists():
-            path.parent.mkdir(exist_ok=True)
-            fd, building = tempfile.mkstemp(suffix=".so", dir=path.parent)
-            os.close(fd)
-            try:
-                subprocess.run([*compiler, *_KERNEL_FLAGS, "-o", building,
-                                str(_KERNEL_SOURCE)], stdin=subprocess.DEVNULL,
-                               capture_output=True, check=True)
-                os.chmod(building, 0o755)  # mkstemp made it private to its owner
-                os.replace(building, path)
-            finally:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(building)
-            # objects of an older source, flags or compiler are never loaded again
-            for stale in path.parent.glob("_split.*.so"):
-                if stale != path:
-                    with contextlib.suppress(OSError):
-                        stale.unlink()
+            _build_kernel(compiler, path)
         library = ctypes.CDLL(str(path))
-    except (OSError, subprocess.SubprocessError):
+    except OSError:
         return None
     # ndpointer checks each array's dtype and C order at every call
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    channels = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    size = ctypes.c_int64
-    library.split_counts.argtypes = (
-        doubles, size, size, channels, channels, doubles, size, doubles, size,
-        doubles, doubles, doubles, doubles, doubles)
-    library.split_counts.restype = None
+    integers = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    addresses = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+    size, real = ctypes.c_int64, ctypes.c_double
+    for name, argtypes, restype in (
+        ("split_counts", (doubles, size, size, integers, integers, doubles, size,
+                          doubles, size, doubles, doubles, doubles, doubles,
+                          doubles), None),
+        ("route_rows", (doubles, size, size, integers, size, integers, integers,
+                        integers, doubles, integers), None),
+        ("vote_exponents", (doubles, integers, doubles, doubles, doubles, doubles,
+                            size, size, real, size, size, size, real, integers,
+                            doubles, size), size),
+        ("splat_votes", (doubles, doubles, doubles, size, size, integers, doubles,
+                         size, doubles, addresses), None),
+    ):
+        function = getattr(library, name)
+        function.argtypes, function.restype = argtypes, restype
     return library
+
+
+def _build_kernel(compiler: list, path: Path) -> None:
+    """Compile ``_split.c`` to ``path``, or raise OSError.
+
+    The object is written under a temporary name and renamed into place, so
+    a process never loads a half-written object; once it is in place, every
+    other ``_split.*.so`` there is removed. Only a build imports the modules
+    it needs, so a process that loads a built object does not pay for them.
+    """
+    import subprocess
+    import tempfile
+
+    path.parent.mkdir(exist_ok=True)
+    fd, building = tempfile.mkstemp(suffix=".so", dir=path.parent)
+    os.close(fd)
+    try:
+        build = subprocess.run([*compiler, *_KERNEL_FLAGS, "-o", building,
+                                str(_KERNEL_SOURCE)], stdin=subprocess.DEVNULL,
+                               capture_output=True)
+        if build.returncode:
+            raise OSError(f"{_KERNEL_SOURCE.name} did not compile")
+        os.chmod(building, 0o755)  # mkstemp made it private to its owner
+        os.replace(building, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(building)
+    # objects of an older source, flags or compiler are never loaded again
+    for stale in path.parent.glob("_split.*.so"):
+        if stale != path:
+            with contextlib.suppress(OSError):
+                stale.unlink()
 
 
 def _draw_pool(n_dims: int, n_candidates: int, rng):
@@ -570,9 +594,13 @@ def _finite_float(value, what: str = "value") -> float:
 def route(table: NodeTable, x) -> np.ndarray:
     """Leaf index of every (row, tree) pair of the (n, d) matrix ``x``.
 
-    Entry ``k`` is row ``k // T`` in tree ``k % T``. All pairs move down
-    together, one level per step, so trees of depth D take at most D - 1
-    vectorized steps. Ties ``x[r] - x[q] == tau`` go left.
+    Entry ``k`` is row ``k // T`` in tree ``k % T``. Ties ``x[r] - x[q] ==
+    tau`` go left. The compiled kernel (``_kernel``) walks each pair down its
+    tree; each step is one subtraction and one comparison, as in numpy, so
+    both give the same leaves. Where it is missing, or some row holds inf or
+    NaN (the kernel assumes finite values), all pairs move down together in
+    numpy, one level per step, so trees of depth D take at most D - 1
+    vectorized steps.
     """
     x = np.asarray(x, dtype=np.float64)
     splits = table.right >= 0
@@ -580,6 +608,14 @@ def route(table: NodeTable, x) -> np.ndarray:
         raise ValueError(
             f"feature vector of length {x.shape[1]} does not match the tree"
         )
+    # the range of every row at once, without a temporary as large as x
+    kernel = _kernel() if x.size and np.isfinite(x.max() - x.min()) else None
+    if kernel is not None:
+        leaf = np.empty(len(x) * len(table.roots), dtype=np.int64)
+        kernel.route_rows(np.ascontiguousarray(x), len(x), x.shape[1], table.roots,
+                          len(table.roots), table.right, table.r, table.q,
+                          table.tau, leaf)
+        return leaf
     node = np.tile(table.roots, len(x))
     active = np.flatnonzero(splits[node])
     while len(active):

@@ -2,6 +2,9 @@
 
 import math
 import os
+import shlex
+import shutil
+import sysconfig
 from math import ceil, floor, sqrt
 from types import SimpleNamespace
 
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.fft import dct
 
+from eventforest import forest as forest_module
 from eventforest.dataset import EventAnnotation
 from eventforest.detect import (
     ScoreTrack,
@@ -42,6 +46,22 @@ from eventforest.forest import (
     gaussian_pdf,
     train_forest,
 )
+
+
+def compiler_installed() -> bool:
+    """Whether the C compiler Python was built with, which builds the kernel, is here."""
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "")
+    return bool(compiler) and shutil.which(compiler[0]) is not None
+
+
+def compiled_kernel():
+    """The compiled kernel; the test is skipped on a machine without a C compiler."""
+    if not compiler_installed():
+        pytest.skip("no C compiler to build the kernel")
+    kernel = forest_module._kernel()
+    assert kernel is not None, "a C compiler is installed, yet the kernel did not build"
+    return kernel
+
 
 FEATURE_DIM = 8
 

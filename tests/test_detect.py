@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     blob_stream,
+    compiled_kernel,
     descend,
     detect_matrix,
     feature_config,
@@ -35,6 +37,7 @@ from conftest import (
 )
 from eventforest import detect as detect_module
 from eventforest import features as features_module
+from eventforest import forest as forest_module
 from eventforest.detect import (
     _VOTE_BLOCK,
     DetectConfig,
@@ -152,6 +155,90 @@ def test_route_matches_descend_oracle(seed, n_rows, max_depth, n_trees):
     assert leaves.tolist() == [
         [descend(table, row, root) for root in table.roots] for row in x
     ]
+
+
+class KernelSpy:
+    """The compiled kernel, counting the uses of each of its functions."""
+
+    def __init__(self, kernel):
+        self.kernel, self.calls = kernel, {}
+
+    def __getattr__(self, name):
+        self.calls[name] = self.calls.get(name, 0) + 1
+        return getattr(self.kernel, name)
+
+
+def on_both_paths(function, *args):
+    """``function(*args)`` on the compiled kernel and on numpy, and the
+    kernel's uses by name in the first."""
+    spy = KernelSpy(compiled_kernel())
+    with mock.patch.object(forest_module, "_kernel", lambda: spy):
+        compiled = function(*args)
+    with mock.patch.object(forest_module, "_kernel", lambda: None):
+        plain = function(*args)
+    return compiled, plain, spy.calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(0, 60),
+    max_depth=st.integers(1, 7),
+    n_trees=st.integers(1, 4),
+)
+def test_compiled_route_matches_numpy(seed, n_rows, max_depth, n_trees):
+    # integer cells and thresholds, signed zeros and rows exactly at each
+    # split's threshold; a depth of 1 and early leaves give one-leaf trees
+    rng = np.random.default_rng(seed)
+    table = NodeTable.from_trees(
+        [random_tree(rng, 4, max_depth) for _ in range(n_trees)], 4
+    )
+    x = rng.integers(-3, 4, size=(n_rows, 4)).astype(float)
+    x[x == 0.0] = rng.choice([0.0, -0.0], size=np.count_nonzero(x == 0.0))
+    ties = []
+    for i in np.flatnonzero((table.right >= 0) & (table.r != table.q)):
+        tie = np.full(4, -0.0)
+        tie[table.r[i]] = table.tau[i]  # x[r] - x[q] == tau at split i
+        ties.append(tie)
+    x = np.vstack([x] + ties) if n_rows else x
+    compiled, plain, calls = on_both_paths(route, table, x)
+    assert compiled.dtype == plain.dtype == np.int64
+    assert np.array_equal(compiled, plain)
+    assert compiled.tolist() == [descend(table, row, root) for row in x
+                                 for root in table.roots]
+    assert calls.get("route_rows", 0) == (1 if n_rows else 0)
+
+
+def test_compiled_route_matches_numpy_at_signed_zero_thresholds():
+    # 0.0 - -0.0 and -0.0 - 0.0 equal both zeros, so every row goes left
+    table = NodeTable.from_trees([
+        [split_node(0, 1, 0.0), leaf_node(), leaf_node()],
+        [split_node(1, 0, -0.0), leaf_node(), leaf_node()],
+        [leaf_node()],
+    ], 2)
+    x = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0],
+                  [5e-324, 0.0], [0.0, 5e-324]])
+    compiled, plain, calls = on_both_paths(route, table, x)
+    assert calls == {"route_rows": 1}
+    assert compiled.tolist() == plain.tolist() == [
+        1, 4, 6, 1, 4, 6, 1, 4, 6, 1, 4, 6, 2, 4, 6, 1, 5, 6]
+
+
+@pytest.mark.parametrize("cell", [np.inf, -np.inf, np.nan, "range"])
+def test_route_leaves_non_finite_rows_to_numpy(cell):
+    # the kernel assumes finite values; rows whose range overflows count too
+    rng = np.random.default_rng(4)
+    table = NodeTable.from_trees([random_tree(rng, 4, 6) for _ in range(3)], 4)
+    x = rng.integers(-3, 4, size=(30, 4)).astype(float)
+    if cell == "range":
+        x[3, 1], x[7, 2] = 1e308, -1e308
+    else:
+        x[3, 1] = cell
+    with np.errstate(invalid="ignore", over="ignore"):
+        compiled, plain, calls = on_both_paths(route, table, x)
+        expected = [descend(table, row, root) for row in x for root in table.roots]
+    assert "route_rows" not in calls
+    assert compiled.tolist() == plain.tolist() == expected
 
 
 # ---------------------------------------------------------------- voting
@@ -586,6 +673,96 @@ def test_rendering_in_windows_is_bit_identical_to_one_render(
             for got, want in zip(windowed[alpha], whole[alpha]):
                 assert np.array_equal(got[:hi], want[:hi])
                 assert not got[hi:].any()
+
+
+
+def no_pair_votes(n_segments):
+    """Votes whose kernels cover no position of a stream of ``n_segments``:
+    centred far outside it, or so narrow that no whole position lies within
+    six standard deviations of a centre between two of them."""
+    far = [-1e3, 1e3, -1e300, 1e300, -1.7e308, 1.7e308]
+    return StreamVotes(
+        p_pos=np.ones(len(far) + 1),
+        segment=np.zeros(len(far) + 1, dtype=np.int64) + n_segments // 2,
+        mean_on=np.array(far + [0.5]),
+        var_on=np.array([1.0] * len(far) + [1e-4]),
+        mean_off=np.array(far[::-1] + [0.5]),
+        var_off=np.array([4.0] * len(far) + [1e-4]),
+    )
+
+
+def concatenated_votes(*parts):
+    return StreamVotes(*(np.concatenate([getattr(v, key) for v in parts])
+                         for key in ("p_pos", "segment", "mean_on", "var_on",
+                                     "mean_off", "var_off")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_segments=st.integers(1, 90),
+    n_votes=st.integers(0, 150),
+    block=st.sampled_from([1, 7, 64, _VOTE_BLOCK]),
+    first=st.integers(0, 30),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_render_matches_the_oracle_bit_for_bit(
+    n_segments, n_votes, block, first, data, seed
+):
+    # gates below alpha take the votes that pass alpha, as numpy's do; the
+    # window [lo, hi) clips kernels at both ends; blocks of ``block`` votes
+    rng = np.random.default_rng(seed)
+    n = first + n_segments
+    votes = random_votes(rng, n_votes, n)
+    votes = concatenated_votes(votes, no_pair_votes(n), votes)
+    grid = default_alpha_grid()
+    alpha = data.draw(st.sampled_from(grid))
+    gates = sorted(set(data.draw(st.lists(st.sampled_from(grid), min_size=1,
+                                          max_size=5))))
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+
+    def render():
+        sums = {gate: (np.zeros(n), np.zeros(n)) for gate in gates}
+        render_tracks(take_votes(votes, slice(None), first), alpha, sums, first,
+                      lo, hi)
+        return sums
+
+    with mock.patch.object(detect_module, "_VOTE_BLOCK", block):
+        compiled, plain, calls = on_both_paths(render)
+    assert calls.get("splat_votes", 0) == -(-len(votes.p_pos) // block)
+    for gate in gates:
+        expected = oracle_render_tracks(votes, n, 1, max(gate, alpha))
+        for got, other, want in zip(compiled[gate], plain[gate],
+                                    (expected.f_plus, expected.f_minus)):
+            assert np.array_equal(got[lo:hi], want[lo:hi])
+            assert not got[:lo].any() and not got[hi:].any()
+            assert np.array_equal(got, other)
+
+
+@pytest.mark.parametrize("path", ["kernel", "numpy"])
+def test_far_off_kernels_render_nothing_without_a_warning(path, monkeypatch):
+    # a model may hold any finite mean; the span of a kernel that far off
+    # is clipped to the window before it is cast to an integer
+    if path == "kernel":
+        compiled_kernel()
+    else:
+        monkeypatch.setattr(forest_module, "_kernel", lambda: None)
+    sums = {0.0: (np.zeros(40), np.zeros(40)), 0.5: (np.zeros(40), np.zeros(40))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        render_tracks(no_pair_votes(40), 0.0, sums)
+        render_tracks(no_pair_votes(40), 0.0, sums, 0, 10, 30)
+    assert not any(track.any() for pair in sums.values() for track in pair)
+
+
+def test_compiled_render_refuses_votes_of_unequal_lengths():
+    # C reads as many of each array as there are confidences
+    compiled_kernel()
+    votes = no_pair_votes(40)
+    votes.var_off = votes.var_off[:-1]
+    with pytest.raises(ValueError, match="differ in length"):
+        render_tracks(votes, 0.0, {0.0: (np.zeros(40), np.zeros(40))})
 
 
 leaf_moments = st.tuples(st.floats(-200.0, 200.0),

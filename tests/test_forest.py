@@ -22,6 +22,8 @@ from conftest import (
     FEATURE_DIM,
     calibrated,
     calibrated_leaf,
+    compiled_kernel,
+    compiler_installed,
     distance_variation,
     draw_candidates,
     entropy,
@@ -282,21 +284,6 @@ def use_block(monkeypatch, segments, block):
     """Make a node of ``segments`` score ``block`` candidates per block, on numpy."""
     use_numpy(monkeypatch)
     monkeypatch.setattr(forest_module, "_BLOCK_CELLS", block * len(segments))
-
-
-def compiler_installed() -> bool:
-    """Whether the C compiler Python was built with, which builds the kernel, is here."""
-    compiler = shlex.split(sysconfig.get_config_var("CC") or "")
-    return bool(compiler) and shutil.which(compiler[0]) is not None
-
-
-def compiled_kernel():
-    """The split kernel; the test is skipped on a machine without a C compiler."""
-    if not compiler_installed():
-        pytest.skip("no C compiler to build the split kernel")
-    kernel = forest_module._kernel()
-    assert kernel is not None, "a C compiler is installed, yet the kernel did not build"
-    return kernel
 
 
 @pytest.fixture
